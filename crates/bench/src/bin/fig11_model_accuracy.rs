@@ -4,10 +4,19 @@
 //! evaluates the predicted piece-wise parameters against fresh fits for
 //! the last four (unobserved) tasks. Paper: all errors < 0.3; averages
 //! k1 0.23, k2 0.16, Δ0 0.05, l0 0.06; best model annotated per metric.
+//!
+//! Also reports what the fit costs, per learner kind: the CPU time of
+//! its 4-fold cross validation summed over services × targets, and how
+//! many (service, target) selections it wins. Host timings go to
+//! stderr; stdout stays seed-determined.
 
-use bench::{banner, compare, seed};
+use std::hint::black_box;
+
+use bench::{banner, compare, seed, thread_cpu_s};
 use cluster::report::Table;
-use modeling::eval::relative_error;
+use modeling::eval::{kfold_indices, relative_error};
+use modeling::select::cross_validate;
+use modeling::RegressorKind;
 use mudi::interference::TargetParam;
 use mudi::{InterferenceModeler, LatencyProfiler, MudiConfig, ProfileDatabase};
 use simcore::SimRng;
@@ -25,7 +34,9 @@ fn main() {
 
     // Train on the profiled five (70-sample regime of §7.3).
     let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
+    let t0 = thread_cpu_s();
     let modeler = InterferenceModeler::train(&db, &mut rng).expect("non-empty database");
+    let fit_cpu_s = thread_cpu_s() - t0;
 
     // Test set: fits for the four unobserved tasks.
     let mut test = ProfileDatabase::new();
@@ -91,4 +102,35 @@ fn main() {
     compare("avg k2 error", avgs[1], 0.16, "");
     compare("avg Δ0 error", avgs[2], 0.05, "");
     compare("avg l0 error", avgs[3], 0.06, "");
+
+    // Re-run each kind's cross validation on the exact datasets and
+    // splits model selection used (the modeler selects with 4 folds;
+    // `fork` is pure, so `rng` yields the same fold streams).
+    let mut cv_cpu_s = [0.0f64; RegressorKind::ALL.len()];
+    let mut wins = [0usize; RegressorKind::ALL.len()];
+    for svc in modeler.services() {
+        for target in TargetParam::ALL {
+            let data = modeler.training_data(svc, target).expect("trained target");
+            let splits = kfold_indices(data.len(), 4);
+            for (i, kind) in RegressorKind::ALL.into_iter().enumerate() {
+                let t0 = thread_cpu_s();
+                black_box(cross_validate(kind, data, &splits, &rng));
+                cv_cpu_s[i] += thread_cpu_s() - t0;
+                wins[i] += usize::from(modeler.chosen_kind(svc, target) == Some(kind));
+            }
+        }
+    }
+    let cv_total: f64 = cv_cpu_s.iter().sum();
+    let mut cost = Table::new(&["learner", "CV CPU s", "share of CV", "wins"]);
+    for (i, kind) in RegressorKind::ALL.into_iter().enumerate() {
+        cost.row(vec![
+            kind.name().to_string(),
+            format!("{:.3}", cv_cpu_s[i]),
+            format!("{:.1}%", 100.0 * cv_cpu_s[i] / cv_total.max(1e-12)),
+            format!("{}/{}", wins[i], wins.iter().sum::<usize>()),
+        ]);
+    }
+    eprintln!("\nFit cost per learner (4-fold CV, summed over services x targets):");
+    eprint!("{}", cost.render());
+    eprintln!("  CV total {cv_total:.3} CPU s; whole fit {fit_cpu_s:.3} CPU s");
 }

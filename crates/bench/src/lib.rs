@@ -87,6 +87,30 @@ pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) {
     println!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})");
 }
 
+/// CPU seconds the calling thread has used so far. A host timing, so
+/// callers print it to stderr; unlike wall time it leaves out the time
+/// the thread waited for a core.
+pub fn thread_cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec and the clock id is a
+    // constant the kernel always supports.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
 /// Prints the fan-out accounting for a pooled sweep: per-cell compute
 /// summed vs wall-clock elapsed, the effective speedup, and the
 /// critical-path bound (elapsed can never drop below the longest cell,
@@ -127,6 +151,16 @@ mod tests {
             assert!(cfg.jobs < 300);
             assert!(scale < 1.0);
         }
+    }
+
+    #[test]
+    fn thread_cpu_clock_advances_with_work() {
+        let t0 = thread_cpu_s();
+        let start = std::time::Instant::now();
+        while start.elapsed().as_secs_f64() < 0.02 {
+            std::hint::black_box(start);
+        }
+        assert!(thread_cpu_s() > t0);
     }
 
     #[test]

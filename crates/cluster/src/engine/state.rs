@@ -244,12 +244,12 @@ pub(super) struct SharedState {
 /// phase. Lanes are built once at construction along the
 /// [`ShardMap`]'s contiguous device ranges.
 pub(super) struct LaneBox {
-    /// This lane's replica of the system under test. Every replica is
-    /// built from the same `fork("system")` seed, so offline profiling
-    /// and tuner priors are identical across lanes; each replica's
-    /// tuner history then only ever sees its own devices' retunes,
-    /// which keeps the histories partition-invariant (retune draws come
-    /// from per-device substreams anyway).
+    /// This lane's replica of the system under test. Every replica
+    /// shares the session's one predictor fit, so offline profiling and
+    /// tuner priors are identical across lanes; each replica's mutable
+    /// state then only ever sees its own devices' retunes, which keeps
+    /// it partition-invariant (retune draws come from per-device
+    /// substreams anyway).
     pub system: Box<dyn Multiplexer>,
     /// The lane's event queue (lane-local events only).
     pub events: EventLane,
@@ -565,19 +565,20 @@ impl SimState {
             requested
         };
 
-        // Build the lanes along the map's contiguous device ranges.
-        // Every lane's system replica is built from the same
-        // `fork("system")` seed (fork is pure), so replicas are
-        // identical at construction including offline profiling.
+        // Build the lanes along the map's contiguous device ranges. The
+        // system is built — offline profiling and predictor fit
+        // included — once per session; each lane gets a replica that
+        // shares the fit and starts its own memo and tuner state empty.
         let map = ShardMap::new(&topo, shards.max(1));
         let lane_idx: Vec<u32> = (0..config.devices)
             .map(|d| map.shard_of_device(&topo, d) as u32)
             .collect();
+        let system = build_system(config.system, &gt, &mut rng.fork("system"));
         let mut lanes = Vec::with_capacity(map.shards());
         for s in 0..map.shards() {
             let range = map.device_range(s);
             lanes.push(LaneBox {
-                system: build_system(config.system, &gt, &mut rng.fork("system")),
+                system: system.replica(),
                 events: EventLane::new(range.start, range.len(), 64),
                 // Steady-state stepping must not allocate: size the
                 // outbox for a full window of per-device progress and

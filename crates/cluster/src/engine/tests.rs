@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use super::*;
 
 use resilience::{FaultKind, FaultProfile, FaultSchedule};
@@ -600,4 +602,34 @@ fn load_multiplier_raises_violations_for_adaptive_system() {
         heavy.overall_violation_rate(),
         base.overall_violation_rate()
     );
+}
+
+/// A sharded session fits its predictor once: every lane's system
+/// shares the one trained fit instead of profiling and training its own.
+#[test]
+fn sharded_session_trains_the_predictor_once() {
+    for system in [SystemKind::Mudi, SystemKind::MuxFlow, SystemKind::Gpulets] {
+        let mut cfg = ClusterConfig::tiny(system, 5);
+        cfg.topology = TopologyShape::new(8, 2);
+        cfg.devices = 16;
+        cfg.shards = 8;
+        let st = SimState::new(cfg);
+        // `MUDI_SHARDS` may override the requested count; any split
+        // must still share one fit.
+        if std::env::var_os("MUDI_SHARDS").is_none() {
+            assert_eq!(st.lanes.len(), 8, "{system:?}");
+        }
+        let first = lane_fit(&st.lanes[0]);
+        for lane in &st.lanes {
+            assert!(Arc::ptr_eq(first, lane_fit(lane)), "{system:?}");
+        }
+        assert_eq!(Arc::strong_count(first), st.lanes.len());
+    }
+}
+
+fn lane_fit(lane: &state::LaneBox) -> &Arc<mudi::InterferenceFit> {
+    lane.system
+        .predictor()
+        .expect("system predicts interference")
+        .fit()
 }

@@ -344,6 +344,12 @@ impl InterferenceModeler {
         ids
     }
 
+    /// The encoded training set of one service/target — what model
+    /// selection cross-validated (Fig. 11 diagnostics).
+    pub fn training_data(&self, service: ServiceId, target: TargetParam) -> Option<&Dataset> {
+        Some(&self.per_service.get(&service)?.data[&target])
+    }
+
     /// Training-set size for one service/target (diagnostics).
     pub fn training_size(&self, service: ServiceId) -> usize {
         self.per_service

@@ -41,7 +41,7 @@ pub use config::MudiConfig;
 pub use guard::{CircuitBreaker, RetuneGuard};
 pub use interference::InterferenceModeler;
 pub use monitor::{Monitor, MonitorEvent};
-pub use predictor::InterferencePredictor;
+pub use predictor::{InterferenceFit, InterferencePredictor};
 pub use profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
 pub use selector::{DeviceCandidate, DeviceSelector, PlacementDecision, ReliabilityPrior};
 pub use tuner::{TuneTrigger, Tuner, TuningOutcome};

@@ -8,6 +8,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use modeling::fit::piecewise::PiecewiseLinear;
 use simcore::SimRng;
@@ -16,16 +17,31 @@ use workloads::{GroundTruth, NetworkArchitecture, ServiceId, TaskId};
 use crate::interference::InterferenceModeler;
 use crate::profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
 
-/// The online latency-curve predictor.
-pub struct InterferencePredictor {
+/// The trained half of the predictor: the Interference Modeler and the
+/// exact offline profiles it was fitted on (§4.1.2). Immutable once
+/// trained, so one fit is shared behind an [`Arc`] by every shard lane
+/// of a session.
+pub struct InterferenceFit {
     modeler: InterferenceModeler,
     db: ProfileDatabase,
+}
+
+// Lanes step on worker threads and share the fit by reference.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<InterferenceFit>();
+};
+
+/// The online latency-curve predictor: a shared [`InterferenceFit`]
+/// plus this owner's memo of modeler answers.
+pub struct InterferencePredictor {
+    fit: Arc<InterferenceFit>,
     /// Memoized [`InterferencePredictor::curve_for_arch`] results. The
     /// modeler is pure given its trained weights, and the engine asks
     /// for the same handful of `(service, merged arch, batch)` keys on
     /// every retune, so the steady-state stepping loop hits this cache
-    /// and never re-runs the four learner predictions. Invalidated on
-    /// [`InterferencePredictor::incorporate`].
+    /// and never re-runs the four learner predictions. Each replica
+    /// keeps its own memo, so a lane's hot path takes no lock.
     memo: RefCell<HashMap<(ServiceId, NetworkArchitecture, u32), Option<PiecewiseLinear>>>,
 }
 
@@ -35,11 +51,25 @@ impl InterferencePredictor {
     /// Returns `None` when the database is empty.
     pub fn new(db: ProfileDatabase, rng: &mut SimRng) -> Option<Self> {
         let modeler = InterferenceModeler::train(&db, rng)?;
-        Some(InterferencePredictor {
-            modeler,
-            db,
+        Some(Self::from_fit(Arc::new(InterferenceFit { modeler, db })))
+    }
+
+    fn from_fit(fit: Arc<InterferenceFit>) -> Self {
+        InterferencePredictor {
+            fit,
             memo: RefCell::new(HashMap::new()),
-        })
+        }
+    }
+
+    /// A predictor for another shard lane: shares this one's fit and
+    /// starts with an empty memo.
+    pub fn replica(&self) -> Self {
+        Self::from_fit(Arc::clone(&self.fit))
+    }
+
+    /// The shared trained half.
+    pub fn fit(&self) -> &Arc<InterferenceFit> {
+        &self.fit
     }
 
     /// Predicts the latency curve for an *explicit* co-located task
@@ -52,7 +82,7 @@ impl InterferencePredictor {
         tasks: &[TaskId],
     ) -> Option<PiecewiseLinear> {
         let key = ProfileKey::new(service, batch, tasks.to_vec());
-        if let Some(rec) = self.db.get(&key) {
+        if let Some(rec) = self.fit.db.get(&key) {
             return Some(rec.curve);
         }
         let arch = LatencyProfiler::merged_arch(gt, tasks);
@@ -71,7 +101,7 @@ impl InterferencePredictor {
         if let Some(hit) = self.memo.borrow().get(&key) {
             return *hit;
         }
-        let curve = self.modeler.predict(service, arch, batch);
+        let curve = self.fit.modeler.predict(service, arch, batch);
         self.memo.borrow_mut().insert(key, curve);
         curve
     }
@@ -126,24 +156,14 @@ impl InterferencePredictor {
         (n > 0).then(|| total / n as f64)
     }
 
-    /// Folds new profile records in and retrains (incremental update).
-    pub fn incorporate(&mut self, extra: ProfileDatabase, rng: &mut SimRng) {
-        self.modeler.update(&extra, rng);
-        for rec in extra.records() {
-            self.db.insert(rec.clone());
-        }
-        // The retrained modeler can answer differently for every key.
-        self.memo.borrow_mut().clear();
-    }
-
     /// The underlying modeler (Fig. 11 diagnostics).
     pub fn modeler(&self) -> &InterferenceModeler {
-        &self.modeler
+        &self.fit.modeler
     }
 
     /// The profile database (exact curves).
     pub fn database(&self) -> &ProfileDatabase {
-        &self.db
+        &self.fit.db
     }
 }
 
@@ -236,19 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn incorporate_grows_database() {
-        let (gt, mut p) = build();
-        let before = p.database().len();
-        let profiler = LatencyProfiler::new(MudiConfig::default());
-        let mut rng = SimRng::seed(17);
-        let mut extra = ProfileDatabase::new();
-        let unseen = gt.zoo().unobserved_task_ids()[1];
-        let svc = gt.zoo().services()[2].id;
-        extra.insert(profiler.profile(&gt, svc, 32, &[unseen], &mut rng).unwrap());
-        p.incorporate(extra, &mut rng);
-        assert_eq!(p.database().len(), before + 1);
-        // The new exact curve is now served directly.
-        let key = ProfileKey::new(svc, 32, vec![unseen]);
-        assert!(p.database().get(&key).is_some());
+    fn replica_shares_the_fit_with_its_own_memo() {
+        let (gt, p) = build();
+        let svc = gt.zoo().services()[0].id;
+        let arch = gt.zoo().tasks()[0].arch;
+        let curve = p.curve_for_arch(svc, &arch, 64);
+        let r = p.replica();
+        assert!(Arc::ptr_eq(p.fit(), r.fit()));
+        assert!(r.memo.borrow().is_empty());
+        assert_eq!(r.curve_for_arch(svc, &arch, 64), curve);
     }
 }

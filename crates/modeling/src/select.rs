@@ -48,25 +48,8 @@ pub fn select_best_model(
     if data.len() >= folds.max(2) {
         let splits = kfold_indices(data.len(), folds.max(2));
         for kind in RegressorKind::ALL {
-            let mut pairs = Vec::new();
-            let mut ok = true;
-            for (train_idx, test_idx) in &splits {
-                let train = data.subset(train_idx);
-                let mut fold_rng = rng.fork("cv");
-                match kind.train(&train, &mut fold_rng) {
-                    Some(model) => {
-                        for &i in test_idx {
-                            pairs.push((model.predict(&data.features[i]), data.targets[i]));
-                        }
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                cv_errors.push((kind, mae(pairs)));
+            if let Some(err) = cross_validate(kind, data, &splits, rng) {
+                cv_errors.push((kind, err));
             }
         }
     }
@@ -88,6 +71,24 @@ pub fn select_best_model(
         kind: best_kind,
         cv_errors,
     })
+}
+
+/// Cross-validation mean absolute error of one kind over the given
+/// `(train, test)` index splits, or `None` when a fold cannot train.
+pub fn cross_validate(
+    kind: RegressorKind,
+    data: &Dataset,
+    splits: &[(Vec<usize>, Vec<usize>)],
+    rng: &SimRng,
+) -> Option<f64> {
+    let mut pairs = Vec::new();
+    for (train_idx, test_idx) in splits {
+        let model = kind.train(&data.subset(train_idx), &mut rng.fork("cv"))?;
+        for &i in test_idx {
+            pairs.push((model.predict(&data.features[i]), data.targets[i]));
+        }
+    }
+    Some(mae(pairs))
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! against the ground-truth substrate.
 
 use mudi::{
-    DeviceCandidate, DeviceSelector, InterferencePredictor, LatencyProfiler, MudiConfig, Tuner,
+    DeviceCandidate, DeviceSelector, InterferenceModeler, InterferencePredictor, LatencyProfiler,
+    MudiConfig, Tuner,
 };
 use simcore::SimRng;
 use workloads::{ColoWorkload, GroundTruth, Zoo};
@@ -148,16 +149,17 @@ fn selector_ranking_correlates_with_ground_truth() {
 /// co-locations wildly worse (no catastrophic forgetting).
 #[test]
 fn incremental_update_preserves_known_tasks() {
-    let (gt, mut predictor) = build_predictor(77);
+    let gt = GroundTruth::new(Zoo::standard(), 77);
+    let profiler = LatencyProfiler::new(MudiConfig::default());
+    let mut rng = SimRng::seed(77);
+    let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
+    let mut modeler = InterferenceModeler::train(&db, &mut rng).expect("profiling succeeds");
     let svc = gt.zoo().service_by_name("BERT").expect("in zoo").id;
     let known = gt.zoo().profiled_task_ids()[0];
     let arch = gt.zoo().task(known).arch;
-    let before = predictor
-        .curve_for_arch(svc, &arch, 64)
-        .expect("covered service");
+    let before = modeler.predict(svc, &arch, 64).expect("covered service");
 
     // Fold in profiles of one unobserved task.
-    let profiler = LatencyProfiler::new(MudiConfig::default());
     let mut rng = SimRng::seed(3);
     let mut extra = mudi::ProfileDatabase::new();
     let unseen = gt.zoo().unobserved_task_ids()[0];
@@ -166,11 +168,9 @@ fn incremental_update_preserves_known_tasks() {
             extra.insert(rec);
         }
     }
-    predictor.incorporate(extra, &mut rng);
+    modeler.update(&extra, &mut rng);
 
-    let after = predictor
-        .curve_for_arch(svc, &arch, 64)
-        .expect("still covered");
+    let after = modeler.predict(svc, &arch, 64).expect("still covered");
     let drift = (after.y0 - before.y0).abs() / before.y0;
     assert!(drift < 0.5, "catastrophic forgetting: y0 drifted {drift}");
 }
