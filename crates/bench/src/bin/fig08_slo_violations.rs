@@ -62,7 +62,7 @@ fn main() {
                 }
             })
             .collect();
-        let results = end_to_end_many(cells);
+        let results = end_to_end_many(cells, simcore::max_workers());
         for (system, result) in sims.into_iter().zip(results) {
             let mut row = vec![system.name().to_string()];
             let mut mean = 0.0;

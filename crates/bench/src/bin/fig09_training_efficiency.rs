@@ -57,7 +57,7 @@ fn main() {
                 }
             })
             .collect();
-        let results = end_to_end_many(cells);
+        let results = end_to_end_many(cells, simcore::max_workers());
         for (system, r) in systems.into_iter().zip(results) {
             table.row(vec![
                 system.name().to_string(),

@@ -39,7 +39,7 @@ fn main() {
             (cfg, iter_scale)
         })
         .collect();
-    let results = end_to_end_many(cells);
+    let results = end_to_end_many(cells, simcore::max_workers());
     for (system, r) in systems.into_iter().zip(results) {
         let peak = r
             .util_series

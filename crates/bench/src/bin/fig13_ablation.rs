@@ -38,7 +38,7 @@ fn main() {
                 }
             })
             .collect();
-        let results = end_to_end_many(cells);
+        let results = end_to_end_many(cells, simcore::max_workers());
         for (system, r) in variants.into_iter().zip(results) {
             table.row(vec![
                 system.name().to_string(),

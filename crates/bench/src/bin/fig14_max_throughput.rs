@@ -25,7 +25,10 @@ fn main() {
     ];
     let mut results = Vec::new();
     for system in systems {
-        results.push((system, max_throughput(system, seed())));
+        results.push((
+            system,
+            max_throughput(system, seed(), simcore::max_workers()),
+        ));
     }
 
     let mut header = vec!["system".to_string()];

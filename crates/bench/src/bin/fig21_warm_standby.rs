@@ -83,7 +83,7 @@ fn main() {
         })
         .collect();
     let started = Instant::now();
-    let all = end_to_end_many(cells);
+    let all = end_to_end_many(cells, simcore::max_workers());
     let elapsed = started.elapsed().as_secs_f64();
     let cell_walls: Vec<f64> = all.iter().map(|r| r.wall_clock_secs).collect();
 

@@ -17,7 +17,7 @@ use workloads::PhillyArrivals;
 use crate::job::{JobId, TrainingJob};
 
 use super::control::Control;
-use super::state::{Event, SimState};
+use super::state::{GlobalEvent, SimState};
 
 /// The admission stage. Stateless: everything lives in [`SimState`].
 pub(super) struct Admission;
@@ -118,7 +118,8 @@ impl Admission {
             st.ckpt.push(resilience::CheckpointTracker::with_write_cost(
                 period, 0.0, write_secs,
             ));
-            st.events.schedule_at(t, Event::JobArrival(JobId(i as u64)));
+            st.events
+                .schedule_at(t, GlobalEvent::JobArrival(JobId(i as u64)));
         }
     }
 

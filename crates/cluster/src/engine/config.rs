@@ -79,10 +79,13 @@ pub struct ClusterConfig {
     /// count; the `MUDI_SHARDS` environment variable overrides this
     /// field. Results are bit-identical at every shard count.
     pub shards: usize,
-    /// Length of one sharded stepping epoch, simulated seconds: the
-    /// commit barrier fires at multiples of this. Only consulted when
-    /// more than one shard is active; shorter epochs bound speculation
-    /// staleness, longer epochs amortize the per-epoch barrier cost.
+    /// Length of one stepping epoch window, simulated seconds: windows
+    /// end at multiples of this, and each runs the lane phase, the
+    /// barrier merge and the global phase. The window grid is the same
+    /// at every shard count. Within a window a lane may advance a
+    /// device past a later global event, which then clamps to the
+    /// device's accrual watermark; shorter epochs bound that lag,
+    /// longer epochs amortize the per-epoch barrier cost.
     pub shard_epoch_secs: f64,
     /// Parallel lane workers for the sharded stepping kernel. `0`
     /// means auto: resolve from the environment (`MUDI_THREADS`, else

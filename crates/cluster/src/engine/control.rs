@@ -26,7 +26,7 @@ use crate::systems::{ConfigDecision, DeviceView, SystemKind};
 
 use super::admission::Admission;
 use super::shard::OutMsg;
-use super::state::{Event, LaneCtx, SimState};
+use super::state::{GlobalEvent, LaneCtx, LaneEvent, SimState};
 
 /// The control stage. Stateless: everything lives in [`SimState`].
 pub(super) struct Control;
@@ -291,9 +291,8 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
             }
         }
         ctx.schedule(
-            d,
             now + dwell.max(SimDuration::from_secs(0.5)),
-            Event::QpsChange(d),
+            LaneEvent::QpsChange(d),
         );
         return;
     }
@@ -328,9 +327,8 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
         }
     }
     ctx.schedule(
-        d,
         now + next.max(SimDuration::from_secs(0.5)),
-        Event::QpsChange(d),
+        LaneEvent::QpsChange(d),
     );
 }
 
@@ -518,7 +516,7 @@ pub(super) fn schedule_retune(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     let li = d - ctx.base;
     if !ctx.dstate[li].retune_pending {
         ctx.dstate[li].retune_pending = true;
-        ctx.schedule(d, now + SimDuration::from_secs(60.0), Event::Retune(d));
+        ctx.schedule(now + SimDuration::from_secs(60.0), LaneEvent::Retune(d));
     }
 }
 
@@ -725,7 +723,7 @@ impl Control {
         if !st.all_done() {
             st.events.schedule_in(
                 SimDuration::from_secs(st.config.util_sample_secs),
-                Event::UtilSample,
+                GlobalEvent::UtilSample,
             );
         }
     }

@@ -25,7 +25,7 @@ use crate::job::{JobId, JobState};
 
 use super::admission::Admission;
 use super::control::{self, Control};
-use super::state::{Event, LaneCtx, SimState};
+use super::state::{GlobalEvent, LaneCtx, LaneEvent, SimState};
 
 /// Effective-compute factor of a freshly repaired device during its
 /// burn-in window (reduced clocks while the driver re-validates
@@ -230,7 +230,7 @@ impl Faults {
                         };
                         st.events.schedule_at(
                             now + SimDuration::from_secs(promote_secs),
-                            Event::StandbyPromote { host: h, token },
+                            GlobalEvent::StandbyPromote { host: h, token },
                         );
                         st.fmetrics.failover_latency_secs.push(promote_secs);
                         st.fmetrics.inference_failovers += 1;
@@ -308,7 +308,8 @@ impl Faults {
         st.dstate[d].paused_since = None;
         st.dstate[d].epoch += 1; // Invalidate in-flight completions.
         st.dstate[d].guard.cooldown(td, repair);
-        st.events.schedule_at(now + repair, Event::DeviceRepair(d));
+        st.events
+            .schedule_at(now + repair, GlobalEvent::DeviceRepair(d));
         if st.recovery.requeue_training {
             Admission.try_dispatch(st, now);
         }
@@ -427,9 +428,8 @@ impl Faults {
         st.dstate[d].degrade_token += 1;
         let token = st.dstate[d].degrade_token;
         st.schedule_lane(
-            d,
             now + st.recovery.degraded_hold,
-            Event::SlowdownEnd { device: d, token },
+            LaneEvent::SlowdownEnd { device: d, token },
         );
         st.dstate[d].breaker.trip(td, st.recovery.degraded_hold);
 
@@ -494,7 +494,7 @@ impl Faults {
         st.devices[d].set_degraded(factor.clamp(0.05, 1.0));
         st.dstate[d].degrade_token += 1;
         let token = st.dstate[d].degrade_token;
-        st.schedule_lane(d, now + duration, Event::SlowdownEnd { device: d, token });
+        st.schedule_lane(now + duration, LaneEvent::SlowdownEnd { device: d, token });
         st.dstate[d].breaker.trip(td, duration);
         self.reconfigure_guarded(st, td, d);
         Control.reschedule_completions(st, td, d);
@@ -525,9 +525,8 @@ impl Faults {
         st.dstate[d].restarting.retain(|&(id, _)| id != victim);
         st.dstate[d].restarting.push((victim, until));
         st.schedule_lane(
-            d,
             until,
-            Event::ProcessRestart {
+            LaneEvent::ProcessRestart {
                 device: d,
                 job: JobId(victim.0),
             },
@@ -566,9 +565,8 @@ impl Faults {
             st.dstate[d].restarting.retain(|&(i, _)| i != id);
             st.dstate[d].restarting.push((id, until));
             st.schedule_lane(
-                d,
                 until,
-                Event::ProcessRestart {
+                LaneEvent::ProcessRestart {
                     device: d,
                     job: JobId(id.0),
                 },

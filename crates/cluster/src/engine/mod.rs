@@ -114,21 +114,17 @@ impl ClusterEngine {
         &self.st.topo
     }
 
-    /// Runs the experiment to completion and returns the results.
-    pub fn run(self) -> ExperimentResult {
-        self.run_scaled(1.0)
-    }
-
-    /// Runs with every job's iteration count multiplied by
-    /// `iteration_scale` (tests use ≪1 to finish quickly).
+    /// Runs the experiment to completion with every job's iteration
+    /// count multiplied by `iteration_scale` (tests use ≪1 to finish
+    /// quickly) and returns the results.
     pub fn run_scaled(self, iteration_scale: f64) -> ExperimentResult {
         self.run_traced(iteration_scale).0
     }
 
     /// The single run entry point: executes to completion and returns
     /// the results together with the trace-bus summary (all-zero when
-    /// tracing is disabled). `run`, `run_scaled`, and `run_with_log`
-    /// are thin wrappers over this.
+    /// tracing is disabled). `run_scaled` and `run_with_log` are thin
+    /// wrappers over this.
     pub fn run_traced(self, iteration_scale: f64) -> (ExperimentResult, TraceSummary) {
         let (result, bus) = self.execute(iteration_scale);
         (result, bus.summary())

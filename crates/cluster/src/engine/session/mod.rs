@@ -1,7 +1,7 @@
 //! Incremental session API over the staged kernel.
 //!
 //! A [`ClusterSession`] is the serving-mode counterpart of
-//! [`ClusterEngine::run`](super::ClusterEngine::run): instead of
+//! [`ClusterEngine::run_traced`](super::ClusterEngine::run_traced): instead of
 //! executing the event loop to completion, the caller advances
 //! simulated time explicitly with [`ClusterSession::step_until`] and
 //! interleaves *live* operations between steps — routing individual

@@ -21,18 +21,18 @@
 //!
 //! # Event routing
 //!
-//! Events split into two populations:
+//! Events split into two types, so a misrouted event is a type error:
 //!
-//! * **Lane-local** (`QpsChange`, `Retune`, `SlowdownEnd`,
-//!   `ProcessRestart`): concern exactly one device and touch only
-//!   lane-local state. They live in the owning lane's [`EventLane`]
-//!   queue and fire during the parallel phase, ordered by
+//! * **Lane-local** ([`LaneEvent`]: `QpsChange`, `Retune`,
+//!   `SlowdownEnd`, `ProcessRestart`): concern exactly one device and
+//!   touch only lane-local state. They live in the owning lane's
+//!   [`EventLane`] queue and fire during the parallel phase, ordered by
 //!   `(time, device, per-device seq)` within the lane.
-//! * **Global** (`JobArrival`, `JobCompletion`, `UtilSample`, `Fault`,
-//!   `DeviceRepair`, `StandbyPromote`): touch shared state (the job
-//!   table, the queue, cross-device reroutes). They live in the single
-//!   global [`ShardedEvents`] queue and fire in the serial phase after
-//!   the barrier.
+//! * **Global** ([`GlobalEvent`]: `JobArrival`, `JobCompletion`,
+//!   `UtilSample`, `Fault`, `DeviceRepair`, `StandbyPromote`): touch
+//!   shared state (the job table, the queue, cross-device reroutes).
+//!   They live in the single global [`ShardedEvents`] queue and fire in
+//!   the serial phase after the barrier.
 //!
 //! Within one window a lane may advance a device past the firing time
 //! of a later global event; the serial phase clamps per-device
@@ -45,7 +45,7 @@
 use simcore::{EventQueue, MergeKey, SimDuration, SimTime};
 
 use super::control::violation_probability;
-use super::state::Event;
+use super::state::{GlobalEvent, LaneEvent};
 
 /// Auto-sharding floor: below this device count a single lane wins
 /// (the barrier machinery costs more than it saves).
@@ -118,7 +118,7 @@ pub(super) enum OutMsg {
 /// interleaving of *lane* events at equal times across lanes is
 /// irrelevant: their effects are device-local by construction).
 pub(super) struct EventLane {
-    queue: EventQueue<Event>,
+    queue: EventQueue<LaneEvent>,
     /// First device index this lane owns (ranges are contiguous).
     base: usize,
     /// Per-device schedule counters (event tie-break).
@@ -130,17 +130,6 @@ pub(super) struct EventLane {
     /// the lane clock, which depends on how many devices share the
     /// lane and would make the clamp partition-sensitive.
     clocks: Vec<SimTime>,
-}
-
-/// The device a lane-local event belongs to. Lane queues only ever
-/// hold the four device-local variants; anything else is a routing
-/// bug caught by the stepper's dispatch assertions.
-fn lane_event_device(ev: &Event) -> Option<usize> {
-    match *ev {
-        Event::QpsChange(d) | Event::Retune(d) => Some(d),
-        Event::SlowdownEnd { device, .. } | Event::ProcessRestart { device, .. } => Some(device),
-        _ => None,
-    }
 }
 
 impl EventLane {
@@ -160,14 +149,14 @@ impl EventLane {
         }
     }
 
-    /// Schedules a lane-local event for device `d`. Past times clamp
+    /// Schedules a lane-local event for its device. Past times clamp
     /// to the *device* clock: each device's stream stays monotone, and
     /// the clamp is identical no matter how devices are partitioned
     /// into lanes (a lane-clock clamp would fire events later on
     /// coarser partitions whenever another device's stream had already
     /// advanced the lane).
-    pub fn schedule(&mut self, d: usize, at: SimTime, event: Event) {
-        let li = d - self.base;
+    pub fn schedule(&mut self, at: SimTime, event: LaneEvent) {
+        let li = event.device() - self.base;
         let at = at.max(self.clocks[li]);
         debug_assert!(self.seqs[li] < 1 << 40, "per-device event seq overflow");
         let seq = ((li as u64) << 40) | self.seqs[li];
@@ -189,12 +178,10 @@ impl EventLane {
     /// heap interleaves independent per-device streams, so queue-wide
     /// time can step backwards across devices (each device's own
     /// stream stays monotone under the schedule clamp).
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, LaneEvent)> {
         let (at, event) = self.queue.pop_until_relaxed(horizon)?;
-        if let Some(d) = lane_event_device(&event) {
-            let li = d - self.base;
-            self.clocks[li] = self.clocks[li].max(at);
-        }
+        let li = event.device() - self.base;
+        self.clocks[li] = self.clocks[li].max(at);
         Some((at, event))
     }
 
@@ -224,7 +211,7 @@ impl EventLane {
 /// A thin wrapper over one [`EventQueue`] that also owns the epoch
 /// window geometry.
 pub(super) struct ShardedEvents {
-    queue: EventQueue<Event>,
+    queue: EventQueue<GlobalEvent>,
     /// Epoch window length, simulated seconds.
     epoch_secs: f64,
 }
@@ -264,12 +251,12 @@ impl ShardedEvents {
 
     /// Schedules a global event at absolute time `at` (past times
     /// clamp to the global clock).
-    pub fn schedule_at(&mut self, at: SimTime, event: Event) {
+    pub fn schedule_at(&mut self, at: SimTime, event: GlobalEvent) {
         self.queue.schedule_at(at, event);
     }
 
     /// Schedules a global event `delay` after the global clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: Event) {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: GlobalEvent) {
         self.queue.schedule_in(delay, event);
     }
 
@@ -279,7 +266,7 @@ impl ShardedEvents {
     }
 
     /// Pops the next global event if it fires at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, GlobalEvent)> {
         self.queue.pop_until(horizon)
     }
 
@@ -349,10 +336,10 @@ mod tests {
         // A lane owning devices 8..12: equal-time events come back in
         // ascending-device order, and per device in schedule order.
         let mut lane = EventLane::new(8, 4, 16);
-        lane.schedule(11, SimTime::from_secs(5.0), Event::QpsChange(11));
-        lane.schedule(10, SimTime::from_secs(1.0), Event::QpsChange(10));
-        lane.schedule(8, SimTime::from_secs(1.0), Event::QpsChange(8));
-        lane.schedule(8, SimTime::from_secs(1.0), Event::Retune(8));
+        lane.schedule(SimTime::from_secs(5.0), LaneEvent::QpsChange(11));
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(10));
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(8));
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::Retune(8));
         let mut order = Vec::new();
         while let Some((t, ev)) = lane.pop_until(SimTime::from_secs(1e9)) {
             order.push((t.as_secs(), format!("{ev:?}")));
@@ -373,17 +360,17 @@ mod tests {
     #[test]
     fn lane_past_scheduling_clamps_per_device_not_per_lane() {
         let mut lane = EventLane::new(0, 2, 16);
-        lane.schedule(0, SimTime::from_secs(10.0), Event::QpsChange(0));
+        lane.schedule(SimTime::from_secs(10.0), LaneEvent::QpsChange(0));
         lane.pop_until(SimTime::from_secs(1e9));
         // Device 1's stream is untouched: a past time for it must NOT
         // be dragged forward by device 0 having advanced the lane —
         // that clamp would depend on which devices share the lane.
-        lane.schedule(1, SimTime::from_secs(1.0), Event::QpsChange(1));
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(1));
         let (t, _) = lane.pop_until(SimTime::from_secs(1e9)).unwrap();
         assert_eq!(t, SimTime::from_secs(1.0));
         // Device 0's own stream *is* monotone: a past time for device
         // 0 clamps to its last fired event.
-        lane.schedule(0, SimTime::from_secs(2.0), Event::QpsChange(0));
+        lane.schedule(SimTime::from_secs(2.0), LaneEvent::QpsChange(0));
         let (t, _) = lane.pop_until(SimTime::from_secs(1e9)).unwrap();
         assert_eq!(t, SimTime::from_secs(10.0));
     }

@@ -40,29 +40,16 @@ use super::config::ClusterConfig;
 use super::control::Control;
 use super::shard::{Envelope, EventLane, OutMsg, ShardedEvents, VpCache, AUTO_SHARD_MIN_DEVICES};
 
-/// Engine-internal events, sequenced by the stepper.
-///
-/// Events split into two populations (see the routing table in
-/// [`super::shard`]): lane-local events (`QpsChange`, `Retune`,
-/// `SlowdownEnd`, `ProcessRestart`) live on the owning lane's queue
-/// and fire in the parallel phase; everything else is global and fires
-/// in the serial phase.
+/// Device-local engine events. Each concerns exactly one device and
+/// touches only lane-local state, so it lives on the owning lane's
+/// queue and fires in the lane phase (see the routing table in
+/// [`super::shard`]).
 #[derive(Clone, Debug)]
-pub(super) enum Event {
-    JobArrival(JobId),
-    JobCompletion {
-        job: JobId,
-        epoch: u64,
-    },
+pub(super) enum LaneEvent {
     QpsChange(usize),
-    UtilSample,
     /// Forced retune, scheduled when a device pauses its training so
     /// the pause is re-evaluated even without a QPS trigger.
     Retune(usize),
-    /// Injected fault (index into the run's [`FaultSchedule`]).
-    Fault(usize),
-    /// A failed device comes back into service.
-    DeviceRepair(usize),
     /// A degraded window (slowdown or post-repair burn-in) ends. The
     /// token invalidates stale events superseded by a newer window.
     SlowdownEnd {
@@ -74,6 +61,35 @@ pub(super) enum Event {
         device: usize,
         job: JobId,
     },
+}
+
+impl LaneEvent {
+    /// The device the event belongs to.
+    pub fn device(&self) -> usize {
+        match *self {
+            LaneEvent::QpsChange(d) | LaneEvent::Retune(d) => d,
+            LaneEvent::SlowdownEnd { device, .. } | LaneEvent::ProcessRestart { device, .. } => {
+                device
+            }
+        }
+    }
+}
+
+/// Shared-state engine events: they touch the job table, the queue or
+/// several devices, so they live on the single global queue and fire
+/// in the serial global phase.
+#[derive(Clone, Debug)]
+pub(super) enum GlobalEvent {
+    JobArrival(JobId),
+    JobCompletion {
+        job: JobId,
+        epoch: u64,
+    },
+    UtilSample,
+    /// Injected fault (index into the run's [`FaultSchedule`]).
+    Fault(usize),
+    /// A failed device comes back into service.
+    DeviceRepair(usize),
     /// A warm-standby shadow instance finishes its bounded promote and
     /// starts serving a failed replica's traffic. The token invalidates
     /// promotes superseded by a host failure or an early repair.
@@ -298,9 +314,9 @@ impl LaneCtx<'_> {
         self.lane.outbox.push(Envelope { key, msg });
     }
 
-    /// Schedules a lane-local event for device `d`.
-    pub fn schedule(&mut self, d: usize, at: SimTime, ev: Event) {
-        self.lane.events.schedule(d, at, ev);
+    /// Schedules a lane-local event for its device.
+    pub fn schedule(&mut self, at: SimTime, ev: LaneEvent) {
+        self.lane.events.schedule(at, ev);
     }
 
     /// The multiplier the burst schedule applies right now.
@@ -667,10 +683,10 @@ impl SimState {
         self.lane_idx[d] as usize
     }
 
-    /// Schedules a lane-local event on the owning lane's queue.
-    pub fn schedule_lane(&mut self, d: usize, at: SimTime, ev: Event) {
-        let s = self.lane_of(d);
-        self.lanes[s].events.schedule(d, at, ev);
+    /// Schedules a lane-local event on its device's lane queue.
+    pub fn schedule_lane(&mut self, at: SimTime, ev: LaneEvent) {
+        let s = self.lane_of(ev.device());
+        self.lanes[s].events.schedule(at, ev);
     }
 
     /// Device `d`'s monotone timestamp for a serial-phase operation
@@ -814,7 +830,7 @@ impl SimState {
                 at: due,
             } => {
                 self.events
-                    .schedule_at(due, Event::JobCompletion { job, epoch });
+                    .schedule_at(due, GlobalEvent::JobCompletion { job, epoch });
             }
             OutMsg::StandbyQps { host, qps } => {
                 if self.devices[host].is_up() {

@@ -34,7 +34,7 @@ use crate::metrics::ExperimentResult;
 use super::admission::Admission;
 use super::control::{self, Control};
 use super::faults::{self, Faults};
-use super::state::{DeviceState, Event, LaneBox, LaneCtx, SimState};
+use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SimState};
 
 /// The stepper. Stateless: everything lives in [`SimState`].
 pub(super) struct Stepper;
@@ -53,15 +53,14 @@ struct LaneWork<'a> {
 fn drain_lane(ctx: &mut LaneCtx, t1: SimTime) {
     while let Some((now, ev)) = ctx.lane.events.pop_until(t1) {
         match ev {
-            Event::QpsChange(d) => control::on_qps_change(ctx, now, d),
-            Event::Retune(d) => control::on_retune(ctx, now, d),
-            Event::SlowdownEnd { device, token } => {
+            LaneEvent::QpsChange(d) => control::on_qps_change(ctx, now, d),
+            LaneEvent::Retune(d) => control::on_retune(ctx, now, d),
+            LaneEvent::SlowdownEnd { device, token } => {
                 faults::on_slowdown_end(ctx, now, device, token)
             }
-            Event::ProcessRestart { device, job } => {
+            LaneEvent::ProcessRestart { device, job } => {
                 faults::on_process_restart(ctx, now, device, job)
             }
-            ref other => debug_assert!(false, "global event on a lane queue: {other:?}"),
         }
     }
 }
@@ -78,16 +77,16 @@ impl Stepper {
                     .fork_indexed("dwell0", d)
                     .uniform(1.0, st.config.qps_dwell_secs),
             );
-            st.schedule_lane(d, SimTime::ZERO + dwell, Event::QpsChange(d));
+            st.schedule_lane(SimTime::ZERO + dwell, LaneEvent::QpsChange(d));
         }
         st.events.schedule_at(
             SimTime::from_secs(st.config.util_sample_secs),
-            Event::UtilSample,
+            GlobalEvent::UtilSample,
         );
         // Fault injection is global: recovery touches survivors, the
         // job table, and admission.
         for (i, ev) in st.fault_schedule.events().iter().enumerate() {
-            st.events.schedule_at(ev.at, Event::Fault(i));
+            st.events.schedule_at(ev.at, GlobalEvent::Fault(i));
         }
     }
 
@@ -227,23 +226,17 @@ impl Stepper {
     /// Routes one popped *global* event to its stage. Returns the
     /// finish time when the event completed a training job (callers
     /// track the last finish for the makespan).
-    pub fn dispatch(&self, st: &mut SimState, now: SimTime, event: Event) -> Option<SimTime> {
+    pub fn dispatch(&self, st: &mut SimState, now: SimTime, event: GlobalEvent) -> Option<SimTime> {
         match event {
-            Event::JobArrival(job) => Admission.on_arrival(st, now, job),
-            Event::JobCompletion { job, epoch } => {
+            GlobalEvent::JobArrival(job) => Admission.on_arrival(st, now, job),
+            GlobalEvent::JobCompletion { job, epoch } => {
                 return Control.on_completion(st, now, job, epoch);
             }
-            Event::UtilSample => Control.on_util_sample(st, now),
-            Event::Fault(idx) => Faults.on_fault(st, now, idx),
-            Event::DeviceRepair(d) => Faults.on_device_repair(st, now, d),
-            Event::StandbyPromote { host, token } => {
+            GlobalEvent::UtilSample => Control.on_util_sample(st, now),
+            GlobalEvent::Fault(idx) => Faults.on_fault(st, now, idx),
+            GlobalEvent::DeviceRepair(d) => Faults.on_device_repair(st, now, d),
+            GlobalEvent::StandbyPromote { host, token } => {
                 Faults.on_standby_promote(st, now, host, token)
-            }
-            Event::QpsChange(_)
-            | Event::Retune(_)
-            | Event::SlowdownEnd { .. }
-            | Event::ProcessRestart { .. } => {
-                debug_assert!(false, "lane event on the global queue: {event:?}");
             }
         }
         None

@@ -1,8 +1,10 @@
 //! Experiment drivers for the paper's evaluation (§7).
 //!
 //! Each driver configures the engine (or a dedicated single-device
-//! loop) for one figure/table and returns the data series the paper
-//! plots. The `bench` crate's binaries print them.
+//! loop) for one figure/table. Engine sweeps are cell builders
+//! (`*_cells`) whose cells run through the one pooled runner,
+//! [`end_to_end_many`]; callers zip the results with their own sweep
+//! keys. The `bench` crate's binaries print the series.
 
 use std::collections::HashMap;
 
@@ -36,43 +38,21 @@ pub fn end_to_end_traced(
 }
 
 /// Runs many independent experiment cells through the scoped worker
-/// pool ([`simcore::pool`]), one `(config, iteration_scale)` per cell.
-/// Each cell owns its seed and its `SimRng` streams, so results are
-/// bit-for-bit identical to running the cells serially in order.
-pub fn end_to_end_many(cells: Vec<(ClusterConfig, f64)>) -> Vec<ExperimentResult> {
-    end_to_end_many_workers(cells, simcore::pool::max_workers())
-}
-
-/// [`end_to_end_many`] with an explicit worker count (the equivalence
-/// tests pin 1/2/8 without touching `MUDI_THREADS`).
-pub fn end_to_end_many_workers(
-    cells: Vec<(ClusterConfig, f64)>,
-    workers: usize,
-) -> Vec<ExperimentResult> {
+/// pool ([`simcore::pool`]) on up to `workers` threads, one
+/// `(config, iteration_scale)` per cell; `workers = 1` runs the cells
+/// in order on the calling thread. Each cell owns its seed and its
+/// `SimRng` streams, so results are bit-for-bit identical to running
+/// the cells serially in order, at every worker count.
+pub fn end_to_end_many(cells: Vec<(ClusterConfig, f64)>, workers: usize) -> Vec<ExperimentResult> {
     simcore::pool::scoped_map_workers(cells, workers, |(cfg, scale)| end_to_end(cfg, scale))
 }
 
-/// Multi-seed end-to-end: runs `base` once per seed, fanned out across
-/// cores, for confidence intervals over the paper's headline numbers.
-pub fn seed_sweep(
-    seeds: &[u64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(u64, ExperimentResult)> {
-    let cells = seeds
-        .iter()
-        .map(|&seed| {
-            let mut cfg = base.clone();
-            cfg.seed = seed;
-            (cfg, iteration_scale)
-        })
-        .collect();
-    seeds.iter().copied().zip(end_to_end_many(cells)).collect()
-}
-
-/// The per-rate cell configurations a failure sweep runs. Public so
-/// drivers sweeping several systems can flatten all (system × rate)
-/// cells into one [`end_to_end_many`] fan-out.
+/// Fig. 19 (extension): the per-rate cells of a failure sweep — `base`
+/// at each fault-rate multiplier (0 = fault-free) with the standard
+/// recovery stack. Every system replays the same per-seed fault
+/// schedule, so rows are comparable across systems. Drivers sweeping
+/// several systems flatten all (system × rate) cells into one
+/// [`end_to_end_many`] fan-out.
 pub fn failure_cells(
     system: SystemKind,
     seed: u64,
@@ -91,67 +71,6 @@ pub fn failure_cells(
             }
             (cfg, iteration_scale)
         })
-        .collect()
-}
-
-/// Fig. 19 (extension): violation rate and goodput under injected
-/// faults. Runs `base` at each fault-rate multiplier (0 = fault-free)
-/// with the standard recovery stack; every system replays the same
-/// per-seed fault schedule, so rows are comparable across systems.
-/// Cells fan out across cores; output is identical to
-/// [`failure_sweep_serial`].
-pub fn failure_sweep(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    failure_sweep_workers(
-        system,
-        seed,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`failure_sweep`] with an explicit worker count.
-pub fn failure_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(f64, ExperimentResult)> {
-    let cells = failure_cells(system, seed, rates, &base, iteration_scale);
-    rates
-        .iter()
-        .copied()
-        .zip(end_to_end_many_workers(cells, workers))
-        .collect()
-}
-
-/// Reference implementation of [`failure_sweep`]: a plain serial loop
-/// with no pool involvement, kept as the ground truth the equivalence
-/// tests compare the parallel path against.
-pub fn failure_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    rates
-        .iter()
-        .copied()
-        .zip(
-            failure_cells(system, seed, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
         .collect()
 }
 
@@ -179,9 +98,10 @@ impl FaultScope {
     }
 }
 
-/// The per-(scope, rate) cell configurations a correlated-failure
-/// sweep runs. Public so drivers sweeping several systems can flatten
-/// all (system × scope × rate) cells into one [`end_to_end_many`].
+/// Fig. 20: the per-(scope, rate) cells of a correlated-failure sweep,
+/// scope-major, with the standard recovery stack. Drivers sweeping
+/// several systems flatten all (system × scope × rate) cells into one
+/// [`end_to_end_many`].
 pub fn correlated_failure_cells(
     system: SystemKind,
     seed: u64,
@@ -213,78 +133,8 @@ pub fn correlated_failure_cells(
     cells
 }
 
-/// Fig. 20: violation rate, goodput, and total-outage accounting under
-/// correlated blast radii. Sweeps scope × rate with the standard
-/// recovery stack; the schedule replays per seed, so rows are
-/// comparable across systems. Cells fan out across cores; output is
-/// identical to [`correlated_failure_sweep_serial`].
-pub fn correlated_failure_sweep(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    correlated_failure_sweep_workers(
-        system,
-        seed,
-        scopes,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`correlated_failure_sweep`] with an explicit worker count.
-pub fn correlated_failure_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    let cells = correlated_failure_cells(system, seed, scopes, rates, &base, iteration_scale);
-    let keys: Vec<(FaultScope, f64)> = scopes
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    keys.into_iter()
-        .zip(end_to_end_many_workers(cells, workers))
-        .map(|((s, r), res)| (s, r, res))
-        .collect()
-}
-
-/// Reference serial implementation of [`correlated_failure_sweep`]: a
-/// plain loop with no pool involvement, the ground truth the
-/// equivalence tests compare the parallel path against.
-pub fn correlated_failure_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    let keys: Vec<(FaultScope, f64)> = scopes
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    keys.into_iter()
-        .zip(
-            correlated_failure_cells(system, seed, scopes, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
-        .map(|((s, r), res)| (s, r, res))
-        .collect()
-}
-
-/// The per-(pool, rate) cell configurations a warm-standby sweep runs:
-/// rack-correlated faults at `rate`, standard recovery plus a standby
+/// Fig. 21: the per-(pool, rate) cells of a warm-standby sweep,
+/// pool-major: rack-correlated faults at `rate`, standard recovery plus a standby
 /// pool of the given size. Pool size 0 keeps [`StandbyPolicy`]
 /// disabled, so those cells replay the plain rack-correlated path
 /// byte-for-byte. Public so drivers sweeping several systems can
@@ -318,78 +168,8 @@ pub fn warm_standby_cells(
     cells
 }
 
-/// Fig. 21: the warm-standby pool's cost/benefit ledger. Sweeps pool
-/// size × fault rate under rack-correlated faults and reports, per
-/// cell, the violation-seconds avoided, the bounded failover-latency
-/// p99, and the standing reserved-GPU%-seconds cost. Cells fan out
-/// across cores; output is identical to [`warm_standby_sweep_serial`].
-pub fn warm_standby_sweep(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    warm_standby_sweep_workers(
-        system,
-        seed,
-        pools,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`warm_standby_sweep`] with an explicit worker count.
-pub fn warm_standby_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    let cells = warm_standby_cells(system, seed, pools, rates, &base, iteration_scale);
-    let keys: Vec<(usize, f64)> = pools
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    keys.into_iter()
-        .zip(end_to_end_many_workers(cells, workers))
-        .map(|((p, r), res)| (p, r, res))
-        .collect()
-}
-
-/// Reference serial implementation of [`warm_standby_sweep`]: a plain
-/// loop with no pool involvement, the ground truth the equivalence
-/// tests compare the parallel path against.
-pub fn warm_standby_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    let keys: Vec<(usize, f64)> = pools
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    keys.into_iter()
-        .zip(
-            warm_standby_cells(system, seed, pools, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
-        .map(|((p, r), res)| (p, r, res))
-        .collect()
-}
-
-/// The per-multiplier cell configurations a load sweep runs. Public for
-/// the same flattening reason as [`failure_cells`].
+/// Fig. 15: the per-multiplier cells of a load sweep (1×–4× load).
+/// Public for the same flattening reason as [`failure_cells`].
 pub fn load_cells(
     system: SystemKind,
     seed: u64,
@@ -406,61 +186,6 @@ pub fn load_cells(
             cfg.load_multiplier = m;
             (cfg, iteration_scale)
         })
-        .collect()
-}
-
-/// Fig. 15: violation rate and CT under 1×–4× load. Cells fan out
-/// across cores; output is identical to [`load_sensitivity_serial`].
-pub fn load_sensitivity(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    load_sensitivity_workers(
-        system,
-        seed,
-        multipliers,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`load_sensitivity`] with an explicit worker count.
-pub fn load_sensitivity_workers(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(f64, ExperimentResult)> {
-    let cells = load_cells(system, seed, multipliers, &base, iteration_scale);
-    multipliers
-        .iter()
-        .copied()
-        .zip(end_to_end_many_workers(cells, workers))
-        .collect()
-}
-
-/// Reference serial implementation of [`load_sensitivity`].
-pub fn load_sensitivity_serial(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    multipliers
-        .iter()
-        .copied()
-        .zip(
-            load_cells(system, seed, multipliers, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
         .collect()
 }
 
@@ -526,30 +251,13 @@ fn max_throughput_cell(system: SystemKind, seed: u64, svc_idx: usize) -> (Servic
 
 /// Fig. 14: the maximum sustainable QPS per service while the SLO holds
 /// (violation rate ≤ 1 %) and at least 10 % of the GPU stays with the
-/// co-located training task. Per-service cells fan out across cores;
-/// output is identical to [`max_throughput_serial`].
-pub fn max_throughput(system: SystemKind, seed: u64) -> Vec<(ServiceId, f64)> {
-    max_throughput_workers(system, seed, simcore::pool::max_workers())
-}
-
-/// [`max_throughput`] with an explicit worker count.
-pub fn max_throughput_workers(
-    system: SystemKind,
-    seed: u64,
-    workers: usize,
-) -> Vec<(ServiceId, f64)> {
+/// co-located training task. Per-service cells fan out on up to
+/// `workers` threads; the output is the same at every worker count.
+pub fn max_throughput(system: SystemKind, seed: u64, workers: usize) -> Vec<(ServiceId, f64)> {
     let n = Zoo::standard().services().len();
     simcore::pool::scoped_map_workers((0..n).collect(), workers, move |i| {
         max_throughput_cell(system, seed, i)
     })
-}
-
-/// Reference serial implementation of [`max_throughput`].
-pub fn max_throughput_serial(system: SystemKind, seed: u64) -> Vec<(ServiceId, f64)> {
-    let n = Zoo::standard().services().len();
-    (0..n)
-        .map(|i| max_throughput_cell(system, seed, i))
-        .collect()
 }
 
 /// One sample of the bursty-QPS case study (Fig. 16).
@@ -735,9 +443,7 @@ pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> Opti
     cfg.jobs = jobs;
     let engine = ClusterEngine::new(cfg);
     let gt = engine.ground_truth().clone();
-    let n_services = gt.zoo().services().len();
     let (_result, log) = engine.run_with_log(iteration_scale);
-    let _ = n_services;
     let mut oracle = Optimal::default();
 
     let mut matches = 0usize;
@@ -798,7 +504,7 @@ mod tests {
 
     #[test]
     fn max_throughput_is_positive_and_ordered() {
-        let qps = max_throughput(SystemKind::Mudi, 3);
+        let qps = max_throughput(SystemKind::Mudi, 3, simcore::max_workers());
         assert_eq!(qps.len(), 6);
         for &(s, q) in &qps {
             assert!(q > 0.0, "service {s:?} has zero throughput");

@@ -365,11 +365,6 @@ impl GpuDevice {
         &self.memory
     }
 
-    /// Mutable access to the memory manager (accounting hooks).
-    pub fn memory_mut(&mut self) -> &mut MemoryManager {
-        &mut self.memory
-    }
-
     /// Whether another training task fits (§5.5 cap).
     pub fn has_training_slot(&self) -> bool {
         self.trainings.len() < MAX_TRAININGS_PER_GPU

@@ -1,6 +1,5 @@
 //! GPU device simulator: MPS-style spatial partitions, resident
-//! processes, unified-memory swapping, reconfiguration costs, and MIG
-//! instances.
+//! processes, unified-memory swapping, and reconfiguration costs.
 //!
 //! A [`device::GpuDevice`] holds at most one inference instance plus a
 //! bounded number of training processes (Mudi allows one inference and
@@ -19,13 +18,11 @@
 pub mod batcher;
 pub mod device;
 pub mod memory;
-pub mod mig;
 pub mod process;
 pub mod restart;
 
 pub use batcher::{CompletedGen, ContinuousBatcher, GenRequest, StepReport, TokenLedger};
 pub use device::{DeviceHealth, DeviceId, GpuDevice};
 pub use memory::{MemoryManager, SwapStats, PCIE_GBPS};
-pub use mig::{MigInstance, MigProfile};
 pub use process::{InferenceInstance, ResidentId, StandbyInstance, TrainingProcess};
 pub use restart::{ReconfigPolicy, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};

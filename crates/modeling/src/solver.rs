@@ -121,29 +121,6 @@ pub fn latency_budget_relaxed(qps: f64, batch: f64, slo: f64) -> f64 {
     (slo - fill_wait).min(fill_wait)
 }
 
-/// [`min_gpu_fraction`] against the relaxed (headroom-free) budget.
-pub fn min_gpu_fraction_relaxed(
-    curve: &PiecewiseLinear,
-    qps: f64,
-    batch: f64,
-    slo: f64,
-    lo: f64,
-    hi: f64,
-) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0,
-        "bad range"
-    );
-    let target = latency_budget_relaxed(qps, batch, slo);
-    if target <= 0.0 {
-        return None;
-    }
-    let raw = curve.min_x_meeting(target, lo, hi)?;
-    let inflated = (raw * (1.0 + SAFETY_MARGIN)).min(hi);
-    let stepped = (inflated / GPU_FRACTION_STEP).ceil() * GPU_FRACTION_STEP;
-    Some(stepped.clamp(lo, hi))
-}
-
 /// The iteration-latency budget of a continuous-batching decode loop
 /// serving `tok_rate` tokens/second at running-batch concurrency
 /// `batch` under a p99 inter-token-latency SLO: `min(SLO, 0.8 · b/λ)`.

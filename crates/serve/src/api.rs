@@ -62,16 +62,22 @@ impl App {
 
     /// Pulls the session up to the clock target. The binary's pacer
     /// thread calls this periodically so simulated time advances even
-    /// with no requests in flight.
+    /// with no requests in flight. A poisoned session (a handler
+    /// panicked mid-operation) is left unstepped.
     pub fn pace(&self) {
-        let mut s = self.session.lock().expect("session poisoned");
-        s.step_until(self.clock.target_now());
+        if let Ok(mut s) = self.session.lock() {
+            s.step_until(self.clock.target_now());
+        }
     }
 
     /// Routes one request. Never panics on malformed input — every
-    /// parse failure maps to a 4xx.
+    /// parse failure maps to a 4xx. Once a handler has panicked while
+    /// holding the session, its state may be half-updated, so every
+    /// later request gets a `503 session unavailable` instead.
     pub fn handle(&self, req: &Request) -> Response {
-        let mut s = self.session.lock().expect("session poisoned");
+        let Ok(mut s) = self.session.lock() else {
+            return Response::error(503, "session unavailable");
+        };
         s.step_until(self.clock.target_now());
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => self.healthz(&s),

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use cluster::engine::{ClusterConfig, ClusterSession};
 use cluster::systems::SystemKind;
 use serve::client::request;
+use serve::http::Request;
 use serve::json::Json;
 use serve::{App, ServeClock, Server};
 use simcore::SimEventKind;
@@ -199,6 +200,42 @@ fn error_paths_return_clean_statuses() {
             "error envelope for {method} {path}"
         );
     }
+    server.stop();
+}
+
+/// A handler that panics while holding the session poisons its mutex.
+/// Later requests must get a clean 503 (over HTTP too) and the pacer
+/// must keep running, instead of every later thread panicking.
+#[test]
+fn poisoned_session_returns_503_and_pacer_survives() {
+    let (server, addr, app) = boot(23);
+    let poisoner = Arc::clone(&app);
+    let joined = std::thread::spawn(move || {
+        let _session = poisoner.session().lock().expect("fresh lock");
+        panic!("handler panicked while holding the session");
+    })
+    .join();
+    assert!(joined.is_err());
+    assert!(app.session().is_poisoned());
+
+    let healthz = Request {
+        method: "GET".to_string(),
+        path: "/healthz".to_string(),
+        query: String::new(),
+        headers: Vec::new(),
+        body: Vec::new(),
+        keep_alive: false,
+    };
+    let resp = app.handle(&healthz);
+    assert_eq!(resp.status, 503);
+    assert_eq!(
+        std::str::from_utf8(&resp.body).unwrap(),
+        r#"{"error":"session unavailable"}"#
+    );
+    app.pace();
+
+    let reply = request(addr, "GET", "/healthz", None).expect("request");
+    assert_eq!(reply.status, 503, "{}", reply.body_str());
     server.stop();
 }
 

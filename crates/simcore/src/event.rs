@@ -131,29 +131,13 @@ impl<E> EventQueue<E> {
     /// Schedules `event` with an *externally assigned* tie-break
     /// sequence, bypassing the queue-local clock clamp and counter.
     ///
-    /// This is the sharded engine's primitive: one **global** sequence
-    /// counter spans many per-shard queues, so popping the
-    /// `(time, seq)`-minimum across all queues reproduces a single
-    /// queue's pop order exactly — time order first, then global
-    /// schedule order at equal times. The caller owns the past-time
-    /// clamp (against its global clock) and the sequence assignment.
+    /// This is the sharded engine's lane primitive: the caller packs
+    /// its own tie-break (a lane packs `(device, per-device counter)`),
+    /// so events pop in time order and, at equal times, in the caller's
+    /// sequence order. The caller owns the past-time clamp and the
+    /// sequence assignment.
     pub fn schedule_raw(&mut self, at: SimTime, seq: u64, event: E) {
         self.heap.push(ScheduledEvent { at, seq, event });
-    }
-
-    /// Peeks the `(time, seq)` ordering key of the next event without
-    /// popping it. Comparing these keys lexicographically across
-    /// queues selects the globally next event.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|ev| (ev.at, ev.seq))
-    }
-
-    /// Iterates the pending events in arbitrary (heap) order, with
-    /// their firing times. Used for speculative warm-up of memoized
-    /// state ahead of an epoch window; callers must not rely on any
-    /// ordering.
-    pub fn iter_scheduled(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap.iter().map(|ev| (ev.at, &ev.event))
     }
 
     /// Pops the next event, advancing the clock to its firing time.
@@ -195,11 +179,6 @@ impl<E> EventQueue<E> {
             }
             _ => None,
         }
-    }
-
-    /// Drops all pending events, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -274,40 +253,24 @@ mod tests {
         assert_eq!(t, SimTime::from_secs(6.0));
     }
 
-    /// The sharded-queue contract: events spread across several queues
-    /// under one global sequence counter, popped by taking the
-    /// `(time, seq)`-minimum over `peek_key`s, fire in exactly the
-    /// order a single queue would have produced.
+    /// The externally-sequenced contract: events raw-scheduled in a
+    /// scattered insertion order, each carrying the sequence number a
+    /// single queue would have assigned, fire in exactly that single
+    /// queue's order.
     #[test]
     fn raw_scheduling_merges_to_single_queue_order() {
         let times = [3.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0];
         let mut single = EventQueue::new();
-        let mut sharded: Vec<EventQueue<usize>> = (0..3).map(|_| EventQueue::new()).collect();
         for (i, &t) in times.iter().enumerate() {
             single.schedule_at(SimTime::from_secs(t), i);
-            // Deterministic but scattered shard routing; the global
-            // seq is the insertion index, as in the single queue.
-            sharded[i % 3].schedule_raw(SimTime::from_secs(t), i as u64, i);
         }
-        let mut merged = Vec::new();
-        while let Some((_, s)) = (0..sharded.len())
-            .filter_map(|s| sharded[s].peek_key().map(|k| (k, s)))
-            .min()
-        {
-            merged.push(sharded[s].pop().unwrap().1);
+        let mut raw: EventQueue<usize> = EventQueue::new();
+        for i in (0..times.len()).rev() {
+            raw.schedule_raw(SimTime::from_secs(times[i]), i as u64, i);
         }
+        let merged: Vec<usize> = std::iter::from_fn(|| raw.pop().map(|(_, e)| e)).collect();
         let serial: Vec<usize> = std::iter::from_fn(|| single.pop().map(|(_, e)| e)).collect();
         assert_eq!(merged, serial);
-    }
-
-    #[test]
-    fn iter_scheduled_sees_all_pending_events() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(2.0), "b");
-        q.schedule_at(SimTime::from_secs(1.0), "a");
-        let mut seen: Vec<&str> = q.iter_scheduled().map(|(_, &e)| e).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec!["a", "b"]);
     }
 
     #[test]
@@ -317,8 +280,6 @@ mod tests {
         q.schedule_at(SimTime::ZERO, ());
         q.pop();
         assert_eq!(q.fired(), 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.fired(), 1);
+        assert_eq!(q.len(), 1);
     }
 }

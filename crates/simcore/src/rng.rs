@@ -157,11 +157,6 @@ impl SimRng {
         }
     }
 
-    /// Returns the seed this generator was constructed from.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
     /// Named per-actor substream: the parallel engine's RNG primitive.
     ///
     /// Identical to [`SimRng::fork_indexed`], under the name the

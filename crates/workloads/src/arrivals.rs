@@ -23,13 +23,6 @@ pub struct PoissonProcess {
 }
 
 impl PoissonProcess {
-    /// Creates a process with the given rate (arrivals per second).
-    pub fn with_rate(rate: f64) -> Self {
-        PoissonProcess {
-            inter: Exponential::new(rate),
-        }
-    }
-
     /// Creates a process with the given mean inter-arrival time.
     pub fn with_mean_interval(mean: SimDuration) -> Self {
         PoissonProcess {

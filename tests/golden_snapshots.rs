@@ -1,6 +1,7 @@
 //! Golden-snapshot tests for the experiment drivers.
 //!
-//! Small-scale `failure_sweep` and `load_sensitivity` runs at fixed
+//! Small-scale sweep cells (built by the `*_cells` functions and run
+//! through the pooled `end_to_end_many`) and scripted sessions at fixed
 //! seeds are compared **exactly** (canonical round-trip float text)
 //! against checked-in expectations under `tests/golden/`. A scheduler,
 //! placement, or recovery change that silently shifts any simulated
@@ -20,7 +21,8 @@ use std::path::PathBuf;
 
 use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
 use cluster::experiments::{
-    correlated_failure_sweep, failure_sweep, load_sensitivity, warm_standby_sweep, FaultScope,
+    correlated_failure_cells, end_to_end_many, failure_cells, load_cells, warm_standby_cells,
+    FaultScope,
 };
 use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
@@ -52,9 +54,16 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-fn render_series(series: &[(f64, ExperimentResult)]) -> String {
+/// Runs the cells on the pool at the process's worker cap, so CI's
+/// `MUDI_THREADS=2` leg checks the goldens pooled.
+fn run_cells(cells: Vec<(ClusterConfig, f64)>) -> Vec<ExperimentResult> {
+    end_to_end_many(cells, simcore::max_workers())
+}
+
+fn render_series(xs: &[f64], results: &[ExperimentResult]) -> String {
+    assert_eq!(xs.len(), results.len());
     let mut out = String::new();
-    for (x, r) in series {
+    for (x, r) in xs.iter().zip(results) {
         let _ = writeln!(out, "== cell x={x:?} ==");
         out.push_str(&r.canonical_text());
     }
@@ -72,8 +81,9 @@ fn snapshot_config(system: SystemKind, seed: u64) -> (ClusterConfig, f64) {
 #[test]
 fn failure_sweep_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = failure_sweep(SystemKind::Mudi, 7, &[0.0, 100.0], base, scale);
-    check_golden("failure_sweep.txt", &render_series(&series));
+    let rates = [0.0, 100.0];
+    let results = run_cells(failure_cells(SystemKind::Mudi, 7, &rates, &base, scale));
+    check_golden("failure_sweep.txt", &render_series(&rates, &results));
 }
 
 /// The fig. 20 shape: correlated blast radii over the default 4×2
@@ -82,16 +92,18 @@ fn failure_sweep_matches_golden() {
 #[test]
 fn correlated_failures_match_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = correlated_failure_sweep(
+    let (scopes, rate) = ([FaultScope::Node, FaultScope::Rack], 200.0);
+    let results = run_cells(correlated_failure_cells(
         SystemKind::Mudi,
         7,
-        &[FaultScope::Node, FaultScope::Rack],
-        &[200.0],
-        base,
+        &scopes,
+        &[rate],
+        &base,
         scale,
-    );
+    ));
+    assert_eq!(results.len(), scopes.len());
     let mut out = String::new();
-    for (scope, rate, r) in &series {
+    for (scope, r) in scopes.iter().zip(&results) {
         let _ = writeln!(out, "== cell scope={} rate={rate:?} ==", scope.name());
         out.push_str(&r.canonical_text());
     }
@@ -106,9 +118,18 @@ fn correlated_failures_match_golden() {
 #[test]
 fn warm_standby_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = warm_standby_sweep(SystemKind::Mudi, 7, &[0, 1], &[200.0], base, scale);
+    let (pools, rate) = ([0, 1], 200.0);
+    let results = run_cells(warm_standby_cells(
+        SystemKind::Mudi,
+        7,
+        &pools,
+        &[rate],
+        &base,
+        scale,
+    ));
+    assert_eq!(results.len(), pools.len());
     let mut out = String::new();
-    for (pool, rate, r) in &series {
+    for (pool, r) in pools.iter().zip(&results) {
         let _ = writeln!(out, "== cell pool={pool} rate={rate:?} ==");
         out.push_str(&r.canonical_text());
     }
@@ -262,6 +283,16 @@ fn llm_mix_session_matches_golden() {
 #[test]
 fn load_sensitivity_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Gslice, 7);
-    let series = load_sensitivity(SystemKind::Gslice, 7, &[1.0, 4.0], base, scale);
-    check_golden("load_sensitivity.txt", &render_series(&series));
+    let multipliers = [1.0, 4.0];
+    let results = run_cells(load_cells(
+        SystemKind::Gslice,
+        7,
+        &multipliers,
+        &base,
+        scale,
+    ));
+    check_golden(
+        "load_sensitivity.txt",
+        &render_series(&multipliers, &results),
+    );
 }

@@ -3,26 +3,26 @@
 //! The scoped worker pool must be a pure execution-strategy change:
 //! every `(system × seed × rate × load)` cell owns its configuration
 //! and its `SimRng` streams, so the full `ExperimentResult` series of a
-//! pooled sweep must equal the serial reference **exactly** — compared
-//! here through `ExperimentResult::canonical_text`, which renders every
+//! pooled sweep must equal a plain serial loop over the same cells
+//! **exactly** — compared here through
+//! `ExperimentResult::canonical_text`, which renders every
 //! simulation-determined field in round-trip float form (equal text ⇔
 //! equal bits) and excludes only host wall-clock timing.
 //!
-//! Thread counts are pinned through the `*_workers` APIs rather than
-//! `MUDI_THREADS` so the harness's own test parallelism cannot race on
-//! the process environment.
+//! Thread counts are pinned through the runners' `workers` argument
+//! rather than `MUDI_THREADS` so the harness's own test parallelism
+//! cannot race on the process environment.
 
 use cluster::engine::ClusterConfig;
 use cluster::experiments::{
-    correlated_failure_sweep_serial, correlated_failure_sweep_workers, end_to_end,
-    end_to_end_many_workers, failure_sweep_serial, failure_sweep_workers, load_sensitivity_serial,
-    load_sensitivity_workers, max_throughput_serial, max_throughput_workers,
-    warm_standby_sweep_serial, warm_standby_sweep_workers, FaultScope,
+    correlated_failure_cells, end_to_end, end_to_end_many, failure_cells, load_cells,
+    max_throughput, warm_standby_cells, FaultScope,
 };
 use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
 
-/// Worker counts the pooled path is exercised at (≥ 3 per acceptance).
+/// Worker counts the pooled path is exercised at (≥ 3 per acceptance);
+/// `1` is the pool's in-thread serial path.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A small but non-trivial physical-cluster cell: full device count,
@@ -34,69 +34,49 @@ fn small_config(system: SystemKind, seed: u64) -> (ClusterConfig, f64) {
     (cfg, 0.01)
 }
 
-fn series_text(series: &[(f64, ExperimentResult)]) -> Vec<String> {
-    series
+fn texts(results: &[ExperimentResult]) -> Vec<String> {
+    results
         .iter()
-        .map(|(x, r)| format!("x={x:?}\n{}", r.canonical_text()))
+        .map(ExperimentResult::canonical_text)
         .collect()
+}
+
+/// Runs `cells` in a plain serial loop (no pool involvement) as the
+/// reference, then asserts `end_to_end_many` reproduces it exactly at
+/// every worker count.
+fn assert_pool_matches_serial(label: &str, cells: Vec<(ClusterConfig, f64)>) {
+    let n = cells.len();
+    let serial: Vec<ExperimentResult> = cells
+        .clone()
+        .into_iter()
+        .map(|(c, s)| end_to_end(c, s))
+        .collect();
+    let serial = texts(&serial);
+    assert_eq!(serial.len(), n);
+    for workers in WORKER_COUNTS {
+        let pooled = texts(&end_to_end_many(cells.clone(), workers));
+        assert_eq!(
+            serial, pooled,
+            "{label} diverged from serial at workers={workers}"
+        );
+    }
 }
 
 /// The fig. 19 driver shape: a failure sweep over fault-rate
 /// multipliers, serial reference vs the pool at every worker count.
 #[test]
 fn failure_sweep_is_bit_identical_across_thread_counts() {
-    let rates = [0.0, 100.0];
     let (base, scale) = small_config(SystemKind::Mudi, 42);
-    let serial = series_text(&failure_sweep_serial(
-        SystemKind::Mudi,
-        42,
-        &rates,
-        base.clone(),
-        scale,
-    ));
-    assert_eq!(serial.len(), rates.len());
-    for workers in WORKER_COUNTS {
-        let pooled = series_text(&failure_sweep_workers(
-            SystemKind::Mudi,
-            42,
-            &rates,
-            base.clone(),
-            scale,
-            workers,
-        ));
-        assert_eq!(
-            serial, pooled,
-            "failure_sweep diverged from serial at workers={workers}"
-        );
-    }
+    let cells = failure_cells(SystemKind::Mudi, 42, &[0.0, 100.0], &base, scale);
+    assert_pool_matches_serial("failure sweep", cells);
 }
 
 /// The fig. 15 driver shape: a load sweep, serial vs pooled.
 #[test]
 fn load_sensitivity_is_bit_identical_across_thread_counts() {
-    let multipliers = [1.0, 3.0];
     let (base, scale) = small_config(SystemKind::Gslice, 11);
-    let serial = series_text(&load_sensitivity_serial(
-        SystemKind::Gslice,
-        11,
-        &multipliers,
-        base.clone(),
-        scale,
-    ));
-    for workers in WORKER_COUNTS {
-        let pooled = series_text(&load_sensitivity_workers(
-            SystemKind::Gslice,
-            11,
-            &multipliers,
-            base.clone(),
-            scale,
-            workers,
-        ));
-        assert_eq!(
-            serial, pooled,
-            "load_sensitivity diverged from serial at workers={workers}"
-        );
-    }
+    let cells = load_cells(SystemKind::Gslice, 11, &[1.0, 3.0], &base, scale);
+    assert_pool_matches_serial("load sweep", cells);
 }
 
 /// The fig. 8 driver shape: independent per-system `end_to_end` cells,
@@ -104,22 +84,8 @@ fn load_sensitivity_is_bit_identical_across_thread_counts() {
 #[test]
 fn end_to_end_fanout_is_bit_identical_across_thread_counts() {
     let systems = [SystemKind::Gslice, SystemKind::MuxFlow, SystemKind::Mudi];
-    let cells: Vec<_> = systems.iter().map(|&s| small_config(s, 7)).collect();
-    let serial: Vec<String> = cells
-        .iter()
-        .cloned()
-        .map(|(cfg, scale)| end_to_end(cfg, scale).canonical_text())
-        .collect();
-    for workers in WORKER_COUNTS {
-        let pooled: Vec<String> = end_to_end_many_workers(cells.clone(), workers)
-            .iter()
-            .map(ExperimentResult::canonical_text)
-            .collect();
-        assert_eq!(
-            serial, pooled,
-            "end_to_end fan-out diverged from serial at workers={workers}"
-        );
-    }
+    let cells = systems.iter().map(|&s| small_config(s, 7)).collect();
+    assert_pool_matches_serial("end_to_end fan-out", cells);
 }
 
 /// The fig. 20 driver shape: a correlated-failure sweep over blast
@@ -129,42 +95,21 @@ fn end_to_end_fanout_is_bit_identical_across_thread_counts() {
 #[test]
 fn correlated_sweep_is_bit_identical_across_thread_counts() {
     let scopes = [FaultScope::Device, FaultScope::Rack];
-    let rates = [0.0, 200.0];
     let (base, scale) = small_config(SystemKind::Mudi, 42);
-    let serial: Vec<String> =
-        correlated_failure_sweep_serial(SystemKind::Mudi, 42, &scopes, &rates, base.clone(), scale)
-            .iter()
-            .map(|(s, r, res)| format!("{}@{r:?}\n{}", s.name(), res.canonical_text()))
-            .collect();
-    assert_eq!(serial.len(), scopes.len() * rates.len());
-    for workers in WORKER_COUNTS {
-        let pooled: Vec<String> = correlated_failure_sweep_workers(
-            SystemKind::Mudi,
-            42,
-            &scopes,
-            &rates,
-            base.clone(),
-            scale,
-            workers,
-        )
-        .iter()
-        .map(|(s, r, res)| format!("{}@{r:?}\n{}", s.name(), res.canonical_text()))
-        .collect();
-        assert_eq!(
-            serial, pooled,
-            "correlated_failure_sweep diverged from serial at workers={workers}"
-        );
-    }
+    let cells =
+        correlated_failure_cells(SystemKind::Mudi, 42, &scopes, &[0.0, 200.0], &base, scale);
+    assert_pool_matches_serial("correlated failure sweep", cells);
 }
 
-/// The fig. 14 driver shape: per-service max-throughput cells, serial
-/// loop vs the pooled fan-out.
+/// The fig. 14 driver shape: per-service max-throughput cells at every
+/// worker count; `workers = 1` (the in-thread serial path) is the
+/// reference.
 #[test]
 fn max_throughput_is_bit_identical_across_thread_counts() {
-    let serial = max_throughput_serial(SystemKind::Mudi, 9);
+    let serial = max_throughput(SystemKind::Mudi, 9, 1);
     assert!(!serial.is_empty());
     for workers in WORKER_COUNTS {
-        let pooled = max_throughput_workers(SystemKind::Mudi, 9, workers);
+        let pooled = max_throughput(SystemKind::Mudi, 9, workers);
         assert_eq!(
             serial.len(),
             pooled.len(),
@@ -173,7 +118,7 @@ fn max_throughput_is_bit_identical_across_thread_counts() {
         for ((sa, qa), (sb, qb)) in serial.iter().zip(&pooled) {
             assert_eq!(sa, sb, "service order diverged at workers={workers}");
             assert!(
-                (qa - qb).abs() == 0.0,
+                qa.to_bits() == qb.to_bits(),
                 "max QPS diverged at workers={workers}: {qa} vs {qb}"
             );
         }
@@ -186,56 +131,18 @@ fn max_throughput_is_bit_identical_across_thread_counts() {
 /// reserved-GPU%-seconds ledger under pooled execution.
 #[test]
 fn warm_standby_sweep_is_bit_identical_across_thread_counts() {
-    let pools = [0usize, 1];
-    let rates = [0.0, 200.0];
     let (base, scale) = small_config(SystemKind::Mudi, 42);
-    let serial: Vec<String> =
-        warm_standby_sweep_serial(SystemKind::Mudi, 42, &pools, &rates, base.clone(), scale)
-            .iter()
-            .map(|(p, r, res)| format!("pool{p}@{r:?}\n{}", res.canonical_text()))
-            .collect();
-    assert_eq!(serial.len(), pools.len() * rates.len());
-    for workers in WORKER_COUNTS {
-        let pooled: Vec<String> = warm_standby_sweep_workers(
-            SystemKind::Mudi,
-            42,
-            &pools,
-            &rates,
-            base.clone(),
-            scale,
-            workers,
-        )
-        .iter()
-        .map(|(p, r, res)| format!("pool{p}@{r:?}\n{}", res.canonical_text()))
-        .collect();
-        assert_eq!(
-            serial, pooled,
-            "warm_standby_sweep diverged from serial at workers={workers}"
-        );
-    }
+    let cells = warm_standby_cells(SystemKind::Mudi, 42, &[0, 1], &[0.0, 200.0], &base, scale);
+    assert_pool_matches_serial("warm-standby sweep", cells);
 }
 
 /// Repeated pooled runs are self-identical (no hidden shared state in
 /// the engine or the pool leaks between cells).
 #[test]
 fn pooled_runs_are_self_reproducible() {
-    let rates = [0.0, 50.0];
     let (base, scale) = small_config(SystemKind::Mudi, 5);
-    let a = series_text(&failure_sweep_workers(
-        SystemKind::Mudi,
-        5,
-        &rates,
-        base.clone(),
-        scale,
-        4,
-    ));
-    let b = series_text(&failure_sweep_workers(
-        SystemKind::Mudi,
-        5,
-        &rates,
-        base,
-        scale,
-        4,
-    ));
+    let cells = failure_cells(SystemKind::Mudi, 5, &[0.0, 50.0], &base, scale);
+    let a = texts(&end_to_end_many(cells.clone(), 4));
+    let b = texts(&end_to_end_many(cells, 4));
     assert_eq!(a, b);
 }
