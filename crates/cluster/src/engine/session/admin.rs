@@ -40,6 +40,24 @@ pub enum LiveFault {
 }
 
 impl LiveFault {
+    /// Rejects a non-finite parameter (JSON `1e999` parses to `inf`).
+    /// An infinite `repair_secs` or `duration_secs` would trip the
+    /// `SimDuration` assert mid-fault and poison the session. `factor`
+    /// cannot panic that way (`kind` clamps it), so rejecting it is API
+    /// policy: a non-finite factor is a malformed request, not a full or
+    /// minimal slowdown.
+    fn check(self) -> Result<(), SessionError> {
+        let bad = match self {
+            LiveFault::DeviceFailure { repair_secs } if !repair_secs.is_finite() => "repair_secs",
+            LiveFault::Slowdown { factor, .. } if !factor.is_finite() => "factor",
+            LiveFault::Slowdown { duration_secs, .. } if !duration_secs.is_finite() => {
+                "duration_secs"
+            }
+            _ => return Ok(()),
+        };
+        Err(SessionError::InvalidFault(bad))
+    }
+
     fn kind(self) -> FaultKind {
         match self {
             LiveFault::DeviceFailure { repair_secs } => FaultKind::DeviceFailure {
@@ -97,6 +115,7 @@ impl ClusterSession {
         if ds.service == service {
             return Ok(());
         }
+        self.routes.clear();
         let now = self.now;
         Control.accrue(&mut self.st, now, device);
         let qps = self.st.dstate[device].qps_gen.current()
@@ -199,10 +218,13 @@ impl ClusterSession {
     /// Injects a fault on `device` at the current session time,
     /// delivered through the same faults stage as scheduled faults
     /// (blast bookkeeping, failover, standby promotion all apply).
+    /// A non-finite parameter is rejected before anything changes.
     pub fn inject_fault(&mut self, device: usize, fault: LiveFault) -> Result<(), SessionError> {
         if device >= self.st.devices.len() {
             return Err(SessionError::UnknownDevice(device));
         }
+        fault.check()?;
+        self.routes.clear();
         let now = self.now;
         let idx = self
             .st

@@ -4,10 +4,13 @@
 //! stream, so individually routed requests never perturb the kernel's
 //! own substreams.
 
+use gpu_sim::device::COLO_VIEW_MAX;
+use gpu_sim::GpuDevice;
 use simcore::{SimEvent, SimTime};
-use workloads::ServiceId;
+use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
 use super::super::control::{itl_violation_probability, violation_probability};
+use super::super::state::SimState;
 use super::{ClusterSession, SessionError};
 
 /// The outcome of one routed inference request.
@@ -88,86 +91,24 @@ impl ClusterSession {
     pub fn infer(&mut self, service: ServiceId) -> Result<InferOutcome, SessionError> {
         self.check_service(service)?;
         let now = self.now;
-        // Candidate scoring: (p_violation, mean, fill, sigma, standby?).
-        let mut best: Option<(f64, f64, usize, f64, f64, bool)> = None;
-        for d in 0..self.st.devices.len() {
-            let dev = &self.st.devices[d];
-            if !dev.is_up() {
-                continue;
-            }
-            let pf = dev.perf_factor();
-            let slo = self.st.shared.gt.zoo().service(service).slo_secs();
-            let candidate = if let Some(inf) = dev.inference().filter(|i| i.service == service) {
-                let frac = (inf.gpu_fraction * pf).max(0.01);
-                let (colo_buf, colo_n) = dev.colo_for_inference_buf();
-                let colo = &colo_buf[..colo_n];
-                let mean = self
-                    .st
-                    .shared
-                    .gt
-                    .inference_latency(service, inf.batch, frac, colo);
-                let sigma = self
-                    .st
-                    .shared
-                    .gt
-                    .effective_sigma(service, inf.batch, frac, colo);
-                let p = violation_probability(inf.qps, inf.batch, slo, mean, sigma);
-                let fill = if inf.qps > 0.0 {
-                    inf.batch as f64 / inf.qps
-                } else {
-                    0.0
-                };
-                Some((p, mean, fill, sigma, false))
-            } else if let Some(s) = dev
-                .standby()
-                .filter(|s| s.service == service && s.is_active())
-            {
-                let frac = (s.reserve_fraction * pf).max(0.01);
-                let (colo_buf, colo_n) = dev.colo_for_standby_buf();
-                let colo = &colo_buf[..colo_n];
-                let mean = self
-                    .st
-                    .shared
-                    .gt
-                    .inference_latency(service, s.batch, frac, colo);
-                let sigma = self
-                    .st
-                    .shared
-                    .gt
-                    .effective_sigma(service, s.batch, frac, colo);
-                let p = violation_probability(s.qps, s.batch, slo, mean, sigma);
-                let fill = if s.qps > 0.0 {
-                    s.batch as f64 / s.qps
-                } else {
-                    0.0
-                };
-                Some((p, mean, fill, sigma, true))
-            } else {
-                None
-            };
-            if let Some((p, mean, fill, sigma, standby)) = candidate {
-                let better = match &best {
-                    None => true,
-                    Some((bp, bmean, ..)) => {
-                        (p, mean) < (*bp, *bmean) // device index breaks exact ties
-                    }
-                };
-                if better {
-                    best = Some((p, mean, d, fill, sigma, standby));
-                }
-            }
-        }
-        let Some((_, mean, device, fill, sigma, via_standby)) = best else {
-            return Err(SessionError::NoReplica(service));
-        };
+        let slo = self.st.shared.gt.zoo().service(service).slo_secs();
+        let (device, best) = self.route(service, RouteKind::Classifier, |st, d, slot| {
+            classifier_candidate(st, d, service, slo, slot)
+        })?;
+        let Candidate {
+            mean,
+            sigma,
+            fill,
+            via_standby,
+            ..
+        } = best;
 
         // Sample the request: position in the forming batch, then the
         // log-normal batch-latency tail.
         let wait = self.infer_rng.f64() * fill;
         let z = simcore::normal_quantile(self.infer_rng.f64().clamp(1e-12, 1.0 - 1e-12));
         let latency_secs = wait + mean * (sigma * z).exp();
-        let slo_secs = self.st.shared.gt.zoo().service(service).slo_secs();
-        let violation = latency_secs > slo_secs;
+        let violation = latency_secs > slo;
 
         let idx = self.service_index(service);
         self.api[idx].0 += 1;
@@ -184,7 +125,7 @@ impl ClusterSession {
             device,
             via_standby,
             latency_secs,
-            slo_secs,
+            slo_secs: slo,
             violation,
             at: now,
         })
@@ -213,87 +154,15 @@ impl ClusterSession {
         };
         let itl_slo = spec.slo_secs();
         let now = self.now;
-        // Candidate scoring: (p_itl, mean, device, sigma, standby?).
-        let mut best: Option<(f64, f64, usize, f64, bool)> = None;
-        for d in 0..self.st.devices.len() {
-            let dev = &self.st.devices[d];
-            if !dev.is_up() {
-                continue;
-            }
-            let pf = dev.perf_factor();
-            let candidate = if let Some(inf) = dev.inference().filter(|i| i.service == service) {
-                let frac = (inf.gpu_fraction * pf).max(0.01);
-                let (colo_buf, colo_n) = dev.colo_for_inference_buf();
-                let colo = &colo_buf[..colo_n];
-                let bsz = self
-                    .st
-                    .shared
-                    .gt
-                    .steady_decode_batch(service, inf.batch, frac, inf.qps, colo);
-                let mean = self
-                    .st
-                    .shared
-                    .gt
-                    .inference_latency(service, bsz, frac, colo);
-                let sigma = self.st.shared.gt.effective_sigma(service, bsz, frac, colo);
-                let tok_rate = inf.qps * gp.decode_tokens_mean;
-                let util = if tok_rate > 0.0 {
-                    mean * tok_rate / bsz as f64
-                } else {
-                    0.0
-                };
-                Some((
-                    itl_violation_probability(itl_slo, mean, sigma, util),
-                    mean,
-                    sigma,
-                    false,
-                ))
-            } else if let Some(s) = dev
-                .standby()
-                .filter(|s| s.service == service && s.is_active())
-            {
-                let frac = (s.reserve_fraction * pf).max(0.01);
-                let (colo_buf, colo_n) = dev.colo_for_standby_buf();
-                let colo = &colo_buf[..colo_n];
-                let bsz = self
-                    .st
-                    .shared
-                    .gt
-                    .steady_decode_batch(service, s.batch, frac, s.qps, colo);
-                let mean = self
-                    .st
-                    .shared
-                    .gt
-                    .inference_latency(service, bsz, frac, colo);
-                let sigma = self.st.shared.gt.effective_sigma(service, bsz, frac, colo);
-                let tok_rate = s.qps * gp.decode_tokens_mean;
-                let util = if tok_rate > 0.0 {
-                    mean * tok_rate / bsz as f64
-                } else {
-                    0.0
-                };
-                Some((
-                    itl_violation_probability(itl_slo, mean, sigma, util),
-                    mean,
-                    sigma,
-                    true,
-                ))
-            } else {
-                None
-            };
-            if let Some((p, mean, sigma, standby)) = candidate {
-                let better = match &best {
-                    None => true,
-                    Some((bp, bmean, ..)) => (p, mean) < (*bp, *bmean),
-                };
-                if better {
-                    best = Some((p, mean, d, sigma, standby));
-                }
-            }
-        }
-        let Some((_, mean, device, sigma, via_standby)) = best else {
-            return Err(SessionError::NoReplica(service));
-        };
+        let (device, best) = self.route(service, RouteKind::Generative, |st, d, slot| {
+            generative_candidate(st, d, service, gp, itl_slo, slot)
+        })?;
+        let Candidate {
+            mean,
+            sigma,
+            via_standby,
+            ..
+        } = best;
 
         // Sample the request: one draw for the prefill phase (all
         // chunks share the GPU state that produced the draw), then an
@@ -339,5 +208,251 @@ impl ClusterSession {
             tokens,
             at: now,
         })
+    }
+
+    /// The replica selector shared by both request kinds: scores every
+    /// up device that serves `service` (its primary replica, or an
+    /// active standby covering it) and keeps the lowest
+    /// `(p_violation, mean)`, breaking exact ties by device index.
+    /// The choice is kept in the session's [`RouteCache`] until the
+    /// next call that can change device state, so repeated requests
+    /// between two steps score the replicas once.
+    fn route(
+        &mut self,
+        service: ServiceId,
+        kind: RouteKind,
+        score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
+    ) -> Result<(usize, Candidate), SessionError> {
+        let key = (self.service_index(service), kind);
+        if let Some(hit) = self.routes.get(key) {
+            debug_assert!(
+                same_route(hit, self.scan(service, score)?),
+                "stale route for service {}: a device-state change did not clear the route cache",
+                service.0
+            );
+            return Ok(hit);
+        }
+        let best = self.scan(service, score)?;
+        self.routes.put(key, best);
+        Ok(best)
+    }
+
+    /// Scores every replica of `service` (see [`ClusterSession::route`]).
+    fn scan(
+        &mut self,
+        service: ServiceId,
+        mut score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
+    ) -> Result<(usize, Candidate), SessionError> {
+        let mut best: Option<(usize, Candidate)> = None;
+        for d in 0..self.st.devices.len() {
+            let Some(slot) = Slot::of(&self.st.devices[d], service) else {
+                continue;
+            };
+            let c = score(&mut self.st, d, &slot);
+            if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
+                best = Some((d, c));
+            }
+        }
+        best.ok_or(SessionError::NoReplica(service))
+    }
+}
+
+/// Which scorer a routing decision came from: a generative service
+/// can be addressed by either request kind, and the two score its
+/// replicas differently.
+#[derive(Clone, Copy)]
+enum RouteKind {
+    Classifier,
+    Generative,
+}
+
+/// The routing decision per `(service, request kind)` at the current
+/// device state. Routing reads only state that stepping, reports and
+/// the admin operations change, and each of those clears the cache;
+/// between them the decision is a pure function of that state, so a
+/// cached choice is the one a fresh scan would make.
+#[derive(Default)]
+pub(super) struct RouteCache(Vec<Option<(usize, Candidate)>>);
+
+impl RouteCache {
+    fn slot(key: (usize, RouteKind)) -> usize {
+        2 * key.0 + key.1 as usize
+    }
+
+    fn get(&self, key: (usize, RouteKind)) -> Option<(usize, Candidate)> {
+        self.0.get(Self::slot(key)).copied().flatten()
+    }
+
+    fn put(&mut self, key: (usize, RouteKind), route: (usize, Candidate)) {
+        let i = Self::slot(key);
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(route);
+    }
+
+    /// Forgets every decision (device state may have changed).
+    pub(super) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Whether two routing decisions agree bit for bit.
+fn same_route(a: (usize, Candidate), b: (usize, Candidate)) -> bool {
+    let bits = |c: Candidate| {
+        (
+            c.p.to_bits(),
+            c.mean.to_bits(),
+            c.sigma.to_bits(),
+            c.fill.to_bits(),
+            c.via_standby,
+        )
+    };
+    a.0 == b.0 && bits(a.1) == bits(b.1)
+}
+
+/// A scored routing candidate.
+#[derive(Clone, Copy)]
+struct Candidate {
+    /// Predicted violation probability: the routing key.
+    p: f64,
+    /// Predicted mean (batch or iteration) latency, seconds.
+    mean: f64,
+    /// Log-normal sigma of the latency draw.
+    sigma: f64,
+    /// Batch-fill time, seconds (zero under continuous batching).
+    fill: f64,
+    via_standby: bool,
+}
+
+/// The slot a device serves a service from: its primary replica, or an
+/// active warm standby covering the service.
+struct Slot {
+    batch: u32,
+    /// Effective GPU share (the configured share times the device's
+    /// perf factor, floored at 1%).
+    frac: f64,
+    qps: f64,
+    standby: bool,
+}
+
+impl Slot {
+    /// `service`'s slot on `dev`, `None` when the device is down or
+    /// serves something else.
+    fn of(dev: &GpuDevice, service: ServiceId) -> Option<Slot> {
+        if !dev.is_up() {
+            return None;
+        }
+        let pf = dev.perf_factor();
+        if let Some(inf) = dev.inference().filter(|i| i.service == service) {
+            return Some(Slot {
+                batch: inf.batch,
+                frac: (inf.gpu_fraction * pf).max(0.01),
+                qps: inf.qps,
+                standby: false,
+            });
+        }
+        let s = dev
+            .standby()
+            .filter(|s| s.service == service && s.is_active())?;
+        Some(Slot {
+            batch: s.batch,
+            frac: (s.reserve_fraction * pf).max(0.01),
+            qps: s.qps,
+            standby: true,
+        })
+    }
+
+    /// The workloads colocated with this slot on `dev`.
+    fn colo(&self, dev: &GpuDevice) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
+        if self.standby {
+            dev.colo_for_standby_buf()
+        } else {
+            dev.colo_for_inference_buf()
+        }
+    }
+
+    /// `(mean, sigma)` at `batch` through the device's memo for this
+    /// slot — the same memo accrual reads, bit-identical to the
+    /// direct ground-truth calls.
+    fn profile(
+        &self,
+        dev: &GpuDevice,
+        gt: &GroundTruth,
+        service: ServiceId,
+        batch: u32,
+        colo: &[ColoWorkload],
+    ) -> (f64, f64) {
+        let (mean, sigma, _p99) = if self.standby {
+            dev.standby_latency_profile(gt, service, batch, self.frac, colo)
+        } else {
+            dev.latency_profile(gt, service, batch, self.frac, colo)
+        };
+        (mean, sigma)
+    }
+}
+
+/// Scores a classifier slot: the batch-queue violation probability at
+/// the slot's configured batch. A primary goes through the device's
+/// `VpCache` (the memo accrual uses, which routing thereby pre-warms).
+fn classifier_candidate(
+    st: &mut SimState,
+    d: usize,
+    service: ServiceId,
+    slo: f64,
+    slot: &Slot,
+) -> Candidate {
+    let dev = &st.devices[d];
+    let (colo_buf, colo_n) = slot.colo(dev);
+    let colo = &colo_buf[..colo_n];
+    let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
+    let p = if slot.standby {
+        violation_probability(slot.qps, slot.batch, slo, mean, sigma)
+    } else {
+        st.dstate[d]
+            .vp_cache
+            .get(slot.qps, slot.batch, slo, mean, sigma)
+    };
+    let fill = if slot.qps > 0.0 {
+        slot.batch as f64 / slot.qps
+    } else {
+        0.0
+    };
+    Candidate {
+        p,
+        mean,
+        sigma,
+        fill,
+        via_standby: slot.standby,
+    }
+}
+
+/// Scores a generative slot: the inter-token violation probability at
+/// the slot's steady running decode batch.
+fn generative_candidate(
+    st: &SimState,
+    d: usize,
+    service: ServiceId,
+    gp: GenerativeProfile,
+    itl_slo: f64,
+    slot: &Slot,
+) -> Candidate {
+    let (gt, dev) = (&st.shared.gt, &st.devices[d]);
+    let (colo_buf, colo_n) = slot.colo(dev);
+    let colo = &colo_buf[..colo_n];
+    let bsz = gt.steady_decode_batch(service, slot.batch, slot.frac, slot.qps, colo);
+    let (mean, sigma) = slot.profile(dev, gt, service, bsz, colo);
+    let tok_rate = slot.qps * gp.decode_tokens_mean;
+    let util = if tok_rate > 0.0 {
+        mean * tok_rate / bsz as f64
+    } else {
+        0.0
+    };
+    Candidate {
+        p: itl_violation_probability(itl_slo, mean, sigma, util),
+        mean,
+        sigma,
+        fill: 0.0,
+        via_standby: slot.standby,
     }
 }

@@ -32,6 +32,8 @@ mod infer;
 pub use admin::{LiveFault, ScaleOutcome};
 pub use infer::{GenInferOutcome, InferOutcome, TokenVerdict};
 
+use infer::RouteCache;
+
 use std::time::Instant;
 
 use simcore::{SimDuration, SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
@@ -42,7 +44,7 @@ use crate::metrics::{ExperimentResult, FaultMetrics};
 use super::admission::Admission;
 use super::config::ClusterConfig;
 use super::control::Control;
-use super::state::SimState;
+use super::state::{ServiceFold, SimState};
 use super::stepper::Stepper;
 
 /// Why a live operation was rejected.
@@ -63,6 +65,8 @@ pub enum SessionError {
     /// A token-mode request (`infer_tokens`) addressed a classifier
     /// service — only generative services decode autoregressively.
     NotGenerative(ServiceId),
+    /// A live fault parameter (named) is not a finite number.
+    InvalidFault(&'static str),
 }
 
 impl std::fmt::Display for SessionError {
@@ -74,6 +78,7 @@ impl std::fmt::Display for SessionError {
             SessionError::DeviceDown(d) => write!(f, "device {d} is down"),
             SessionError::DeviceBusy(d) => write!(f, "device {d} is mid-failover"),
             SessionError::NotGenerative(s) => write!(f, "service {} is not generative", s.0),
+            SessionError::InvalidFault(p) => write!(f, "fault parameter {p} must be finite"),
         }
     }
 }
@@ -137,6 +142,9 @@ pub struct ClusterSession {
     /// Per-service `(requests, violations)` for individually routed
     /// API requests, indexed like the zoo's service list.
     api: Vec<(u64, u64)>,
+    /// Routing decisions at the current device state; every call that
+    /// can change device state clears it.
+    routes: RouteCache,
     /// Last training-job completion (for the makespan).
     last_finish: SimTime,
     wall_start: Instant,
@@ -165,6 +173,7 @@ impl ClusterSession {
             now: SimTime::ZERO,
             infer_rng,
             api: vec![(0, 0); n_services],
+            routes: RouteCache::default(),
             last_finish: SimTime::ZERO,
             wall_start,
         }
@@ -197,6 +206,7 @@ impl ClusterSession {
         if horizon <= self.now {
             return 0;
         }
+        self.routes.clear();
         let before = self.st.fired();
         // Drain in the batch stepper's epoch windows: the lane phase
         // steps each shard's local queue in parallel, the barrier
@@ -221,30 +231,42 @@ impl ClusterSession {
     // Observability.
     // ------------------------------------------------------------------
 
-    /// The per-service SLO report at the current session time. Accrues
-    /// every device first, so the numbers include the span since the
-    /// last event; the per-device service partials are folded in the
-    /// fixed device-ascending tree order, so the report is identical
-    /// across every `(shards, workers)` grid point.
+    /// The per-service SLO report at the current session time, built in
+    /// one device-ascending pass: each device is accrued (so the numbers
+    /// include the span since the last event), its service partials go
+    /// straight into the fixed-shape tree fold, and its replica and
+    /// standby state is counted. Every service folds its partials in
+    /// device order in the fixed [`simcore::tree_fold`] shape, the same
+    /// fold the final result uses, so the report is identical across
+    /// every `(shards, workers)` grid point. Accrual's only cross-device
+    /// effect is job progress, never another device's partials, so
+    /// folding each device right after accruing it is exact.
     pub fn service_report(&mut self) -> Vec<ServiceSlo> {
+        self.routes.clear();
         let now = self.now;
+        let n = self.st.shared.gt.zoo().services().len();
+        let mut fold = ServiceFold::new(n);
+        let mut assigned = vec![0usize; n];
+        let mut up = vec![0usize; n];
+        let mut covered = vec![false; n];
         for d in 0..self.st.devices.len() {
             Control.accrue(&mut self.st, now, d);
+            let ds = &self.st.dstate[d];
+            fold.push(&ds.acc);
+            assigned[ds.service.0] += 1;
+            let dev = &self.st.devices[d];
+            if dev.is_up() {
+                up[ds.service.0] += 1;
+                if let Some(s) = dev.standby().filter(|s| s.is_active()) {
+                    covered[s.service.0] = true;
+                }
+            }
         }
-        let table = self.st.fold_services();
-        let mut rows = Vec::new();
-        for (i, spec) in self.st.shared.gt.zoo().services().iter().enumerate() {
+        let table = fold.finish();
+        let services = self.st.shared.gt.zoo().services();
+        let mut rows = Vec::with_capacity(services.len());
+        for (i, spec) in services.iter().enumerate() {
             let id = spec.id;
-            let assigned = (0..self.st.devices.len())
-                .filter(|&d| self.st.dstate[d].service == id)
-                .count();
-            let up = self.up_replicas(id);
-            let covered = (0..self.st.devices.len()).any(|h| {
-                self.st.devices[h].is_up()
-                    && self.st.devices[h]
-                        .standby()
-                        .is_some_and(|s| s.service == id && s.is_active())
-            });
             let (requests, violations) = table
                 .get(id)
                 .map_or((0.0, 0.0), |m| (m.requests, m.violations));
@@ -257,14 +279,14 @@ impl ClusterSession {
                 id,
                 name: spec.name,
                 slo_secs: spec.slo_secs(),
-                replicas_assigned: assigned,
-                replicas_up: up,
+                replicas_assigned: assigned[id.0],
+                replicas_up: up[id.0],
                 requests,
                 violations,
                 violation_rate: rate,
                 api_requests: self.api[i].0,
                 api_violations: self.api[i].1,
-                in_outage: assigned > 0 && up == 0 && !covered,
+                in_outage: assigned[id.0] > 0 && up[id.0] == 0 && !covered[id.0],
             });
         }
         rows
@@ -352,6 +374,13 @@ impl ClusterSession {
     // Internals (shared with the admin/infer submodules).
     // ------------------------------------------------------------------
 
+    /// The engine state and the session clock, for in-crate test oracles.
+    #[cfg(test)]
+    pub(super) fn state_mut(&mut self) -> (&mut SimState, SimTime) {
+        self.routes.clear();
+        (&mut self.st, self.now)
+    }
+
     fn check_service(&self, service: ServiceId) -> Result<(), SessionError> {
         if self
             .st
@@ -422,6 +451,7 @@ impl ClusterSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ScalePreset;
     use crate::systems::SystemKind;
     use simcore::SimEventKind;
 
@@ -469,6 +499,82 @@ mod tests {
 
         let bogus = ServiceId(usize::MAX);
         assert_eq!(s.infer(bogus), Err(SessionError::UnknownService(bogus)));
+    }
+
+    #[test]
+    fn cached_routes_match_a_fresh_scan_after_every_operation() {
+        // Two sessions take the same calls; `fresh` forgets its routes
+        // before every request, so each of its requests scans every
+        // replica. A cached route that outlived a state change would
+        // pick another replica or sample another latency.
+        let boot = || {
+            let cfg = ClusterConfig::builder(ScalePreset::Physical, SystemKind::Mudi, 9)
+                .llm_services(true)
+                .build();
+            let mut s = ClusterSession::new_scaled(cfg, 0.002);
+            s.step_until(SimTime::from_secs(120.0));
+            s
+        };
+        let (mut cached, mut fresh) = (boot(), boot());
+        let services: Vec<_> = cached.zoo().services().to_vec();
+        let requests = |s: &mut ClusterSession, forget: bool| {
+            let mut out = String::new();
+            for spec in &services {
+                for _ in 0..3 {
+                    if forget {
+                        s.routes.clear();
+                    }
+                    out.push_str(&format!("{:?}\n", s.infer(spec.id)));
+                    if spec.is_generative() {
+                        if forget {
+                            s.routes.clear();
+                        }
+                        out.push_str(&format!("{:?}\n", s.infer_tokens(spec.id, 4)));
+                    }
+                }
+            }
+            out
+        };
+        let ops: [&dyn Fn(&mut ClusterSession); 6] = [
+            &|s| {
+                s.step_for(SimDuration::from_secs(90.0));
+            },
+            &|s| {
+                s.service_report();
+            },
+            &|s| {
+                s.inject_fault(
+                    2,
+                    LiveFault::Slowdown {
+                        factor: 0.3,
+                        duration_secs: 600.0,
+                    },
+                )
+                .unwrap()
+            },
+            &|s| {
+                let svc = s.zoo().services()[0].id;
+                let up = s.up_replicas(svc);
+                s.scale_service(svc, up + 1).unwrap();
+            },
+            &|s| {
+                s.inject_fault(3, LiveFault::DeviceFailure { repair_secs: 600.0 })
+                    .unwrap()
+            },
+            &|s| {
+                let svc = s.zoo().services()[1].id;
+                let d = (0..s.device_count())
+                    .find(|&d| s.eligible_for_switch(d, svc))
+                    .unwrap();
+                s.deploy_replica(d, svc).unwrap();
+            },
+        ];
+        assert_eq!(requests(&mut cached, false), requests(&mut fresh, true));
+        for op in ops {
+            op(&mut cached);
+            op(&mut fresh);
+            assert_eq!(requests(&mut cached, false), requests(&mut fresh, true));
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use gpu_sim::{
 use mudi::policy::{FairState, QueueItem};
 use mudi::{CircuitBreaker, Monitor, RetuneGuard};
 use resilience::{CheckpointTracker, FaultSchedule, RecoveryPolicy};
-use simcore::{ShardMap, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig};
+use simcore::{ShardMap, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig, TreeFolder};
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{FluctuatingQps, GroundTruth, ServiceId, Zoo};
 
@@ -110,7 +110,7 @@ pub(super) struct StandbySlot(pub usize);
 /// Every float a lane accrues concurrently lands here instead of in a
 /// global table, keyed by the device that produced it. The partials
 /// are reduced by a fixed device-ascending tree fold
-/// ([`SimState::fold_services`] / [`SimState::folded_fmetrics`]) whose
+/// ([`ServiceFold`] / [`SimState::folded_fmetrics`]) whose
 /// shape depends only on the replica count — never on the shard or
 /// worker partition — so the folded sums are bit-identical across the
 /// whole `MUDI_SHARDS × MUDI_THREADS` grid.
@@ -151,6 +151,46 @@ impl DevAccum {
         self.svc.push((id, ServiceMetrics::default()));
         &mut self.svc.last_mut().expect("just pushed").1
     }
+}
+
+/// The device-ascending tree fold of the per-device service partials:
+/// one [`TreeFolder`] per service, fed one device at a time, so a
+/// caller can fold each device right after accruing it. Every service
+/// sees its partials in device order and folds them in the fixed
+/// [`simcore::tree_fold`] shape, so the result does not depend on the
+/// shard or worker partition.
+pub(super) struct ServiceFold(Vec<TreeFolder<ServiceMetrics>>);
+
+impl ServiceFold {
+    /// A fold over services `0..n` (service ids are dense).
+    pub fn new(n: usize) -> Self {
+        ServiceFold((0..n).map(|_| TreeFolder::new()).collect())
+    }
+
+    /// Folds in the next device's partials (call in ascending device
+    /// order).
+    pub fn push(&mut self, acc: &DevAccum) {
+        for (id, m) in &acc.svc {
+            self.0[id.0].push(m.clone(), merge_metrics);
+        }
+    }
+
+    /// The folded table: an entry exists for every service some device
+    /// holds a partial of.
+    pub fn finish(self) -> ServiceTable {
+        let mut table = ServiceTable::new(self.0.len());
+        for (i, folder) in self.0.into_iter().enumerate() {
+            if let Some(m) = folder.finish(merge_metrics) {
+                *table.entry(ServiceId(i)) = m;
+            }
+        }
+        table
+    }
+}
+
+fn merge_metrics(mut a: ServiceMetrics, b: ServiceMetrics) -> ServiceMetrics {
+    a.merge(&b);
+    a
 }
 
 /// Per-device engine-side state beyond the `GpuDevice` itself.
@@ -867,40 +907,16 @@ impl SimState {
     // Folded observability.
     // ------------------------------------------------------------------
 
-    /// Reduces the per-device service partials into a [`ServiceTable`]
-    /// by a fixed fold: collect device-ascending, stable-sort by
-    /// service id, tree-fold each equal-id run. Both the collection
-    /// order and the fold shape are partition-invariant.
-    pub fn fold_services(&mut self) -> ServiceTable {
-        let n = self.shared.gt.zoo().services().len();
-        let mut pairs: Vec<(ServiceId, ServiceMetrics)> = Vec::new();
+    /// Reduces the per-device service partials into a [`ServiceTable`]:
+    /// each service's partials stream device-ascending through a
+    /// [`ServiceFold`]. Both the order and the fold shape are
+    /// partition-invariant. Non-destructive.
+    pub fn fold_services(&self) -> ServiceTable {
+        let mut fold = ServiceFold::new(self.shared.gt.zoo().services().len());
         for ds in &self.dstate {
-            for (id, m) in &ds.acc.svc {
-                pairs.push((*id, m.clone()));
-            }
+            fold.push(&ds.acc);
         }
-        pairs.sort_by_key(|p| p.0 .0);
-        let mut table = ServiceTable::new(n);
-        let mut i = 0;
-        while i < pairs.len() {
-            let id = pairs[i].0;
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == id {
-                j += 1;
-            }
-            let group: Vec<ServiceMetrics> = pairs[i..j]
-                .iter_mut()
-                .map(|p| std::mem::take(&mut p.1))
-                .collect();
-            if let Some(merged) = simcore::tree_fold(group, |mut a, b| {
-                a.merge(&b);
-                a
-            }) {
-                *table.entry(id) = merged;
-            }
-            i = j;
-        }
-        table
+        fold.finish()
     }
 
     /// The fault metrics with the per-device float partials folded in
@@ -908,18 +924,14 @@ impl SimState {
     /// mid-run observability.
     pub fn folded_fmetrics(&self) -> FaultMetrics {
         let mut fm = self.fmetrics.clone();
-        let parts: Vec<[f64; 4]> = self
-            .dstate
-            .iter()
-            .map(|ds| {
-                [
-                    ds.acc.dropped_requests,
-                    ds.acc.rerouted_requests,
-                    ds.acc.standby_reserved_gpu_secs,
-                    ds.acc.standby_served_requests,
-                ]
-            })
-            .collect();
+        let parts = self.dstate.iter().map(|ds| {
+            [
+                ds.acc.dropped_requests,
+                ds.acc.rerouted_requests,
+                ds.acc.standby_reserved_gpu_secs,
+                ds.acc.standby_served_requests,
+            ]
+        });
         let sums = simcore::tree_fold(parts, |a, b| {
             [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
         })

@@ -633,3 +633,226 @@ fn lane_fit(lane: &state::LaneBox) -> &Arc<mudi::InterferenceFit> {
         .expect("system predicts interference")
         .fit()
 }
+
+// ---------------------------------------------------------------------
+// The one-pass SLO report against the report it replaced.
+// ---------------------------------------------------------------------
+
+/// The SLO report as it was computed before the one-pass rewrite, kept
+/// as the test oracle: accrue every device, clone every partial,
+/// stable-sort by service id and tree-fold each run, then scan the
+/// whole fleet three times per service. Returns the folded table and
+/// `(id, assigned, up, requests, violations, in_outage)` per service.
+#[allow(clippy::type_complexity)]
+fn reference_report(
+    st: &mut SimState,
+    now: SimTime,
+) -> (
+    crate::metrics::ServiceTable,
+    Vec<(ServiceId, usize, usize, f64, f64, bool)>,
+) {
+    use crate::metrics::{ServiceMetrics, ServiceTable};
+    for d in 0..st.devices.len() {
+        control::Control.accrue(st, now, d);
+    }
+    let mut pairs: Vec<(ServiceId, ServiceMetrics)> = Vec::new();
+    for ds in &st.dstate {
+        for (id, m) in &ds.acc.svc {
+            pairs.push((*id, m.clone()));
+        }
+    }
+    pairs.sort_by_key(|p| p.0 .0);
+    let mut table = ServiceTable::new(st.shared.gt.zoo().services().len());
+    for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let group = run.iter().map(|p| p.1.clone());
+        if let Some(merged) = simcore::tree_fold(group, |mut a, b| {
+            a.merge(&b);
+            a
+        }) {
+            *table.entry(run[0].0) = merged;
+        }
+    }
+    let n = st.devices.len();
+    let mut rows = Vec::new();
+    for spec in st.shared.gt.zoo().services() {
+        let id = spec.id;
+        let assigned = (0..n).filter(|&d| st.dstate[d].service == id).count();
+        let up = (0..n)
+            .filter(|&d| st.devices[d].is_up() && st.dstate[d].service == id)
+            .count();
+        let covered = (0..n).any(|h| {
+            st.devices[h].is_up()
+                && st.devices[h]
+                    .standby()
+                    .is_some_and(|s| s.service == id && s.is_active())
+        });
+        let (requests, violations) = table
+            .get(id)
+            .map_or((0.0, 0.0), |m| (m.requests, m.violations));
+        rows.push((
+            id,
+            assigned,
+            up,
+            requests,
+            violations,
+            assigned > 0 && up == 0 && !covered,
+        ));
+    }
+    (table, rows)
+}
+
+/// Asserts two folded tables agree bit for bit on every field.
+fn assert_tables_bit_equal(
+    got: &crate::metrics::ServiceTable,
+    want: &crate::metrics::ServiceTable,
+    n: usize,
+) {
+    for i in 0..n {
+        let id = ServiceId(i);
+        match (got.get(id), want.get(id)) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                let bits = |m: &crate::metrics::ServiceMetrics| {
+                    [
+                        m.requests,
+                        m.violations,
+                        m.tokens,
+                        m.itl_violations,
+                        m.ttft_violations,
+                        m.p99_stats.mean(),
+                        m.p99_stats.variance(),
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(bits(g), bits(w), "service {i}");
+                assert_eq!(g.p99_stats.count(), w.p99_stats.count(), "service {i}");
+            }
+            (g, w) => panic!("service {i}: entry {} vs {}", g.is_some(), w.is_some()),
+        }
+    }
+}
+
+/// A random live-session op for the report comparison.
+#[derive(Clone, Copy, Debug)]
+enum ReportOp {
+    Step(f64),
+    Deploy(usize, usize),
+    Scale(usize, usize),
+    Slowdown(usize, f64, f64),
+    Fail(usize, f64),
+    Report,
+}
+
+fn random_report_op(rng: &mut simcore::SimRng) -> ReportOp {
+    match rng.uniform_usize(0, 8) {
+        0..=2 => ReportOp::Step(rng.uniform(1.0, 600.0)),
+        3 => ReportOp::Deploy(rng.u64() as usize, rng.u64() as usize),
+        4 => ReportOp::Scale(rng.u64() as usize, rng.uniform_usize(0, 4)),
+        5 => ReportOp::Slowdown(
+            rng.u64() as usize,
+            rng.uniform(0.2, 0.9),
+            rng.uniform(30.0, 600.0),
+        ),
+        6 => ReportOp::Fail(rng.u64() as usize, rng.uniform(60.0, 900.0)),
+        _ => ReportOp::Report,
+    }
+}
+
+fn apply_report_op(s: &mut ClusterSession, clock: &mut f64, op: ReportOp) {
+    let services: Vec<ServiceId> = s.zoo().services().iter().map(|sp| sp.id).collect();
+    let n = s.device_count();
+    match op {
+        ReportOp::Step(dt) => {
+            *clock += dt;
+            s.step_until(SimTime::from_secs(*clock));
+        }
+        ReportOp::Deploy(d, svc) => {
+            let _ = s.deploy_replica(d % n, services[svc % services.len()]);
+        }
+        ReportOp::Scale(svc, target) => {
+            let _ = s.scale_service(services[svc % services.len()], target);
+        }
+        ReportOp::Slowdown(d, factor, duration_secs) => {
+            let fault = LiveFault::Slowdown {
+                factor,
+                duration_secs,
+            };
+            s.inject_fault(d % n, fault).expect("finite fault");
+        }
+        ReportOp::Fail(d, repair_secs) => {
+            s.inject_fault(d % n, LiveFault::DeviceFailure { repair_secs })
+                .expect("finite fault");
+        }
+        ReportOp::Report => {}
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+    /// `service_report` (one pass: accrue, fold, count per device) and
+    /// `fold_services` agree bit for bit with the clone-sort-regroup
+    /// fold and the per-service fleet scans they replaced, over random
+    /// step / deploy / scale / slowdown / failure sequences on a fleet
+    /// with warm standbys, at 1 and 4 shards. The reference runs right
+    /// after each report at the same instant, so its accrual is a
+    /// no-op and it folds the partials as they stand once every device
+    /// is accrued: if accruing a later device could touch a partial
+    /// the one pass had already folded, the two would differ.
+    #[test]
+    fn one_pass_report_matches_the_scan_and_sort_reference(
+        seed in 0u64..1_000_000,
+        opseed in proptest::prelude::any::<u64>(),
+        len in 4usize..14,
+    ) {
+        use resilience::{RecoveryPolicy, StandbyPolicy};
+        let ops: Vec<ReportOp> = {
+            let mut rng = simcore::SimRng::seed(opseed);
+            let mut ops: Vec<ReportOp> = (0..len).map(|_| random_report_op(&mut rng)).collect();
+            ops.push(ReportOp::Step(300.0));
+            ops.push(ReportOp::Report);
+            ops
+        };
+        for shards in [1, 4] {
+            let mut profile = FaultProfile::scaled(50.0);
+            profile.recovery = RecoveryPolicy {
+                standby: StandbyPolicy::warm(1),
+                ..profile.recovery
+            };
+            let mut cfg = ClusterConfig::tiny(SystemKind::Mudi, seed).with_faults(profile);
+            cfg.topology = TopologyShape::new(4, 2);
+            cfg.devices = 16;
+            cfg.jobs = 8;
+            cfg.shards = shards;
+            cfg.shard_epoch_secs = 30.0;
+            let mut s = ClusterSession::new_scaled(cfg, 0.002);
+            let mut clock = 0.0;
+            for &op in &ops {
+                apply_report_op(&mut s, &mut clock, op);
+                if !matches!(op, ReportOp::Report) {
+                    continue;
+                }
+                let rows = s.service_report();
+                let (st, now) = s.state_mut();
+                let (want_table, want) = reference_report(st, now);
+                assert_tables_bit_equal(&st.fold_services(), &want_table, want.len());
+                let got: Vec<_> = rows
+                    .iter()
+                    .map(|r| (
+                        r.id,
+                        r.replicas_assigned,
+                        r.replicas_up,
+                        r.requests.to_bits(),
+                        r.violations.to_bits(),
+                        r.in_outage,
+                    ))
+                    .collect();
+                let want: Vec<_> = want
+                    .into_iter()
+                    .map(|(id, a, u, req, viol, out)| (id, a, u, req.to_bits(), viol.to_bits(), out))
+                    .collect();
+                proptest::prop_assert_eq!(got, want, "shards {} op {:?}", shards, op);
+            }
+        }
+    }
+}

@@ -448,7 +448,7 @@ fn session_error(e: &SessionError) -> Response {
         SessionError::UnknownService(_) | SessionError::UnknownDevice(_) => 404,
         SessionError::NoReplica(_) => 503,
         SessionError::DeviceDown(_) | SessionError::DeviceBusy(_) => 409,
-        SessionError::NotGenerative(_) => 400,
+        SessionError::NotGenerative(_) | SessionError::InvalidFault(_) => 400,
     };
     Response::error(status, &e.to_string())
 }

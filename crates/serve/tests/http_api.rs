@@ -203,6 +203,32 @@ fn error_paths_return_clean_statuses() {
     server.stop();
 }
 
+/// JSON `1e999` parses to infinity. A fault carrying it is a client
+/// error, and the session must keep serving afterwards.
+#[test]
+fn non_finite_fault_parameters_are_rejected_and_the_session_survives() {
+    let (server, addr, _app) = boot(29);
+    let advance =
+        request(addr, "POST", "/admin/clock", Some(r#"{"advance_s":600}"#)).expect("request");
+    assert_eq!(advance.status, 200, "{}", advance.body_str());
+    for body in [
+        r#"{"device":3,"kind":"slowdown","duration_s":1e999}"#,
+        r#"{"device":3,"kind":"slowdown","factor":-1e999}"#,
+        r#"{"device":3,"kind":"device-failure","repair_s":1e999}"#,
+    ] {
+        let reply = request(addr, "POST", "/admin/faults", Some(body)).expect("request");
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body_str());
+        assert!(
+            reply.body_str().contains("must be finite"),
+            "{}",
+            reply.body_str()
+        );
+        let infer = request(addr, "POST", "/v1/infer", Some(r#"{"service":0}"#)).expect("request");
+        assert_eq!(infer.status, 200, "after {body}: {}", infer.body_str());
+    }
+    server.stop();
+}
+
 /// A handler that panics while holding the session poisons its mutex.
 /// Later requests must get a clean 503 (over HTTP too) and the pacer
 /// must keep running, instead of every later thread panicking.

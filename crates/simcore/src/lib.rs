@@ -28,7 +28,8 @@ pub mod trace;
 pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson};
 pub use event::{EventQueue, ScheduledEvent};
 pub use metrics::{
-    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, UtilizationIntegrator,
+    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, TreeFolder,
+    UtilizationIntegrator,
 };
 pub use pool::{max_workers, scoped_for_each_mut, scoped_map, scoped_map_workers};
 pub use rng::{MergeKey, SimRng};

@@ -606,27 +606,75 @@ mod tests {
 
 /// Deterministic pairwise tree fold over an already-ordered list.
 ///
-/// The reduction tree's shape depends only on `items.len()`: level by
+/// The reduction tree's shape depends only on the item count: level by
 /// level, element `2i` merges with element `2i+1` (a trailing odd
 /// element is carried up unmerged). Because the shape is fixed, a
 /// non-associative combiner — IEEE-754 float addition, Welford
 /// [`StreamingStats::merge`] — produces bit-identical results wherever
 /// the same ordered inputs are presented, regardless of which threads
 /// or shards computed them. Returns `None` for an empty input.
-pub fn tree_fold<T>(items: Vec<T>, mut merge: impl FnMut(T, T) -> T) -> Option<T> {
-    let mut level = items;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge(a, b)),
-                None => next.push(a),
-            }
-        }
-        level = next;
+///
+/// Streams through a [`TreeFolder`], which owns the tree shape.
+pub fn tree_fold<T>(
+    items: impl IntoIterator<Item = T>,
+    mut merge: impl FnMut(T, T) -> T,
+) -> Option<T> {
+    let mut folder = TreeFolder::new();
+    for item in items {
+        folder.push(item, &mut merge);
     }
-    level.pop()
+    folder.finish(merge)
+}
+
+/// The streaming form of [`tree_fold`]: items arrive one at a time and
+/// are merged as soon as their subtree is complete, so a fold over `n`
+/// items holds at most `log2(n) + 1` partials instead of the whole
+/// list.
+///
+/// The stack is a binary counter: pushing an item adds a level-0
+/// subtree, and any two neighbours of equal level merge (left into
+/// right) into one of the next level — exactly the complete pairs the
+/// level-by-level fold forms. [`TreeFolder::finish`] then collapses the
+/// remaining subtrees right to left, which is where the level-by-level
+/// fold's odd carries land. The result is the same tree, so every merge
+/// is the same operation on the same operands.
+#[derive(Clone, Debug)]
+pub struct TreeFolder<T> {
+    /// `(level, subtree)`, levels strictly decreasing bottom to top.
+    stack: Vec<(u32, T)>,
+}
+
+impl<T> Default for TreeFolder<T> {
+    fn default() -> Self {
+        TreeFolder { stack: Vec::new() }
+    }
+}
+
+impl<T> TreeFolder<T> {
+    /// An empty folder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the next item in fold order.
+    pub fn push(&mut self, mut item: T, mut merge: impl FnMut(T, T) -> T) {
+        let mut level = 0;
+        while self.stack.last().is_some_and(|(top, _)| *top == level) {
+            let (_, left) = self.stack.pop().expect("checked non-empty");
+            item = merge(left, item);
+            level += 1;
+        }
+        self.stack.push((level, item));
+    }
+
+    /// The fold of every pushed item, `None` if there were none.
+    pub fn finish(mut self, mut merge: impl FnMut(T, T) -> T) -> Option<T> {
+        let (_, mut acc) = self.stack.pop()?;
+        while let Some((_, left)) = self.stack.pop() {
+            acc = merge(left, acc);
+        }
+        Some(acc)
+    }
 }
 
 /// Order-insensitive deterministic reduction: sorts `items` by key,
@@ -645,7 +693,7 @@ pub fn fold_ordered<K: Ord, T>(
     mut merge: impl FnMut(T, T) -> T,
 ) -> Option<T> {
     items.sort_by(|a, b| a.0.cmp(&b.0));
-    tree_fold(items.into_iter().map(|(_, t)| t).collect(), &mut merge)
+    tree_fold(items.into_iter().map(|(_, t)| t), &mut merge)
 }
 
 #[cfg(test)]
@@ -661,6 +709,48 @@ mod fold_tests {
         assert_eq!(folded, "(((01)(23))4)");
         assert_eq!(tree_fold(Vec::<u32>::new(), |a, b| a + b), None);
         assert_eq!(tree_fold(vec![7u32], |a, b| a + b), Some(7));
+    }
+
+    /// The level-by-level fold `tree_fold` used before it streamed
+    /// through `TreeFolder`: the reference tree shape.
+    fn level_fold<T>(items: Vec<T>, mut merge: impl FnMut(T, T) -> T) -> Option<T> {
+        let mut level = items;
+        while level.len() > 1 {
+            let mut next = Vec::with_capacity(level.len().div_ceil(2));
+            let mut it = level.into_iter();
+            while let Some(a) = it.next() {
+                match it.next() {
+                    Some(b) => next.push(merge(a, b)),
+                    None => next.push(a),
+                }
+            }
+            level = next;
+        }
+        level.pop()
+    }
+
+    #[test]
+    fn tree_folder_matches_the_level_by_level_fold() {
+        let paren = |a: String, b: String| format!("({a} {b})");
+        for n in 0..=600usize {
+            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            let mut folder = TreeFolder::new();
+            for item in items.clone() {
+                folder.push(item, paren);
+            }
+            assert_eq!(folder.finish(paren), level_fold(items, paren), "n = {n}");
+
+            // Float sums whose value depends on association order.
+            let xs: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.37 + 0.1).powi(5) * 1e7 + 1e-9 / (i + 1) as f64)
+                .collect();
+            let got = tree_fold(xs.clone(), |a, b| a + b).map(f64::to_bits);
+            assert_eq!(
+                got,
+                level_fold(xs, |a, b| a + b).map(f64::to_bits),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
