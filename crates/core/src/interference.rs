@@ -283,7 +283,13 @@ impl InterferenceModeler {
     /// Which learner kind won the per-metric selection (Fig. 11's
     /// annotation above each bar).
     pub fn chosen_kind(&self, service: ServiceId, target: TargetParam) -> Option<RegressorKind> {
-        Some(self.per_service.get(&service)?.models[&target].kind)
+        Some(self.selection(service, target)?.kind)
+    }
+
+    /// The full model-selection outcome for one service/target: the
+    /// winner and every candidate's cross-validation error.
+    pub fn selection(&self, service: ServiceId, target: TargetParam) -> Option<&SelectionReport> {
+        Some(&self.per_service.get(&service)?.models[&target])
     }
 
     /// Incrementally adds newly fitted curves (e.g. from online

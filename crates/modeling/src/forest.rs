@@ -76,12 +76,22 @@ impl RandomForest {
         // sklearn convention); diversity comes from bagging alone, which
         // matters for the small feature vectors used here.
         let mtry = width.max(1);
+        let mut builder = TreeBuilder {
+            data,
+            min_leaf: min_leaf.max(1),
+            mtry,
+            features: Vec::with_capacity(width),
+            values: Vec::with_capacity(n),
+            spill: Vec::with_capacity(n),
+        };
+        let mut idx = Vec::with_capacity(n);
         let trees = (0..n_trees)
             .map(|t| {
                 let mut tree_rng = rng.fork_indexed("tree", t);
                 // Bootstrap sample.
-                let idx: Vec<usize> = (0..n).map(|_| tree_rng.uniform_usize(0, n)).collect();
-                build_tree(data, &idx, min_leaf.max(1), mtry, 0, &mut tree_rng)
+                idx.clear();
+                idx.extend((0..n).map(|_| tree_rng.uniform_usize(0, n)));
+                builder.build(&mut idx, 0, &mut tree_rng)
             })
             .collect();
         Some(RandomForest { trees })
@@ -121,80 +131,117 @@ fn sse_of(data: &Dataset, idx: &[usize], mean: f64) -> f64 {
         .sum::<f64>()
 }
 
-fn build_tree(
-    data: &Dataset,
-    idx: &[usize],
+/// Grows one forest's trees. Every node refills the buffers before it
+/// recurses, so one set serves the whole forest.
+struct TreeBuilder<'a> {
+    data: &'a Dataset,
     min_leaf: usize,
     mtry: usize,
-    depth: usize,
-    rng: &mut SimRng,
-) -> Node {
-    let mean = mean_of(data, idx);
-    if idx.len() < 2 * min_leaf || depth >= MAX_DEPTH {
-        return Node::Leaf { value: mean };
-    }
-    let parent_sse = sse_of(data, idx, mean);
-    if parent_sse < 1e-12 {
-        return Node::Leaf { value: mean };
-    }
+    features: Vec<usize>,
+    /// `(feature value, target)` per sample at the current node.
+    values: Vec<(f64, f64)>,
+    /// The right child's indices while a node partitions.
+    spill: Vec<usize>,
+}
 
-    // Random feature subset for this split.
-    let width = data.width();
-    let mut features: Vec<usize> = (0..width).collect();
-    rng.shuffle(&mut features);
-    features.truncate(mtry);
+impl TreeBuilder<'_> {
+    /// Grows the subtree over the samples `idx`, which it reorders in
+    /// place: the left child's samples first, then the right child's,
+    /// each in their original order, so every sum visits the same
+    /// samples in the same order a freshly collected child would.
+    fn build(&mut self, idx: &mut [usize], depth: usize, rng: &mut SimRng) -> Node {
+        let data = self.data;
+        let min_leaf = self.min_leaf;
+        let mean = mean_of(data, idx);
+        if idx.len() < 2 * min_leaf || depth >= MAX_DEPTH {
+            return Node::Leaf { value: mean };
+        }
+        let parent_sse = sse_of(data, idx, mean);
+        if parent_sse < 1e-12 {
+            return Node::Leaf { value: mean };
+        }
 
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-    for &f in &features {
-        let mut values: Vec<(f64, f64)> = idx
-            .iter()
-            .map(|&i| (data.features[i][f], data.targets[i]))
-            .collect();
-        values.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+        // Random feature subset for this split.
+        self.features.clear();
+        self.features.extend(0..data.width());
+        rng.shuffle(&mut self.features);
+        self.features.truncate(self.mtry);
 
-        // Prefix sums for O(n) split evaluation.
-        let n = values.len();
-        let total: f64 = values.iter().map(|v| v.1).sum();
-        let total_sq: f64 = values.iter().map(|v| v.1 * v.1).sum();
-        let mut left_sum = 0.0;
-        let mut left_sq = 0.0;
-        for (pos, window) in values.windows(2).enumerate() {
-            left_sum += window[0].1;
-            left_sq += window[0].1 * window[0].1;
-            let left_n = pos + 1;
-            let right_n = n - left_n;
-            if window[0].0 == window[1].0 {
-                continue; // No split between equal feature values.
-            }
-            if left_n < min_leaf || right_n < min_leaf {
-                continue;
-            }
-            let left_mean = left_sum / left_n as f64;
-            let right_sum = total - left_sum;
-            let right_mean = right_sum / right_n as f64;
-            let sse = (left_sq - left_n as f64 * left_mean * left_mean)
-                + ((total_sq - left_sq) - right_n as f64 * right_mean * right_mean);
-            let threshold = (window[0].0 + window[1].0) / 2.0;
-            if best.is_none_or(|(_, _, b)| sse < b) {
-                best = Some((f, threshold, sse));
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+        for &f in &self.features {
+            let values = &mut self.values;
+            values.clear();
+            values.extend(idx.iter().map(|&i| (data.features[i][f], data.targets[i])));
+            values.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+
+            // Prefix sums for O(n) split evaluation.
+            let n = values.len();
+            let total: f64 = values.iter().map(|v| v.1).sum();
+            let total_sq: f64 = values.iter().map(|v| v.1 * v.1).sum();
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for (pos, window) in values.windows(2).enumerate() {
+                left_sum += window[0].1;
+                left_sq += window[0].1 * window[0].1;
+                let left_n = pos + 1;
+                let right_n = n - left_n;
+                if window[0].0 == window[1].0 {
+                    continue; // No split between equal feature values.
+                }
+                if left_n < min_leaf || right_n < min_leaf {
+                    continue;
+                }
+                let left_mean = left_sum / left_n as f64;
+                let right_sum = total - left_sum;
+                let right_mean = right_sum / right_n as f64;
+                let sse = (left_sq - left_n as f64 * left_mean * left_mean)
+                    + ((total_sq - left_sq) - right_n as f64 * right_mean * right_mean);
+                let threshold = (window[0].0 + window[1].0) / 2.0;
+                if best.is_none_or(|(_, _, b)| sse < b) {
+                    best = Some((f, threshold, sse));
+                }
             }
         }
-    }
 
-    match best {
-        Some((feature, threshold, sse)) if sse < parent_sse - 1e-12 => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-                .iter()
-                .partition(|&&i| data.features[i][feature] <= threshold);
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(build_tree(data, &left_idx, min_leaf, mtry, depth + 1, rng)),
-                right: Box::new(build_tree(data, &right_idx, min_leaf, mtry, depth + 1, rng)),
+        match best {
+            Some((feature, threshold, sse)) if sse < parent_sse - 1e-12 => {
+                let split = partition_stable(idx, &mut self.spill, |i| {
+                    data.features[i][feature] <= threshold
+                });
+                let (left_idx, right_idx) = idx.split_at_mut(split);
+                Node::Split {
+                    feature,
+                    threshold,
+                    left: Box::new(self.build(left_idx, depth + 1, rng)),
+                    right: Box::new(self.build(right_idx, depth + 1, rng)),
+                }
             }
+            _ => Node::Leaf { value: mean },
         }
-        _ => Node::Leaf { value: mean },
     }
+}
+
+/// Moves the entries of `idx` that satisfy `left` to its front and the
+/// rest behind them, both groups keeping their order. Returns the size
+/// of the front group; `spill` is scratch for the back one.
+fn partition_stable(
+    idx: &mut [usize],
+    spill: &mut Vec<usize>,
+    left: impl Fn(usize) -> bool,
+) -> usize {
+    spill.clear();
+    let mut front = 0;
+    for k in 0..idx.len() {
+        let i = idx[k];
+        if left(i) {
+            idx[front] = i;
+            front += 1;
+        } else {
+            spill.push(i);
+        }
+    }
+    idx[front..].copy_from_slice(spill);
+    front
 }
 
 #[cfg(test)]

@@ -4,6 +4,14 @@
 //! Tab. 2 and as one of the Interference Modeler's candidate learners.
 //! The network is fully connected with tanh activations and a linear
 //! output; inputs and the target are standardized internally.
+//!
+//! Training is the Interference Modeler's hottest loop (every session
+//! boot cross-validates this learner), so its steady state allocates
+//! nothing: weights are stored flat, and activations, gradients and
+//! deltas live in scratch buffers allocated once per
+//! [`MlpRegressor::train`]. Every sum still adds its terms in the order
+//! of the naive nested-`Vec` formulation, starting from `-0.0` as std's
+//! `Sum for f64` does, so the trained weights are bit-identical to it.
 
 use simcore::SimRng;
 
@@ -12,46 +20,53 @@ use crate::regressor::{Dataset, Regressor, Standardizer};
 /// One dense layer: `y = W x + b` with optional tanh.
 #[derive(Clone, Debug)]
 struct Layer {
-    weights: Vec<Vec<f64>>, // [out][in]
+    outputs: usize,
+    /// Column-major: the weight from input `j` to output `o` is
+    /// `weights[j * outputs + o]`, so one input's fan-out is contiguous.
+    weights: Vec<f64>,
     biases: Vec<f64>,
     tanh: bool,
 }
 
 impl Layer {
     fn new(inputs: usize, outputs: usize, tanh: bool, rng: &mut SimRng) -> Self {
-        // Xavier-style initialization.
+        // Xavier-style initialization, drawn output by output.
         let scale = (2.0 / (inputs + outputs) as f64).sqrt();
+        let mut weights = vec![0.0; inputs * outputs];
+        for o in 0..outputs {
+            for j in 0..inputs {
+                weights[j * outputs + o] = (rng.f64() * 2.0 - 1.0) * scale;
+            }
+        }
         Layer {
-            weights: (0..outputs)
-                .map(|_| {
-                    (0..inputs)
-                        .map(|_| (rng.f64() * 2.0 - 1.0) * scale)
-                        .collect()
-                })
-                .collect(),
+            outputs,
+            weights,
             biases: vec![0.0; outputs],
             tanh,
         }
     }
 
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let pre: Vec<f64> = self
-            .weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(w, &b)| crate::linalg::dot(w, x) + b)
-            .collect();
-        let post = if self.tanh {
-            pre.iter().map(|&z| z.tanh()).collect()
-        } else {
-            pre.clone()
-        };
-        (pre, post)
+    /// Writes the layer's activations for input `x` into `out`.
+    ///
+    /// All outputs accumulate in one pass over the inputs; each output
+    /// still adds its products in ascending input order from `-0.0`,
+    /// exactly as a per-output `dot(...).sum()` would.
+    fn forward_into(&self, x: &[f64], out: &mut [f64]) {
+        out.fill(-0.0);
+        for (&xj, column) in x.iter().zip(self.weights.chunks_exact(self.outputs)) {
+            for (acc, &w) in out.iter_mut().zip(column) {
+                *acc += w * xj;
+            }
+        }
+        for (y, &b) in out.iter_mut().zip(&self.biases) {
+            let z = *y + b;
+            *y = if self.tanh { z.tanh() } else { z };
+        }
     }
 }
 
 /// Adam optimizer state for one parameter tensor.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -59,23 +74,55 @@ struct Adam {
 }
 
 impl Adam {
+    fn new(len: usize) -> Self {
+        Adam {
+            m: vec![0.0; len],
+            v: vec![0.0; len],
+            t: 0,
+        }
+    }
+
     fn step(&mut self, params: &mut [f64], grads: &[f64], lr: f64) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;
-        if self.m.is_empty() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-        }
         self.t += 1;
         let bc1 = 1.0 - B1.powi(self.t as i32);
         let bc2 = 1.0 - B2.powi(self.t as i32);
-        for i in 0..params.len() {
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * grads[i];
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * grads[i] * grads[i];
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            params[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = B1 * *m + (1.0 - B1) * g;
+            *v = B2 * *v + (1.0 - B2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + EPS);
+        }
+    }
+}
+
+/// Per-[`MlpRegressor::train`] buffers, zeroed and reused every batch.
+/// The two delta buffers reach their widest layer's size on the first
+/// sample and keep that capacity.
+struct Scratch {
+    /// `acts[l]`: layer `l`'s output activations for the current sample.
+    acts: Vec<Vec<f64>>,
+    /// Per-layer weight gradients, laid out like [`Layer::weights`].
+    w_grads: Vec<Vec<f64>>,
+    b_grads: Vec<Vec<f64>>,
+    /// Gradient with respect to the current layer's outputs, and the
+    /// buffer its propagation to the layer's inputs is written into.
+    delta: Vec<f64>,
+    delta_prev: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(layers: &[Layer]) -> Self {
+        Scratch {
+            acts: layers.iter().map(|l| vec![0.0; l.outputs]).collect(),
+            w_grads: layers.iter().map(|l| vec![0.0; l.weights.len()]).collect(),
+            b_grads: layers.iter().map(|l| vec![0.0; l.outputs]).collect(),
+            delta: Vec::new(),
+            delta_prev: Vec::new(),
         }
     }
 }
@@ -133,8 +180,9 @@ impl MlpRegressor {
 
         let mut adams: Vec<(Adam, Adam)> = layers
             .iter()
-            .map(|_| (Adam::default(), Adam::default()))
+            .map(|l| (Adam::new(l.weights.len()), Adam::new(l.outputs)))
             .collect();
+        let mut scratch = Scratch::new(&layers);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut shuffle_rng = rng.fork("mlp-shuffle");
         const BATCH: usize = 8;
@@ -142,7 +190,7 @@ impl MlpRegressor {
         for _ in 0..epochs {
             shuffle_rng.shuffle(&mut order);
             for chunk in order.chunks(BATCH) {
-                train_batch(&mut layers, &mut adams, &xs, &ys, chunk, lr);
+                train_batch(&mut layers, &mut adams, &mut scratch, &xs, &ys, chunk, lr);
             }
         }
 
@@ -158,82 +206,84 @@ impl MlpRegressor {
 fn train_batch(
     layers: &mut [Layer],
     adams: &mut [(Adam, Adam)],
+    s: &mut Scratch,
     xs: &[Vec<f64>],
     ys: &[f64],
     batch: &[usize],
     lr: f64,
 ) {
-    // Accumulate gradients over the batch.
-    let mut w_grads: Vec<Vec<f64>> = layers
-        .iter()
-        .map(|l| vec![0.0; l.weights.len() * l.weights[0].len()])
-        .collect();
-    let mut b_grads: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
-
+    // Accumulate gradients over the batch, sample by sample.
+    for g in s.w_grads.iter_mut().chain(&mut s.b_grads) {
+        g.fill(0.0);
+    }
+    let last = layers.len() - 1;
     for &i in batch {
         // Forward pass, caching activations.
-        let mut activations = vec![xs[i].clone()];
-        let mut pres = Vec::new();
-        for layer in layers.iter() {
-            let (pre, post) = layer.forward(activations.last().expect("nonempty"));
-            pres.push(pre);
-            activations.push(post);
+        let x = xs[i].as_slice();
+        for (l, layer) in layers.iter().enumerate() {
+            let (done, rest) = s.acts.split_at_mut(l);
+            let input = done.last().map_or(x, Vec::as_slice);
+            layer.forward_into(input, &mut rest[0]);
         }
-        let pred = activations.last().expect("output layer")[0];
         // d(MSE)/d(pred), per-example.
-        let mut delta = vec![2.0 * (pred - ys[i]) / batch.len() as f64];
+        s.delta.clear();
+        s.delta
+            .push(2.0 * (s.acts[last][0] - ys[i]) / batch.len() as f64);
 
         // Backward pass.
         for (l, layer) in layers.iter().enumerate().rev() {
-            // Through the activation.
-            let dz: Vec<f64> = if layer.tanh {
-                delta
-                    .iter()
-                    .zip(&pres[l])
-                    .map(|(&d, &z)| d * (1.0 - z.tanh().powi(2)))
-                    .collect()
-            } else {
-                delta.clone()
-            };
-            let input = &activations[l];
-            let in_dim = input.len();
-            for (o, &dzo) in dz.iter().enumerate() {
-                b_grads[l][o] += dzo;
-                for (j, &xj) in input.iter().enumerate() {
-                    w_grads[l][o * in_dim + j] += dzo * xj;
+            // Through the activation: tanh' = 1 - tanh², from the
+            // stored output rather than a second tanh.
+            if layer.tanh {
+                for (d, &a) in s.delta.iter_mut().zip(&s.acts[l]) {
+                    *d *= 1.0 - a.powi(2);
+                }
+            }
+            let input = if l == 0 { x } else { &s.acts[l - 1] };
+            for (gb, &dz) in s.b_grads[l].iter_mut().zip(&s.delta) {
+                *gb += dz;
+            }
+            for (&xj, g_column) in input
+                .iter()
+                .zip(s.w_grads[l].chunks_exact_mut(layer.outputs))
+            {
+                for (g, &dz) in g_column.iter_mut().zip(&s.delta) {
+                    *g += dz * xj;
                 }
             }
             // Propagate to the previous layer.
             if l > 0 {
-                delta = (0..in_dim)
-                    .map(|j| {
-                        dz.iter()
-                            .enumerate()
-                            .map(|(o, &dzo)| dzo * layer.weights[o][j])
-                            .sum()
-                    })
-                    .collect();
+                s.delta_prev.clear();
+                s.delta_prev
+                    .extend(layer.weights.chunks_exact(layer.outputs).map(|column| {
+                        s.delta
+                            .iter()
+                            .zip(column)
+                            .map(|(&dz, &w)| dz * w)
+                            .sum::<f64>()
+                    }));
+                std::mem::swap(&mut s.delta, &mut s.delta_prev);
             }
         }
     }
 
-    // Apply Adam updates.
-    for (l, layer) in layers.iter_mut().enumerate() {
-        let in_dim = layer.weights[0].len();
-        let mut flat: Vec<f64> = layer.weights.iter().flatten().copied().collect();
-        adams[l].0.step(&mut flat, &w_grads[l], lr);
-        for (o, row) in layer.weights.iter_mut().enumerate() {
-            row.copy_from_slice(&flat[o * in_dim..(o + 1) * in_dim]);
-        }
-        adams[l].1.step(&mut layer.biases, &b_grads[l], lr);
+    // Apply Adam updates in place.
+    let grads = s.w_grads.iter().zip(&s.b_grads);
+    for ((layer, (w_adam, b_adam)), (w_grad, b_grad)) in layers.iter_mut().zip(adams).zip(grads) {
+        w_adam.step(&mut layer.weights, w_grad, lr);
+        b_adam.step(&mut layer.biases, b_grad, lr);
     }
 }
 
 impl Regressor for MlpRegressor {
     fn predict(&self, features: &[f64]) -> f64 {
         let mut x = self.standardizer.apply(features);
+        let mut y = Vec::new();
         for layer in &self.layers {
-            x = layer.forward(&x).1;
+            y.clear();
+            y.resize(layer.outputs, 0.0);
+            layer.forward_into(&x, &mut y);
+            std::mem::swap(&mut x, &mut y);
         }
         x[0] * self.target_std + self.target_mean
     }

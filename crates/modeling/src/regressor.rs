@@ -178,17 +178,17 @@ impl Standardizer {
         Standardizer { means, stds }
     }
 
-    /// Refits the column statistics in place from flat row-major data
-    /// with `width` columns, reusing the existing buffers. Replays the
-    /// exact [`Standardizer::fit`] arithmetic (same accumulation
-    /// order), so the results are bit-identical to a fresh fit on the
-    /// equivalent nested rows.
     /// Reserves per-feature buffers for refits up to `width` features.
     pub fn reserve(&mut self, width: usize) {
         self.means.reserve(width.saturating_sub(self.means.len()));
         self.stds.reserve(width.saturating_sub(self.stds.len()));
     }
 
+    /// Refits the column statistics in place from flat row-major data
+    /// with `width` columns, reusing the existing buffers. Replays the
+    /// exact [`Standardizer::fit`] arithmetic (same accumulation
+    /// order), so the results are bit-identical to a fresh fit on the
+    /// equivalent nested rows.
     pub fn refit_flat(&mut self, xs: &[f64], width: usize) {
         self.means.clear();
         self.means.resize(width, 0.0);

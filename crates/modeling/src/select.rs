@@ -32,8 +32,10 @@ impl std::fmt::Debug for SelectionReport {
 /// Selects the best regressor for the dataset by k-fold cross
 /// validation on mean absolute error.
 ///
-/// Falls back to leave-none-out training (no CV) when the dataset is
-/// smaller than `folds`; in that case the first trainable kind wins.
+/// Only finite CV errors are ranked and reported: a NaN or infinite
+/// target can poison any learner's error. Falls back to leave-none-out
+/// training (no CV) when the dataset is smaller than `folds` or no
+/// error is finite; in that case the first trainable kind wins.
 /// Returns `None` when no candidate can be trained at all.
 pub fn select_best_model(
     data: &Dataset,
@@ -48,7 +50,7 @@ pub fn select_best_model(
     if data.len() >= folds.max(2) {
         let splits = kfold_indices(data.len(), folds.max(2));
         for kind in RegressorKind::ALL {
-            if let Some(err) = cross_validate(kind, data, &splits, rng) {
+            if let Some(err) = cross_validate(kind, data, &splits, rng).filter(|e| e.is_finite()) {
                 cv_errors.push((kind, err));
             }
         }
@@ -56,10 +58,11 @@ pub fn select_best_model(
 
     let best_kind = cv_errors
         .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite CV errors"))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|&(k, _)| k)
         .or_else(|| {
-            // Tiny dataset: pick the first kind that trains.
+            // Tiny dataset or no finite error: pick the first kind
+            // that trains.
             RegressorKind::ALL
                 .into_iter()
                 .find(|k| k.train(data, &mut rng.fork("probe")).is_some())
@@ -138,6 +141,27 @@ mod tests {
         let report = select_best_model(&d, 5, &mut rng).unwrap();
         assert!(report.cv_errors.is_empty());
         let _ = report.model.predict(&[1.5]);
+    }
+
+    #[test]
+    fn nan_target_ranks_only_finite_errors() {
+        let mut d = Dataset::new();
+        for i in 0..24 {
+            d.push(vec![i as f64, (i % 3) as f64], i as f64 * 0.5);
+        }
+        d.targets[7] = f64::NAN;
+        let mut rng = SimRng::seed(6);
+        let report = select_best_model(&d, 4, &mut rng).expect("a kind still trains");
+        assert!(
+            report.cv_errors.iter().all(|(_, e)| e.is_finite()),
+            "{:?}",
+            report.cv_errors
+        );
+
+        // No finite error at all: fall back as for a tiny dataset.
+        d.targets.fill(f64::NAN);
+        let report = select_best_model(&d, 4, &mut rng).expect("a kind still trains");
+        assert!(report.cv_errors.is_empty(), "{:?}", report.cv_errors);
     }
 
     #[test]

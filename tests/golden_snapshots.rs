@@ -296,3 +296,48 @@ fn load_sensitivity_matches_golden() {
         &render_series(&multipliers, &results),
     );
 }
+
+/// Pins the Interference Modeler's fit bit for bit: every (service,
+/// target, learner) 4-fold cross-validation MAE as `f64::to_bits` hex,
+/// plus the learner selection keeps. Each zoo is profiled and fitted on
+/// the inputs a seed-1 Mudi session boots from, so any change to a
+/// learner's arithmetic — even one that leaves the simulated cluster
+/// unchanged — fails here.
+#[test]
+fn predictor_fit_matches_golden() {
+    use modeling::RegressorKind;
+    use mudi::interference::TargetParam;
+    use mudi::{InterferenceModeler, LatencyProfiler, MudiConfig};
+    use simcore::SimRng;
+    use workloads::{GroundTruth, Zoo};
+
+    let seed = 1u64;
+    let mut out = String::new();
+    for (label, zoo) in [("standard", Zoo::standard()), ("llms", Zoo::with_llms())] {
+        let gt = GroundTruth::new(zoo, seed ^ 0xA100);
+        let profiler = LatencyProfiler::new(MudiConfig::default());
+        let mut rng = SimRng::seed(seed).fork("system").fork("offline-profiling");
+        let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
+        let modeler = InterferenceModeler::train(&db, &mut rng).expect("non-empty database");
+        let _ = writeln!(out, "== zoo {label} ==");
+        for service in modeler.services() {
+            let name = gt.zoo().service(service).name;
+            for target in TargetParam::ALL {
+                let report = modeler.selection(service, target).expect("trained target");
+                let _ = write!(out, "{name} {}", target.name());
+                for kind in RegressorKind::ALL {
+                    match report.cv_errors.iter().find(|(k, _)| *k == kind) {
+                        Some((_, mae)) => {
+                            let _ = write!(out, " {}={:016x}", kind.name(), mae.to_bits());
+                        }
+                        None => {
+                            let _ = write!(out, " {}=-", kind.name());
+                        }
+                    }
+                }
+                let _ = writeln!(out, " best={}", report.kind.name());
+            }
+        }
+    }
+    check_golden("predictor_fit.txt", &out);
+}
