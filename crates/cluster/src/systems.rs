@@ -26,6 +26,10 @@ use mudi::{
 use simcore::SimRng;
 use workloads::{ColoWorkload, GroundTruth, ServiceId, TaskId};
 
+mod p99_memo;
+
+use p99_memo::{P99Memo, COLO_CAP};
+
 /// Which system drives the cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SystemKind {
@@ -227,6 +231,8 @@ pub struct MudiSystem {
     predictor: InterferencePredictor,
     selector: DeviceSelector,
     tuner: Tuner,
+    /// The tuner's ground-truth P99 probes, memoized per replica.
+    p99_memo: P99Memo,
 }
 
 impl MudiSystem {
@@ -260,6 +266,7 @@ impl MudiSystem {
             tuner: Tuner::new(config.clone()),
             config,
             predictor,
+            p99_memo: P99Memo::new(),
         }
     }
 }
@@ -325,19 +332,7 @@ impl Multiplexer for MudiSystem {
         // co-location views are built in fixed stack buffers (a device
         // hosts at most MAX_TRAININGS_PER_GPU trainings plus one
         // inference replica) so a tuning pass never allocates.
-        const COLO_CAP: usize = gpu_sim::device::MAX_TRAININGS_PER_GPU + 1;
-        let colo_at = |frac: f64| -> ([ColoWorkload; COLO_CAP], usize) {
-            let share = if tasks.is_empty() {
-                0.0
-            } else {
-                ((1.0 - frac) / tasks.len() as f64).max(0.01)
-            };
-            let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_CAP];
-            for (slot, &t) in buf.iter_mut().zip(tasks) {
-                *slot = ColoWorkload::training(t, share);
-            }
-            (buf, tasks.len())
-        };
+        let p99_memo = &mut self.p99_memo;
         let outcome = self.tuner.tune(
             &self.predictor,
             service,
@@ -370,10 +365,7 @@ impl Multiplexer for MudiSystem {
             // Online tail-latency measurement (§5.3.1's live constraint
             // feedback): the Service Agent reports the observed P99
             // under the probed configuration.
-            |batch, frac| {
-                let (colo, n) = colo_at(frac);
-                gt.p99_inference_latency(service, batch, frac, &colo[..n])
-            },
+            |batch, frac| p99_memo.p99(gt, service, batch, frac, tasks),
             rng,
         );
         ConfigDecision {

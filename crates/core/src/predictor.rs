@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use modeling::fit::piecewise::PiecewiseLinear;
-use simcore::SimRng;
+use simcore::{MulBuildHasher, SimRng};
 use workloads::{GroundTruth, NetworkArchitecture, ServiceId, TaskId};
 
 use crate::interference::InterferenceModeler;
@@ -32,6 +32,9 @@ const _: () = {
     assert_send_sync::<InterferenceFit>();
 };
 
+type CurveMemo =
+    HashMap<(ServiceId, NetworkArchitecture, u32), Option<PiecewiseLinear>, MulBuildHasher>;
+
 /// The online latency-curve predictor: a shared [`InterferenceFit`]
 /// plus this owner's memo of modeler answers.
 pub struct InterferencePredictor {
@@ -41,8 +44,10 @@ pub struct InterferencePredictor {
     /// for the same handful of `(service, merged arch, batch)` keys on
     /// every retune, so the steady-state stepping loop hits this cache
     /// and never re-runs the four learner predictions. Each replica
-    /// keeps its own memo, so a lane's hot path takes no lock.
-    memo: RefCell<HashMap<(ServiceId, NetworkArchitecture, u32), Option<PiecewiseLinear>>>,
+    /// keeps its own memo, so a lane's hot path takes no lock. The
+    /// 13-word key is hashed with [`simcore::MulHasher`], a fraction of
+    /// SipHash's cost.
+    memo: RefCell<CurveMemo>,
 }
 
 impl InterferencePredictor {
@@ -57,7 +62,7 @@ impl InterferencePredictor {
     fn from_fit(fit: Arc<InterferenceFit>) -> Self {
         InterferencePredictor {
             fit,
-            memo: RefCell::new(HashMap::new()),
+            memo: RefCell::new(HashMap::default()),
         }
     }
 

@@ -55,6 +55,11 @@ pub struct TuningOutcome {
     pub feasible: bool,
 }
 
+/// The most configurations one tuning pass can evaluate: the search
+/// tries each batch candidate at most once and stops at its budget, so
+/// a pass evaluates at most `min(candidates, bo_max_iters)` of them.
+const MAX_PROBES: usize = 32;
+
 /// The per-device tuner.
 pub struct Tuner {
     config: MudiConfig,
@@ -69,7 +74,16 @@ pub struct Tuner {
 
 impl Tuner {
     /// Creates a tuner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pass could evaluate more than 32 configurations,
+    /// i.e. both the candidate set and the iteration budget exceed 32.
     pub fn new(config: MudiConfig) -> Self {
+        assert!(
+            config.batch_candidates.len().min(config.bo_max_iters) <= MAX_PROBES,
+            "a tuning pass may evaluate at most {MAX_PROBES} configurations"
+        );
         let bo = GpLcbTuner::new(config.batch_candidates_f64(), config.bo_max_iters);
         // Pre-size the search buffers for the candidate count so even
         // the first tuning pass — and every later one — runs without
@@ -98,7 +112,11 @@ impl Tuner {
     ///   continuously updating the surrogate" (§5.3.1): feasibility is
     ///   seeded by the predictor but *verified and corrected* against
     ///   live measurements, which keeps prediction error from either
-    ///   pausing viable co-locations or admitting violating ones.
+    ///   pausing viable co-locations or admitting violating ones. A pass
+    ///   observes each `(batch, inference_fraction)` it probes once, and
+    ///   the outcome is the winning probe's configuration as measured
+    ///   during the search — it is not measured again, so a later
+    ///   reading cannot contradict the verdict the search acted on.
     /// * `tokens_per_request` — `0.0` for request-batched (classifier)
     ///   services. Positive for generative services decoding under
     ///   continuous batching: the batch candidate is then the
@@ -157,11 +175,18 @@ impl Tuner {
                 .unwrap_or(hi);
             let measured = observe_p99(batch, frac);
             if measured > target {
-                // Escalate proportionally to the miss and re-verify.
-                frac = (frac * (measured / target).min(3.0)).min(hi);
-                if observe_p99(batch, frac) > relaxed {
+                // Escalate proportionally to the miss and re-verify (a
+                // fraction already at the cap was just measured).
+                let escalated = (frac * (measured / target).min(3.0)).min(hi);
+                let verified = if escalated == frac {
+                    measured
+                } else {
+                    observe_p99(batch, escalated)
+                };
+                if verified > relaxed {
                     return None;
                 }
+                frac = escalated;
             } else if measured < target * 0.5 && frac > lo + 1e-9 {
                 // The prediction over-provisioned: walk the partition
                 // down while measurements stay within budget, then put
@@ -179,23 +204,28 @@ impl Tuner {
         };
 
         // GP-LCB over the batch candidates, minimizing observed
-        // iteration time among SLO-feasible candidates.
+        // iteration time among SLO-feasible candidates. Each feasible
+        // probe is logged as (batch, fraction, iteration time) so the
+        // winner's fraction is read back rather than recomputed.
         let mut ws = self.ws.borrow_mut();
-        let mut chosen: Option<(u32, f64)> = None;
+        let mut probes = [(0u32, 0.0f64, 0.0f64); MAX_PROBES];
+        let mut probed = 0usize;
         let result = self.bo.run_with(&mut ws, rng, |b| {
             let batch = b as u32;
             let frac = required(batch, &mut observe_p99)?;
-            if chosen.is_none_or(|(cb, _)| cb != batch) {
-                chosen = Some((batch, frac));
-            }
-            Some(observe_iteration(batch, frac))
+            let iteration = observe_iteration(batch, frac);
+            probes[probed] = (batch, frac, iteration);
+            probed += 1;
+            Some(iteration)
         });
 
         match result {
             Some(r) => {
                 let batch = r.best as u32;
-                let fraction = required(batch, &mut observe_p99)
-                    .expect("winning candidate was feasible during the search");
+                let (_, fraction, _) = *probes[..probed]
+                    .iter()
+                    .find(|&&(b, _, y)| b == batch && y.to_bits() == r.best_objective.to_bits())
+                    .expect("the search's best is one of its probes");
                 TuningOutcome {
                     batch,
                     gpu_fraction: fraction,
@@ -423,6 +453,46 @@ mod tests {
         );
         assert!(!out.feasible);
         assert_eq!(out.gpu_fraction, 0.90);
+    }
+
+    #[test]
+    fn outcome_is_not_remeasured_after_the_search() {
+        // A drifting oracle: every batch measures as the ground truth on
+        // its first probe and as infinitely slow on any later one. The
+        // pass must return the configuration the search verified, not
+        // probe the winner again (which would read it as infeasible).
+        let f = fixture();
+        let svc = f.gt.zoo().service_by_name("BERT").unwrap();
+        let task = f.gt.zoo().task_by_name("VGG16").unwrap();
+        let gt = &f.gt;
+        let mut seen = Vec::new();
+        let mut searched = Vec::new();
+        let out = f.tuner.tune(
+            &f.predictor,
+            svc.id,
+            svc.slo_secs(),
+            200.0,
+            0.0,
+            &task.arch,
+            |batch, frac| {
+                searched.push((batch, frac));
+                1.0 / (1.0 - frac).max(0.05) + batch as f64 * 1e-3
+            },
+            |batch, frac| {
+                if seen.contains(&batch) {
+                    return f64::INFINITY;
+                }
+                seen.push(batch);
+                let colo = [ColoWorkload::training(task.id, (1.0f64 - frac).max(0.01))];
+                gt.p99_inference_latency(svc.id, batch, frac, &colo)
+            },
+            &mut SimRng::seed(1),
+        );
+        assert!(out.feasible);
+        assert!(
+            searched.contains(&(out.batch, out.gpu_fraction)),
+            "{out:?} not among {searched:?}"
+        );
     }
 
     #[test]

@@ -19,9 +19,10 @@ use simcore::SimRng;
 use crate::gp::{GaussianProcess, GpScratch};
 
 /// Reusable buffers for [`GpLcbTuner::run_with`]: the candidate masks,
-/// the observation log, and the GP surrogate with its prediction
-/// scratch. A long-lived workspace makes repeated searches
-/// allocation-free once every buffer has grown to the candidate count.
+/// the observation log, the GP surrogate with its prediction scratch,
+/// and each candidate's posterior under the current fit. A long-lived
+/// workspace makes repeated searches allocation-free once every buffer
+/// has grown to the candidate count.
 #[derive(Clone, Debug, Default)]
 pub struct BoWorkspace {
     feasible: Vec<bool>,
@@ -32,6 +33,9 @@ pub struct BoWorkspace {
     to_try: Vec<usize>,
     gp: GaussianProcess,
     scratch: GpScratch,
+    /// Posterior `(μ, σ)` per candidate under the current fit; valid for
+    /// the candidates that were untried and feasible when it was fitted.
+    posterior: Vec<(f64, f64)>,
 }
 
 impl BoWorkspace {
@@ -45,6 +49,7 @@ impl BoWorkspace {
         self.observed_x.reserve(candidates);
         self.observed_y.reserve(candidates);
         self.to_try.reserve(2);
+        self.posterior.reserve(candidates);
         self.gp.reserve(candidates, 1);
         self.scratch.reserve(candidates, 1);
     }
@@ -133,25 +138,37 @@ impl GpLcbTuner {
     /// [`GpLcbTuner::run`] through a caller-owned [`BoWorkspace`] —
     /// identical search (same RNG draws, same proposals), but repeated
     /// runs reuse the workspace buffers instead of allocating.
+    ///
+    /// The GP is refitted only when an observation arrived since the
+    /// last fit. An infeasible probe adds none, and the fit and every
+    /// posterior are pure functions of the observations, so the next
+    /// proposal reuses them and recomputes only the LCB under the new
+    /// βₙ: the proposals are exactly those of refitting every time.
     pub fn run_with(
         &self,
         ws: &mut BoWorkspace,
         rng: &mut SimRng,
         mut objective: impl FnMut(f64) -> Option<f64>,
     ) -> Option<BoResult> {
+        let len = self.candidates.len();
         ws.feasible.clear();
-        ws.feasible.resize(self.candidates.len(), true);
+        ws.feasible.resize(len, true);
         ws.tried.clear();
-        ws.tried.resize(self.candidates.len(), false);
+        ws.tried.resize(len, false);
+        ws.posterior.clear();
+        ws.posterior.resize(len, (0.0, 0.0));
         ws.observed_x.clear();
         ws.observed_y.clear();
         let mut evals = 0usize;
         let mut best: Option<(f64, f64)> = None;
         let mut converged = false;
+        // Observation count of the current fit, and whether it succeeded.
+        let mut fitted_on: Option<usize> = None;
+        let mut fitted = false;
 
         // Seed with two quasi-random distinct candidates for a usable GP.
-        let first = rng.uniform_usize(0, self.candidates.len());
-        let second = (first + self.candidates.len() / 2) % self.candidates.len();
+        let first = rng.uniform_usize(0, len);
+        let second = (first + len / 2) % len;
         ws.to_try.clear();
         ws.to_try.push(first);
         if second != first {
@@ -162,21 +179,32 @@ impl GpLcbTuner {
             let idx = match ws.to_try.pop() {
                 Some(i) => i,
                 None => {
-                    // Fit the GP and pick the LCB-minimizing untried
-                    // feasible candidate.
-                    let fitted =
-                        ws.gp
-                            .refit(&ws.observed_x, 1, &ws.observed_y, self.gamma, self.noise);
+                    // Fit the GP (unless the data are unchanged) and pick
+                    // the LCB-minimizing untried feasible candidate.
+                    if fitted_on != Some(ws.observed_y.len()) {
+                        fitted_on = Some(ws.observed_y.len());
+                        fitted =
+                            ws.gp
+                                .refit(&ws.observed_x, 1, &ws.observed_y, self.gamma, self.noise);
+                        if fitted {
+                            for (i, &c) in self.candidates.iter().enumerate() {
+                                if ws.feasible[i] && !ws.tried[i] {
+                                    let (mu, var) = ws.gp.predict_with(&[c], &mut ws.scratch);
+                                    ws.posterior[i] = (mu, var.sqrt());
+                                }
+                            }
+                        }
+                    }
                     let beta_sqrt = self.beta(n).sqrt();
                     let mut best_idx = None;
                     let mut best_acq = f64::INFINITY;
-                    for (i, &c) in self.candidates.iter().enumerate() {
+                    for i in 0..len {
                         if !ws.feasible[i] || ws.tried[i] {
                             continue;
                         }
                         let acq = if fitted {
-                            let (mu, var) = ws.gp.predict_with(&[c], &mut ws.scratch);
-                            mu - beta_sqrt * var.sqrt()
+                            let (mu, sd) = ws.posterior[i];
+                            mu - beta_sqrt * sd
                         } else {
                             0.0
                         };
@@ -194,7 +222,7 @@ impl GpLcbTuner {
                             // miscalibrated GP built from too few points
                             // (infeasible probes carry no information
                             // about the objective's shape).
-                            let min_obs = self.candidates.len().min(5);
+                            let min_obs = len.min(5);
                             if let Some((_, incumbent)) = best {
                                 if best_acq >= incumbent - 1e-12 && ws.observed_y.len() >= min_obs {
                                     converged = true;
@@ -341,6 +369,162 @@ mod tests {
             let fresh = tuner.run(&mut SimRng::seed(seed), objective);
             let reused = tuner.run_with(&mut ws, &mut SimRng::seed(seed), objective);
             assert_eq!(fresh, reused, "seed {seed}");
+        }
+    }
+
+    /// The search as it stood before the fit was reused across
+    /// infeasible probes: refit and re-predict on every proposal. Kept
+    /// as the oracle [`GpLcbTuner::run_with`] must match; it also logs
+    /// every evaluated candidate in order.
+    fn refit_every_proposal(
+        tuner: &GpLcbTuner,
+        rng: &mut SimRng,
+        mut objective: impl FnMut(f64) -> Option<f64>,
+    ) -> (Option<BoResult>, Vec<f64>) {
+        let len = tuner.candidates.len();
+        let mut feasible = vec![true; len];
+        let mut tried = vec![false; len];
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let mut gp = GaussianProcess::default();
+        let mut scratch = GpScratch::default();
+        let mut evaluated = Vec::new();
+        let mut best: Option<(f64, f64)> = None;
+        let mut converged = false;
+        let first = rng.uniform_usize(0, len);
+        let second = (first + len / 2) % len;
+        let mut to_try = vec![first];
+        if second != first {
+            to_try.push(second);
+        }
+        for n in 1..=tuner.max_iters {
+            let idx = match to_try.pop() {
+                Some(i) => i,
+                None => {
+                    let fitted = gp.refit(&xs, 1, &ys, tuner.gamma, tuner.noise);
+                    let beta_sqrt = tuner.beta(n).sqrt();
+                    let mut best_idx = None;
+                    let mut best_acq = f64::INFINITY;
+                    for (i, &c) in tuner.candidates.iter().enumerate() {
+                        if !feasible[i] || tried[i] {
+                            continue;
+                        }
+                        let acq = if fitted {
+                            let (mu, var) = gp.predict_with(&[c], &mut scratch);
+                            mu - beta_sqrt * var.sqrt()
+                        } else {
+                            0.0
+                        };
+                        if acq < best_acq {
+                            best_acq = acq;
+                            best_idx = Some(i);
+                        }
+                    }
+                    match best_idx {
+                        Some(i) => {
+                            if let Some((_, incumbent)) = best {
+                                if best_acq >= incumbent - 1e-12 && ys.len() >= len.min(5) {
+                                    converged = true;
+                                    break;
+                                }
+                            }
+                            i
+                        }
+                        None => {
+                            converged = true;
+                            break;
+                        }
+                    }
+                }
+            };
+            if tried[idx] {
+                continue;
+            }
+            tried[idx] = true;
+            let candidate = tuner.candidates[idx];
+            evaluated.push(candidate);
+            match objective(candidate) {
+                Some(y) => {
+                    xs.push(candidate);
+                    ys.push(y);
+                    if best.is_none_or(|(_, by)| y < by) {
+                        best = Some((candidate, y));
+                    }
+                }
+                None => feasible[idx] = false,
+            }
+        }
+        let result = best.map(|(x, y)| BoResult {
+            best: x,
+            best_objective: y,
+            iterations: evaluated.len(),
+            converged,
+        });
+        (result, evaluated)
+    }
+
+    #[test]
+    fn no_feasible_observation_leaves_the_gp_unfitted() {
+        // Only 512 is feasible. Both seeds miss it, the GP has no data
+        // to fit, every LCB is 0, and the scan walks the untried
+        // candidates in index order until it reaches 512.
+        let tuner = GpLcbTuner::new(batch_candidates(), 25);
+        let mut evaluated = Vec::new();
+        let r = tuner
+            .run(&mut SimRng::seed(0), |b| {
+                evaluated.push(b);
+                (b == 512.0).then_some(3.0)
+            })
+            .unwrap();
+        assert_eq!(r.best, 512.0);
+        let seeds = &evaluated[..2];
+        assert!(!seeds.contains(&512.0), "seeds {seeds:?}");
+        let rest: Vec<f64> = batch_candidates()
+            .into_iter()
+            .filter(|c| !seeds.contains(c))
+            .collect();
+        assert_eq!(&evaluated[2..], &rest[..], "evaluated {evaluated:?}");
+    }
+
+    proptest::proptest! {
+        /// The reused fit proposes exactly what refitting on every
+        /// proposal does: same result, same candidates evaluated in the
+        /// same order, same RNG draws — over random candidate sets,
+        /// infeasibility masks, budgets and objectives. Constant
+        /// objectives tie every posterior mean; masks that make both
+        /// seeds infeasible leave the GP unfitted (every LCB 0).
+        #[test]
+        fn reused_fit_matches_refit_every_proposal(
+            seed in proptest::prelude::any::<u64>(),
+            raw in proptest::collection::vec(1u32..600, 1..13),
+            mask in proptest::prelude::any::<u64>(),
+            max_iters in 1usize..30,
+            shape in 0u32..4,
+        ) {
+            let candidates: Vec<f64> = raw.iter().map(|&c| c as f64).collect();
+            let tuner = GpLcbTuner::new(candidates, max_iters);
+            let objective = |b: f64| -> Option<f64> {
+                let i = tuner.candidates.iter().position(|&c| c == b).unwrap();
+                if mask >> (i % 64) & 1 == 1 && shape != 3 {
+                    return None;
+                }
+                Some(match shape {
+                    0 => (b.log2() - 6.0).powi(2) + 0.5,
+                    1 => ((b * 0.37).sin() + 1.1) * (1.0 + (seed % 7) as f64),
+                    _ => 2.5,
+                })
+            };
+            let want = refit_every_proposal(&tuner, &mut SimRng::seed(seed), objective);
+            // Twice through one workspace: a run must not read the
+            // previous run's posteriors.
+            let mut ws = BoWorkspace::default();
+            for _ in 0..2 {
+                let mut evaluated = Vec::new();
+                let got = tuner.run_with(&mut ws, &mut SimRng::seed(seed), |b| {
+                    evaluated.push(b);
+                    objective(b)
+                });
+                proptest::prop_assert_eq!((got, evaluated), want.clone());
+            }
         }
     }
 }

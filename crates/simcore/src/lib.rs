@@ -17,6 +17,7 @@
 pub mod dist;
 pub mod env;
 pub mod event;
+pub mod hash;
 pub mod metrics;
 pub mod pool;
 pub mod rng;
@@ -27,6 +28,7 @@ pub mod trace;
 
 pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson};
 pub use event::{EventQueue, ScheduledEvent};
+pub use hash::{MulBuildHasher, MulHasher};
 pub use metrics::{
     fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, TreeFolder,
     UtilizationIntegrator,
