@@ -261,8 +261,8 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     ctx.devices[li].record_utilization(ctx.gt, now);
 }
 
-/// A replica's QPS segment rolls over; doubles as the Monitor check
-/// (§5.3.2) and the SLO-risk retune trigger.
+/// A replica's QPS segment rolls over and the Monitor (§5.3.2) decides
+/// whether it is retuned.
 pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     accrue(ctx, now, d);
     let li = d - ctx.base;
@@ -299,23 +299,13 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     let extra = ctx.dstate[li].extra_qps;
     ctx.devices[li].set_inference_qps(ctx.gt, now, qps + extra);
 
-    // Monitor check (§5.3.2): retune when drift exceeds 50 %.
-    let triggered = ctx.dstate[li].monitor.observe_qps(qps).is_some();
-    // SLO-risk triggers (§5.3.2): tail latency near the SLO, or the
-    // replica's service rate close to the arrival rate (queueing
-    // pressure a real monitor would see as rising latency).
-    let throttled = now.since(ctx.dstate[li].last_risk_tune).as_secs() <= 30.0;
-    let risk = !throttled
-        && (ctx.dstate[li]
-            .last_p99
-            .map(|p| p > 0.95 * ctx.device_slo(d))
-            .unwrap_or(false)
-            || ctx.dstate[li].last_util > 0.85
-            || ctx.dstate[li].last_pviol > 0.02);
-    if triggered || risk {
-        if risk {
-            ctx.dstate[li].last_risk_tune = now;
-        }
+    // Monitor check (§5.3.2): QPS drift or SLO risk retunes.
+    let ds = &mut ctx.dstate[li];
+    if ds
+        .monitor
+        .check(now, qps, ds.last_p99, ds.last_util, ds.last_pviol)
+        .is_some()
+    {
         reconfigure(ctx, now, d);
     }
 

@@ -5,7 +5,6 @@
 //! sequences replay bit-identically.
 
 use gpu_sim::InferenceInstance;
-use mudi::Monitor;
 use resilience::{FaultEvent, FaultKind};
 use simcore::SimDuration;
 use workloads::ServiceId;
@@ -134,8 +133,9 @@ impl ClusterSession {
             InferenceInstance::new(service, 16, 0.6, qps),
         );
         self.st.dstate[device].service = service;
-        self.st.dstate[device].monitor =
-            Monitor::new(0.5, self.st.shared.gt.zoo().service(service).slo);
+        self.st.dstate[device]
+            .monitor
+            .redeploy(self.st.shared.gt.zoo().service(service).slo);
         self.st.dstate[device].last_p99 = None;
         // This deploy restores the service if it was in total outage.
         if let Some(start) = self.st.outage_start[service.0].take() {

@@ -36,7 +36,7 @@ use infer::RouteCache;
 
 use std::time::Instant;
 
-use simcore::{SimDuration, SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
+use simcore::{SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
 use workloads::ServiceId;
 
 use crate::metrics::{ExperimentResult, FaultMetrics};
@@ -220,11 +220,6 @@ impl ClusterSession {
         }
         self.now = horizon;
         self.st.fired() - before
-    }
-
-    /// [`ClusterSession::step_until`] relative to the current clock.
-    pub fn step_for(&mut self, delta: SimDuration) -> u64 {
-        self.step_until(self.now + delta)
     }
 
     // ------------------------------------------------------------------
@@ -453,7 +448,7 @@ mod tests {
     use super::*;
     use crate::engine::ScalePreset;
     use crate::systems::SystemKind;
-    use simcore::SimEventKind;
+    use simcore::{SimDuration, SimEventKind};
 
     fn session(seed: u64) -> ClusterSession {
         ClusterSession::new_scaled(ClusterConfig::tiny(SystemKind::Mudi, seed), 0.002)
@@ -470,7 +465,7 @@ mod tests {
         assert_eq!(s.step_until(SimTime::from_secs(10.0)), 0);
         assert_eq!(s.now(), SimTime::from_secs(600.0));
         // Relative stepping lands exactly delta later.
-        s.step_for(SimDuration::from_secs(60.0));
+        s.step_until(s.now() + SimDuration::from_secs(60.0));
         assert_eq!(s.now(), SimTime::from_secs(660.0));
     }
 
@@ -537,7 +532,7 @@ mod tests {
         };
         let ops: [&dyn Fn(&mut ClusterSession); 6] = [
             &|s| {
-                s.step_for(SimDuration::from_secs(90.0));
+                s.step_until(s.now() + SimDuration::from_secs(90.0));
             },
             &|s| {
                 s.service_report();
@@ -625,7 +620,7 @@ mod tests {
         let svc = s.zoo().services()[0].id;
         assert_eq!(s.deploy_replica(0, svc), Err(SessionError::DeviceDown(0)));
         // The repair event is in the queue; stepping past it restores.
-        s.step_for(SimDuration::from_secs(300.0));
+        s.step_until(s.now() + SimDuration::from_secs(300.0));
         assert_eq!(s.devices_up(), all);
     }
 
@@ -649,7 +644,7 @@ mod tests {
                 },
             )
             .unwrap();
-            s.step_for(SimDuration::from_secs(400.0));
+            s.step_until(s.now() + SimDuration::from_secs(400.0));
             for r in s.service_report() {
                 script.push_str(&format!(
                     "{} {} {:.9} {}\n",

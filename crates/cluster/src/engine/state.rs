@@ -214,8 +214,6 @@ pub(super) struct DeviceState {
     pub training_paused: bool,
     /// Epoch counter invalidating stale completion events.
     pub epoch: u64,
-    /// Last SLO-risk-triggered retune (throttled).
-    pub last_risk_tune: SimTime,
     /// The system's current cap on the total training GPU share.
     pub training_share_cap: f64,
     /// When the current pause began (None while running).
@@ -373,15 +371,6 @@ impl LaneCtx<'_> {
         let ds = &self.dstate[d - self.base];
         (ds.training_share_cap * ds.breaker.share_multiplier(now)).clamp(0.01, 1.0)
     }
-
-    /// The SLO (seconds) of the service pinned to device `d`.
-    pub fn device_slo(&self, d: usize) -> f64 {
-        let svc = self.devices[d - self.base]
-            .inference()
-            .expect("replica deployed")
-            .service;
-        self.gt.zoo().service(svc).slo_secs()
-    }
 }
 
 /// Everything a run mutates, shared by every stage through an explicit
@@ -523,14 +512,13 @@ impl SimState {
             let _ = &mut qps_gen;
             dstate.push(DeviceState {
                 qps_gen,
-                monitor: Monitor::new(0.5, slo),
+                monitor: Monitor::new(slo),
                 last_accrue: SimTime::ZERO,
                 last_p99: None,
                 last_util: 0.0,
                 last_pviol: 0.0,
                 training_paused: false,
                 epoch: 0,
-                last_risk_tune: SimTime::ZERO,
                 training_share_cap: 1.0,
                 paused_since: None,
                 retune_pending: false,

@@ -85,7 +85,7 @@ fn tiny_gslice_cluster_completes() {
     let engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Gslice, 2));
     let result = engine.run_scaled(0.002);
     assert_eq!(result.jobs_completed, result.jobs_submitted);
-    assert!(result.mean_ct_hours() > 0.0);
+    assert!(result.ct.mean() > 0.0);
 }
 
 #[test]

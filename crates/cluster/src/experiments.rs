@@ -328,7 +328,7 @@ pub fn bursty_case_study(
     .expect("one training fits");
 
     let base_qps = 200.0;
-    let mut monitor = mudi::Monitor::new(0.5, svc.slo);
+    let mut monitor = mudi::Monitor::new(svc.slo);
     let mut points = Vec::new();
     let mut violations = 0.0;
     let mut requests = 0.0;
@@ -338,7 +338,7 @@ pub fn bursty_case_study(
         let qps = base_qps * burst.multiplier_at(now);
         dev.set_inference_qps(&gt, now, qps);
 
-        if monitor.observe_qps(qps).is_some() {
+        if monitor.check(now, qps, None, 0.0, 0.0).is_some() {
             let view = DeviceView {
                 device: 0,
                 service: svc.id,

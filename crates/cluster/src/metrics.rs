@@ -51,16 +51,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Per-token (inter-token latency) SLO violation rate in `[0, 1]`.
-    /// Zero for classifier services, which never accrue tokens.
-    pub fn itl_violation_rate(&self) -> f64 {
-        if self.tokens <= 0.0 {
-            0.0
-        } else {
-            (self.itl_violations / self.tokens).clamp(0.0, 1.0)
-        }
-    }
-
     /// Folds another partial accumulator into this one: float fields
     /// sum, the P99 stream merges via parallel Welford. The commit
     /// barrier reduces per-device partials with this in device-ascending
@@ -369,16 +359,6 @@ impl ExperimentResult {
         self.services
             .get(&service)
             .map_or(0.0, ServiceMetrics::violation_rate)
-    }
-
-    /// Mean completion time in hours.
-    pub fn mean_ct_hours(&self) -> f64 {
-        self.ct.mean() / 3600.0
-    }
-
-    /// Mean waiting time in hours.
-    pub fn mean_waiting_hours(&self) -> f64 {
-        self.waiting.mean() / 3600.0
     }
 
     /// Makespan in hours.

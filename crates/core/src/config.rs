@@ -1,7 +1,5 @@
 //! Mudi's tunable constants, with the paper's defaults.
 
-use simcore::SimDuration;
-
 /// System-wide configuration.
 #[derive(Clone, Debug)]
 pub struct MudiConfig {
@@ -24,11 +22,6 @@ pub struct MudiConfig {
     /// Maximum GPU fraction an inference service may take (leaving at
     /// least this headroom for co-located training, §7.4 reserves 10 %).
     pub max_inference_fraction: f64,
-    /// Monitor trigger: relative QPS change that forces resource
-    /// scaling (§5.3.2 uses 50 %).
-    pub qps_change_threshold: f64,
-    /// Monitor polling interval.
-    pub monitor_interval: SimDuration,
     /// GP-LCB evaluation budget (§5.3.1 converges within 25).
     pub bo_max_iters: usize,
     /// Maximum training tasks multiplexed per GPU (1 for Mudi, up to 3
@@ -56,8 +49,6 @@ impl Default for MudiConfig {
             observations_per_point: 200,
             min_inference_fraction: 0.05,
             max_inference_fraction: 0.90,
-            qps_change_threshold: 0.50,
-            monitor_interval: SimDuration::from_secs(5.0),
             bo_max_iters: 25,
             max_trainings_per_gpu: 1,
             reliability_weight: 0.25,
@@ -104,7 +95,6 @@ mod tests {
         assert!((c.profile_fractions[0] - 0.1).abs() < 1e-12);
         assert!((c.profile_fractions[8] - 0.9).abs() < 1e-12);
         assert_eq!(c.samples_per_fit, 6);
-        assert_eq!(c.qps_change_threshold, 0.50);
         assert_eq!(c.bo_max_iters, 25);
         assert_eq!(c.max_trainings_per_gpu, 1);
     }

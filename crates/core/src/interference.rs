@@ -355,13 +355,6 @@ impl InterferenceModeler {
     pub fn training_data(&self, service: ServiceId, target: TargetParam) -> Option<&Dataset> {
         Some(&self.per_service.get(&service)?.data[&target])
     }
-
-    /// Training-set size for one service/target (diagnostics).
-    pub fn training_size(&self, service: ServiceId) -> usize {
-        self.per_service
-            .get(&service)
-            .map_or(0, |s| s.data[&TargetParam::K1].len())
-    }
 }
 
 #[cfg(test)]
@@ -388,7 +381,8 @@ mod tests {
             for target in TargetParam::ALL {
                 assert!(m.chosen_kind(svc.id, target).is_some());
             }
-            assert_eq!(m.training_size(svc.id), 30); // 6 batches × 5 colo tasks (solo rows are references).
+            // 6 batches × 5 colo tasks (solo rows are references).
+            assert_eq!(m.training_data(svc.id, TargetParam::K1).unwrap().len(), 30);
         }
     }
 
@@ -456,7 +450,8 @@ mod tests {
     #[test]
     fn update_extends_training_data() {
         let (gt, mut m) = trained();
-        let before = m.training_size(gt.zoo().services()[0].id);
+        let svc0 = gt.zoo().services()[0].id;
+        let before = m.training_data(svc0, TargetParam::K1).unwrap().len();
         let profiler = LatencyProfiler::new(MudiConfig::default());
         let mut rng = SimRng::seed(7);
         let mut extra = ProfileDatabase::new();
@@ -467,7 +462,10 @@ mod tests {
             }
         }
         m.update(&extra, &mut rng);
-        assert_eq!(m.training_size(gt.zoo().services()[0].id), before + 1);
+        assert_eq!(
+            m.training_data(svc0, TargetParam::K1).unwrap().len(),
+            before + 1
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   fault-triggered retunes and the degraded-mode SLO circuit-breaker
 //!   used by the failure experiments).
 //! * **Scheduling policies** — [`policy`] (FCFS/SJF/fair/priority, §3).
-//! * **Mudi-more** — [`more`] (multiplexing up to three training tasks
-//!   per GPU, §5.5).
+//! * **Mudi-more** — [`MudiConfig::more`] (multiplexing up to three
+//!   training tasks per GPU, §5.5); the device splits the training share
+//!   evenly in [`gpu_sim::GpuDevice::rebalance_training_fractions`].
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +31,6 @@ pub mod config;
 pub mod guard;
 pub mod interference;
 pub mod monitor;
-pub mod more;
 pub mod policy;
 pub mod predictor;
 pub mod profiler;
@@ -40,7 +40,7 @@ pub mod tuner;
 pub use config::MudiConfig;
 pub use guard::{CircuitBreaker, RetuneGuard};
 pub use interference::InterferenceModeler;
-pub use monitor::{Monitor, MonitorEvent};
+pub use monitor::Monitor;
 pub use predictor::{InterferenceFit, InterferencePredictor};
 pub use profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
 pub use selector::{DeviceCandidate, DeviceSelector, PlacementDecision, ReliabilityPrior};

@@ -98,16 +98,6 @@ impl QueuePolicy {
         };
         best.map(|(i, _)| i)
     }
-
-    /// Removes and returns the next item per the policy.
-    pub fn pop_next<T>(
-        &self,
-        queue: &mut Vec<QueueItem<T>>,
-        fair: &FairState,
-    ) -> Option<QueueItem<T>> {
-        let i = self.next_index(queue, fair)?;
-        Some(queue.remove(i))
-    }
 }
 
 #[cfg(test)]
@@ -124,77 +114,63 @@ mod tests {
         }
     }
 
+    /// The payload of the item `p` picks next.
+    fn next<'a>(p: QueuePolicy, q: &[QueueItem<&'a str>], fair: &FairState) -> Option<&'a str> {
+        p.next_index(q, fair).map(|i| q[i].payload)
+    }
+
     #[test]
     fn fcfs_orders_by_arrival() {
         let mut q = vec![item(5.0, 1.0, 0, 0, "b"), item(1.0, 9.0, 0, 0, "a")];
         let fair = FairState::new();
-        assert_eq!(
-            QueuePolicy::Fcfs.pop_next(&mut q, &fair).unwrap().payload,
-            "a"
-        );
-        assert_eq!(
-            QueuePolicy::Fcfs.pop_next(&mut q, &fair).unwrap().payload,
-            "b"
-        );
-        assert!(QueuePolicy::Fcfs.pop_next(&mut q, &fair).is_none());
+        assert_eq!(QueuePolicy::Fcfs.next_index(&q, &fair), Some(1));
+        q.remove(1);
+        assert_eq!(next(QueuePolicy::Fcfs, &q, &fair), Some("b"));
+        q.remove(0);
+        assert_eq!(QueuePolicy::Fcfs.next_index(&q, &fair), None);
     }
 
     #[test]
     fn sjf_orders_by_duration() {
-        let mut q = vec![item(1.0, 9.0, 0, 0, "long"), item(5.0, 1.0, 0, 0, "short")];
+        let q = vec![item(1.0, 9.0, 0, 0, "long"), item(5.0, 1.0, 0, 0, "short")];
         let fair = FairState::new();
-        assert_eq!(
-            QueuePolicy::Sjf.pop_next(&mut q, &fair).unwrap().payload,
-            "short"
-        );
+        assert_eq!(next(QueuePolicy::Sjf, &q, &fair), Some("short"));
     }
 
     #[test]
     fn priority_beats_arrival() {
-        let mut q = vec![
+        let q = vec![
             item(1.0, 1.0, 0, 0, "early-low"),
             item(9.0, 1.0, 5, 0, "late-high"),
         ];
         let fair = FairState::new();
-        assert_eq!(
-            QueuePolicy::Priority
-                .pop_next(&mut q, &fair)
-                .unwrap()
-                .payload,
-            "late-high"
-        );
+        assert_eq!(next(QueuePolicy::Priority, &q, &fair), Some("late-high"));
     }
 
     #[test]
     fn fair_prefers_underserved_class() {
-        let mut q = vec![
+        let q = vec![
             item(1.0, 1.0, 0, 0, "class0"),
             item(2.0, 1.0, 0, 1, "class1"),
         ];
         let mut fair = FairState::new();
         fair.record(0, 1000.0);
-        assert_eq!(
-            QueuePolicy::Fair.pop_next(&mut q, &fair).unwrap().payload,
-            "class1"
-        );
+        assert_eq!(next(QueuePolicy::Fair, &q, &fair), Some("class1"));
     }
 
     #[test]
     fn fair_falls_back_to_fcfs_when_balanced() {
-        let mut q = vec![
+        let q = vec![
             item(2.0, 1.0, 0, 1, "later"),
             item(1.0, 1.0, 0, 0, "earlier"),
         ];
         let fair = FairState::new();
-        assert_eq!(
-            QueuePolicy::Fair.pop_next(&mut q, &fair).unwrap().payload,
-            "earlier"
-        );
+        assert_eq!(next(QueuePolicy::Fair, &q, &fair), Some("earlier"));
     }
 
     #[test]
     fn empty_queue_returns_none() {
-        let mut q: Vec<QueueItem<&str>> = vec![];
+        let q: Vec<QueueItem<&str>> = vec![];
         let fair = FairState::new();
         for p in [
             QueuePolicy::Fcfs,
@@ -202,7 +178,7 @@ mod tests {
             QueuePolicy::Fair,
             QueuePolicy::Priority,
         ] {
-            assert!(p.pop_next(&mut q, &fair).is_none());
+            assert_eq!(p.next_index(&q, &fair), None);
         }
     }
 }

@@ -1,10 +1,10 @@
 //! The Interference Predictor (Fig. 6, module ③).
 //!
 //! Online, Mudi predicts the Eq. 1 latency curve for any (service,
-//! batching size, co-located training set). Exact offline profiles are
-//! reused when the co-location was profiled; otherwise the prediction
-//! comes from the architecture-based Interference Modeler — which is
-//! how previously *unobserved* training tasks are handled (§4.2).
+//! batching size, co-located training set) from the architecture-based
+//! Interference Modeler, given the co-located set's merged architecture
+//! — which is how previously *unobserved* training tasks are handled
+//! (§4.2).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -12,18 +12,16 @@ use std::sync::Arc;
 
 use modeling::fit::piecewise::PiecewiseLinear;
 use simcore::{MulBuildHasher, SimRng};
-use workloads::{GroundTruth, NetworkArchitecture, ServiceId, TaskId};
+use workloads::{NetworkArchitecture, ServiceId};
 
 use crate::interference::InterferenceModeler;
-use crate::profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
+use crate::profiler::ProfileDatabase;
 
-/// The trained half of the predictor: the Interference Modeler and the
-/// exact offline profiles it was fitted on (§4.1.2). Immutable once
-/// trained, so one fit is shared behind an [`Arc`] by every shard lane
+/// The trained half of the predictor: the Interference Modeler fitted
+/// on the offline profiles (§4.1.2). Immutable once trained, so one fit is shared behind an [`Arc`] by every shard lane
 /// of a session.
 pub struct InterferenceFit {
     modeler: InterferenceModeler,
-    db: ProfileDatabase,
 }
 
 // Lanes step on worker threads and share the fit by reference.
@@ -56,7 +54,7 @@ impl InterferencePredictor {
     /// Returns `None` when the database is empty.
     pub fn new(db: ProfileDatabase, rng: &mut SimRng) -> Option<Self> {
         let modeler = InterferenceModeler::train(&db, rng)?;
-        Some(Self::from_fit(Arc::new(InterferenceFit { modeler, db })))
+        Some(Self::from_fit(Arc::new(InterferenceFit { modeler })))
     }
 
     fn from_fit(fit: Arc<InterferenceFit>) -> Self {
@@ -75,23 +73,6 @@ impl InterferencePredictor {
     /// The shared trained half.
     pub fn fit(&self) -> &Arc<InterferenceFit> {
         &self.fit
-    }
-
-    /// Predicts the latency curve for an *explicit* co-located task
-    /// set: exact profile when available, learned prediction otherwise.
-    pub fn curve_for_tasks(
-        &self,
-        gt: &GroundTruth,
-        service: ServiceId,
-        batch: u32,
-        tasks: &[TaskId],
-    ) -> Option<PiecewiseLinear> {
-        let key = ProfileKey::new(service, batch, tasks.to_vec());
-        if let Some(rec) = self.fit.db.get(&key) {
-            return Some(rec.curve);
-        }
-        let arch = LatencyProfiler::merged_arch(gt, tasks);
-        self.curve_for_arch(service, &arch, batch)
     }
 
     /// Predicts the latency curve from a cumulative architecture (the
@@ -165,18 +146,14 @@ impl InterferencePredictor {
     pub fn modeler(&self) -> &InterferenceModeler {
         &self.fit.modeler
     }
-
-    /// The profile database (exact curves).
-    pub fn database(&self) -> &ProfileDatabase {
-        &self.fit.db
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MudiConfig;
-    use workloads::Zoo;
+    use crate::profiler::LatencyProfiler;
+    use workloads::{GroundTruth, Zoo};
 
     fn build() -> (GroundTruth, InterferencePredictor) {
         let gt = GroundTruth::new(Zoo::standard(), 21);
@@ -188,22 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_profiles_are_reused() {
-        let (gt, p) = build();
-        let svc = gt.zoo().services()[0].id;
-        let task = gt.zoo().profiled_task_ids()[0];
-        let via_tasks = p.curve_for_tasks(&gt, svc, 64, &[task]).unwrap();
-        let key = ProfileKey::new(svc, 64, vec![task]);
-        assert_eq!(via_tasks, p.database().get(&key).unwrap().curve);
-    }
-
-    #[test]
     fn unprofiled_batch_falls_back_to_model() {
         let (gt, p) = build();
         let svc = gt.zoo().services()[1].id;
         let task = gt.zoo().profiled_task_ids()[1];
         // Batch 48 was never profiled; the model must answer anyway.
-        let c = p.curve_for_tasks(&gt, svc, 48, &[task]).unwrap();
+        let arch = LatencyProfiler::merged_arch(&gt, &[task]);
+        let c = p.curve_for_arch(svc, &arch, 48).unwrap();
         assert!(c.y0 > 0.0 && c.k1 <= 0.0);
     }
 
@@ -212,8 +180,9 @@ mod tests {
         let (gt, p) = build();
         let svc = gt.zoo().service_by_name("GPT2").unwrap().id;
         for &t in &gt.zoo().unobserved_task_ids() {
+            let arch = LatencyProfiler::merged_arch(&gt, &[t]);
             let c = p
-                .curve_for_tasks(&gt, svc, 128, &[t])
+                .curve_for_arch(svc, &arch, 128)
                 .expect("prediction for unobserved task");
             assert!((0.12..=0.92).contains(&c.x0));
         }

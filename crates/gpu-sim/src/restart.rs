@@ -4,7 +4,9 @@
 //! restarting it with a new `CUDA_MPS_ACTIVE_THREAD_PERCENTAGE`, a
 //! tens-of-seconds outage. Mudi hides this by warming a *shadow
 //! instance* with the new configuration and switching over once it is
-//! ready; the visible disruption is then a brief hand-off.
+//! ready; the visible disruption is then a brief hand-off. Batching-size
+//! changes, by contrast, are free: the new size is passed as a parameter
+//! without restarting the service (§5.3.1).
 
 use simcore::SimDuration;
 
@@ -32,27 +34,6 @@ impl ReconfigPolicy {
             ReconfigPolicy::ShadowInstance => SimDuration::from_secs(SHADOW_SWITCH_SECS),
         }
     }
-
-    /// Wall-clock delay before the new configuration is active (the
-    /// shadow instance still needs the full warm-up in the background).
-    pub fn activation_delay(self) -> SimDuration {
-        SimDuration::from_secs(MPS_RESTART_SECS)
-    }
-
-    /// Extra device memory held during the transition: a shadow
-    /// instance temporarily duplicates the model weights.
-    pub fn transient_memory_factor(self) -> f64 {
-        match self {
-            ReconfigPolicy::Restart => 1.0,
-            ReconfigPolicy::ShadowInstance => 2.0,
-        }
-    }
-}
-
-/// Batching-size changes, by contrast, are free: the new size is passed
-/// as a parameter without restarting the service (§5.3.1).
-pub fn batch_change_downtime() -> SimDuration {
-    SimDuration::ZERO
 }
 
 #[cfg(test)]
@@ -64,27 +45,5 @@ mod tests {
         let shadow = ReconfigPolicy::ShadowInstance.visible_downtime();
         let cold = ReconfigPolicy::Restart.visible_downtime();
         assert!(shadow.as_secs() < cold.as_secs() / 10.0);
-    }
-
-    #[test]
-    fn activation_takes_full_warmup_either_way() {
-        assert_eq!(
-            ReconfigPolicy::ShadowInstance.activation_delay().as_secs(),
-            MPS_RESTART_SECS
-        );
-    }
-
-    #[test]
-    fn shadow_duplicates_weights_in_transit() {
-        assert_eq!(
-            ReconfigPolicy::ShadowInstance.transient_memory_factor(),
-            2.0
-        );
-        assert_eq!(ReconfigPolicy::Restart.transient_memory_factor(), 1.0);
-    }
-
-    #[test]
-    fn batch_changes_are_free() {
-        assert!(batch_change_downtime().is_zero());
     }
 }

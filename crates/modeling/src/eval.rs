@@ -29,21 +29,6 @@ pub fn relative_error(pred: f64, actual: f64) -> f64 {
     }
 }
 
-/// Root mean squared error over `(predicted, actual)` pairs.
-pub fn rmse(pairs: impl IntoIterator<Item = (f64, f64)>) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u32;
-    for (pred, actual) in pairs {
-        sum += (pred - actual).powi(2);
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64).sqrt()
-    }
-}
-
 /// Mean absolute error over `(predicted, actual)` pairs.
 pub fn mae(pairs: impl IntoIterator<Item = (f64, f64)>) -> f64 {
     let mut sum = 0.0;
@@ -101,11 +86,10 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae() {
+    fn mae_basic() {
         let pairs = [(1.0, 0.0), (0.0, 1.0)];
-        assert!((rmse(pairs) - 1.0).abs() < 1e-12);
         assert!((mae(pairs) - 1.0).abs() < 1e-12);
-        assert_eq!(rmse([]), 0.0);
+        assert_eq!(mae([]), 0.0);
     }
 
     #[test]

@@ -10,23 +10,6 @@
 //! [`find_knee`] combines them, preferring kneedle and falling back to
 //! the curvature rule for degenerate inputs.
 
-/// Discrete Menger curvature of three points.
-///
-/// Returns `4 * area(p1, p2, p3) / (|p1 p2| * |p2 p3| * |p1 p3|)` — zero
-/// for collinear points, larger for sharper bends.
-pub fn menger_curvature(p1: (f64, f64), p2: (f64, f64), p3: (f64, f64)) -> f64 {
-    let area2 = ((p2.0 - p1.0) * (p3.1 - p1.1) - (p3.0 - p1.0) * (p2.1 - p1.1)).abs();
-    let d12 = ((p2.0 - p1.0).powi(2) + (p2.1 - p1.1).powi(2)).sqrt();
-    let d23 = ((p3.0 - p2.0).powi(2) + (p3.1 - p2.1).powi(2)).sqrt();
-    let d13 = ((p3.0 - p1.0).powi(2) + (p3.1 - p1.1).powi(2)).sqrt();
-    let denom = d12 * d23 * d13;
-    if denom == 0.0 {
-        0.0
-    } else {
-        2.0 * area2 / denom
-    }
-}
-
 /// Finds a knee as the index where the *change of slope* is largest —
 /// the paper's "lowest curvature of three consecutive points" rule,
 /// interpreted as the point separating the steep segment from the flat
@@ -171,12 +154,6 @@ mod tests {
         // kneedle returns None (zero y extent); curvature rule picks an
         // interior point, which is acceptable for a flat curve.
         assert!(find_knee(&pts).is_some());
-    }
-
-    #[test]
-    fn menger_zero_for_collinear() {
-        assert_eq!(menger_curvature((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.0);
-        assert!(menger_curvature((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)) > 0.0);
     }
 
     #[test]

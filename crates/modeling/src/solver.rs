@@ -188,19 +188,6 @@ pub fn min_gpu_fraction_decode(
     Some(stepped.clamp(lo, hi))
 }
 
-/// Convenience wrapper evaluating feasibility only: does any Δ within
-/// `[lo, hi]` satisfy the Eq. (4) constraint?
-pub fn is_feasible(
-    curve: &PiecewiseLinear,
-    qps: f64,
-    batch: f64,
-    slo: f64,
-    lo: f64,
-    hi: f64,
-) -> bool {
-    min_gpu_fraction(curve, qps, batch, slo, lo, hi).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +230,6 @@ mod tests {
         let c = curve();
         // Budget below the curve's floor (~0.057 s at 100 % GPU).
         assert_eq!(min_gpu_fraction(&c, 800.0, 32.0, 0.3, 0.05, 1.0), None);
-        assert!(!is_feasible(&c, 800.0, 32.0, 0.3, 0.05, 1.0));
         // Batch-fill wait alone exceeds the SLO.
         assert_eq!(min_gpu_fraction(&c, 100.0, 512.0, 0.3, 0.05, 1.0), None);
     }

@@ -161,29 +161,10 @@ impl RecoveryPolicy {
         }
     }
 
-    /// No failover and no requeue: work pinned to a failed device waits
-    /// out the repair. Models static-partitioning deployments.
-    pub fn wait_for_repair() -> Self {
-        RecoveryPolicy {
-            failover_inference: false,
-            requeue_training: false,
-            ..Self::standard()
-        }
-    }
-
     /// Standard recovery with a custom fixed checkpoint period.
     pub fn with_checkpoint_period(period: SimDuration) -> Self {
         RecoveryPolicy {
             checkpoint_period: CheckpointPeriod::Fixed(period),
-            ..Self::standard()
-        }
-    }
-
-    /// Standard recovery with a warm-standby pool of `pool` shadow
-    /// instances per service.
-    pub fn with_standby(pool: usize) -> Self {
-        RecoveryPolicy {
-            standby: StandbyPolicy::warm(pool),
             ..Self::standard()
         }
     }
@@ -243,21 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_repair_disables_replacement() {
-        let p = RecoveryPolicy::wait_for_repair();
-        assert!(!p.failover_inference);
-        assert!(!p.requeue_training);
-    }
-
-    #[test]
     fn standby_policy_enablement() {
         assert!(!StandbyPolicy::disabled().is_enabled());
         assert!(StandbyPolicy::warm(1).is_enabled());
         assert!(!StandbyPolicy::warm(0).is_enabled());
-        let p = RecoveryPolicy::with_standby(2);
-        assert_eq!(p.standby.pool_per_service, 2);
-        assert!(p.standby.preloaded_weights);
-        assert!(p.standby.reserve_fraction > 0.0);
+        let p = StandbyPolicy::warm(2);
+        assert_eq!(p.pool_per_service, 2);
+        assert!(p.preloaded_weights);
+        assert!(p.reserve_fraction > 0.0);
     }
 
     /// The closed-form Young/Daly period lands on the argmin of the

@@ -37,7 +37,7 @@ pub use pool::{max_workers, scoped_for_each_mut, scoped_map, scoped_map_workers}
 pub use rng::{MergeKey, SimRng};
 pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};
-pub use topology::{DeviceAddress, Topology, TopologyShape};
+pub use topology::{Topology, TopologyShape};
 pub use trace::{
     FaultClass, SimEvent, SimEventKind, TraceBus, TraceConfig, TraceSummary, TracedEvent,
 };

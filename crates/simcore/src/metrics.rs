@@ -252,33 +252,6 @@ impl Histogram {
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
     }
-
-    /// The fraction of observations strictly above `threshold` — the
-    /// paper's SLO-violation rate when fed per-request latencies.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut above = 0u64;
-        if let Some(t_idx) = self.bucket_index(threshold) {
-            // Count whole buckets above the threshold bucket; the
-            // threshold bucket itself is split proportionally.
-            for &c in &self.counts[t_idx + 1..] {
-                above += c;
-            }
-            let lo = self.floor * self.growth.powi(t_idx as i32);
-            let hi = lo * self.growth;
-            let frac_above_in_bucket = ((hi - threshold) / (hi - lo)).clamp(0.0, 1.0);
-            above += (self.counts[t_idx] as f64 * frac_above_in_bucket).round() as u64;
-        } else {
-            above = self.total - self.underflow;
-            // Everything below floor counts as below threshold >= floor.
-            if threshold < self.floor {
-                above = self.total;
-            }
-        }
-        above as f64 / self.total as f64
-    }
 }
 
 /// Time-weighted integrator for piecewise-constant signals.
@@ -397,37 +370,6 @@ impl TimeSeries {
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
     }
-
-    /// Means over consecutive windows of `interval` seconds, covering the
-    /// full observed span. Empty windows repeat the previous mean.
-    pub fn resample_mean(&self, interval: f64) -> Vec<(f64, f64)> {
-        assert!(interval > 0.0);
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let start = self.points[0].0;
-        let end = self.points[self.points.len() - 1].0;
-        let mut out = Vec::new();
-        let mut idx = 0;
-        let mut last_mean = self.points[0].1;
-        let mut w_start = start;
-        while w_start <= end {
-            let w_end = w_start + interval;
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            while idx < self.points.len() && self.points[idx].0 < w_end {
-                sum += self.points[idx].1;
-                n += 1;
-                idx += 1;
-            }
-            if n > 0 {
-                last_mean = sum / n as f64;
-            }
-            out.push((w_start, last_mean));
-            w_start = w_end;
-        }
-        out
-    }
 }
 
 /// An empirical CDF built from a finite sample.
@@ -538,18 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fraction_above_threshold() {
-        let mut h = Histogram::new();
-        for i in 1..=1000 {
-            h.record(i as f64 * 1e-3);
-        }
-        let frac = h.fraction_above(0.9);
-        assert!((frac - 0.1).abs() < 0.02, "frac {frac}");
-        assert_eq!(h.fraction_above(10.0), 0.0);
-        assert_eq!(h.fraction_above(1e-9), 1.0);
-    }
-
-    #[test]
     fn histogram_merge() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
@@ -571,17 +501,6 @@ mod tests {
         assert!((u.time_average() - 0.5).abs() < 1e-12);
         assert_eq!(u.peak(), 0.8);
         assert_eq!(u.span_secs(), 20.0);
-    }
-
-    #[test]
-    fn time_series_resample() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(SimTime::from_secs(i as f64), i as f64);
-        }
-        let r = ts.resample_mean(2.0);
-        assert_eq!(r[0], (0.0, 0.5));
-        assert_eq!(r[1], (2.0, 2.5));
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct ShardMap {
     /// Contiguous device range per shard (may be empty for shards
     /// whose racks hold no devices under a sparse layout).
     device_ranges: Vec<std::ops::Range<usize>>,
-    /// Contiguous rack range per shard.
-    rack_ranges: Vec<std::ops::Range<usize>>,
 }
 
 impl ShardMap {
@@ -38,7 +36,6 @@ impl ShardMap {
         let shards = requested.clamp(1, racks);
         let mut rack_shard = vec![0usize; racks];
         let mut device_ranges = Vec::with_capacity(shards);
-        let mut rack_ranges = Vec::with_capacity(shards);
         for s in 0..shards {
             let first = s * racks / shards;
             let last = (s + 1) * racks / shards; // exclusive
@@ -48,24 +45,17 @@ impl ShardMap {
             let start = topo.devices_in_rack(first).start;
             let end = topo.devices_in_rack(last - 1).end;
             device_ranges.push(start..end);
-            rack_ranges.push(first..last);
         }
         ShardMap {
             shards,
             rack_shard,
             device_ranges,
-            rack_ranges,
         }
     }
 
     /// The resolved shard count (after clamping).
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The shard owning rack `r`.
-    pub fn shard_of_rack(&self, r: usize) -> usize {
-        self.rack_shard[r]
     }
 
     /// The shard owning device `d` (via its rack).
@@ -76,11 +66,6 @@ impl ShardMap {
     /// The contiguous device range shard `s` owns.
     pub fn device_range(&self, s: usize) -> std::ops::Range<usize> {
         self.device_ranges[s].clone()
-    }
-
-    /// The contiguous rack range shard `s` owns.
-    pub fn rack_range(&self, s: usize) -> std::ops::Range<usize> {
-        self.rack_ranges[s].clone()
     }
 }
 
@@ -121,16 +106,15 @@ mod tests {
     fn rack_blocks_are_contiguous_and_cover_all_racks() {
         let topo = Topology::new(TopologyShape::new(7, 2), 56);
         let map = ShardMap::new(&topo, 3);
-        let mut next = 0;
-        for s in 0..3 {
-            let rr = map.rack_range(s);
-            assert_eq!(rr.start, next);
-            next = rr.end;
-            for r in rr {
-                assert_eq!(map.shard_of_rack(r), s);
-            }
+        // Walking the racks in order, the owning shard starts at 0,
+        // steps up by at most one per rack and ends at the last shard.
+        let mut prev = 0;
+        for r in 0..7 {
+            let owner = map.shard_of_device(&topo, topo.devices_in_rack(r).start);
+            assert!(owner == prev || owner == prev + 1, "rack {r}");
+            prev = owner;
         }
-        assert_eq!(next, 7);
+        assert_eq!(prev, 2);
     }
 
     #[test]
@@ -146,7 +130,6 @@ mod tests {
         let topo = Topology::new(TopologyShape::new(4, 2), 12);
         let map = ShardMap::new(&topo, 1);
         assert_eq!(map.device_range(0), 0..12);
-        assert_eq!(map.rack_range(0), 0..4);
         for d in 0..12 {
             assert_eq!(map.shard_of_device(&topo, d), 0);
         }
@@ -158,7 +141,7 @@ mod tests {
             let topo = Topology::new(TopologyShape::new(6, 3), 90);
             let map = ShardMap::new(&topo, shards);
             for r in 0..6 {
-                let owner = map.shard_of_rack(r);
+                let owner = map.shard_of_device(&topo, topo.devices_in_rack(r).start);
                 for d in topo.devices_in_rack(r) {
                     assert_eq!(
                         map.shard_of_device(&topo, d),

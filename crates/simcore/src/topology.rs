@@ -118,17 +118,6 @@ impl fmt::Display for TopologyShape {
     }
 }
 
-/// A device's resolved position in the hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct DeviceAddress {
-    /// Rack index, `0..shape.racks`.
-    pub rack: usize,
-    /// Node index *within the cluster*, `0..shape.nodes()`.
-    pub node: usize,
-    /// Slot within the node, `0..devices_per_node`.
-    pub slot: usize,
-}
-
 /// A concrete topology: a shape instantiated over a device count.
 ///
 /// Devices fill nodes in index order: node `n` holds the contiguous
@@ -181,16 +170,6 @@ impl Topology {
         self.node_of(d) / self.shape.nodes_per_rack
     }
 
-    /// The full address of device `d`.
-    pub fn address_of(&self, d: usize) -> DeviceAddress {
-        let node = self.node_of(d);
-        DeviceAddress {
-            rack: node / self.shape.nodes_per_rack,
-            node,
-            slot: d - node * self.devices_per_node,
-        }
-    }
-
     /// The device indices hosted by node `n` (may be empty for trailing
     /// nodes of a sparse layout).
     pub fn devices_in_node(&self, n: usize) -> std::ops::Range<usize> {
@@ -206,16 +185,6 @@ impl Topology {
         let start = (first_node * self.devices_per_node).min(self.devices);
         let end = ((last_node + 1) * self.devices_per_node).min(self.devices);
         start..end
-    }
-
-    /// Whether two devices share a node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
-    /// Whether two devices share a rack.
-    pub fn same_rack(&self, a: usize, b: usize) -> bool {
-        self.rack_of(a) == self.rack_of(b)
     }
 }
 
@@ -289,10 +258,9 @@ mod tests {
         assert_eq!(t.rack_of(11), 2);
         // Every device resolves, and membership is consistent.
         for d in 0..12 {
-            let a = t.address_of(d);
-            assert!(t.devices_in_node(a.node).contains(&d));
-            assert!(t.devices_in_rack(a.rack).contains(&d));
-            assert_eq!(a.rack, t.rack_of(d));
+            assert!(t.devices_in_node(t.node_of(d)).contains(&d));
+            assert!(t.devices_in_rack(t.rack_of(d)).contains(&d));
+            assert_eq!(t.rack_of(d), t.node_of(d) / 2);
         }
     }
 
@@ -342,10 +310,10 @@ mod tests {
     fn same_domain_predicates() {
         let t = Topology::new(TopologyShape::new(2, 2), 8);
         // 4 nodes, 2 devices each: node 0 = {0,1}, rack 0 = {0,1,2,3}.
-        assert!(t.same_node(0, 1));
-        assert!(!t.same_node(1, 2));
-        assert!(t.same_rack(1, 2));
-        assert!(!t.same_rack(3, 4));
+        assert_eq!(t.node_of(0), t.node_of(1));
+        assert_ne!(t.node_of(1), t.node_of(2));
+        assert_eq!(t.rack_of(1), t.rack_of(2));
+        assert_ne!(t.rack_of(3), t.rack_of(4));
     }
 
     #[test]

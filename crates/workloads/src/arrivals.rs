@@ -1,7 +1,5 @@
 //! Arrival processes for requests and training tasks.
 //!
-//! * [`PoissonProcess`] — memoryless request arrivals (§7.1 uses a 5 ms
-//!   mean inter-arrival time per service).
 //! * [`FluctuatingQps`] — piecewise-constant QPS following a reflected
 //!   random walk with occasional inflection points, matching the
 //!   Alibaba traces of Fig. 1(a) ("random fluctuations … no discernible
@@ -15,31 +13,6 @@
 //!   simulated cluster (×80 in the paper).
 
 use simcore::{Exponential, SimDuration, SimRng, SimTime};
-
-/// A homogeneous Poisson arrival process.
-#[derive(Clone, Debug)]
-pub struct PoissonProcess {
-    inter: Exponential,
-}
-
-impl PoissonProcess {
-    /// Creates a process with the given mean inter-arrival time.
-    pub fn with_mean_interval(mean: SimDuration) -> Self {
-        PoissonProcess {
-            inter: Exponential::with_mean(mean.as_secs()),
-        }
-    }
-
-    /// Draws the next inter-arrival gap.
-    pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs(self.inter.sample(rng))
-    }
-
-    /// Mean arrival rate per second.
-    pub fn rate(&self) -> f64 {
-        1.0 / self.inter.mean()
-    }
-}
 
 /// Piecewise-constant fluctuating QPS (Fig. 1(a) shape).
 ///
@@ -260,18 +233,6 @@ impl PhillyArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn poisson_rate_roundtrip() {
-        let p = PoissonProcess::with_mean_interval(SimDuration::from_millis(5.0));
-        assert!((p.rate() - 200.0).abs() < 1e-9);
-        let mut rng = SimRng::seed(1);
-        let mean: f64 = (0..10_000)
-            .map(|_| p.next_gap(&mut rng).as_secs())
-            .sum::<f64>()
-            / 10_000.0;
-        assert!((mean - 0.005).abs() < 3e-4, "mean {mean}");
-    }
 
     #[test]
     fn fluctuating_qps_stays_in_range() {

@@ -5,9 +5,9 @@
 //!   the feature representation Mudi's Interference Modeler consumes.
 //! * [`zoo`] — the paper's workload tables: six inference services
 //!   (Tab. 1) and nine training tasks (Tab. 3).
-//! * [`arrivals`] — request and task arrival processes: Poisson request
-//!   streams (§7.1), the Alibaba-like fluctuating QPS of Fig. 1(a),
-//!   bursty schedules (Fig. 16), and Philly-like training-task arrivals.
+//! * [`arrivals`] — request and task arrival processes: the Alibaba-like
+//!   fluctuating QPS of Fig. 1(a), bursty schedules (Fig. 16), and
+//!   Philly-like training-task arrivals.
 //! * [`perf`] — the **ground truth** performance model standing in for
 //!   the physical A100 cluster: per-phase inference latency (CPU
 //!   preprocessing, PCIe transfer, GPU execution) as a piece-wise linear
@@ -28,7 +28,7 @@ pub mod traces;
 pub mod zoo;
 
 pub use arch::{LayerKind, NetworkArchitecture};
-pub use arrivals::{BurstSchedule, FluctuatingQps, PhillyArrivals, PoissonProcess};
+pub use arrivals::{BurstSchedule, FluctuatingQps, PhillyArrivals};
 pub use perf::{ColoKind, ColoWorkload, GroundTruth, InferencePhases};
 pub use zoo::{
     Domain, GenerativeProfile, InferenceServiceSpec, Optimizer, ServiceId, SizeClass, TaskId,

@@ -14,7 +14,7 @@
 //!   utilization; in PAI, below 50 % utilization for ~85 % of time.
 //! * Fig. 2(b): queueing-delay CDFs with tails beyond 1,000 minutes.
 
-use simcore::{Cdf, SimDuration, SimRng};
+use simcore::{Cdf, SimRng};
 
 use crate::arrivals::FluctuatingQps;
 
@@ -161,11 +161,6 @@ pub fn fig2_summary(cluster: TraceCluster, seed: u64) -> TrainingTraceSummary {
     }
 }
 
-/// Waiting-time measurement helper: converts durations to minutes.
-pub fn to_minutes(d: SimDuration) -> f64 {
-    d.as_secs() / 60.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,10 +221,5 @@ mod tests {
             );
             assert!(s.median_delay_mins < 60.0);
         }
-    }
-
-    #[test]
-    fn to_minutes_converts() {
-        assert_eq!(to_minutes(SimDuration::from_mins(90.0)), 90.0);
     }
 }
