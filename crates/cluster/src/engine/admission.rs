@@ -34,8 +34,7 @@ struct CandidateView<'a> {
 }
 
 /// Builds the candidate entries for one contiguous device range
-/// (`base..base + devices.len()`), in device-ascending order. Shared
-/// verbatim by the serial scan and every parallel chunk.
+/// (`base..base + devices.len()`), in device-ascending order.
 fn build_candidates(
     view: &CandidateView<'_>,
     base: usize,
@@ -142,12 +141,13 @@ impl Admission {
     /// fault injection.
     ///
     /// The device scan is a pure read in device-ascending order, so it
-    /// fans out over fixed-size chunks when workers are available: each
-    /// chunk builds its own slice of the candidate list and the slices
-    /// concatenate in chunk order — byte-identical to the serial scan
-    /// for every `(shards, workers)` grid point. Its wall time accrues
-    /// to [`SimState::phase_place_secs`] (parallelizable serial-phase
-    /// work, like the utilization sample's fan-out).
+    /// fans out over fixed 4096-device chunks: each chunk builds its own
+    /// slice of the candidate list and the slices concatenate in chunk
+    /// order — byte-identical for every `(shards, workers)` grid point.
+    /// The list is sized for every device up front, so concatenating
+    /// never regrows it. Its wall time accrues to
+    /// [`SimState::phase_place_secs`] (parallelizable serial-phase work,
+    /// like the utilization sample's fan-out).
     pub fn candidates(&self, st: &mut SimState, now: SimTime) -> Vec<DeviceCandidate> {
         const CHUNK: usize = 4096;
         let t0 = Instant::now();
@@ -181,39 +181,13 @@ impl Admission {
             reliability_on,
             elapsed_days,
         };
-        let workers = st.workers;
-        let out = if workers > 1 && st.devices.len() > CHUNK {
-            struct BuildChunk<'a> {
-                base: usize,
-                devices: &'a mut [GpuDevice],
-                out: Vec<DeviceCandidate>,
-            }
-            let mut work: Vec<BuildChunk> = Vec::with_capacity(st.devices.len() / CHUNK + 1);
-            let mut rest = &mut st.devices[..];
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = rest.len().min(CHUNK);
-                let (chunk, tail) = rest.split_at_mut(take);
-                work.push(BuildChunk {
-                    base,
-                    devices: chunk,
-                    out: Vec::new(),
-                });
-                base += take;
-                rest = tail;
-            }
-            let view = &view;
-            simcore::scoped_for_each_mut(&mut work, workers, |_, w| {
-                w.out = build_candidates(view, w.base, w.devices);
-            });
-            let mut all = Vec::with_capacity(work.iter().map(|w| w.out.len()).sum());
-            for w in &mut work {
-                all.append(&mut w.out);
-            }
-            all
-        } else {
-            build_candidates(&view, 0, &st.devices)
-        };
+        let mut out = Vec::with_capacity(st.devices.len());
+        simcore::fan_out(
+            st.devices.chunks_mut(CHUNK).enumerate(),
+            st.workers,
+            |(i, chunk)| build_candidates(&view, i * CHUNK, chunk),
+            |mut part| out.append(&mut part),
+        );
         st.phase_place_secs += t0.elapsed().as_secs_f64();
         out
     }
@@ -273,7 +247,7 @@ impl Admission {
                 .add_training(&st.shared.gt, td, proc)
                 .expect("candidate had a free slot");
             st.jobs[job_id.0 as usize].start(td, device);
-            let cap = st.applied_share_cap(td, device);
+            let cap = st.dstate[device].applied_share_cap(td);
             st.devices[device].rebalance_training_fractions(cap);
             Control.refresh_memory_pause(st, td, device);
             Control.reconfigure(st, td, device);

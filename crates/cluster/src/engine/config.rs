@@ -265,6 +265,11 @@ impl ClusterConfig {
         self
     }
 
+    /// The multiplier the burst schedule applies at `now`.
+    pub(super) fn burst_multiplier(&self, now: simcore::SimTime) -> f64 {
+        self.burst.as_ref().map_or(1.0, |b| b.multiplier_at(now))
+    }
+
     /// Which paper-scale regime this configuration falls into.
     pub fn scale(&self) -> ClusterScale {
         if self.devices >= 100 {

@@ -267,7 +267,7 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     accrue(ctx, now, d);
     let li = d - ctx.base;
     let (dwell, raw_qps) = ctx.dstate[li].qps_gen.next_segment();
-    let burst = ctx.burst_multiplier(now);
+    let burst = ctx.config.burst_multiplier(now);
     let rate_scale = ctx
         .gt
         .zoo()
@@ -440,23 +440,29 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize) {
         let m = ctx.dstate[li].acc.svc_entry(svc);
         m.requests += lost;
         m.violations += lost;
-        ctx.emit(now, || SimEvent::RetuneApplied {
-            device: d,
-            batch: decision.batch,
-            old_fraction,
-            new_fraction: decision.fraction,
-            pause_training: decision.pause_training,
-        });
+        ctx.push_trace(
+            now,
+            d,
+            OutMsg::RetuneApplied {
+                batch: decision.batch,
+                old_fraction,
+                new_fraction: decision.fraction,
+                pause_training: decision.pause_training,
+            },
+        );
     } else {
-        ctx.emit(now, || SimEvent::RetuneRejected {
-            device: d,
-            fraction_delta: decision.fraction - old_fraction,
-        });
+        ctx.push_trace(
+            now,
+            d,
+            OutMsg::RetuneRejected {
+                fraction_delta: decision.fraction - old_fraction,
+            },
+        );
     }
     ctx.dstate[li].training_share_cap = decision.training_share_cap;
     // The SLO circuit-breaker sheds best-effort training share while
     // the device is post-failure degraded.
-    let cap = ctx.applied_share_cap(now, d);
+    let cap = ctx.dstate[li].applied_share_cap(now);
     ctx.devices[li].rebalance_training_fractions(cap);
 
     // Pause bookkeeping: SLO infeasibility (any system) or memory
@@ -643,7 +649,7 @@ impl Control {
         st.jobs[job.0 as usize].finish(t);
         let est = t - st.jobs[job.0 as usize].submitted;
         st.fair.record(st.jobs[job.0 as usize].class, est.as_secs());
-        let cap = st.applied_share_cap(t, device);
+        let cap = st.dstate[device].applied_share_cap(t);
         st.devices[device].rebalance_training_fractions(cap);
         self.refresh_memory_pause(st, t, device);
         self.reconfigure(st, t, device);
@@ -659,54 +665,30 @@ impl Control {
     /// pool. The chunking is a fixed 4096-device grid — independent of
     /// the shard partition — and the reduction adds chunk partials in
     /// index order, so the sampled means are bit-identical across
-    /// every `(shards, workers)` grid point. The single-worker path
-    /// walks the same chunk grid without allocating (the kernel's
-    /// zero-allocation steady state covers this event).
+    /// every `(shards, workers)` grid point. One worker walks the same
+    /// chunk grid without allocating (the kernel's zero-allocation
+    /// steady state covers this event).
     pub fn on_util_sample(&self, st: &mut SimState, now: SimTime) {
         const CHUNK: usize = 4096;
         let t0 = std::time::Instant::now();
-        let workers = st.workers;
         let gt = &st.shared.gt;
         let (mut sm, mut mem) = (0.0, 0.0);
-        if workers > 1 && st.devices.len() > CHUNK {
-            struct SampleChunk<'a> {
-                devices: &'a mut [gpu_sim::GpuDevice],
-                sums: (f64, f64),
-            }
-            let mut work: Vec<SampleChunk> = Vec::with_capacity(st.devices.len() / CHUNK + 1);
-            let mut rest = &mut st.devices[..];
-            while !rest.is_empty() {
-                let take = rest.len().min(CHUNK);
-                let (chunk, tail) = rest.split_at_mut(take);
-                work.push(SampleChunk {
-                    devices: chunk,
-                    sums: (0.0, 0.0),
-                });
-                rest = tail;
-            }
-            simcore::scoped_for_each_mut(&mut work, workers, |_, w| {
+        simcore::fan_out(
+            st.devices.chunks_mut(CHUNK),
+            st.workers,
+            |chunk| {
                 let (mut cs, mut cm) = (0.0, 0.0);
-                for dev in w.devices.iter() {
+                for dev in chunk.iter() {
                     cs += dev.sm_utilization(gt);
                     cm += dev.memory().utilization();
                 }
-                w.sums = (cs, cm);
-            });
-            for w in &work {
-                sm += w.sums.0;
-                mem += w.sums.1;
-            }
-        } else {
-            for chunk in st.devices.chunks(CHUNK) {
-                let (mut cs, mut cm) = (0.0, 0.0);
-                for dev in chunk {
-                    cs += dev.sm_utilization(gt);
-                    cm += dev.memory().utilization();
-                }
+                (cs, cm)
+            },
+            |(cs, cm)| {
                 sm += cs;
                 mem += cm;
-            }
-        }
+            },
+        );
         let n = st.devices.len() as f64;
         st.util_series.push((now.as_secs(), sm / n, mem / n));
         st.phase_sample_secs += t0.elapsed().as_secs_f64();

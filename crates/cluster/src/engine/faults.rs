@@ -16,8 +16,7 @@
 //! that device's accrual watermark ([`SimState::dev_time`]) so device
 //! timelines stay monotone inside a stepping window.
 
-use gpu_sim::{ResidentId, StandbyInstance, TrainingProcess, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
-use mudi::policy::QueueItem;
+use gpu_sim::{ResidentId, StandbyInstance, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
 use resilience::{FaultDomain, FaultKind};
 use simcore::{SimDuration, SimEvent, SimTime};
 
@@ -289,14 +288,7 @@ impl Faults {
                 let job = &mut st.jobs[ji];
                 job.state = JobState::Queued;
                 job.device = None;
-                let est = st.shared.gt.zoo().task(job.task).gpu_hours * 3600.0 * st.iter_scale;
-                st.queue.push(QueueItem {
-                    arrival: job.submitted,
-                    est_duration: SimDuration::from_secs(est),
-                    priority: job.priority,
-                    class: job.class,
-                    payload: JobId(proc.id.0),
-                });
+                st.push_queue_item(JobId(proc.id.0));
             } else {
                 st.jobs[ji].state = JobState::Queued;
                 st.dstate[d].stranded.push(JobId(proc.id.0));
@@ -374,7 +366,7 @@ impl Faults {
             .expect("replica stashed at failure");
         let base = st.dstate[d].qps_gen.current()
             * st.config.load_multiplier
-            * st.burst_multiplier(now)
+            * st.config.burst_multiplier(now)
             * st.shared
                 .gt
                 .zoo()
@@ -407,19 +399,13 @@ impl Faults {
             let job = &mut st.jobs[ji];
             job.state = JobState::Running;
             job.device = Some(d);
-            let proc = TrainingProcess::with_progress(
-                ResidentId(job_id.0),
-                job.task,
-                0.1,
-                job.completed_iterations.max(0.0) as u64,
-                job.total_iterations,
-            );
+            let proc = st.restored_process(job_id);
             st.devices[d]
                 .add_training(&st.shared.gt, td, proc)
                 .expect("repaired device has free slots");
         }
         if !st.devices[d].trainings().is_empty() {
-            let cap = st.applied_share_cap(td, d);
+            let cap = st.dstate[d].applied_share_cap(td);
             st.devices[d].rebalance_training_fractions(cap);
         }
 

@@ -119,7 +119,7 @@ impl ClusterSession {
         Control.accrue(&mut self.st, now, device);
         let qps = self.st.dstate[device].qps_gen.current()
             * self.st.config.load_multiplier
-            * self.st.burst_multiplier(now)
+            * self.st.config.burst_multiplier(now)
             * self
                 .st
                 .shared

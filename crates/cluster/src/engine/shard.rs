@@ -109,6 +109,24 @@ pub(super) enum OutMsg {
         /// Acquisition iterations of this retune.
         iters: usize,
     },
+    /// Trace only: a retune moved the partition (emitted as
+    /// `SimEvent::RetuneApplied` for the key's device).
+    RetuneApplied {
+        /// New batching size.
+        batch: u32,
+        /// Previous inference GPU fraction.
+        old_fraction: f64,
+        /// Applied inference GPU fraction.
+        new_fraction: f64,
+        /// Whether co-located training pauses under the new config.
+        pause_training: bool,
+    },
+    /// Trace only: hysteresis rejected a retune's partition move
+    /// (emitted as `SimEvent::RetuneRejected` for the key's device).
+    RetuneRejected {
+        /// The rejected fraction delta (new minus old).
+        fraction_delta: f64,
+    },
 }
 
 /// One lane's event queue: a plain [`EventQueue`] whose tie-break
@@ -199,11 +217,6 @@ impl EventLane {
     pub fn fired(&self) -> u64 {
         self.queue.fired()
     }
-
-    /// Pending events on this lane.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// The global event queue: shared-state events only (arrivals,
@@ -236,11 +249,6 @@ impl ShardedEvents {
     /// Global events fired.
     pub fn fired(&self) -> u64 {
         self.queue.fired()
-    }
-
-    /// Pending global events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Whether the global queue is drained.

@@ -8,14 +8,15 @@
 //! call site instead of hidden in captured locals.
 //!
 //! The parallel-commit split lives here too: [`LaneBox`] owns
-//! everything one execution lane mutates during the parallel phase (a
+//! everything one execution lane mutates during the lane phase (a
 //! contiguous device range's event queue, a tuner replica, the
 //! envelope outbox and pooled scratch), and [`LaneCtx`] is the view a
 //! lane handler receives — its own device slices plus read-only shared
-//! state. The serial phase reconstructs the same view through
-//! [`SimState::with_lane_of`], so lane handlers are the *only*
-//! implementation of per-device control logic, which is what makes the
-//! serial and parallel paths bit-identical by construction.
+//! state. A lane handler never touches shared state, the trace bus
+//! included: it defers every such effect into its outbox. The serial
+//! phase reconstructs the same view through [`SimState::with_lane_of`]
+//! and drains the outbox at once, so lane handlers are the *only*
+//! implementation of per-device control logic at every grid point.
 //!
 //! [`Admission`]: super::admission::Admission
 //! [`Control`]: super::control::Control
@@ -280,6 +281,14 @@ pub(super) struct DeviceState {
     pub acc: DevAccum,
 }
 
+impl DeviceState {
+    /// The training share cap actually applied: the system's decision,
+    /// shed by the circuit-breaker while the device is degraded.
+    pub fn applied_share_cap(&self, now: SimTime) -> f64 {
+        (self.training_share_cap * self.breaker.share_multiplier(now)).clamp(0.01, 1.0)
+    }
+}
+
 /// The truly global, *read-only during the parallel phase* slice of
 /// the run state: the ground truth (immutable after construction,
 /// `Sync`), the base RNG the named substreams fork from, and the
@@ -322,9 +331,8 @@ pub(super) struct LaneBox {
 
 /// The view a lane handler receives: the lane's own device slices
 /// (indexed by `d - base`), its [`LaneBox`], and read-only shared
-/// state. Built by [`SimState::lane_ctx`] (serial, trace attached) or
-/// from split slices in the parallel phase (trace detached — the
-/// parallel path only runs with tracing disabled).
+/// state. Built by [`SimState::with_lane_of`] in the serial phase, or
+/// from split slices in the lane phase.
 pub(super) struct LaneCtx<'a> {
     pub base: usize,
     pub devices: &'a mut [GpuDevice],
@@ -334,17 +342,12 @@ pub(super) struct LaneCtx<'a> {
     pub config: &'a ClusterConfig,
     pub jobs: &'a [TrainingJob],
     pub ckpt: &'a [CheckpointTracker],
-    pub trace: Option<&'a mut TraceBus>,
+    /// Whether the run traces: trace events then ride the outbox as
+    /// [`OutMsg`] envelopes (see [`LaneCtx::push_trace`]).
+    pub tracing: bool,
 }
 
 impl LaneCtx<'_> {
-    /// Emits a trace event when a bus is attached (serial phase).
-    pub fn emit(&mut self, now: SimTime, f: impl FnOnce() -> SimEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.emit_with(now, f);
-        }
-    }
-
     /// Defers an effect into the lane outbox, stamped with the next
     /// `(time, device, seq)` merge key.
     pub fn push_msg(&mut self, at: SimTime, d: usize, msg: OutMsg) {
@@ -352,24 +355,18 @@ impl LaneCtx<'_> {
         self.lane.outbox.push(Envelope { key, msg });
     }
 
+    /// Defers a trace event of device `d` when the run traces; the
+    /// barrier emits it on the bus in merge-key order, so the stream
+    /// does not depend on the shard or worker partition.
+    pub fn push_trace(&mut self, at: SimTime, d: usize, msg: OutMsg) {
+        if self.tracing {
+            self.push_msg(at, d, msg);
+        }
+    }
+
     /// Schedules a lane-local event for its device.
     pub fn schedule(&mut self, at: SimTime, ev: LaneEvent) {
         self.lane.events.schedule(at, ev);
-    }
-
-    /// The multiplier the burst schedule applies right now.
-    pub fn burst_multiplier(&self, now: SimTime) -> f64 {
-        self.config
-            .burst
-            .as_ref()
-            .map_or(1.0, |b| b.multiplier_at(now))
-    }
-
-    /// The training share cap actually applied: the system's decision,
-    /// shed by the circuit-breaker while the device is degraded.
-    pub fn applied_share_cap(&self, now: SimTime, d: usize) -> f64 {
-        let ds = &self.dstate[d - self.base];
-        (ds.training_share_cap * ds.breaker.share_multiplier(now)).clamp(0.01, 1.0)
     }
 }
 
@@ -424,8 +421,8 @@ pub(super) struct SimState {
     /// see [`SimState::all_done`].
     pub done_prefix: usize,
     /// The structured event-trace bus (disabled unless `MUDI_TRACE=1`
-    /// or a caller opted in; zero-cost when disabled). Tracing forces
-    /// the serial lane path.
+    /// or a caller opted in; zero-cost when disabled). Only the serial
+    /// phase writes it: lanes defer their trace events to the barrier.
     pub trace: TraceBus,
     /// Wall-clock seconds spent in the (parallelizable) lane phase.
     pub phase_lane_secs: f64,
@@ -496,7 +493,7 @@ impl SimState {
             let service = gt.zoo().services()[svc_idx].id;
             let slo = gt.zoo().service(service).slo;
             let mut dev = GpuDevice::new(DeviceId(d), DEVICE_MEMORY_GB);
-            let mut qps_gen = FluctuatingQps::per_replica(rng.fork_indexed("qps", d));
+            let qps_gen = FluctuatingQps::per_replica(rng.fork_indexed("qps", d));
             // Generative replicas sustain a few requests per second, not
             // hundreds: the shared generator's rate is scaled by the
             // service's calibration (`1.0` exactly for classifiers).
@@ -509,7 +506,6 @@ impl SimState {
                 InferenceInstance::new(service, 16, 0.6, qps),
             );
             devices.push(dev);
-            let _ = &mut qps_gen;
             dstate.push(DeviceState {
                 qps_gen,
                 monitor: Monitor::new(slo),
@@ -731,11 +727,6 @@ impl SimState {
         self.events.fired() + self.lanes.iter().map(|l| l.events.fired()).sum::<u64>()
     }
 
-    /// Total pending events (global + every lane).
-    pub fn pending_events(&self) -> usize {
-        self.events.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>()
-    }
-
     /// Firing time of the next event anywhere (global or lane).
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut best = self.events.peek_time();
@@ -766,11 +757,16 @@ impl SimState {
             .any(|l| l.events.peek_time().is_some_and(|t| t <= t1))
     }
 
-    /// The serial-phase lane view for lane `s`, trace attached.
-    pub fn lane_ctx(&mut self, s: usize) -> LaneCtx<'_> {
+    /// Runs `f` against the lane view owning device `d`, then applies
+    /// the lane's outbox — the serial phase's way of calling a lane
+    /// handler so its deferred effects (trace events included) apply
+    /// immediately, matching the instant-apply semantics serial events
+    /// always had.
+    pub fn with_lane_of(&mut self, d: usize, f: impl FnOnce(&mut LaneCtx)) {
+        let s = self.lane_of(d);
         let lane = &mut self.lanes[s];
         let range = lane.range.clone();
-        LaneCtx {
+        f(&mut LaneCtx {
             base: range.start,
             devices: &mut self.devices[range.clone()],
             dstate: &mut self.dstate[range],
@@ -779,59 +775,35 @@ impl SimState {
             config: &self.config,
             jobs: &self.jobs,
             ckpt: &self.ckpt,
-            trace: Some(&mut self.trace),
+            tracing: self.trace.is_enabled(),
+        });
+        if !self.lanes[s].outbox.is_empty() {
+            self.apply_outboxes(s..s + 1);
         }
     }
 
-    /// Runs `f` against the lane view owning device `d`, then drains
-    /// the lane's outbox — the serial phase's way of calling a lane
-    /// handler so its deferred effects apply immediately (matching the
-    /// instant-apply semantics serial events always had).
-    pub fn with_lane_of(&mut self, d: usize, f: impl FnOnce(&mut LaneCtx)) {
-        let s = self.lane_of(d);
-        {
-            let mut ctx = self.lane_ctx(s);
-            f(&mut ctx);
-        }
-        self.drain_lane_outbox(s);
+    /// The epoch barrier: applies every lane's outbox.
+    pub fn drain_all_outboxes(&mut self) {
+        let t0 = std::time::Instant::now();
+        self.apply_outboxes(0..self.lanes.len());
+        self.phase_barrier_secs += t0.elapsed().as_secs_f64();
     }
 
-    /// Drains one lane's outbox in merge-key order (used after a
-    /// serial-phase lane call; the keys are emission-unique, so the
-    /// sort is a total order).
-    pub fn drain_lane_outbox(&mut self, s: usize) {
-        if self.lanes[s].outbox.is_empty() {
-            return;
-        }
+    /// Concatenates the outboxes of `lanes`, sorts them by `(time,
+    /// device, seq)` merge key, and applies them serially. The
+    /// concatenation order is irrelevant: the key is partition-invariant
+    /// and unique per envelope, so the sort is a total order.
+    fn apply_outboxes(&mut self, lanes: std::ops::Range<usize>) {
         let mut buf = self.msg_pool.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
-        buf.append(&mut self.lanes[s].outbox);
+        for s in lanes {
+            buf.append(&mut self.lanes[s].outbox);
+        }
         buf.sort_unstable_by_key(|e| e.key);
         for e in buf.drain(..) {
             self.apply_envelope(e);
         }
         self.msg_pool.push(buf);
-    }
-
-    /// The epoch barrier: concatenates every lane's outbox, sorts by
-    /// `(time, device, seq)` merge key, and applies serially. The
-    /// concatenation order is irrelevant — the sort key is
-    /// partition-invariant and unique per envelope.
-    pub fn drain_all_outboxes(&mut self) {
-        let t0 = std::time::Instant::now();
-        let mut buf = self.msg_pool.pop().unwrap_or_default();
-        debug_assert!(buf.is_empty());
-        for s in 0..self.lanes.len() {
-            buf.append(&mut self.lanes[s].outbox);
-        }
-        if !buf.is_empty() {
-            buf.sort_unstable_by_key(|e| e.key);
-            for e in buf.drain(..) {
-                self.apply_envelope(e);
-            }
-        }
-        self.msg_pool.push(buf);
-        self.phase_barrier_secs += t0.elapsed().as_secs_f64();
     }
 
     /// Applies one deferred effect. Serial: may touch any shared
@@ -888,6 +860,29 @@ impl SimState {
                 }
             }
             OutMsg::Bo { iters } => self.bo_iterations.push(iters),
+            // The emitter (key actor) is the retuned device.
+            OutMsg::RetuneApplied {
+                batch,
+                old_fraction,
+                new_fraction,
+                pause_training,
+            } => self.trace.emit(
+                at,
+                SimEvent::RetuneApplied {
+                    device: env.key.actor as usize,
+                    batch,
+                    old_fraction,
+                    new_fraction,
+                    pause_training,
+                },
+            ),
+            OutMsg::RetuneRejected { fraction_delta } => self.trace.emit(
+                at,
+                SimEvent::RetuneRejected {
+                    device: env.key.actor as usize,
+                    fraction_delta,
+                },
+            ),
         }
     }
 
@@ -934,21 +929,6 @@ impl SimState {
     // ------------------------------------------------------------------
     // Misc queries.
     // ------------------------------------------------------------------
-
-    /// The multiplier the burst schedule applies right now.
-    pub fn burst_multiplier(&self, now: SimTime) -> f64 {
-        self.config
-            .burst
-            .as_ref()
-            .map_or(1.0, |b| b.multiplier_at(now))
-    }
-
-    /// The training share cap actually applied: the system's decision,
-    /// shed by the circuit-breaker while the device is degraded.
-    pub fn applied_share_cap(&self, now: SimTime, d: usize) -> f64 {
-        let st = &self.dstate[d];
-        (st.training_share_cap * st.breaker.share_multiplier(now)).clamp(0.01, 1.0)
-    }
 
     /// Whether every submitted job has completed.
     ///

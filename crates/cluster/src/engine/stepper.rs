@@ -6,8 +6,8 @@
 //! rounds of
 //!
 //! 1. **lane phase** — every lane executes its own events up to the
-//!    window end, concurrently when `workers > 1` (serially, through
-//!    the identical handler code, otherwise);
+//!    window end, fanned out over the worker pool (in the calling
+//!    thread with one worker, through the same code);
 //! 2. **barrier** — all lane outboxes are merged in `(time, device,
 //!    seq)` key order and applied to shared state;
 //! 3. **global phase** — the global queue's events up to the window
@@ -34,22 +34,14 @@ use crate::metrics::ExperimentResult;
 use super::admission::Admission;
 use super::control::{self, Control};
 use super::faults::{self, Faults};
+use super::shard::Envelope;
 use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SimState};
 
 /// The stepper. Stateless: everything lives in [`SimState`].
 pub(super) struct Stepper;
 
-/// One lane's slice of the cluster, split out for the parallel phase.
-struct LaneWork<'a> {
-    base: usize,
-    devices: &'a mut [GpuDevice],
-    dstate: &'a mut [DeviceState],
-    lane: &'a mut LaneBox,
-}
-
-/// Executes every event of one lane up to (and including) `t1`. The
-/// single lane event loop, shared verbatim by the parallel and serial
-/// paths.
+/// Executes every event of one lane up to (and including) `t1`: the
+/// single lane event loop.
 fn drain_lane(ctx: &mut LaneCtx, t1: SimTime) {
     while let Some((now, ev)) = ctx.lane.events.pop_until(t1) {
         match ev {
@@ -95,8 +87,6 @@ impl Stepper {
     /// wall-clock cost; job submission and initial seeding must already
     /// have happened.
     pub fn run(&self, st: &mut SimState, wall_start: Instant) -> ExperimentResult {
-        let debug = simcore::env::is_set("MUDI_DEBUG_EVENTS");
-        let mut dbg_next = 200_000u64;
         let cap = SimTime::from_secs(st.config.max_sim_secs);
         let mut last_finish = SimTime::ZERO;
         while let Some(next) = st.next_event_time() {
@@ -106,20 +96,6 @@ impl Stepper {
             let t1 = st.events.epoch_end_after(next).min(cap);
             if self.run_window(st, t1, &mut last_finish, true) {
                 break; // Every job completed.
-            }
-            if debug && st.fired() >= dbg_next {
-                dbg_next = st.fired() + 200_000;
-                eprintln!(
-                    "[engine] events={} t<={:.3}s pending={} done={}/{}",
-                    st.fired(),
-                    t1.as_secs(),
-                    st.pending_events(),
-                    st.jobs
-                        .iter()
-                        .filter(|j| j.state == crate::job::JobState::Completed)
-                        .count(),
-                    st.jobs.len(),
-                );
             }
         }
 
@@ -166,60 +142,36 @@ impl Stepper {
         }
     }
 
-    /// The lane phase: every lane with pending events up to `t1` drains
-    /// them. Parallel over `simcore::pool` when more than one worker
-    /// and lane are available and tracing is off (the trace bus is a
-    /// single ordered stream); the serial path runs the identical
-    /// handlers lane-ascending.
+    /// The lane phase: every lane drains its events up to `t1`, fanned
+    /// out over `simcore::pool` with one part per lane. Traced or not,
+    /// and at every worker count, this is the one path: a lane defers
+    /// its trace events into its outbox, and the barrier emits them in
+    /// merge-key order.
     fn lane_phase(&self, st: &mut SimState, t1: SimTime) {
         let t0 = Instant::now();
         let workers = st.workers;
-        if workers > 1 && st.lanes.len() > 1 && !st.trace.is_enabled() {
-            let mut work: Vec<LaneWork> = Vec::with_capacity(st.lanes.len());
-            let mut devices = &mut st.devices[..];
-            let mut dstate = &mut st.dstate[..];
-            let mut offset = 0usize;
-            for lane in st.lanes.iter_mut() {
-                let len = lane.range.len();
-                debug_assert_eq!(lane.range.start, offset);
-                let (dev_a, dev_rest) = devices.split_at_mut(len);
-                let (ds_a, ds_rest) = dstate.split_at_mut(len);
-                devices = dev_rest;
-                dstate = ds_rest;
-                work.push(LaneWork {
-                    base: offset,
-                    devices: dev_a,
-                    dstate: ds_a,
-                    lane,
-                });
-                offset += len;
+        let tracing = st.trace.is_enabled();
+        let (gt, config, jobs, ckpt) = (&st.shared.gt, &st.config, &st.jobs[..], &st.ckpt[..]);
+        let (mut devices, mut dstate) = (&mut st.devices[..], &mut st.dstate[..]);
+        let lanes = st.lanes.iter_mut().map(|lane| {
+            // Lanes own contiguous ascending ranges: peel each one off.
+            let len = lane.range.len();
+            let (dev, dev_rest) = std::mem::take(&mut devices).split_at_mut(len);
+            let (ds, ds_rest) = std::mem::take(&mut dstate).split_at_mut(len);
+            (devices, dstate) = (dev_rest, ds_rest);
+            LaneCtx {
+                base: lane.range.start,
+                devices: dev,
+                dstate: ds,
+                lane,
+                gt,
+                config,
+                jobs,
+                ckpt,
+                tracing,
             }
-            let gt = &st.shared.gt;
-            let config = &st.config;
-            let jobs = &st.jobs[..];
-            let ckpt = &st.ckpt[..];
-            simcore::scoped_for_each_mut(&mut work, workers, |_, w| {
-                let mut ctx = LaneCtx {
-                    base: w.base,
-                    devices: &mut *w.devices,
-                    dstate: &mut *w.dstate,
-                    lane: &mut *w.lane,
-                    gt,
-                    config,
-                    jobs,
-                    ckpt,
-                    trace: None,
-                };
-                drain_lane(&mut ctx, t1);
-            });
-        } else {
-            for s in 0..st.lanes.len() {
-                if st.lanes[s].events.peek_time().is_some_and(|t| t <= t1) {
-                    let mut ctx = st.lane_ctx(s);
-                    drain_lane(&mut ctx, t1);
-                }
-            }
-        }
+        });
+        simcore::fan_out(lanes, workers, |mut ctx| drain_lane(&mut ctx, t1), |()| {});
         st.phase_lane_secs += t0.elapsed().as_secs_f64();
     }
 
@@ -362,12 +314,17 @@ impl Stepper {
     }
 }
 
-// The parallel lane phase moves these across threads; fail at compile
-// time (not deep inside `scoped_for_each_mut`'s bounds) if a future
-// field change breaks that.
+// The lane phase moves these across threads; fail at compile time (not
+// deep inside `fan_out`'s bounds) if a future field change breaks that.
 const _: fn() = || {
     fn assert_send<T: Send + ?Sized>() {}
     assert_send::<[GpuDevice]>();
     assert_send::<[DeviceState]>();
     assert_send::<LaneBox>();
+    assert_send::<LaneCtx>();
 };
+
+// The barrier sorts envelopes by value; keep trace variants from
+// growing its sort element.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Envelope>() == 56);

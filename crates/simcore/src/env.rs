@@ -32,9 +32,8 @@ pub fn string_or(name: &str, default: &str) -> String {
     string(name).unwrap_or_else(|| default.to_string())
 }
 
-/// Whether `name` is set at all, regardless of value. (A few debug
-/// knobs — `MUDI_DEBUG_EVENTS`, the `MUDI_TRACE` stderr dump — treat
-/// presence as consent.)
+/// Whether `name` is set at all, regardless of value. (The `MUDI_TRACE`
+/// stderr dump treats presence as consent.)
 pub fn is_set(name: &str) -> bool {
     std::env::var_os(name).is_some()
 }

@@ -33,7 +33,7 @@ pub use metrics::{
     fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, TreeFolder,
     UtilizationIntegrator,
 };
-pub use pool::{max_workers, scoped_for_each_mut, scoped_map, scoped_map_workers};
+pub use pool::{fan_out, max_workers, scoped_map, scoped_map_workers};
 pub use rng::{MergeKey, SimRng};
 pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};

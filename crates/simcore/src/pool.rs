@@ -4,7 +4,8 @@
 //! (system × seed × fault-rate × load) simulation cells; each cell owns
 //! its configuration and its [`crate::SimRng`] streams, so cells can run
 //! on separate cores with **no change in output**. [`scoped_map`] is the
-//! fan-out primitive the experiment drivers use:
+//! fan-out primitive the experiment drivers use, and [`fan_out`] (built
+//! on it) is the sharded engine's:
 //!
 //! * **Order-preserving:** output `i` is `f(items[i])` regardless of
 //!   which worker ran it or when it finished, so parallel results are
@@ -121,79 +122,43 @@ where
         .collect()
 }
 
-/// Fork-join barrier over mutable per-shard work: runs
-/// `f(i, &mut work[i])` for every item on up to `workers` threads and
-/// returns only when **all** items have completed — the epoch-barrier
-/// primitive of the sharded engine.
+/// Runs `f` on every part and hands the results to `fold` in part
+/// order — the sharded engine's one fan-out primitive (the lane phase
+/// and the chunked device scans of the serial phase).
 ///
-/// * **Disjoint by construction:** each `&mut work[i]` is handed to
-///   exactly one worker, so shard states (which may hold `!Sync`
-///   interior-mutability memos) are never shared across threads.
-/// * **Serial fast path:** `workers <= 1` or a single item runs in the
-///   calling thread with no thread machinery and no allocation — the
-///   1-shard engine keeps its zero-allocation steady state.
-/// * **Panic-propagating:** a panicking shard joins all workers and
-///   re-panics in the caller labelled with the shard index.
+/// * **One path at every worker count:** `fold` sees the results in
+///   part order whichever worker produced them, so the outcome does not
+///   depend on `workers`; only wall-clock time does.
+/// * **Disjoint by construction:** each part (typically a `&mut` slice
+///   of shard state, which may hold `!Sync` memos) moves to exactly one
+///   worker.
+/// * **Serial fast path:** one worker or one part runs in the calling
+///   thread with no thread machinery and no allocation — the 1-worker
+///   engine keeps its zero-allocation steady state.
+/// * Otherwise the parts run on [`scoped_map_workers`], which allocates
+///   O(parts) slots and spawns its workers **per call**; callers
+///   amortize this by batching meaningful work per call.
 ///
-/// The multi-worker path allocates O(items) claim slots and spawns
-/// `workers` threads **per call**; callers amortize this by choosing
-/// epoch windows long enough to batch meaningful work per barrier.
-pub fn scoped_for_each_mut<W, F>(work: &mut [W], workers: usize, f: F)
+/// A panicking part re-panics in the caller labelled with its index,
+/// at every worker count.
+pub fn fan_out<I, R, F, G>(parts: I, workers: usize, f: F, mut fold: G)
 where
-    W: Send,
-    F: Fn(usize, &mut W) + Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+    G: FnMut(R),
 {
-    let n = work.len();
-    if n == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        for (i, w) in work.iter_mut().enumerate() {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, w))) {
-                panic!(
-                    "scoped_for_each_mut: shard {i} panicked: {}",
-                    panic_message(payload.as_ref())
-                );
-            }
+    let parts = parts.into_iter();
+    if workers <= 1 || parts.len() <= 1 {
+        for (i, part) in parts.enumerate() {
+            fold(run_labelled(&f, i, part));
         }
         return;
     }
-
-    // Same claim discipline as `scoped_map_workers`: an atomic cursor
-    // hands each index to exactly one worker, and the per-slot mutex
-    // transfers the `&mut` borrow without contention.
-    let slots: Vec<Mutex<Option<&mut W>>> = work.iter_mut().map(|w| Mutex::new(Some(w))).collect();
-    let cursor = AtomicUsize::new(0);
-    let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let w = slots[i]
-                    .lock()
-                    .expect("work slot lock")
-                    .take()
-                    .expect("each shard is claimed exactly once");
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, w))) {
-                    let msg = panic_message(payload.as_ref());
-                    let mut slot = failure.lock().expect("failure slot lock");
-                    if slot.as_ref().is_none_or(|&(j, _)| i < j) {
-                        *slot = Some((i, msg));
-                    }
-                    cursor.store(n, Ordering::Relaxed);
-                    break;
-                }
-            });
-        }
-    });
-
-    if let Some((i, msg)) = failure.into_inner().expect("failure slot") {
-        panic!("scoped_for_each_mut: shard {i} panicked: {msg}");
+    for r in scoped_map_workers(parts.collect(), workers, f) {
+        fold(r);
     }
 }
 
@@ -271,48 +236,72 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_applies_every_shard_at_every_worker_count() {
+    fn fan_out_folds_in_part_order_at_every_worker_count() {
         for workers in [1, 2, 3, 8] {
             let mut work: Vec<u64> = (0..7).collect();
-            scoped_for_each_mut(&mut work, workers, |i, w| {
-                *w = w.wrapping_mul(3) + i as u64;
-            });
+            let mut seen = Vec::new();
+            fan_out(
+                work.iter_mut().enumerate(),
+                workers,
+                |(i, w)| {
+                    *w = w.wrapping_mul(3) + i as u64;
+                    i
+                },
+                |i| seen.push(i),
+            );
             let expect: Vec<u64> = (0..7u64).map(|i| i.wrapping_mul(3) + i).collect();
             assert_eq!(work, expect, "workers={workers}");
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 
     #[test]
-    fn for_each_mut_is_a_barrier() {
-        // Every shard's effect is visible when the call returns.
+    fn fan_out_is_a_barrier() {
+        // Every part's effect is visible when the call returns.
         let mut work = vec![0u64; 32];
-        scoped_for_each_mut(&mut work, 8, |i, w| *w = i as u64 + 1);
-        assert!(work.iter().enumerate().all(|(i, &w)| w == i as u64 + 1));
+        fan_out(
+            work.chunks_mut(3).enumerate(),
+            8,
+            |(i, c)| c.fill(i as u64 + 1),
+            |()| {},
+        );
+        assert!(work
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w == (i / 3) as u64 + 1));
     }
 
     #[test]
-    fn for_each_mut_labels_the_panicking_shard() {
+    fn fan_out_labels_the_panicking_part() {
         for workers in [1, 4] {
             let err = std::panic::catch_unwind(|| {
-                let mut work = vec![0u32; 6];
-                scoped_for_each_mut(&mut work, workers, |i, _| {
-                    if i == 3 {
-                        panic!("boom");
-                    }
-                });
+                fan_out(
+                    0..6usize,
+                    workers,
+                    |i| {
+                        if i == 3 {
+                            panic!("boom");
+                        }
+                    },
+                    |()| {},
+                );
             })
             .unwrap_err();
             let msg = panic_message(err.as_ref());
             assert!(
-                msg.contains("shard 3") && msg.contains("boom"),
+                msg.contains("item 3") && msg.contains("boom"),
                 "workers={workers}: {msg}"
             );
         }
     }
 
     #[test]
-    fn for_each_mut_empty_work_is_a_no_op() {
-        let mut work: Vec<u32> = Vec::new();
-        scoped_for_each_mut(&mut work, 4, |_, _| unreachable!());
+    fn fan_out_over_no_parts_is_a_no_op() {
+        fan_out(
+            Vec::<u32>::new(),
+            4,
+            |_| -> u32 { unreachable!() },
+            |_| unreachable!(),
+        );
     }
 }

@@ -202,17 +202,17 @@ fn steady_state_stepping_allocates_nothing() {
 
 /// Sharded stepping's allocation contract.
 ///
-/// With a single worker the rack-sharded engine collapses to the plain
-/// merge-pop loop — no speculation phase, no barriers — and must stay
-/// exactly as allocation-free as the unsharded shapes above. With
-/// multiple workers (CI re-runs this file under `MUDI_THREADS=2`) each
-/// epoch window's speculation barrier performs a bounded, documented
-/// amount of setup: one shard-work vector cut along the shard map plus
-/// the scoped pool's claim slots and worker-thread spawns. That makes
-/// steady-state allocations **O(epoch windows), never O(events)** —
-/// this test pins the per-epoch budget so a per-event allocation
-/// sneaking into the sharded path trips immediately (thousands of
-/// events fire per 60-second epoch in these shapes).
+/// With a single worker the rack-sharded engine runs every lane in the
+/// calling thread — the fan-out allocates nothing, and the barrier
+/// reuses pooled buffers — so it must stay exactly as allocation-free
+/// as the unsharded shapes above. With multiple workers (CI re-runs
+/// this file under `MUDI_THREADS=2`) each epoch window's lane fan-out
+/// performs a bounded, documented amount of setup: the lane-view
+/// vector plus the scoped pool's claim slots and worker-thread spawns.
+/// That makes steady-state allocations **O(epoch windows), never
+/// O(events)** — this test pins the per-epoch budget so a per-event
+/// allocation sneaking into the sharded path trips immediately
+/// (thousands of events fire per 60-second epoch in these shapes).
 #[test]
 fn sharded_stepping_allocation_contract() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -247,7 +247,7 @@ fn sharded_stepping_allocation_contract() {
         // 60-second epochs tile the measured window; step_until calls
         // can each open one extra partial window.
         let epochs = ((horizon - warm) / 60.0).ceil() as usize + 8;
-        // Documented per-epoch barrier budget: the shard-work vector,
+        // Documented per-epoch fan-out budget: the lane-view vector,
         // the pool's claim-slot vector, and a few allocations per
         // spawned worker thread.
         const PER_EPOCH_ALLOC_BUDGET: usize = 64;

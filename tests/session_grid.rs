@@ -20,7 +20,7 @@ use std::fmt::Write;
 use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
 use cluster::systems::SystemKind;
 use resilience::{CorrelatedFaultConfig, FaultProfile};
-use simcore::{SimTime, TopologyShape};
+use simcore::{SimTime, TopologyShape, TraceConfig};
 
 /// An 8-rack faulted config so 8 shards are non-trivial and the
 /// cross-lane paths (reroute, standby mirror, repair undo) all fire.
@@ -45,10 +45,34 @@ fn grid_config(shards: usize, workers: usize) -> ClusterConfig {
 /// abstracts *how* the clock reaches each scripted instant.
 fn run_script(cfg: ClusterConfig, advance: impl Fn(&mut ClusterSession, SimTime)) -> String {
     let mut s = ClusterSession::new_scaled(cfg, 0.01);
+    let mut out = drive_script(&mut s, advance);
+    out.push_str(&s.finish().canonical_text());
+    out
+}
+
+/// [`run_script`] with the trace bus on, stepping straight to each
+/// instant. Returns the script rendering and, separately, the rendered
+/// trace stream and summary.
+fn run_traced_script(cfg: ClusterConfig) -> (String, String) {
+    let mut s = ClusterSession::new_scaled(cfg, 0.01);
+    s.set_trace_config(TraceConfig::enabled());
+    let mut out = drive_script(&mut s, direct);
+    let (events, missed) = s.trace_events_since(0);
+    let mut trace = String::new();
+    for te in &events {
+        let _ = writeln!(trace, "{te:?}");
+    }
+    let _ = writeln!(trace, "missed={missed} {:?}", s.trace_summary());
+    out.push_str(&s.finish().canonical_text());
+    (out, trace)
+}
+
+/// The scripted admin session itself: everything but the final result.
+fn drive_script(s: &mut ClusterSession, advance: impl Fn(&mut ClusterSession, SimTime)) -> String {
     let mut out = String::new();
     let services: Vec<_> = s.zoo().services().iter().map(|sp| sp.id).collect();
 
-    advance(&mut s, SimTime::from_secs(500.0));
+    advance(s, SimTime::from_secs(500.0));
     let _ = writeln!(
         out,
         "deploy3 {:?}",
@@ -69,7 +93,7 @@ fn run_script(cfg: ClusterConfig, advance: impl Fn(&mut ClusterSession, SimTime)
         }
     }
 
-    advance(&mut s, SimTime::from_secs(900.0));
+    advance(s, SimTime::from_secs(900.0));
     let _ = writeln!(
         out,
         "fail2 {}",
@@ -89,7 +113,7 @@ fn run_script(cfg: ClusterConfig, advance: impl Fn(&mut ClusterSession, SimTime)
         .is_ok()
     );
 
-    advance(&mut s, SimTime::from_secs(1500.0));
+    advance(s, SimTime::from_secs(1500.0));
     let _ = writeln!(
         out,
         "scale1 {:?}",
@@ -104,7 +128,7 @@ fn run_script(cfg: ClusterConfig, advance: impl Fn(&mut ClusterSession, SimTime)
             .is_ok()
     );
 
-    advance(&mut s, SimTime::from_secs(2500.0));
+    advance(s, SimTime::from_secs(2500.0));
     for r in s.service_report() {
         let _ = writeln!(
             out,
@@ -130,7 +154,6 @@ fn run_script(cfg: ClusterConfig, advance: impl Fn(&mut ClusterSession, SimTime)
         fm.service_outage_secs
     );
     let _ = writeln!(out, "fired={}", s.events_fired());
-    out.push_str(&s.finish().canonical_text());
     out
 }
 
@@ -152,6 +175,37 @@ fn scripted_session_is_identical_across_shard_worker_grid() {
             assert_eq!(
                 baseline, cell,
                 "shards={shards} workers={workers} drifted from the 1x1 baseline"
+            );
+        }
+    }
+}
+
+/// Observing a run costs it neither its results nor its determinism:
+/// traced, every grid point replays the untraced run exactly and emits
+/// the byte-identical trace stream, although lanes run concurrently and
+/// each defers its trace events to the barrier.
+#[test]
+fn traced_session_stream_is_identical_across_shard_worker_grid() {
+    let untraced = run_script(grid_config(1, 1), direct);
+    let (base_out, base_trace) = run_traced_script(grid_config(1, 1));
+    assert_eq!(untraced, base_out, "tracing perturbed the 1x1 replay");
+    assert!(
+        base_trace.contains("RetuneApplied") || base_trace.contains("RetuneRejected"),
+        "the script must exercise the lane trace events"
+    );
+    for shards in [1usize, 2, 4, 8] {
+        for workers in [1usize, 2, 4, 8] {
+            if (shards, workers) == (1, 1) {
+                continue;
+            }
+            let (out, trace) = run_traced_script(grid_config(shards, workers));
+            assert_eq!(
+                untraced, out,
+                "shards={shards} workers={workers}: traced replay drifted"
+            );
+            assert_eq!(
+                base_trace, trace,
+                "shards={shards} workers={workers}: trace stream drifted from 1x1"
             );
         }
     }
