@@ -18,8 +18,9 @@
 //! wrappers that build the lane view for the target device and drain
 //! its outbox immediately.
 
-use gpu_sim::{ReconfigPolicy, ResidentId};
+use gpu_sim::{GpuDevice, ReconfigPolicy, ResidentId};
 use simcore::{normal_cdf, SimDuration, SimEvent, SimTime};
+use workloads::GroundTruth;
 
 use crate::job::{JobId, JobState};
 use crate::systems::{ConfigDecision, DeviceView, SystemKind};
@@ -589,26 +590,6 @@ impl Control {
         st.with_lane_of(d, |ctx| reconfigure(ctx, now, d));
     }
 
-    /// Violation probability of `host`'s active standby at its current
-    /// mirrored QPS and colocation — the quality figure frozen into the
-    /// covered device's [`DeviceState::standby_pviol`] at promote time
-    /// and at each serial-phase mirror refresh. Returns `0.0` when the
-    /// host has no active standby.
-    pub fn standby_pviol(st: &SimState, host: usize) -> f64 {
-        let dev = &st.devices[host];
-        let Some(s) = dev.standby().filter(|s| s.is_active()) else {
-            return 0.0;
-        };
-        let pf = dev.perf_factor();
-        let frac = (s.reserve_fraction * pf).max(0.01);
-        let (colo_buf, colo_n) = dev.colo_for_standby_buf();
-        let colo = &colo_buf[..colo_n];
-        let slo = st.shared.gt.zoo().service(s.service).slo_secs();
-        let (mean, sigma, _p99) =
-            dev.standby_latency_profile(&st.shared.gt, s.service, s.batch, frac, colo);
-        violation_probability(s.qps, s.batch, slo, mean, sigma)
-    }
-
     /// Serial-phase memory-pause refresh for device `d`.
     pub fn refresh_memory_pause(&self, st: &mut SimState, now: SimTime, d: usize) {
         st.with_lane_of(d, |ctx| refresh_memory_pause(ctx, now, d));
@@ -724,14 +705,6 @@ impl Control {
     }
 }
 
-/// Per-request SLO-violation probability under a constant
-/// configuration.
-///
-/// A request waits `u · b/W` for its batch to fill (`u` its position)
-/// and then experiences the log-normal batch latency `L · ε`. The
-/// probability is averaged over three batch positions; an unstable
-/// service (`L ≥ b/W`, batches finishing slower than they form) is
-/// driven toward certain violation.
 /// Per-token SLO-violation probability for a continuous-batching
 /// decode loop: the log-normal iteration latency against the target,
 /// under the same >95 % utilization instability ramp as
@@ -753,6 +726,31 @@ pub fn itl_violation_probability(slo: f64, mean: f64, sigma: f64, util: f64) -> 
     p.clamp(0.0, 1.0)
 }
 
+/// The score of `dev`'s active warm standby: `(violation probability,
+/// mean, sigma)` of its batch latency at its mirrored QPS, on its
+/// reserved slice under the device's current colocation. `None` when
+/// the device hosts no active standby. Routing ranks a standby by it,
+/// and a promote or mirror refresh freezes its probability into the
+/// covered device's [`super::state::DeviceState::standby_pviol`].
+pub(super) fn standby_score(gt: &GroundTruth, dev: &GpuDevice) -> Option<(f64, f64, f64)> {
+    let s = dev.standby().filter(|s| s.is_active())?;
+    let frac = (s.reserve_fraction * dev.perf_factor()).max(0.01);
+    let (colo_buf, colo_n) = dev.colo_for_standby_buf();
+    let slo = gt.zoo().service(s.service).slo_secs();
+    let (mean, sigma, _p99) =
+        dev.standby_latency_profile(gt, s.service, s.batch, frac, &colo_buf[..colo_n]);
+    let p = violation_probability(s.qps, s.batch, slo, mean, sigma);
+    Some((p, mean, sigma))
+}
+
+/// Per-request SLO-violation probability under a constant
+/// configuration.
+///
+/// A request waits `u · b/W` for its batch to fill (`u` its position)
+/// and then experiences the log-normal batch latency `L · ε`. The
+/// probability is averaged over three batch positions; an unstable
+/// service (`L ≥ b/W`, batches finishing slower than they form) is
+/// driven toward certain violation.
 pub fn violation_probability(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f64) -> f64 {
     if qps <= 0.0 {
         return 0.0;

@@ -143,29 +143,24 @@ impl Faults {
         st.dstate[d].stashed_inference = Some(stash);
 
         if st.recovery.standby.is_enabled() {
-            // A standby hosted on `d` dies with it: any device it was
-            // covering loses coverage (its traffic drops until repair,
-            // and the service may now be in total outage).
-            for f in 0..st.dstate.len() {
-                if st.dstate[f].standby_host == Some(d) {
-                    // Book the covered span as served before the
-                    // coverage flag flips (the span up to this instant
-                    // was genuinely standby-served).
-                    let tf = st.dev_time(f, now);
-                    Control.accrue(st, tf, f);
-                    st.dstate[f].standby_host = None;
-                    st.dstate[f].standby_pviol = 0.0;
-                    let fsvc = st.dstate[f].service;
-                    let up = (0..st.devices.len())
-                        .filter(|&s| st.devices[s].is_up() && st.dstate[s].service == fsvc)
-                        .count();
-                    if up == 0 {
-                        st.fmetrics.service_outages += 1;
-                        if domain.is_correlated() {
-                            st.fmetrics.correlated_outages += 1;
-                        }
-                        st.outage_start[fsvc.0].get_or_insert(now);
-                    }
+            // A standby hosted on `d` dies with it: the device it was
+            // covering (one of the slot's service) loses coverage. Its
+            // traffic drops until repair, and the service may now be
+            // in total outage.
+            let covered = st.dstate[d].standby_slot.and_then(|svc| {
+                let mut list = st.roster.of(svc).iter().copied();
+                Some((svc, list.find(|&f| st.dstate[f].standby_host == Some(d))?))
+            });
+            if let Some((svc, f)) = covered {
+                // Book the covered span as served before the coverage
+                // flag flips (the span up to this instant was genuinely
+                // standby-served).
+                let tf = st.dev_time(f, now);
+                Control.accrue(st, tf, f);
+                st.dstate[f].standby_host = None;
+                st.dstate[f].standby_pviol = 0.0;
+                if st.service_down(svc) {
+                    st.open_outage(svc, now, domain);
                 }
             }
             // Cancel any promotion this device was about to perform.
@@ -174,13 +169,10 @@ impl Faults {
             }
         }
 
+        let svc = st.dstate[d].service;
         let mut standby_covered = false;
         if st.recovery.failover_inference && base > 0.0 {
-            let survivors: Vec<usize> = (0..st.devices.len())
-                .filter(|&s| {
-                    s != d && st.devices[s].is_up() && st.dstate[s].service == st.dstate[d].service
-                })
-                .collect();
+            let survivors: Vec<usize> = st.up_primaries(svc).collect();
             if !survivors.is_empty() {
                 st.fmetrics.inference_failovers += 1;
                 st.trace.emit_with(now, || SimEvent::FailoverRerouted {
@@ -209,14 +201,11 @@ impl Faults {
                 // promoted after a bounded switch latency instead of
                 // dropping every request until repair.
                 if st.recovery.standby.is_enabled() {
-                    let svc = st.dstate[d].service;
-                    let host = (0..st.devices.len()).find(|&h| {
+                    let host = st.roster.of(svc).iter().copied().find(|&h| {
                         h != d
                             && st.devices[h].is_up()
                             && st.dstate[h].pending_promote.is_none()
-                            && st.devices[h]
-                                .standby()
-                                .is_some_and(|s| s.service == svc && !s.is_active())
+                            && st.standby_for(h, svc).is_some_and(|s| !s.is_active())
                     });
                     if let Some(h) = host {
                         st.dstate[h].promote_token += 1;
@@ -246,32 +235,13 @@ impl Faults {
             st.fmetrics.failover_latency_secs.push(repair.as_secs());
         }
 
-        // Total-outage accounting: if this failure took down the
-        // service's last live replica (e.g. every survivor sat inside
-        // the same blast radius), open an outage window. The dropped
-        // traffic itself is charged per-span by `accrue`; this makes
-        // the outage *explicit* rather than silently folded into
-        // violations.
-        let svc = st.dstate[d].service;
-        let up_replicas = (0..st.devices.len())
-            .filter(|&s| st.devices[s].is_up() && st.dstate[s].service == svc)
-            .count();
-        // A pending or already-active standby keeps the service alive:
-        // no replica is up, but traffic resumes within the bounded
-        // promote window rather than waiting for repair.
-        let standby_cover = standby_covered
-            || (0..st.devices.len()).any(|h| {
-                st.devices[h].is_up()
-                    && st.devices[h]
-                        .standby()
-                        .is_some_and(|s| s.service == svc && s.is_active())
-            });
-        if up_replicas == 0 && !standby_cover {
-            st.fmetrics.service_outages += 1;
-            if domain.is_correlated() {
-                st.fmetrics.correlated_outages += 1;
-            }
-            st.outage_start[svc.0].get_or_insert(now);
+        // Total-outage accounting: if this failure left the service
+        // down, open an outage window, so the outage is explicit rather
+        // than folded into the per-span drop violations. A promote
+        // scheduled above keeps the service alive: traffic resumes
+        // within the bounded promote window.
+        if !standby_covered && st.service_down(svc) {
+            st.open_outage(svc, now, domain);
         }
 
         // Training: roll back to the checkpoint, then requeue (the
@@ -319,9 +289,7 @@ impl Faults {
 
         // This repair brings the service's replica count back above
         // zero; close any open total-outage window.
-        if let Some(start) = st.outage_start[st.dstate[d].service.0].take() {
-            st.fmetrics.service_outage_secs += now.since(start).as_secs();
-        }
+        st.close_outage(st.dstate[d].service, now);
 
         // Release warm-standby coverage: the covering standby drains
         // back to idle and waits for the next failure.
@@ -336,8 +304,11 @@ impl Faults {
                 self.reconfigure_guarded(st, th, h);
             }
         }
-        // Cancel any promotion still pending on this device's behalf.
-        for h in 0..st.dstate.len() {
+        // Cancel any promotion still pending on this device's behalf
+        // (its host holds a standby slot of this device's service).
+        let svc = st.dstate[d].service;
+        for i in 0..st.roster.of(svc).len() {
+            let h = st.roster.of(svc)[i];
             if matches!(st.dstate[h].pending_promote, Some((t, _)) if t == d) {
                 st.dstate[h].pending_promote = None;
                 st.dstate[h].promote_token += 1;
@@ -364,14 +335,7 @@ impl Faults {
             .stashed_inference
             .take()
             .expect("replica stashed at failure");
-        let base = st.dstate[d].qps_gen.current()
-            * st.config.load_multiplier
-            * st.config.burst_multiplier(now)
-            * st.shared
-                .gt
-                .zoo()
-                .service(st.dstate[d].service)
-                .request_rate_scale();
+        let base = st.demand(d, st.dstate[d].service, now);
         inst.qps = base + st.dstate[d].extra_qps;
         st.devices[d].deploy_inference(&st.shared.gt, td, inst);
 
@@ -379,8 +343,7 @@ impl Faults {
         // rejoins with a fresh idle standby.
         let sb = st.recovery.standby;
         if sb.is_enabled() {
-            if let Some(slot) = st.dstate[d].standby_slot {
-                let svc = st.standby_registry[slot.0];
+            if let Some(svc) = st.dstate[d].standby_slot {
                 if st.devices[d].standby().is_none() {
                     st.devices[d].seed_standby(
                         &st.shared.gt,
@@ -455,7 +418,8 @@ impl Faults {
         let (devices, trace) = (&mut st.devices, &mut st.trace);
         devices[host].promote_standby_traced(&st.shared.gt, th, qps, target, trace);
         st.dstate[target].standby_host = Some(host);
-        st.dstate[target].standby_pviol = Control::standby_pviol(st, host);
+        st.dstate[target].standby_pviol =
+            control::standby_score(&st.shared.gt, &st.devices[host]).map_or(0.0, |(p, ..)| p);
         st.fmetrics.standby_promotions += 1;
         self.reconfigure_guarded(st, th, host);
     }

@@ -17,6 +17,8 @@
 //!   resource-scaling ticks;
 //! - `faults` — fault-schedule application, blast expansion, and
 //!   standby promote/demote;
+//! - `roster` — which devices serve each service, and the one total
+//!   outage rule;
 //! - `stepper` — the time loop sequencing the stages, plus result
 //!   assembly. RNG streams are owned by the shared `SimState` and
 //!   forked by name, so the stage split cannot perturb determinism.
@@ -32,6 +34,7 @@ mod admission;
 mod config;
 mod control;
 mod faults;
+mod roster;
 mod session;
 mod shard;
 mod state;
@@ -44,7 +47,7 @@ use std::time::Instant;
 
 use mudi::{CircuitBreaker, RetuneGuard};
 use resilience::{FaultSchedule, RecoveryPolicy};
-use simcore::{Topology, TraceBus, TraceConfig, TraceSummary};
+use simcore::{TraceBus, TraceConfig, TraceSummary};
 use workloads::{GroundTruth, ServiceId, TaskId};
 
 use crate::metrics::ExperimentResult;
@@ -107,11 +110,6 @@ impl ClusterEngine {
     /// The ground-truth model backing this run.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.st.shared.gt
-    }
-
-    /// The rack/node topology devices are addressed through.
-    pub fn topology(&self) -> &Topology {
-        &self.st.topo
     }
 
     /// Runs the experiment to completion with every job's iteration

@@ -4,6 +4,8 @@
 //! would (accrual, retune, fault delivery), so scripted admin
 //! sequences replay bit-identically.
 
+use std::cmp::Reverse;
+
 use gpu_sim::InferenceInstance;
 use resilience::{FaultEvent, FaultKind};
 use simcore::SimDuration;
@@ -102,45 +104,28 @@ impl ClusterSession {
         if !self.st.devices[device].is_up() {
             return Err(SessionError::DeviceDown(device));
         }
-        let ds = &self.st.dstate[device];
-        if ds.extra_qps > 0.0
-            || ds.pending_promote.is_some()
-            || self.st.devices[device]
-                .standby()
-                .is_some_and(gpu_sim::StandbyInstance::is_active)
-        {
+        if !self.eligible(device) {
             return Err(SessionError::DeviceBusy(device));
         }
-        if ds.service == service {
+        if self.st.dstate[device].service == service {
             return Ok(());
         }
         self.routes.clear();
         let now = self.now;
         Control.accrue(&mut self.st, now, device);
-        let qps = self.st.dstate[device].qps_gen.current()
-            * self.st.config.load_multiplier
-            * self.st.config.burst_multiplier(now)
-            * self
-                .st
-                .shared
-                .gt
-                .zoo()
-                .service(service)
-                .request_rate_scale();
+        let qps = self.st.demand(device, service, now);
         self.st.devices[device].deploy_inference(
             &self.st.shared.gt,
             now,
             InferenceInstance::new(service, 16, 0.6, qps),
         );
-        self.st.dstate[device].service = service;
+        self.st.repin(device, service);
         self.st.dstate[device]
             .monitor
             .redeploy(self.st.shared.gt.zoo().service(service).slo);
         self.st.dstate[device].last_p99 = None;
         // This deploy restores the service if it was in total outage.
-        if let Some(start) = self.st.outage_start[service.0].take() {
-            self.st.fmetrics.service_outage_secs += now.since(start).as_secs();
-        }
+        self.st.close_outage(service, now);
         Control.refresh_memory_pause(&mut self.st, now, device);
         Control.reconfigure(&mut self.st, now, device);
         Ok(())
@@ -166,18 +151,13 @@ impl ClusterSession {
                 // most live replicas (tie: lowest service id), lowest
                 // device index first.
                 let counts = self.up_replica_counts();
-                let donor = (0..self.st.devices.len())
-                    .filter(|&d| self.eligible_for_switch(d, service))
-                    .max_by_key(|&d| {
-                        let svc = self.st.dstate[d].service;
-                        // max count, then prefer low service id and low
-                        // device index (invert for max_by_key).
-                        (
-                            counts[self.service_index(svc)],
-                            usize::MAX - svc.0,
-                            usize::MAX - d,
-                        )
-                    });
+                let mut order: Vec<ServiceId> = (0..counts.len()).map(ServiceId).collect();
+                order.sort_by_key(|s| (Reverse(counts[s.0]), s.0));
+                let donor = order.into_iter().find_map(|svc| {
+                    self.st
+                        .primaries(svc)
+                        .find(|&d| self.eligible_for_switch(d, service, &counts))
+                });
                 let Some(d) = donor else {
                     break; // Nothing left to repurpose.
                 };
@@ -187,23 +167,15 @@ impl ClusterSession {
             } else if up > target {
                 // Victim: this service's highest-index eligible device,
                 // moved to the least-replicated other service.
-                let victim = (0..self.st.devices.len())
-                    .rev()
-                    .find(|&d| self.st.dstate[d].service == service && self.eligible(d));
+                let victim = self.st.primaries(service).rev().find(|&d| self.eligible(d));
                 let Some(d) = victim else {
                     break;
                 };
                 let counts = self.up_replica_counts();
-                let to = self
-                    .st
-                    .shared
-                    .gt
-                    .zoo()
-                    .services()
-                    .iter()
-                    .map(|s| s.id)
+                let to = (0..counts.len())
+                    .map(ServiceId)
                     .filter(|&s| s != service)
-                    .min_by_key(|&s| (counts[self.service_index(s)], s.0))
+                    .min_by_key(|&s| (counts[s.0], s.0))
                     .expect("zoo has more than one service");
                 self.deploy_replica(d, to)?;
                 outcome.moves.push((d, service, to));

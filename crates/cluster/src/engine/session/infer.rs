@@ -9,7 +9,7 @@ use gpu_sim::GpuDevice;
 use simcore::{SimEvent, SimTime};
 use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
-use super::super::control::{itl_violation_probability, violation_probability};
+use super::super::control::{itl_violation_probability, standby_score};
 use super::super::state::SimState;
 use super::{ClusterSession, SessionError};
 
@@ -110,16 +110,7 @@ impl ClusterSession {
         let latency_secs = wait + mean * (sigma * z).exp();
         let violation = latency_secs > slo;
 
-        let idx = self.service_index(service);
-        self.api[idx].0 += 1;
-        if violation {
-            self.api[idx].1 += 1;
-        }
-        self.st.trace.emit_with(now, || SimEvent::InferenceRouted {
-            service: service.0,
-            device,
-            violation,
-        });
+        self.tally(service, device, violation);
         Ok(InferOutcome {
             service,
             device,
@@ -187,16 +178,7 @@ impl ClusterSession {
         // Request-level tally mirrors the engine's accounting: the
         // request-weighted violation for a generative service is the
         // TTFT miss.
-        let idx = self.service_index(service);
-        self.api[idx].0 += 1;
-        if ttft_violation {
-            self.api[idx].1 += 1;
-        }
-        self.st.trace.emit_with(now, || SimEvent::InferenceRouted {
-            service: service.0,
-            device,
-            violation: ttft_violation,
-        });
+        self.tally(service, device, ttft_violation);
         Ok(GenInferOutcome {
             service,
             device,
@@ -210,11 +192,26 @@ impl ClusterSession {
         })
     }
 
+    /// Counts one routed request in the service's API tally and
+    /// publishes it on the trace bus.
+    fn tally(&mut self, service: ServiceId, device: usize, violation: bool) {
+        let (requests, violations) = &mut self.api[service.0];
+        *requests += 1;
+        *violations += u64::from(violation);
+        self.st
+            .trace
+            .emit_with(self.now, || SimEvent::InferenceRouted {
+                service: service.0,
+                device,
+                violation,
+            });
+    }
+
     /// The replica selector shared by both request kinds: scores every
     /// up device that serves `service` (its primary replica, or an
     /// active standby covering it) and keeps the lowest
     /// `(p_violation, mean)`, breaking exact ties by device index.
-    /// The choice is kept in the session's [`RouteCache`] until the
+    /// The choice is kept in the session's route cache until the
     /// next call that can change device state, so repeated requests
     /// between two steps score the replicas once.
     fn route(
@@ -223,8 +220,8 @@ impl ClusterSession {
         kind: RouteKind,
         score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
     ) -> Result<(usize, Candidate), SessionError> {
-        let key = (self.service_index(service), kind);
-        if let Some(hit) = self.routes.get(key) {
+        let key = 2 * service.0 + kind as usize;
+        if let Some(hit) = self.routes.get(key).copied().flatten() {
             debug_assert!(
                 same_route(hit, self.scan(service, score)?),
                 "stale route for service {}: a device-state change did not clear the route cache",
@@ -233,18 +230,23 @@ impl ClusterSession {
             return Ok(hit);
         }
         let best = self.scan(service, score)?;
-        self.routes.put(key, best);
+        if self.routes.len() <= key {
+            self.routes.resize(key + 1, None);
+        }
+        self.routes[key] = Some(best);
         Ok(best)
     }
 
-    /// Scores every replica of `service` (see [`ClusterSession::route`]).
+    /// Scores every replica of `service` on its roster (see
+    /// [`ClusterSession::route`]).
     fn scan(
         &mut self,
         service: ServiceId,
         mut score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
     ) -> Result<(usize, Candidate), SessionError> {
         let mut best: Option<(usize, Candidate)> = None;
-        for d in 0..self.st.devices.len() {
+        for i in 0..self.st.roster.of(service).len() {
+            let d = self.st.roster.of(service)[i];
             let Some(slot) = Slot::of(&self.st.devices[d], service) else {
                 continue;
             };
@@ -266,45 +268,11 @@ enum RouteKind {
     Generative,
 }
 
-/// The routing decision per `(service, request kind)` at the current
-/// device state. Routing reads only state that stepping, reports and
-/// the admin operations change, and each of those clears the cache;
-/// between them the decision is a pure function of that state, so a
-/// cached choice is the one a fresh scan would make.
-#[derive(Default)]
-pub(super) struct RouteCache(Vec<Option<(usize, Candidate)>>);
-
-impl RouteCache {
-    fn slot(key: (usize, RouteKind)) -> usize {
-        2 * key.0 + key.1 as usize
-    }
-
-    fn get(&self, key: (usize, RouteKind)) -> Option<(usize, Candidate)> {
-        self.0.get(Self::slot(key)).copied().flatten()
-    }
-
-    fn put(&mut self, key: (usize, RouteKind), route: (usize, Candidate)) {
-        let i = Self::slot(key);
-        if self.0.len() <= i {
-            self.0.resize(i + 1, None);
-        }
-        self.0[i] = Some(route);
-    }
-
-    /// Forgets every decision (device state may have changed).
-    pub(super) fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
 /// Whether two routing decisions agree bit for bit.
 fn same_route(a: (usize, Candidate), b: (usize, Candidate)) -> bool {
     let bits = |c: Candidate| {
         (
-            c.p.to_bits(),
-            c.mean.to_bits(),
-            c.sigma.to_bits(),
-            c.fill.to_bits(),
+            [c.p, c.mean, c.sigma, c.fill].map(f64::to_bits),
             c.via_standby,
         )
     };
@@ -313,7 +281,7 @@ fn same_route(a: (usize, Candidate), b: (usize, Candidate)) -> bool {
 
 /// A scored routing candidate.
 #[derive(Clone, Copy)]
-struct Candidate {
+pub(super) struct Candidate {
     /// Predicted violation probability: the routing key.
     p: f64,
     /// Predicted mean (batch or iteration) latency, seconds.
@@ -394,7 +362,9 @@ impl Slot {
 
 /// Scores a classifier slot: the batch-queue violation probability at
 /// the slot's configured batch. A primary goes through the device's
-/// `VpCache` (the memo accrual uses, which routing thereby pre-warms).
+/// `VpCache` (the memo accrual uses, which routing thereby pre-warms);
+/// a standby takes the score a promote freezes for the device it
+/// covers.
 fn classifier_candidate(
     st: &mut SimState,
     d: usize,
@@ -403,15 +373,16 @@ fn classifier_candidate(
     slot: &Slot,
 ) -> Candidate {
     let dev = &st.devices[d];
-    let (colo_buf, colo_n) = slot.colo(dev);
-    let colo = &colo_buf[..colo_n];
-    let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
-    let p = if slot.standby {
-        violation_probability(slot.qps, slot.batch, slo, mean, sigma)
+    let (p, mean, sigma) = if slot.standby {
+        standby_score(&st.shared.gt, dev).expect("active standby")
     } else {
-        st.dstate[d]
+        let (colo_buf, colo_n) = slot.colo(dev);
+        let colo = &colo_buf[..colo_n];
+        let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
+        let p = st.dstate[d]
             .vp_cache
-            .get(slot.qps, slot.batch, slo, mean, sigma)
+            .get(slot.qps, slot.batch, slo, mean, sigma);
+        (p, mean, sigma)
     };
     let fill = if slot.qps > 0.0 {
         slot.batch as f64 / slot.qps

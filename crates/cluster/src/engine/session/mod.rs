@@ -32,7 +32,7 @@ mod infer;
 pub use admin::{LiveFault, ScaleOutcome};
 pub use infer::{GenInferOutcome, InferOutcome, TokenVerdict};
 
-use infer::RouteCache;
+use infer::Candidate;
 
 use std::time::Instant;
 
@@ -142,9 +142,13 @@ pub struct ClusterSession {
     /// Per-service `(requests, violations)` for individually routed
     /// API requests, indexed like the zoo's service list.
     api: Vec<(u64, u64)>,
-    /// Routing decisions at the current device state; every call that
-    /// can change device state clears it.
-    routes: RouteCache,
+    /// Routing decisions at the current device state, per `(service,
+    /// request kind)` at `2 * service + kind`. Routing reads only state
+    /// that stepping, reports and the admin operations change, and each
+    /// of those clears the cache; between them a decision is a pure
+    /// function of that state, so a cached choice is the one a fresh
+    /// scan would make.
+    routes: Vec<Option<(usize, Candidate)>>,
     /// Last training-job completion (for the makespan).
     last_finish: SimTime,
     wall_start: Instant,
@@ -173,7 +177,7 @@ impl ClusterSession {
             now: SimTime::ZERO,
             infer_rng,
             api: vec![(0, 0); n_services],
-            routes: RouteCache::default(),
+            routes: Vec::new(),
             last_finish: SimTime::ZERO,
             wall_start,
         }
@@ -229,36 +233,30 @@ impl ClusterSession {
     /// The per-service SLO report at the current session time, built in
     /// one device-ascending pass: each device is accrued (so the numbers
     /// include the span since the last event), its service partials go
-    /// straight into the fixed-shape tree fold, and its replica and
-    /// standby state is counted. Every service folds its partials in
-    /// device order in the fixed [`simcore::tree_fold`] shape, the same
-    /// fold the final result uses, so the report is identical across
-    /// every `(shards, workers)` grid point. Accrual's only cross-device
-    /// effect is job progress, never another device's partials, so
-    /// folding each device right after accruing it is exact.
+    /// straight into the fixed-shape tree fold, and its replica is
+    /// counted. Every service folds its partials in device order in the
+    /// fixed [`simcore::tree_fold`] shape, the same fold the final
+    /// result uses, so the report is identical across every `(shards,
+    /// workers)` grid point. Accrual's only cross-device effect is job
+    /// progress, never another device's partials, so folding each
+    /// device right after accruing it is exact. The outage flag is the
+    /// engine's one total-outage rule, `SimState::service_down`.
     pub fn service_report(&mut self) -> Vec<ServiceSlo> {
         self.routes.clear();
         let now = self.now;
         let n = self.st.shared.gt.zoo().services().len();
         let mut fold = ServiceFold::new(n);
-        let mut assigned = vec![0usize; n];
-        let mut up = vec![0usize; n];
-        let mut covered = vec![false; n];
+        let (mut assigned, mut up) = (vec![0usize; n], vec![0usize; n]);
         for d in 0..self.st.devices.len() {
             Control.accrue(&mut self.st, now, d);
             let ds = &self.st.dstate[d];
             fold.push(&ds.acc);
             assigned[ds.service.0] += 1;
-            let dev = &self.st.devices[d];
-            if dev.is_up() {
-                up[ds.service.0] += 1;
-                if let Some(s) = dev.standby().filter(|s| s.is_active()) {
-                    covered[s.service.0] = true;
-                }
-            }
+            up[ds.service.0] += usize::from(self.st.devices[d].is_up());
         }
         let table = fold.finish();
-        let services = self.st.shared.gt.zoo().services();
+        let st = &self.st;
+        let services = st.shared.gt.zoo().services();
         let mut rows = Vec::with_capacity(services.len());
         for (i, spec) in services.iter().enumerate() {
             let id = spec.id;
@@ -281,7 +279,7 @@ impl ClusterSession {
                 violation_rate: rate,
                 api_requests: self.api[i].0,
                 api_violations: self.api[i].1,
-                in_outage: assigned[id.0] > 0 && up[id.0] == 0 && !covered[id.0],
+                in_outage: st.service_down(id),
             });
         }
         rows
@@ -376,48 +374,25 @@ impl ClusterSession {
         (&mut self.st, self.now)
     }
 
+    /// Rejects an id outside the zoo. Ids are the zoo's indexes
+    /// ([`workloads::Zoo::service`] indexes `id.0`).
     fn check_service(&self, service: ServiceId) -> Result<(), SessionError> {
-        if self
-            .st
-            .shared
-            .gt
-            .zoo()
-            .services()
-            .iter()
-            .any(|s| s.id == service)
-        {
+        if service.0 < self.st.shared.gt.zoo().services().len() {
             Ok(())
         } else {
             Err(SessionError::UnknownService(service))
         }
     }
 
-    /// Position of `service` in the zoo's service list.
-    fn service_index(&self, service: ServiceId) -> usize {
-        self.st
-            .shared
-            .gt
-            .zoo()
-            .services()
-            .iter()
-            .position(|s| s.id == service)
-            .expect("service checked")
-    }
-
     fn up_replicas(&self, service: ServiceId) -> usize {
-        (0..self.st.devices.len())
-            .filter(|&d| self.st.devices[d].is_up() && self.st.dstate[d].service == service)
-            .count()
+        self.st.up_primaries(service).count()
     }
 
+    /// Up replicas per service, indexed by service id.
     fn up_replica_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.st.shared.gt.zoo().services().len()];
-        for d in 0..self.st.devices.len() {
-            if self.st.devices[d].is_up() {
-                counts[self.service_index(self.st.dstate[d].service)] += 1;
-            }
-        }
-        counts
+        (0..self.st.shared.gt.zoo().services().len())
+            .map(|i| self.up_replicas(ServiceId(i)))
+            .collect()
     }
 
     /// Whether `d` can be repurposed at all: up, not carrying failover
@@ -434,12 +409,10 @@ impl ClusterSession {
     /// Whether `d` is a valid scale-up donor for `target` (eligible and
     /// not already serving it, and not the last live replica of its own
     /// service — scaling one service up must not silently black out
-    /// another).
-    fn eligible_for_switch(&self, d: usize, target: ServiceId) -> bool {
-        if !self.eligible(d) || self.st.dstate[d].service == target {
-            return false;
-        }
-        self.up_replicas(self.st.dstate[d].service) > 1
+    /// another). `counts` is [`ClusterSession::up_replica_counts`].
+    fn eligible_for_switch(&self, d: usize, target: ServiceId, counts: &[usize]) -> bool {
+        let svc = self.st.dstate[d].service;
+        self.eligible(d) && svc != target && counts[svc.0] > 1
     }
 }
 
@@ -558,8 +531,9 @@ mod tests {
             },
             &|s| {
                 let svc = s.zoo().services()[1].id;
+                let counts = s.up_replica_counts();
                 let d = (0..s.device_count())
-                    .find(|&d| s.eligible_for_switch(d, svc))
+                    .find(|&d| s.eligible_for_switch(d, svc, &counts))
                     .unwrap();
                 s.deploy_replica(d, svc).unwrap();
             },

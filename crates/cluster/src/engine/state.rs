@@ -38,7 +38,8 @@ use crate::metrics::{FaultMetrics, ServiceMetrics, ServiceTable};
 use crate::systems::{build_system, Multiplexer};
 
 use super::config::ClusterConfig;
-use super::control::Control;
+use super::control::{standby_score, Control};
+use super::roster::Roster;
 use super::shard::{Envelope, EventLane, OutMsg, ShardedEvents, VpCache, AUTO_SHARD_MIN_DEVICES};
 
 /// Device-local engine events. Each concerns exactly one device and
@@ -99,12 +100,6 @@ pub(super) enum GlobalEvent {
         token: u64,
     },
 }
-
-/// Index of a seeded warm-standby slot into
-/// [`SimState::standby_registry`], assigned densely at construction —
-/// the standby analogue of `ServiceId`/`DeviceId`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) struct StandbySlot(pub usize);
 
 /// Per-device mergeable accumulator partials.
 ///
@@ -223,7 +218,8 @@ pub(super) struct DeviceState {
     /// (prevents the pause paths from multiplying heartbeats).
     pub retune_pending: bool,
     /// Service pinned to this device (survives the replica's eviction
-    /// while the device is down).
+    /// while the device is down). Written only at construction and by
+    /// [`SimState::repin`], which keeps the roster exact.
     pub service: ServiceId,
     /// Replica stashed while the device is down; its `qps` tracks the
     /// demand that is being dropped (zero-rated if failed over).
@@ -259,10 +255,10 @@ pub(super) struct DeviceState {
     /// blast-traffic conservation stays exact under any partition;
     /// only the violation quality is quantized to serial refreshes.
     pub standby_pviol: f64,
-    /// The persistent standby-pool slot seeded on this device (the
-    /// covered service lives in [`SimState::standby_registry`]);
-    /// survives the host's own failure so the pool re-seeds at repair.
-    pub standby_slot: Option<StandbySlot>,
+    /// The service of the persistent standby-pool slot seeded on this
+    /// device; survives the host's own failure so the pool re-seeds at
+    /// repair.
+    pub standby_slot: Option<ServiceId>,
     /// A promote in flight on this host: `(failed device, token)`.
     pub pending_promote: Option<(usize, u64)>,
     /// Bumped per promote so a stale `StandbyPromote` event cannot
@@ -411,12 +407,11 @@ pub(super) struct SimState {
     /// The rack/node hierarchy devices are addressed through.
     pub topo: Topology,
     /// Open total-outage window start per service (indexed by
-    /// `ServiceId`, `None` while any replica is live); closed at repair
-    /// or end-of-run.
+    /// `ServiceId`, `None` while the service is not down); closed at
+    /// repair, deploy or end-of-run.
     pub outage_start: Vec<Option<SimTime>>,
-    /// The covered service per seeded warm-standby slot, indexed by
-    /// [`StandbySlot`]; fixed after construction.
-    pub standby_registry: Vec<ServiceId>,
+    /// Which devices serve each service (see [`Roster`]).
+    pub roster: Roster,
     /// Cached length of the leading run of completed jobs in `jobs`;
     /// see [`SimState::all_done`].
     pub done_prefix: usize,
@@ -547,7 +542,6 @@ impl SimState {
         // engages under fault injection with an enabled pool, keeping
         // every other run bit-identical.
         let mut fmetrics = FaultMetrics::default();
-        let mut standby_registry: Vec<ServiceId> = Vec::new();
         if config.faults.is_some() && recovery.standby.is_enabled() {
             let standby = recovery.standby;
             for svc_def in gt.zoo().services() {
@@ -563,18 +557,14 @@ impl SimState {
                                 .count();
                             let standbys_in_rack = topo
                                 .devices_in_rack(rack)
-                                .filter(|&d| {
-                                    dstate[d].standby_slot.map(|s| standby_registry[s.0])
-                                        == Some(svc)
-                                })
+                                .filter(|&d| dstate[d].standby_slot == Some(svc))
                                 .count();
                             (primaries_in_rack, standbys_in_rack, h)
                         });
                     let Some(h) = host else {
                         break; // Every eligible device already hosts a slot.
                     };
-                    dstate[h].standby_slot = Some(StandbySlot(standby_registry.len()));
-                    standby_registry.push(svc);
+                    dstate[h].standby_slot = Some(svc);
                     devices[h].seed_standby(
                         &gt,
                         SimTime::ZERO,
@@ -589,6 +579,7 @@ impl SimState {
                 }
             }
         }
+        let roster = Roster::new(n_services, &dstate);
 
         // Resolve the shard count: explicit request (env override
         // first, then config) or auto — one lane until the cluster is
@@ -687,7 +678,7 @@ impl SimState {
             ckpt: Vec::new(),
             topo,
             outage_start: vec![None; n_services],
-            standby_registry,
+            roster,
             done_prefix: 0,
             trace: TraceBus::new(TraceConfig::from_env()),
             phase_lane_secs: 0.0,
@@ -842,7 +833,9 @@ impl SimState {
                     // probability from the host's live profile.
                     let target = env.key.actor as usize;
                     if self.dstate[target].standby_host == Some(host) {
-                        self.dstate[target].standby_pviol = Control::standby_pviol(self, host);
+                        self.dstate[target].standby_pviol =
+                            standby_score(&self.shared.gt, &self.devices[host])
+                                .map_or(0.0, |(p, ..)| p);
                     }
                 }
             }
@@ -945,6 +938,16 @@ impl SimState {
             self.done_prefix += 1;
         }
         !self.jobs.is_empty() && self.done_prefix == self.jobs.len()
+    }
+
+    /// The demand device `d`'s generator calls for at `now` when it
+    /// serves `service` (a generative service scales the shared rate by
+    /// its calibration).
+    pub fn demand(&self, d: usize, service: ServiceId, now: SimTime) -> f64 {
+        self.dstate[d].qps_gen.current()
+            * self.config.load_multiplier
+            * self.config.burst_multiplier(now)
+            * self.shared.gt.zoo().service(service).request_rate_scale()
     }
 
     /// Re-enqueues a job into the pending queue from its current

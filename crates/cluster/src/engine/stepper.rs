@@ -204,7 +204,11 @@ impl Stepper {
             Control.accrue(st, end, d);
             st.devices[d].finish(end);
         }
-        self.close_open_outages(st, end);
+        // Close the total-outage windows still open, in service-id
+        // order: the float sum is order-sensitive.
+        for s in 0..st.outage_start.len() {
+            st.close_outage(ServiceId(s), end);
+        }
         // Materialize the folded fault-metric partials exactly once,
         // then zero them so a later observability read cannot
         // double-count.
@@ -214,18 +218,6 @@ impl Stepper {
             ds.acc.rerouted_requests = 0.0;
             ds.acc.standby_reserved_gpu_secs = 0.0;
             ds.acc.standby_served_requests = 0.0;
-        }
-    }
-
-    /// Closes total-outage windows still open at end-of-run. The dense
-    /// table iterates in service-id order, which keeps the
-    /// order-sensitive float sum bit-identical to the sorted drain it
-    /// replaced.
-    fn close_open_outages(&self, st: &mut SimState, end: SimTime) {
-        for slot in &mut st.outage_start {
-            if let Some(start) = slot.take() {
-                st.fmetrics.service_outage_secs += end.since(start).as_secs();
-            }
         }
     }
 

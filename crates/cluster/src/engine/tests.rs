@@ -3,7 +3,7 @@ use std::sync::Arc;
 use super::*;
 
 use resilience::{FaultKind, FaultProfile, FaultSchedule};
-use simcore::{SimDuration, SimEventKind, SimTime, TopologyShape};
+use simcore::{SimDuration, SimEventKind, SimTime, Topology, TopologyShape};
 use workloads::Zoo;
 
 use crate::systems::SystemKind;
@@ -554,6 +554,49 @@ fn standby_promotes_when_the_blast_leaves_no_survivor() {
     );
 }
 
+/// With two standbys per service, two promoted standbys can cover both
+/// replicas of one service at once. When one host dies the other still
+/// serves the service, so no total outage opens.
+#[test]
+fn a_second_active_standby_keeps_the_service_out_of_outage() {
+    use resilience::{RecoveryPolicy, StandbyPolicy};
+    let n = Zoo::standard().services().len();
+    // Rates low enough that the generated schedule stays empty: every
+    // fault below is injected by hand.
+    let mut profile = FaultProfile::scaled(1e-6);
+    profile.recovery = RecoveryPolicy {
+        failover_inference: true,
+        standby: StandbyPolicy::warm(2),
+        ..RecoveryPolicy::standard()
+    };
+    let mut cfg = ClusterConfig::tiny(SystemKind::Random, 53).with_faults(profile);
+    cfg.devices = 2 * n;
+    let mut s = ClusterSession::new_scaled(cfg, 0.002);
+    assert!(s.state_mut().0.fault_schedule.events().is_empty());
+    let at = |s: &mut ClusterSession, secs: f64, fail: usize, repair_secs: f64| {
+        s.step_until(s.now() + SimDuration::from_secs(secs));
+        s.inject_fault(fail, LiveFault::DeviceFailure { repair_secs })
+            .expect("finite fault");
+    };
+    // The flat layout puts service 0's replicas on devices 0 and n. 0
+    // fails over to n; n then has no survivor and a standby covers it.
+    // 0 is repaired and fails again: the second standby covers it.
+    at(&mut s, 600.0, 0, 60.0);
+    at(&mut s, 0.0, n, 3600.0);
+    at(&mut s, 120.0, 0, 3600.0);
+    s.step_until(s.now() + SimDuration::from_secs(10.0));
+    let (st, _) = s.state_mut();
+    let hosts = [0, n].map(|d| st.dstate[d].standby_host.expect("standby covers it"));
+    assert_ne!(hosts[0], hosts[1]);
+    assert_eq!(s.fault_metrics().service_outages, 0);
+
+    // The host covering n dies; the one covering 0 still serves.
+    at(&mut s, 0.0, hosts[1], 3600.0);
+    assert_eq!(s.fault_metrics().service_outages, 0);
+    let report = s.service_report();
+    assert_eq!((report[0].replicas_up, report[0].in_outage), (0, false));
+}
+
 #[test]
 fn young_daly_period_raises_checkpoint_cadence_under_heavy_faults() {
     use resilience::{CheckpointPeriod, RecoveryPolicy};
@@ -701,6 +744,24 @@ fn reference_report(
     (table, rows)
 }
 
+/// Asserts the roster lists, per service, exactly the devices a fleet
+/// scan finds pinned to it or holding a standby slot for it, and that
+/// every standby covers its host's slot service.
+fn assert_roster_matches_scan(st: &SimState) {
+    let ds = &st.dstate;
+    for id in (0..st.shared.gt.zoo().services().len()).map(ServiceId) {
+        let scan: Vec<usize> = (0..ds.len())
+            .filter(|&d| ds[d].service == id || ds[d].standby_slot == Some(id))
+            .collect();
+        assert_eq!(st.roster.of(id), &scan[..], "service {}", id.0);
+    }
+    for (dev, d) in st.devices.iter().zip(ds) {
+        assert!(dev
+            .standby()
+            .is_none_or(|sb| d.standby_slot == Some(sb.service)));
+    }
+}
+
 /// Asserts two folded tables agree bit for bit on every field.
 fn assert_tables_bit_equal(
     got: &crate::metrics::ServiceTable,
@@ -790,15 +851,16 @@ fn apply_report_op(s: &mut ClusterSession, clock: &mut f64, op: ReportOp) {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-    /// `service_report` (one pass: accrue, fold, count per device) and
-    /// `fold_services` agree bit for bit with the clone-sort-regroup
-    /// fold and the per-service fleet scans they replaced, over random
-    /// step / deploy / scale / slowdown / failure sequences on a fleet
-    /// with warm standbys, at 1 and 4 shards. The reference runs right
-    /// after each report at the same instant, so its accrual is a
-    /// no-op and it folds the partials as they stand once every device
-    /// is accrued: if accruing a later device could touch a partial
-    /// the one pass had already folded, the two would differ.
+    /// `service_report` (one pass: accrue, fold, count per device; the
+    /// outage flag from `service_down`) and `fold_services` agree bit
+    /// for bit with the clone-sort-regroup fold and the per-service
+    /// fleet scans they replaced, over random step / deploy / scale / slowdown / failure
+    /// sequences on a fleet with warm standbys, at 1 and 4 shards.
+    /// After every op the roster equals a fleet scan. The reference
+    /// runs right after each report at the same instant, so its accrual
+    /// is a no-op and it folds the partials as they stand once every
+    /// device is accrued: if accruing a later device could touch a
+    /// partial the one pass had already folded, the two would differ.
     #[test]
     fn one_pass_report_matches_the_scan_and_sort_reference(
         seed in 0u64..1_000_000,
@@ -829,6 +891,8 @@ proptest::proptest! {
             let mut clock = 0.0;
             for &op in &ops {
                 apply_report_op(&mut s, &mut clock, op);
+                let (st, _) = s.state_mut();
+                assert_roster_matches_scan(st);
                 if !matches!(op, ReportOp::Report) {
                     continue;
                 }

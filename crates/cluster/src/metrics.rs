@@ -212,9 +212,10 @@ pub struct FaultMetrics {
     /// Cumulative training outage from process/MPS restarts, seconds
     /// (summed over affected processes).
     pub restart_downtime_secs: f64,
-    /// Times a service lost its *last* live replica — every survivor of
-    /// the triggering fault sat inside the same blast radius, so no
-    /// failover target existed (total outage).
+    /// Times a fault left a service down: no live replica and no
+    /// active standby (total outage). Either the blast swallowed every
+    /// replica with no standby to promote, or the host of the last
+    /// covering standby died.
     pub service_outages: usize,
     /// The subset of `service_outages` triggered by a correlated
     /// (node- or rack-scoped) fault rather than an independent device

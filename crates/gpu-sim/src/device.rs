@@ -487,14 +487,8 @@ impl GpuDevice {
     }
 
     /// The co-location set as seen by the inference instance (all
-    /// resident trainings).
-    pub fn colo_for_inference(&self) -> Vec<ColoWorkload> {
-        let (buf, n) = self.colo_for_inference_buf();
-        buf[..n].to_vec()
-    }
-
-    /// [`GpuDevice::colo_for_inference`] into a fixed stack buffer,
-    /// `(buffer, len)` — the allocation-free form for per-event paths.
+    /// resident trainings and an active standby), into a fixed stack
+    /// buffer as `(buffer, len)`.
     pub fn colo_for_inference_buf(&self) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
         let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_VIEW_MAX];
         let mut n = 0;
@@ -510,14 +504,8 @@ impl GpuDevice {
     }
 
     /// The co-location set as seen by an *active* standby (the primary
-    /// inference instance plus all resident trainings).
-    pub fn colo_for_standby(&self) -> Vec<ColoWorkload> {
-        let (buf, n) = self.colo_for_standby_buf();
-        buf[..n].to_vec()
-    }
-
-    /// [`GpuDevice::colo_for_standby`] into a fixed stack buffer,
-    /// `(buffer, len)` — the allocation-free form for per-event paths.
+    /// inference instance plus all resident trainings), into a fixed
+    /// stack buffer as `(buffer, len)`.
     pub fn colo_for_standby_buf(&self) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
         let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_VIEW_MAX];
         let mut n = 0;
@@ -533,17 +521,9 @@ impl GpuDevice {
     }
 
     /// The co-location set as seen by training `id` (the inference
-    /// instance plus the other trainings).
-    pub fn colo_for_training(&self, id: ResidentId) -> Vec<ColoWorkload> {
-        let (buf, n) = self.colo_for_training_buf(id);
-        buf[..n].to_vec()
-    }
-
-    /// [`GpuDevice::colo_for_training`] into a fixed stack buffer,
-    /// returned as `(buffer, len)` — the allocation-free form the
-    /// engine's per-event accrual uses. [`COLO_VIEW_MAX`] covers the
-    /// worst case: the inference replica, every co-resident training,
-    /// and an active standby.
+    /// instance, the other trainings and an active standby), into a
+    /// fixed stack buffer as `(buffer, len)`. [`COLO_VIEW_MAX`] covers
+    /// that worst case.
     pub fn colo_for_training_buf(&self, id: ResidentId) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
         let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_VIEW_MAX];
         let mut n = 0;
@@ -737,9 +717,9 @@ mod tests {
             TrainingProcess::new(ResidentId(2), TaskId(4), 0.3, 100),
         )
         .unwrap();
-        assert_eq!(d.colo_for_inference().len(), 2);
-        let view = d.colo_for_training(ResidentId(1));
-        assert_eq!(view.len(), 2); // Inference + the *other* training.
+        assert_eq!(d.colo_for_inference_buf().1, 2);
+        // Inference + the *other* training.
+        assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
     }
 
     #[test]
@@ -940,14 +920,14 @@ mod tests {
         let share = d.rebalance_training_fractions(1.0);
         assert!((share - (1.0 - 0.6 - 0.1)).abs() < 1e-12);
         // An idle standby is invisible to the interference sets.
-        assert_eq!(d.colo_for_inference().len(), 1);
+        assert_eq!(d.colo_for_inference_buf().1, 1);
         let parked = d.memory().total_demand_gb();
 
         d.promote_standby(&g, t(2.0), 150.0);
         assert!(d.standby().unwrap().is_active());
         assert!(d.memory().total_demand_gb() >= parked);
-        assert_eq!(d.colo_for_inference().len(), 2, "active standby co-runs");
-        assert_eq!(d.colo_for_training(ResidentId(1)).len(), 2);
+        assert_eq!(d.colo_for_inference_buf().1, 2, "active standby co-runs");
+        assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
         assert!(d.sm_utilization(&g) <= 1.0);
 
         d.demote_standby(&g, t(3.0));

@@ -212,16 +212,6 @@ impl Response {
         }
     }
 
-    /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Self {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into_bytes(),
-            close: false,
-        }
-    }
-
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, message: &str) -> Self {
         let body = crate::json::obj(vec![("error", crate::json::Json::Str(message.to_string()))]);

@@ -119,7 +119,7 @@ pub fn render(summary: &TraceSummary, faults: &FaultMetrics, gauges: &Gauges) ->
     counter(
         &mut out,
         "mudi_fault_service_outages_total",
-        "Times a service lost its last live replica.",
+        "Times a fault left a service with no live replica or active standby.",
         faults.service_outages as f64,
     );
     counter(

@@ -48,11 +48,6 @@ impl Normal {
     pub fn mean(&self) -> f64 {
         self.mean
     }
-
-    /// Returns the standard deviation.
-    pub fn std(&self) -> f64 {
-        self.std
-    }
 }
 
 /// Draws a standard normal variate via the Box-Muller transform.

@@ -101,11 +101,6 @@ impl StreamingStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -75,18 +75,6 @@ pub enum SizeClass {
     XLarge,
 }
 
-impl SizeClass {
-    /// Short label as used in Tab. 3.
-    pub fn label(self) -> &'static str {
-        match self {
-            SizeClass::Small => "S",
-            SizeClass::Medium => "M",
-            SizeClass::Large => "L",
-            SizeClass::XLarge => "XL",
-        }
-    }
-}
-
 /// Generative (autoregressive) serving profile for an LLM entry.
 ///
 /// A generative service decodes token-by-token under continuous
@@ -934,6 +922,16 @@ mod tests {
         }
         // The standard catalogue has no generative rows at all.
         assert!(std.services().iter().all(|s| !s.is_generative()));
+    }
+
+    /// Callers index per-service tables by `id.0`, as [`Zoo::service`]
+    /// does, so a service's id must be its position in the catalogue.
+    #[test]
+    fn service_ids_are_catalogue_indexes() {
+        for zoo in [Zoo::standard(), Zoo::with_llms()] {
+            let ids: Vec<ServiceId> = zoo.services().iter().map(|s| s.id).collect();
+            assert_eq!(ids, (0..ids.len()).map(ServiceId).collect::<Vec<_>>());
+        }
     }
 
     #[test]

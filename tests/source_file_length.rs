@@ -1,7 +1,7 @@
 //! Guard against the monolith regrowing: no Rust source file under any
 //! crate's `src/` may exceed 1,200 lines. `engine.rs` reached 2,363
 //! lines before it was split into the staged `engine/` kernel; this
-//! test (and the matching CI step) keeps every module within reviewable
+//! test, part of the tier-1 suite, keeps every module within reviewable
 //! bounds.
 
 use std::fs;
