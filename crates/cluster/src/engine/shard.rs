@@ -26,8 +26,9 @@
 //! * **Lane-local** ([`LaneEvent`]: `QpsChange`, `Retune`,
 //!   `SlowdownEnd`, `ProcessRestart`): concern exactly one device and
 //!   touch only lane-local state. They live in the owning lane's
-//!   [`EventLane`] queue and fire during the parallel phase, ordered by
-//!   `(time, device, per-device seq)` within the lane.
+//!   [`EventLane`] and fire during the parallel phase device by device:
+//!   the lane sweeps its devices in ascending order and fires each
+//!   one's events up to the window end in `(time, schedule order)`.
 //! * **Global** ([`GlobalEvent`]: `JobArrival`, `JobCompletion`,
 //!   `UtilSample`, `Fault`, `DeviceRepair`, `StandbyPromote`): touch
 //!   shared state (the job table, the queue, cross-device reroutes).
@@ -129,18 +130,25 @@ pub(super) enum OutMsg {
     },
 }
 
-/// One lane's event queue: a plain [`EventQueue`] whose tie-break
-/// sequence packs `(local device index, per-device counter)`, so pops
-/// at equal times come back in ascending-device order and, per device,
-/// in schedule order — a partition-invariant order (the global
-/// interleaving of *lane* events at equal times across lanes is
-/// irrelevant: their effects are device-local by construction).
+/// One lane's event queue, stored device by device: each device keeps
+/// its own pending events, and a dense per-device next-time array
+/// lets the lane phase sweep its devices in ascending order, firing
+/// each device's events up to the horizon by time, then schedule
+/// order, before moving on. Events of different devices are
+/// independent inside a lane phase (every handler touches only its own
+/// device's state and substreams, schedules only its own device, and
+/// defers shared effects to merge-keyed envelopes), so the
+/// device-major order fires exactly the events a time-ordered pop
+/// would, with the same per-device results, at every partition.
 pub(super) struct EventLane {
-    queue: EventQueue<LaneEvent>,
     /// First device index this lane owns (ranges are contiguous).
     base: usize,
-    /// Per-device schedule counters (event tie-break).
-    seqs: Vec<u64>,
+    /// Per-device pending events, sorted by descending `(time,
+    /// schedule order)`: the next to fire is last.
+    pending: Vec<Vec<(SimTime, LaneEvent)>>,
+    /// Per-device firing time of the next pending event, in seconds
+    /// (`INFINITY` when none): the dense array the sweep reads.
+    next: Vec<f64>,
     /// Per-device envelope emission counters ([`MergeKey::seq`]).
     msg_seqs: Vec<u64>,
     /// Per-device clocks: the firing time of the device's last popped
@@ -148,22 +156,31 @@ pub(super) struct EventLane {
     /// the lane clock, which depends on how many devices share the
     /// lane and would make the clamp partition-sensitive.
     clocks: Vec<SimTime>,
+    /// The device whose events are being fired (local index): while
+    /// set, a schedule for any other device would break the
+    /// device-major drain.
+    draining: Option<usize>,
+    /// The lane clock: the latest firing time of any popped event.
+    now: SimTime,
+    /// Events fired on this lane.
+    fired: u64,
 }
 
 impl EventLane {
     /// A lane owning the contiguous device range `[base, base+len)`,
-    /// with its heap pre-sized for the bounded steady-state event
-    /// population (QPS segment + retune + slowdown/restart tails per
-    /// device) plus `extra` headroom.
-    pub fn new(base: usize, len: usize, extra: usize) -> Self {
-        let mut queue = EventQueue::new();
-        queue.reserve(4 * len + extra);
+    /// each device's queue pre-sized for the bounded steady-state
+    /// event population (QPS segment + retune + slowdown/restart
+    /// tails).
+    pub fn new(base: usize, len: usize) -> Self {
         EventLane {
-            queue,
             base,
-            seqs: vec![0; len],
+            pending: (0..len).map(|_| Vec::with_capacity(4)).collect(),
+            next: vec![f64::INFINITY; len],
             msg_seqs: vec![0; len],
             clocks: vec![SimTime::ZERO; len],
+            draining: None,
+            now: SimTime::ZERO,
+            fired: 0,
         }
     }
 
@@ -175,11 +192,19 @@ impl EventLane {
     /// advanced the lane).
     pub fn schedule(&mut self, at: SimTime, event: LaneEvent) {
         let li = event.device() - self.base;
+        debug_assert!(
+            self.draining.is_none_or(|c| c == li),
+            "a lane handler scheduled device {} while draining device {}",
+            event.device(),
+            self.base + self.draining.unwrap_or(0),
+        );
         let at = at.max(self.clocks[li]);
-        debug_assert!(self.seqs[li] < 1 << 40, "per-device event seq overflow");
-        let seq = ((li as u64) << 40) | self.seqs[li];
-        self.seqs[li] += 1;
-        self.queue.schedule_raw(at, seq, event);
+        let q = &mut self.pending[li];
+        // In front of (so firing after) every event due at or before
+        // `at`: equal times fire in schedule order.
+        let i = q.partition_point(|&(t, _)| t > at);
+        q.insert(i, (at, event));
+        self.next[li] = q[q.len() - 1].0.as_secs();
     }
 
     /// The next envelope merge key for an effect device `d` emits at
@@ -191,31 +216,44 @@ impl EventLane {
         key
     }
 
-    /// Pops the lane's next event if it fires at or before `horizon`,
-    /// advancing the owning device's clock. The pop is relaxed: the
-    /// heap interleaves independent per-device streams, so queue-wide
-    /// time can step backwards across devices (each device's own
-    /// stream stays monotone under the schedule clamp).
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, LaneEvent)> {
-        let (at, event) = self.queue.pop_until_relaxed(horizon)?;
-        let li = event.device() - self.base;
-        self.clocks[li] = self.clocks[li].max(at);
+    /// Pops local device `li`'s next event if it fires at or before
+    /// `horizon`, advancing the device clock. Until this returns
+    /// `None`, `li` is the device being drained and the only one a
+    /// handler may schedule.
+    pub fn pop_device_until(
+        &mut self,
+        li: usize,
+        horizon: SimTime,
+    ) -> Option<(SimTime, LaneEvent)> {
+        if self.next[li] > horizon.as_secs() {
+            self.draining = None;
+            return None;
+        }
+        let q = &mut self.pending[li];
+        let (at, event) = q.pop()?;
+        debug_assert!(at >= self.clocks[li], "device stream went backwards");
+        self.next[li] = q.last().map_or(f64::INFINITY, |&(t, _)| t.as_secs());
+        self.clocks[li] = at;
+        self.now = self.now.max(at);
+        self.fired += 1;
+        self.draining = Some(li);
         Some((at, event))
     }
 
-    /// Firing time of the lane's next event.
+    /// Firing time of the lane's earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let t = self.next.iter().copied().fold(f64::INFINITY, f64::min);
+        t.is_finite().then(|| SimTime::from_secs(t))
     }
 
-    /// The lane clock (firing time of the last popped lane event).
+    /// The lane clock (latest firing time of any popped lane event).
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.now
     }
 
     /// Events fired on this lane.
     pub fn fired(&self) -> u64 {
-        self.queue.fired()
+        self.fired
     }
 }
 
@@ -336,51 +374,195 @@ impl VpCache {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::job::JobId;
 
+    /// Drains local device `li` up to `horizon`, as the lane phase does.
+    fn drain_device(lane: &mut EventLane, li: usize, horizon: f64) -> Vec<(f64, LaneEvent)> {
+        std::iter::from_fn(|| lane.pop_device_until(li, SimTime::from_secs(horizon)))
+            .map(|(t, ev)| (t.as_secs(), ev))
+            .collect()
+    }
+
+    /// One lane-phase sweep: every device in ascending order.
+    fn drain(lane: &mut EventLane, horizon: f64) -> Vec<(f64, String)> {
+        (0..lane.next.len())
+            .flat_map(|li| drain_device(lane, li, horizon))
+            .map(|(t, ev)| (t, format!("{ev:?}")))
+            .collect()
+    }
+
     #[test]
-    fn lane_pops_order_by_time_then_device_then_schedule_order() {
-        // A lane owning devices 8..12: equal-time events come back in
-        // ascending-device order, and per device in schedule order.
-        let mut lane = EventLane::new(8, 4, 16);
+    fn lane_drains_devices_in_ascending_order_then_time_then_schedule_order() {
+        // A lane owning devices 8..12: devices come back in ascending
+        // order, and per device in time order, then schedule order.
+        let mut lane = EventLane::new(8, 4);
         lane.schedule(SimTime::from_secs(5.0), LaneEvent::QpsChange(11));
         lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(10));
-        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(8));
+        lane.schedule(SimTime::from_secs(3.0), LaneEvent::QpsChange(8));
         lane.schedule(SimTime::from_secs(1.0), LaneEvent::Retune(8));
-        let mut order = Vec::new();
-        while let Some((t, ev)) = lane.pop_until(SimTime::from_secs(1e9)) {
-            order.push((t.as_secs(), format!("{ev:?}")));
-        }
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(8));
+        lane.schedule(SimTime::from_secs(9.0), LaneEvent::Retune(10));
+        assert_eq!(lane.peek_time(), Some(SimTime::from_secs(1.0)));
         assert_eq!(
-            order,
+            drain(&mut lane, 5.0),
             vec![
-                (1.0, "QpsChange(8)".to_string()),
                 (1.0, "Retune(8)".to_string()),
+                (1.0, "QpsChange(8)".to_string()),
+                (3.0, "QpsChange(8)".to_string()),
                 (1.0, "QpsChange(10)".to_string()),
                 (5.0, "QpsChange(11)".to_string()),
             ]
         );
-        assert_eq!(lane.fired(), 4);
+        assert_eq!(lane.fired(), 5);
         assert_eq!(lane.now(), SimTime::from_secs(5.0));
+        // The event past the horizon waits for the next window.
+        assert_eq!(lane.peek_time(), Some(SimTime::from_secs(9.0)));
+        assert_eq!(drain(&mut lane, 1e9), vec![(9.0, "Retune(10)".to_string())]);
+        assert_eq!(lane.peek_time(), None);
     }
 
     #[test]
     fn lane_past_scheduling_clamps_per_device_not_per_lane() {
-        let mut lane = EventLane::new(0, 2, 16);
+        let mut lane = EventLane::new(0, 2);
         lane.schedule(SimTime::from_secs(10.0), LaneEvent::QpsChange(0));
-        lane.pop_until(SimTime::from_secs(1e9));
+        drain(&mut lane, 1e9);
         // Device 1's stream is untouched: a past time for it must NOT
         // be dragged forward by device 0 having advanced the lane —
         // that clamp would depend on which devices share the lane.
         lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(1));
-        let (t, _) = lane.pop_until(SimTime::from_secs(1e9)).unwrap();
-        assert_eq!(t, SimTime::from_secs(1.0));
+        assert_eq!(drain_device(&mut lane, 1, 1e9)[0].0, 1.0);
         // Device 0's own stream *is* monotone: a past time for device
         // 0 clamps to its last fired event.
         lane.schedule(SimTime::from_secs(2.0), LaneEvent::QpsChange(0));
-        let (t, _) = lane.pop_until(SimTime::from_secs(1e9)).unwrap();
-        assert_eq!(t, SimTime::from_secs(10.0));
+        assert_eq!(drain_device(&mut lane, 0, 1e9)[0].0, 10.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "scheduled device 1 while draining device 0")]
+    fn scheduling_another_device_mid_drain_panics() {
+        let mut lane = EventLane::new(0, 2);
+        lane.schedule(SimTime::from_secs(1.0), LaneEvent::QpsChange(0));
+        lane.pop_device_until(0, SimTime::from_secs(5.0));
+        // Device 0's handler is running: device 1 has already been
+        // swept past (or not yet reached), so this event would fire in
+        // the wrong window.
+        lane.schedule(SimTime::from_secs(2.0), LaneEvent::QpsChange(1));
+    }
+
+    /// The lane's contract before the per-device sweep: one
+    /// time-ordered heap over `(time, device, per-device seq)` with the
+    /// same per-device clock clamp.
+    struct HeapLane {
+        heap: BinaryHeap<Reverse<(SimTime, usize, u64, u64)>>,
+        seqs: Vec<u64>,
+        clocks: Vec<SimTime>,
+        now: SimTime,
+        fired: u64,
+    }
+
+    impl HeapLane {
+        fn new(n: usize) -> Self {
+            HeapLane {
+                heap: BinaryHeap::new(),
+                seqs: vec![0; n],
+                clocks: vec![SimTime::ZERO; n],
+                now: SimTime::ZERO,
+                fired: 0,
+            }
+        }
+
+        fn schedule(&mut self, at: SimTime, d: usize, token: u64) {
+            let at = at.max(self.clocks[d]);
+            self.heap.push(Reverse((at, d, self.seqs[d], token)));
+            self.seqs[d] += 1;
+        }
+
+        fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, usize, u64)> {
+            let Reverse((at, d, _, token)) = self.heap.peek().copied()?;
+            if at > horizon {
+                return None;
+            }
+            self.heap.pop();
+            self.clocks[d] = at;
+            self.now = self.now.max(at);
+            self.fired += 1;
+            Some((at, d, token))
+        }
+    }
+
+    /// A handler's follow-up for its own device, a pure function of the
+    /// event so both drains schedule the same thing: an equal-time
+    /// event, a past time (clamped to the device clock), or a later one
+    /// inside or past the window. Chains end as the token shrinks.
+    fn follow_up(now: SimTime, token: u64) -> Option<(SimTime, u64)> {
+        (!token.is_multiple_of(4)).then(|| {
+            let delay = [0.0, -3.0, 2.0, 7.5][(token / 4 % 4) as usize];
+            let at = SimTime::from_secs((now.as_secs() + delay).max(0.0));
+            (at, token / 4)
+        })
+    }
+
+    proptest::proptest! {
+        /// Device-major draining fires, per device, exactly the events
+        /// a time-ordered heap fires, in the same order and at the same
+        /// times, and leaves the same device clocks, lane clock, fired
+        /// count and next-event time — over random per-device schedules
+        /// with equal times, past-time clamps, handler follow-ups and
+        /// horizons that fall inside a window.
+        #[test]
+        fn device_major_drain_matches_a_time_ordered_heap(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..9,
+            windows in 1usize..12,
+        ) {
+            let mut rng = simcore::SimRng::seed(seed);
+            let base = 3;
+            let mut lane = EventLane::new(base, n);
+            let mut heap = HeapLane::new(n);
+            let (mut got, mut want) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+            let mut horizon = 0.0;
+            for _ in 0..windows {
+                // Serial-phase schedules: whole seconds, so times tie,
+                // some before the window start, so they clamp.
+                for _ in 0..rng.uniform_usize(0, 3 * n) {
+                    let d = rng.uniform_usize(0, n);
+                    let at = SimTime::from_secs((horizon + rng.uniform_usize(0, 16) as f64 - 4.0).max(0.0).floor());
+                    let token = rng.u64() >> 48;
+                    lane.schedule(at, LaneEvent::SlowdownEnd { device: base + d, token });
+                    heap.schedule(at, d, token);
+                }
+                horizon += [2.5, 5.0, 7.3, 10.0][rng.uniform_usize(0, 4)];
+                let h = SimTime::from_secs(horizon);
+                for (li, fired) in got.iter_mut().enumerate() {
+                    while let Some((t, ev)) = lane.pop_device_until(li, h) {
+                        let LaneEvent::SlowdownEnd { device, token } = ev else {
+                            unreachable!("only slowdown ends are scheduled");
+                        };
+                        fired.push((t, token));
+                        if let Some((at, tok)) = follow_up(t, token) {
+                            lane.schedule(at, LaneEvent::SlowdownEnd { device, token: tok });
+                        }
+                    }
+                }
+                while let Some((t, d, token)) = heap.pop_until(h) {
+                    want[d].push((t, token));
+                    if let Some((at, tok)) = follow_up(t, token) {
+                        heap.schedule(at, d, tok);
+                    }
+                }
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(&lane.clocks, &heap.clocks);
+                proptest::prop_assert_eq!(lane.fired(), heap.fired);
+                proptest::prop_assert_eq!(lane.now(), heap.now);
+                let next = heap.heap.peek().map(|Reverse((t, ..))| *t);
+                proptest::prop_assert_eq!(lane.peek_time(), next);
+            }
+        }
     }
 
     #[test]
@@ -388,8 +570,8 @@ mod tests {
         // Two lanes emit at interleaved times; the barrier sort must
         // order by (time, device, seq) regardless of which outbox an
         // envelope came from.
-        let mut a = EventLane::new(0, 2, 4);
-        let mut b = EventLane::new(2, 2, 4);
+        let mut a = EventLane::new(0, 2);
+        let mut b = EventLane::new(2, 2);
         let mk = |lane: &mut EventLane, t: f64, d: usize| Envelope {
             key: lane.next_msg_key(SimTime::from_secs(t), d),
             msg: OutMsg::Bo { iters: d },

@@ -544,26 +544,13 @@ impl SimState {
         let mut fmetrics = FaultMetrics::default();
         if config.faults.is_some() && recovery.standby.is_enabled() {
             let standby = recovery.standby;
+            let primary: Vec<ServiceId> = dstate.iter().map(|ds| ds.service).collect();
+            let mut slots = vec![None; config.devices];
             for svc_def in gt.zoo().services() {
                 let svc = svc_def.id;
-                for _ in 0..standby.pool_per_service {
-                    let host = (0..config.devices)
-                        .filter(|&h| dstate[h].standby_slot.is_none() && dstate[h].service != svc)
-                        .min_by_key(|&h| {
-                            let rack = topo.rack_of(h);
-                            let primaries_in_rack = topo
-                                .devices_in_rack(rack)
-                                .filter(|&d| dstate[d].service == svc)
-                                .count();
-                            let standbys_in_rack = topo
-                                .devices_in_rack(rack)
-                                .filter(|&d| dstate[d].standby_slot == Some(svc))
-                                .count();
-                            (primaries_in_rack, standbys_in_rack, h)
-                        });
-                    let Some(h) = host else {
-                        break; // Every eligible device already hosts a slot.
-                    };
+                let hosts =
+                    standby_hosts(&topo, &primary, &mut slots, svc, standby.pool_per_service);
+                for h in hosts {
                     dstate[h].standby_slot = Some(svc);
                     devices[h].seed_standby(
                         &gt,
@@ -610,7 +597,7 @@ impl SimState {
             let range = map.device_range(s);
             lanes.push(LaneBox {
                 system: system.replica(),
-                events: EventLane::new(range.start, range.len(), 64),
+                events: EventLane::new(range.start, range.len()),
                 // Steady-state stepping must not allocate: size the
                 // outbox for a full window of per-device progress and
                 // completion envelopes.
@@ -1014,6 +1001,53 @@ pub fn striped_service_assignment(
         out.push(best);
     }
     out
+}
+
+/// Picks up to `count` warm-standby hosts for `svc`, marking each in
+/// `slots`: every pick is the host holding no slot and no primary of
+/// `svc` that minimizes `(primaries of svc in its rack, standbys of svc
+/// in its rack, device index)`. Per-rack counts make each pick one
+/// pass over the racks plus a scan of the racks it could win, instead
+/// of a recount of every candidate's rack.
+pub(super) fn standby_hosts(
+    topo: &Topology,
+    primary: &[ServiceId],
+    slots: &mut [Option<ServiceId>],
+    svc: ServiceId,
+    count: usize,
+) -> Vec<usize> {
+    let racks = topo.shape().racks;
+    let (mut primaries, mut standbys) = (vec![0usize; racks], vec![0usize; racks]);
+    for (d, (&p, &slot)) in primary.iter().zip(slots.iter()).enumerate() {
+        let r = topo.rack_of(d);
+        primaries[r] += usize::from(p == svc);
+        standbys[r] += usize::from(slot == Some(svc));
+    }
+    let mut hosts = Vec::with_capacity(count);
+    for _ in 0..count {
+        // Racks are contiguous ascending device ranges, so on a tied
+        // rack key the lower rack holds the lower device index.
+        let mut best: Option<((usize, usize), usize)> = None;
+        for r in 0..racks {
+            let key = (primaries[r], standbys[r]);
+            if best.is_some_and(|(b, _)| b <= key) {
+                continue;
+            }
+            if let Some(h) = topo
+                .devices_in_rack(r)
+                .find(|&h| slots[h].is_none() && primary[h] != svc)
+            {
+                best = Some((key, h));
+            }
+        }
+        let Some((_, h)) = best else {
+            break; // Every eligible device already hosts a slot.
+        };
+        slots[h] = Some(svc);
+        standbys[topo.rack_of(h)] += 1;
+        hosts.push(h);
+    }
+    hosts
 }
 
 /// The per-placement log retained for the §5.4 optimality analysis:

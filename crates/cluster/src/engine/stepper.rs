@@ -6,8 +6,8 @@
 //! rounds of
 //!
 //! 1. **lane phase** — every lane executes its own events up to the
-//!    window end, fanned out over the worker pool (in the calling
-//!    thread with one worker, through the same code);
+//!    window end, device by device, fanned out over the worker pool
+//!    (in the calling thread with one worker, through the same code);
 //! 2. **barrier** — all lane outboxes are merged in `(time, device,
 //!    seq)` key order and applied to shared state;
 //! 3. **global phase** — the global queue's events up to the window
@@ -41,17 +41,22 @@ use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SimSta
 pub(super) struct Stepper;
 
 /// Executes every event of one lane up to (and including) `t1`: the
-/// single lane event loop.
+/// single lane event loop. Sweeps the lane's devices in ascending
+/// order, firing each device's events (including the ones its
+/// handlers schedule inside the window) before moving on; per-device
+/// state is then read in memory order.
 fn drain_lane(ctx: &mut LaneCtx, t1: SimTime) {
-    while let Some((now, ev)) = ctx.lane.events.pop_until(t1) {
-        match ev {
-            LaneEvent::QpsChange(d) => control::on_qps_change(ctx, now, d),
-            LaneEvent::Retune(d) => control::on_retune(ctx, now, d),
-            LaneEvent::SlowdownEnd { device, token } => {
-                faults::on_slowdown_end(ctx, now, device, token)
-            }
-            LaneEvent::ProcessRestart { device, job } => {
-                faults::on_process_restart(ctx, now, device, job)
+    for li in 0..ctx.devices.len() {
+        while let Some((now, ev)) = ctx.lane.events.pop_device_until(li, t1) {
+            match ev {
+                LaneEvent::QpsChange(d) => control::on_qps_change(ctx, now, d),
+                LaneEvent::Retune(d) => control::on_retune(ctx, now, d),
+                LaneEvent::SlowdownEnd { device, token } => {
+                    faults::on_slowdown_end(ctx, now, device, token)
+                }
+                LaneEvent::ProcessRestart { device, job } => {
+                    faults::on_process_restart(ctx, now, device, job)
+                }
             }
         }
     }

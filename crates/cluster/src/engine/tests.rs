@@ -920,3 +920,62 @@ proptest::proptest! {
         }
     }
 }
+
+/// The standby-host pick as first written: a fresh min over every
+/// eligible host, recounting the host's rack for each.
+fn brute_force_standby_hosts(
+    topo: &Topology,
+    primary: &[ServiceId],
+    slots: &mut [Option<ServiceId>],
+    svc: ServiceId,
+    count: usize,
+) -> Vec<usize> {
+    let mut hosts = Vec::new();
+    for _ in 0..count {
+        let host = (0..primary.len())
+            .filter(|&h| slots[h].is_none() && primary[h] != svc)
+            .min_by_key(|&h| {
+                let rack = topo.devices_in_rack(topo.rack_of(h));
+                let primaries = rack.clone().filter(|&d| primary[d] == svc).count();
+                let standbys = rack.filter(|&d| slots[d] == Some(svc)).count();
+                (primaries, standbys, h)
+            });
+        let Some(h) = host else { break };
+        slots[h] = Some(svc);
+        hosts.push(h);
+    }
+    hosts
+}
+
+proptest::proptest! {
+    /// The per-rack-count standby pick chooses the same hosts, in the
+    /// same order, as the brute-force pick, on random topologies,
+    /// primary assignments and pre-placed slots, seeding every service
+    /// in turn as construction does.
+    #[test]
+    fn standby_hosts_match_the_brute_force_pick(
+        seed in proptest::prelude::any::<u64>(),
+        racks in 1usize..6,
+        nodes in 1usize..4,
+        devices in 1usize..64,
+        n_services in 1usize..6,
+        count in 0usize..6,
+    ) {
+        let mut rng = simcore::SimRng::seed(seed);
+        let topo = Topology::new(TopologyShape::new(racks, nodes), devices);
+        let primary: Vec<ServiceId> = (0..devices)
+            .map(|_| ServiceId(rng.uniform_usize(0, n_services)))
+            .collect();
+        let mut slots: Vec<Option<ServiceId>> = (0..devices)
+            .map(|_| rng.chance(0.2).then(|| ServiceId(rng.uniform_usize(0, n_services))))
+            .collect();
+        let mut reference = slots.clone();
+        for s in 0..n_services {
+            let got = state::standby_hosts(&topo, &primary, &mut slots, ServiceId(s), count);
+            let want =
+                brute_force_standby_hosts(&topo, &primary, &mut reference, ServiceId(s), count);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(&slots, &reference);
+        }
+    }
+}

@@ -128,18 +128,6 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedules `event` with an *externally assigned* tie-break
-    /// sequence, bypassing the queue-local clock clamp and counter.
-    ///
-    /// This is the sharded engine's lane primitive: the caller packs
-    /// its own tie-break (a lane packs `(device, per-device counter)`),
-    /// so events pop in time order and, at equal times, in the caller's
-    /// sequence order. The caller owns the past-time clamp and the
-    /// sequence assignment.
-    pub fn schedule_raw(&mut self, at: SimTime, seq: u64, event: E) {
-        self.heap.push(ScheduledEvent { at, seq, event });
-    }
-
     /// Pops the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ScheduledEvent { at, event, .. } = self.heap.pop()?;
@@ -158,25 +146,6 @@ impl<E> EventQueue<E> {
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         match self.peek_time() {
             Some(t) if t <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Like [`EventQueue::pop_until`] but without the queue-wide
-    /// monotonicity requirement: the clock only advances (to the
-    /// event's firing time when later than the clock), it never
-    /// asserts. For queues multiplexing several logically independent
-    /// streams (the sharded engine's device lanes), where each stream
-    /// is monotone under the *caller's* per-stream clamp but the
-    /// interleaving is not.
-    pub fn pop_until_relaxed(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= horizon => {
-                let ScheduledEvent { at, event, .. } = self.heap.pop()?;
-                self.now = self.now.max(at);
-                self.popped += 1;
-                Some((at, event))
-            }
             _ => None,
         }
     }
@@ -251,26 +220,6 @@ mod tests {
         q.schedule_in(SimDuration::from_secs(2.0), "second");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(6.0));
-    }
-
-    /// The externally-sequenced contract: events raw-scheduled in a
-    /// scattered insertion order, each carrying the sequence number a
-    /// single queue would have assigned, fire in exactly that single
-    /// queue's order.
-    #[test]
-    fn raw_scheduling_merges_to_single_queue_order() {
-        let times = [3.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0];
-        let mut single = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            single.schedule_at(SimTime::from_secs(t), i);
-        }
-        let mut raw: EventQueue<usize> = EventQueue::new();
-        for i in (0..times.len()).rev() {
-            raw.schedule_raw(SimTime::from_secs(times[i]), i as u64, i);
-        }
-        let merged: Vec<usize> = std::iter::from_fn(|| raw.pop().map(|(_, e)| e)).collect();
-        let serial: Vec<usize> = std::iter::from_fn(|| single.pop().map(|(_, e)| e)).collect();
-        assert_eq!(merged, serial);
     }
 
     #[test]
