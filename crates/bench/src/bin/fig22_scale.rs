@@ -202,34 +202,20 @@ fn run_cell(sweep: &Sweep, shards: usize, workers: usize) -> Cell {
 }
 
 /// Parses the committed ledger's gate-relevant fields per cell, keyed
-/// by `(devices, shards, workers)`. The ledger is written by this
-/// binary, so the format is fixed; a parse failure just disables the
-/// gate for that cell.
+/// by `(devices, shards, workers)`; a line missing any field is
+/// skipped.
 fn parse_ledger(text: &str) -> Vec<((usize, usize, usize), f64, f64)> {
-    fn field(line: &str, key: &str) -> Option<f64> {
-        line.split(&format!("\"{key}\": "))
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.trim().parse::<f64>().ok())
-    }
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(d), Some(s), Some(w)) = (
-            field(line, "devices"),
-            field(line, "shards"),
-            field(line, "workers"),
-        ) else {
-            continue;
-        };
-        let (Some(sps), Some(speedup)) = (
-            field(line, "steps_per_sec"),
-            field(line, "parallel_speedup"),
-        ) else {
-            continue;
-        };
-        out.push(((d as usize, s as usize, w as usize), sps, speedup));
-    }
-    out
+    use bench::ledger_number as field;
+    text.lines()
+        .filter_map(|line| {
+            let d = field(line, "devices")?;
+            let s = field(line, "shards")?;
+            let w = field(line, "workers")?;
+            let sps = field(line, "steps_per_sec")?;
+            let speedup = field(line, "parallel_speedup")?;
+            Some(((d as usize, s as usize, w as usize), sps, speedup))
+        })
+        .collect()
 }
 
 /// `--gate`: fail on a >20% regression vs the committed ledger in
@@ -243,7 +229,7 @@ fn run_gate(reference: &[((usize, usize, usize), f64, f64)], fresh: &[Cell]) {
             continue;
         };
         let sps = c.steps_per_sec();
-        if sps < was_sps * 0.80 {
+        if bench::regressed(sps, was_sps) {
             failures.push(format!(
                 "{}dev s{} w{}: {sps:.0} steps/s vs committed {was_sps:.0} \
                  ({:.0}% of reference)",
@@ -254,7 +240,7 @@ fn run_gate(reference: &[((usize, usize, usize), f64, f64)], fresh: &[Cell]) {
             ));
         }
         let speedup = c.parallel_speedup();
-        if speedup < was_speedup * 0.80 {
+        if bench::regressed(speedup, was_speedup) {
             failures.push(format!(
                 "{}dev s{} w{}: parallel speedup {speedup:.2}x vs committed \
                  {was_speedup:.2}x ({:.0}% of reference)",
@@ -265,21 +251,7 @@ fn run_gate(reference: &[((usize, usize, usize), f64, f64)], fresh: &[Cell]) {
             ));
         }
     }
-    if failures.is_empty() {
-        println!("fig22 gate: no cell regressed >20% from the committed ledger");
-    } else if simcore::env::flag("MUDI_BENCH_NO_GATE") {
-        println!("fig22 gate: regressions ignored (MUDI_BENCH_NO_GATE=1):");
-        for f in &failures {
-            println!("  {f}");
-        }
-    } else {
-        eprintln!("fig22 gate: parallel throughput regressed >20% from the committed ledger:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        eprintln!("(set MUDI_BENCH_NO_GATE=1 to bypass on a noisy runner)");
-        std::process::exit(1);
-    }
+    bench::gate_verdict("fig22 gate", "cell", "parallel throughput", &failures);
 }
 
 fn main() {
@@ -296,9 +268,7 @@ fn main() {
 
     // Diagnostic filter: `MUDI_FIG22_DEVICES=100000` runs only that
     // sweep (and skips the ledger write, like `--smoke`).
-    let only: Option<usize> = std::env::var("MUDI_FIG22_DEVICES")
-        .ok()
-        .and_then(|v| v.parse().ok());
+    let only: Option<usize> = simcore::env::parse("MUDI_FIG22_DEVICES");
 
     let mut cells: Vec<Cell> = Vec::new();
     for sweep in sweeps(smoke) {

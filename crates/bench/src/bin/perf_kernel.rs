@@ -178,30 +178,16 @@ fn run_check() {
     println!("perf_kernel --check: all shape fingerprints match\n{actual}");
 }
 
-/// Parses the committed ledger's `(shape, steps_per_sec)` pairs. The
-/// ledger is written by this binary, so the format is fixed; a parse
-/// failure just disables the gate.
+/// Parses the committed ledger's `(shape, steps_per_sec)` pairs; a
+/// line missing either field is skipped.
 fn parse_ledger(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(shape) = line
-            .split("\"shape\": \"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-        else {
-            continue;
-        };
-        let Some(sps) = line
-            .split("\"steps_per_sec\": ")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.trim().parse::<f64>().ok())
-        else {
-            continue;
-        };
-        out.push((shape.to_string(), sps));
-    }
-    out
+    text.lines()
+        .filter_map(|line| {
+            let shape = bench::ledger_string(line, "shape")?;
+            let sps = bench::ledger_number(line, "steps_per_sec")?;
+            Some((shape.to_string(), sps))
+        })
+        .collect()
 }
 
 /// `--gate`: fail on a >20 % steps/sec regression vs the committed
@@ -213,7 +199,7 @@ fn run_gate(reference: &[(String, f64)], fresh: &[Measurement]) {
             continue;
         };
         let now = m.steps_per_sec();
-        if now < was * 0.80 {
+        if bench::regressed(now, *was) {
             failures.push(format!(
                 "{}: {now:.0} steps/s vs committed {was:.0} ({:.0}% of reference)",
                 m.shape,
@@ -221,21 +207,7 @@ fn run_gate(reference: &[(String, f64)], fresh: &[Measurement]) {
             ));
         }
     }
-    if failures.is_empty() {
-        println!("bench gate: no shape regressed >20% from the committed ledger");
-    } else if simcore::env::flag("MUDI_BENCH_NO_GATE") {
-        println!("bench gate: regressions ignored (MUDI_BENCH_NO_GATE=1):");
-        for f in &failures {
-            println!("  {f}");
-        }
-    } else {
-        eprintln!("bench gate: steps/sec regressed >20% from the committed ledger:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        eprintln!("(set MUDI_BENCH_NO_GATE=1 to bypass on a noisy runner)");
-        std::process::exit(1);
-    }
+    bench::gate_verdict("bench gate", "shape", "steps/sec", &failures);
 }
 
 fn main() {

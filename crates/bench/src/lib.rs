@@ -87,6 +87,58 @@ pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) {
     println!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})");
 }
 
+/// A bench gate fails a fresh figure that falls below this fraction of
+/// its committed ledger value (a >20% regression).
+pub const GATE_FLOOR: f64 = 0.80;
+
+/// Whether `now` regressed by more than the gate allows against the
+/// committed `was`.
+pub fn regressed(now: f64, was: f64) -> bool {
+    now < was * GATE_FLOOR
+}
+
+/// The number after `"key": ` on one line of a bench ledger. The
+/// ledgers are written by their own binaries, one record per line, so
+/// the format is fixed; `None` (a missing or malformed field) just
+/// disables the gate for that record.
+pub fn ledger_number(line: &str, key: &str) -> Option<f64> {
+    line.split(&format!("\"{key}\": "))
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.trim().parse::<f64>().ok())
+}
+
+/// The string after `"key": "` on one line of a bench ledger (see
+/// [`ledger_number`]).
+pub fn ledger_string<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split(&format!("\"{key}\": \""))
+        .nth(1)
+        .and_then(|s| s.split('"').next())
+}
+
+/// Prints a bench gate's verdict over its regression `failures`, one
+/// line each. An empty list passes. Otherwise the gate fails with exit
+/// code 1, unless `MUDI_BENCH_NO_GATE=1` asks to report and continue
+/// (a noisy runner). `gate` names the gate, `subject` what each ledger
+/// record is (a shape, a cell) and `metric` what regressed.
+pub fn gate_verdict(gate: &str, subject: &str, metric: &str, failures: &[String]) {
+    if failures.is_empty() {
+        println!("{gate}: no {subject} regressed >20% from the committed ledger");
+    } else if simcore::env::flag("MUDI_BENCH_NO_GATE") {
+        println!("{gate}: regressions ignored (MUDI_BENCH_NO_GATE=1):");
+        for f in failures {
+            println!("  {f}");
+        }
+    } else {
+        eprintln!("{gate}: {metric} regressed >20% from the committed ledger:");
+        for f in failures {
+            eprintln!("  {f}");
+        }
+        eprintln!("(set MUDI_BENCH_NO_GATE=1 to bypass on a noisy runner)");
+        std::process::exit(1);
+    }
+}
+
 /// CPU seconds the calling thread has used so far. A host timing, so
 /// callers print it to stderr; unlike wall time it leaves out the time
 /// the thread waited for a core.
@@ -161,6 +213,23 @@ mod tests {
             std::hint::black_box(start);
         }
         assert!(thread_cpu_s() > t0);
+    }
+
+    #[test]
+    fn ledger_fields_parse_one_record() {
+        let line = r#"  {"shape": "tiny-faulty", "devices": 1000, "steps_per_sec": 1234.5},"#;
+        assert_eq!(ledger_string(line, "shape"), Some("tiny-faulty"));
+        assert_eq!(ledger_number(line, "devices"), Some(1000.0));
+        assert_eq!(ledger_number(line, "steps_per_sec"), Some(1234.5));
+        assert_eq!(ledger_number(line, "shape"), None);
+        assert_eq!(ledger_number(line, "workers"), None);
+    }
+
+    #[test]
+    fn gate_floor_is_a_twenty_percent_drop() {
+        assert!(!regressed(80.0, 100.0));
+        assert!(regressed(79.9, 100.0));
+        assert!(!regressed(120.0, 100.0));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use gpu_sim::GpuDevice;
 use mudi::{DeviceCandidate, ReliabilityPrior};
+use resilience::{CHECKPOINT_PERIOD_SECS, CHECKPOINT_WRITE_GBPS};
 use simcore::{SimDuration, SimEvent, SimTime, Topology};
 use workloads::PhillyArrivals;
 
@@ -101,19 +102,11 @@ impl Admission {
             // under fault injection; fault-free runs keep the paper's
             // free-checkpoint accounting bit-for-bit.
             let write_secs = if st.config.faults.is_some() {
-                st.shared.gt.training_memory_gb(task) / st.recovery.checkpoint_write_gbps.max(0.1)
+                st.shared.gt.training_memory_gb(task) / CHECKPOINT_WRITE_GBPS
             } else {
                 0.0
             };
-            // Resolve the per-task period: fixed policies pass through
-            // unchanged; Young/Daly derives `sqrt(2·MTTF·write)` from
-            // the device MTTF and this task's write cost.
-            let mtbf_secs = st
-                .config
-                .faults
-                .as_ref()
-                .map_or(f64::INFINITY, |p| p.faults.mttf.as_secs());
-            let period = st.recovery.checkpoint_period.resolve(mtbf_secs, write_secs);
+            let period = SimDuration::from_secs(CHECKPOINT_PERIOD_SECS);
             st.ckpt.push(resilience::CheckpointTracker::with_write_cost(
                 period, 0.0, write_secs,
             ));

@@ -324,7 +324,8 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
 }
 
 /// The Retune heartbeat fires for a paused device: re-evaluate, and
-/// after 30 stuck minutes evict (systems without unified memory).
+/// evict training that is stuck
+/// ([`super::state::DeviceState::training_stuck`]).
 pub(super) fn on_retune(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     let li = d - ctx.base;
     ctx.dstate[li].retune_pending = false;
@@ -336,11 +337,7 @@ pub(super) fn on_retune(ctx: &mut LaneCtx, now: SimTime, d: usize) {
         // the training task back to the queue, as a real cluster
         // would. Eviction requeues into shared state: deferred, with
         // the stuck condition re-validated at the barrier.
-        let stuck = ctx.dstate[li]
-            .paused_since
-            .map(|t0| now.since(t0).as_secs() > 1800.0)
-            .unwrap_or(false);
-        if ctx.dstate[li].training_paused && stuck && !ctx.config.system.manages_memory() {
+        if ctx.dstate[li].training_stuck(now, ctx.config.system.manages_memory()) {
             ctx.push_msg(now, d, OutMsg::EvictStuck { device: d });
         }
     }

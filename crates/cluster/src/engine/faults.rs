@@ -4,9 +4,9 @@
 //! into device failures, slowdowns, process crashes, and MPS restarts,
 //! plus every recovery path: repair, inference failover, warm-standby
 //! promotion/demotion, checkpoint rollback and requeue, and post-repair
-//! burn-in. Each fault application and standby hand-off is published on
-//! the trace bus (faults via [`resilience::FaultEvent::trace_event`],
-//! device-level transitions via the gpu-sim traced hooks).
+//! burn-in. Each fault application, failover, repair and standby
+//! hand-off is published on the trace bus where this stage acts (fault
+//! applications via [`resilience::FaultEvent::trace_event`]).
 //!
 //! Fault *injection* and recovery are serial-phase work — a failure
 //! touches survivors across the whole cluster, the job table, and the
@@ -17,7 +17,7 @@
 //! timelines stay monotone inside a stepping window.
 
 use gpu_sim::{ResidentId, StandbyInstance, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
-use resilience::{FaultDomain, FaultKind};
+use resilience::{FaultDomain, FaultKind, DEGRADED_HOLD_SECS, PROCESS_RESTART_SECS};
 use simcore::{SimDuration, SimEvent, SimTime};
 
 use crate::job::{JobId, JobState};
@@ -28,7 +28,7 @@ use super::state::{GlobalEvent, LaneCtx, LaneEvent, SimState};
 
 /// Effective-compute factor of a freshly repaired device during its
 /// burn-in window (reduced clocks while the driver re-validates
-/// memory); cleared after [`resilience::RecoveryPolicy::degraded_hold`].
+/// memory); cleared after [`resilience::DEGRADED_HOLD_SECS`].
 pub(super) const POST_REPAIR_FACTOR: f64 = 0.85;
 
 /// The faults stage. Stateless: everything lives in [`SimState`].
@@ -113,9 +113,9 @@ impl Faults {
     /// Hard device failure: the replica and every training process are
     /// evicted, memory state is lost, and the device stays down until
     /// `repair` later. Inference fails over to surviving same-service
-    /// replicas (or its traffic drops, every request a violation);
-    /// training rolls back to its last checkpoint and either requeues
-    /// through the system's placement logic or waits for repair.
+    /// replicas, or to a warm standby, or its traffic drops (every
+    /// request a violation); training rolls back to its last checkpoint
+    /// and requeues through the system's placement logic.
     pub fn on_device_failure(
         &self,
         st: &mut SimState,
@@ -142,7 +142,7 @@ impl Faults {
         stash.qps = base;
         st.dstate[d].stashed_inference = Some(stash);
 
-        if st.recovery.standby.is_enabled() {
+        if st.standby.is_enabled() {
             // A standby hosted on `d` dies with it: the device it was
             // covering (one of the slot's service) loses coverage. Its
             // traffic drops until repair, and the service may now be
@@ -171,7 +171,7 @@ impl Faults {
 
         let svc = st.dstate[d].service;
         let mut standby_covered = false;
-        if st.recovery.failover_inference && base > 0.0 {
+        if base > 0.0 {
             let survivors: Vec<usize> = st.up_primaries(svc).collect();
             if !survivors.is_empty() {
                 st.fmetrics.inference_failovers += 1;
@@ -200,7 +200,7 @@ impl Faults {
                 // idle standby for this service on another up device is
                 // promoted after a bounded switch latency instead of
                 // dropping every request until repair.
-                if st.recovery.standby.is_enabled() {
+                if st.standby.is_enabled() {
                     let host = st.roster.of(svc).iter().copied().find(|&h| {
                         h != d
                             && st.devices[h].is_up()
@@ -230,9 +230,6 @@ impl Faults {
                     st.fmetrics.failover_latency_secs.push(repair.as_secs());
                 }
             }
-        } else if base > 0.0 {
-            // Failover disabled: traffic drops for the whole outage.
-            st.fmetrics.failover_latency_secs.push(repair.as_secs());
         }
 
         // Total-outage accounting: if this failure left the service
@@ -245,24 +242,18 @@ impl Faults {
         }
 
         // Training: roll back to the checkpoint, then requeue (the
-        // scheduler re-places through the system's DeviceSelector) or
-        // strand until repair.
+        // scheduler re-places through the system's DeviceSelector).
         for proc in procs {
             let ji = proc.id.0 as usize;
             let ck = st.ckpt[ji].rollback();
             let lost = (st.jobs[ji].completed_iterations - ck).max(0.0);
             st.fmetrics.lost_iterations += lost;
             st.jobs[ji].rollback_to(ck);
-            if st.recovery.requeue_training {
-                st.fmetrics.training_evictions += 1;
-                let job = &mut st.jobs[ji];
-                job.state = JobState::Queued;
-                job.device = None;
-                st.push_queue_item(JobId(proc.id.0));
-            } else {
-                st.jobs[ji].state = JobState::Queued;
-                st.dstate[d].stranded.push(JobId(proc.id.0));
-            }
+            st.fmetrics.training_evictions += 1;
+            let job = &mut st.jobs[ji];
+            job.state = JobState::Queued;
+            job.device = None;
+            st.push_queue_item(JobId(proc.id.0));
         }
 
         st.dstate[d].restarting.clear();
@@ -272,20 +263,18 @@ impl Faults {
         st.dstate[d].guard.cooldown(td, repair);
         st.events
             .schedule_at(now + repair, GlobalEvent::DeviceRepair(d));
-        if st.recovery.requeue_training {
-            Admission.try_dispatch(st, now);
-        }
+        Admission.try_dispatch(st, now);
     }
 
     /// Repair: redeploy the replica at the current demand level, return
-    /// failover traffic to this device, restore stranded jobs from
-    /// their checkpoints, and enter a degraded burn-in window with the
-    /// circuit-breaker shedding training share.
+    /// failover traffic to this device, and enter a degraded burn-in
+    /// window with the circuit-breaker shedding training share.
     pub fn on_device_repair(&self, st: &mut SimState, now: SimTime, d: usize) {
         let td = st.dev_time(d, now);
         Control.accrue(st, td, d); // Final span of the outage (drop accounting).
-        let (devices, trace) = (&mut st.devices, &mut st.trace);
-        devices[d].repair_traced(td, trace);
+        st.devices[d].repair();
+        st.trace
+            .emit_with(td, || SimEvent::DeviceRepaired { device: d });
 
         // This repair brings the service's replica count back above
         // zero; close any open total-outage window.
@@ -298,8 +287,11 @@ impl Faults {
             if st.devices[h].is_up() {
                 let th = st.dev_time(h, now);
                 Control.accrue(st, th, h);
-                let (devices, trace) = (&mut st.devices, &mut st.trace);
-                devices[h].demote_standby_traced(&st.shared.gt, th, d, trace);
+                st.devices[h].demote_standby(&st.shared.gt, th);
+                st.trace.emit_with(th, || SimEvent::StandbyDemoted {
+                    host: h,
+                    covered: d,
+                });
                 st.fmetrics.standby_reseeds += 1;
                 self.reconfigure_guarded(st, th, h);
             }
@@ -341,7 +333,7 @@ impl Faults {
 
         // Re-seed the pool: a repaired device that held a standby slot
         // rejoins with a fresh idle standby.
-        let sb = st.recovery.standby;
+        let sb = st.standby;
         if sb.is_enabled() {
             if let Some(svc) = st.dstate[d].standby_slot {
                 if st.devices[d].standby().is_none() {
@@ -355,32 +347,18 @@ impl Faults {
             }
         }
 
-        // Stranded jobs resume in place from their checkpoints.
-        let stranded = std::mem::take(&mut st.dstate[d].stranded);
-        for job_id in stranded {
-            let ji = job_id.0 as usize;
-            let job = &mut st.jobs[ji];
-            job.state = JobState::Running;
-            job.device = Some(d);
-            let proc = st.restored_process(job_id);
-            st.devices[d]
-                .add_training(&st.shared.gt, td, proc)
-                .expect("repaired device has free slots");
-        }
         if !st.devices[d].trainings().is_empty() {
             let cap = st.dstate[d].applied_share_cap(td);
             st.devices[d].rebalance_training_fractions(cap);
         }
 
         // Post-repair burn-in: degraded clocks + training share shed.
+        let hold = SimDuration::from_secs(DEGRADED_HOLD_SECS);
         st.devices[d].set_degraded(POST_REPAIR_FACTOR);
         st.dstate[d].degrade_token += 1;
         let token = st.dstate[d].degrade_token;
-        st.schedule_lane(
-            now + st.recovery.degraded_hold,
-            LaneEvent::SlowdownEnd { device: d, token },
-        );
-        st.dstate[d].breaker.trip(td, st.recovery.degraded_hold);
+        st.schedule_lane(now + hold, LaneEvent::SlowdownEnd { device: d, token });
+        st.dstate[d].breaker.trip(td, hold);
 
         Control.refresh_memory_pause(st, td, d);
         Control.reconfigure(st, td, d);
@@ -415,8 +393,11 @@ impl Faults {
         Control.accrue(st, tt, target);
         let th = st.dev_time(host, now);
         Control.accrue(st, th, host);
-        let (devices, trace) = (&mut st.devices, &mut st.trace);
-        devices[host].promote_standby_traced(&st.shared.gt, th, qps, target, trace);
+        st.devices[host].promote_standby(&st.shared.gt, th, qps);
+        st.trace.emit_with(th, || SimEvent::StandbyPromoted {
+            host,
+            covered: target,
+        });
         st.dstate[target].standby_host = Some(host);
         st.dstate[target].standby_pviol =
             control::standby_score(&st.shared.gt, &st.devices[host]).map_or(0.0, |(p, ..)| p);
@@ -469,7 +450,7 @@ impl Faults {
         if let Some(proc) = st.devices[d].training_mut(victim) {
             proc.completed_iterations = ck.max(0.0) as u64;
         }
-        let restart = st.recovery.process_restart;
+        let restart = SimDuration::from_secs(PROCESS_RESTART_SECS);
         st.fmetrics.restart_downtime_secs += restart.as_secs();
         let until = td + restart;
         st.dstate[d].restarting.retain(|&(id, _)| id != victim);

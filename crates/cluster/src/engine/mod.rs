@@ -45,8 +45,7 @@ mod tests;
 
 use std::time::Instant;
 
-use mudi::{CircuitBreaker, RetuneGuard};
-use resilience::{FaultSchedule, RecoveryPolicy};
+use resilience::FaultSchedule;
 use simcore::{TraceBus, TraceConfig, TraceSummary};
 use workloads::{GroundTruth, ServiceId, TaskId};
 
@@ -83,16 +82,6 @@ impl ClusterEngine {
     /// called before the run starts.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.st.fault_schedule = schedule;
-    }
-
-    /// Overrides the recovery policy (pairs with
-    /// [`ClusterEngine::set_fault_schedule`] for injected scenarios).
-    pub fn set_recovery_policy(&mut self, recovery: RecoveryPolicy) {
-        self.st.recovery = recovery;
-        for st in &mut self.st.dstate {
-            st.guard = RetuneGuard::new(recovery.retune_dwell);
-            st.breaker = CircuitBreaker::new(recovery.degraded_training_share.clamp(0.05, 1.0));
-        }
     }
 
     /// Replaces the trace-bus configuration (default: from the

@@ -28,8 +28,12 @@ use gpu_sim::{
 };
 use mudi::policy::{FairState, QueueItem};
 use mudi::{CircuitBreaker, Monitor, RetuneGuard};
-use resilience::{CheckpointTracker, FaultSchedule, RecoveryPolicy};
-use simcore::{ShardMap, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig, TreeFolder};
+use resilience::{
+    CheckpointTracker, FaultSchedule, StandbyPolicy, DEGRADED_TRAINING_SHARE, RETUNE_DWELL_SECS,
+};
+use simcore::{
+    ShardMap, SimDuration, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig, TreeFolder,
+};
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{FluctuatingQps, GroundTruth, ServiceId, Zoo};
 
@@ -189,6 +193,10 @@ fn merge_metrics(mut a: ServiceMetrics, b: ServiceMetrics) -> ServiceMetrics {
     a
 }
 
+/// Paused time after which training on a system without unified memory
+/// counts as stuck and is evicted (30 simulated minutes).
+pub(super) const STUCK_TRAINING_SECS: f64 = 1800.0;
+
 /// Per-device engine-side state beyond the `GpuDevice` itself.
 pub(super) struct DeviceState {
     pub qps_gen: FluctuatingQps,
@@ -229,8 +237,6 @@ pub(super) struct DeviceState {
     /// Where this (failed) device's traffic went: `(survivor, share)`,
     /// undone at repair.
     pub rerouted: Vec<(usize, f64)>,
-    /// Jobs pinned here awaiting repair (no-requeue recovery policies).
-    pub stranded: Vec<JobId>,
     /// Residents mid-restart `(id, until)`: no progress accrues before
     /// `until`.
     pub restarting: Vec<(ResidentId, SimTime)>,
@@ -282,6 +288,18 @@ impl DeviceState {
     /// shed by the circuit-breaker while the device is degraded.
     pub fn applied_share_cap(&self, now: SimTime) -> f64 {
         (self.training_share_cap * self.breaker.share_multiplier(now)).clamp(0.01, 1.0)
+    }
+
+    /// Whether co-located training is stuck: paused for more than
+    /// [`STUCK_TRAINING_SECS`] on a system without unified-memory
+    /// swapping, which can stay overcommitted indefinitely. The
+    /// operator evicts stuck training back to the queue.
+    pub fn training_stuck(&self, now: SimTime, manages_memory: bool) -> bool {
+        let stuck = self
+            .paused_since
+            .map(|t0| now.since(t0).as_secs() > STUCK_TRAINING_SECS)
+            .unwrap_or(false);
+        self.training_paused && stuck && !manages_memory
     }
 }
 
@@ -396,8 +414,9 @@ pub(super) struct SimState {
     pub iter_scale: f64,
     /// Pre-drawn fault sequence for this run (empty without a profile).
     pub fault_schedule: FaultSchedule,
-    /// Recovery strategy applied to every injected fault.
-    pub recovery: RecoveryPolicy,
+    /// Warm-standby pool of this run's recovery policy (disabled
+    /// without a fault profile).
+    pub standby: StandbyPolicy,
     /// Fault/recovery accounting, surfaced in the result. The four
     /// lane-accrued float fields additionally carry per-device partials
     /// in [`DevAccum`], folded in by [`SimState::folded_fmetrics`].
@@ -454,10 +473,9 @@ impl SimState {
         let gt = GroundTruth::new(zoo, config.seed ^ 0xA100);
         let rng = SimRng::seed(config.seed);
         let n_services = gt.zoo().services().len();
-        let recovery = config
+        let standby = config
             .faults
-            .map(|p| p.recovery)
-            .unwrap_or_else(RecoveryPolicy::standard);
+            .map_or_else(StandbyPolicy::disabled, |p| p.recovery.standby);
         let topo = Topology::new(config.topology, config.devices);
         let fault_schedule = match &config.faults {
             Some(profile) => FaultSchedule::generate_with_topology(
@@ -517,10 +535,9 @@ impl SimState {
                 stashed_inference: None,
                 extra_qps: 0.0,
                 rerouted: Vec::new(),
-                stranded: Vec::new(),
                 restarting: Vec::new(),
-                guard: RetuneGuard::new(recovery.retune_dwell),
-                breaker: CircuitBreaker::new(recovery.degraded_training_share.clamp(0.05, 1.0)),
+                guard: RetuneGuard::new(SimDuration::from_secs(RETUNE_DWELL_SECS)),
+                breaker: CircuitBreaker::new(DEGRADED_TRAINING_SHARE),
                 degrade_token: 0,
                 faults_seen: 0,
                 standby_host: None,
@@ -542,8 +559,7 @@ impl SimState {
         // engages under fault injection with an enabled pool, keeping
         // every other run bit-identical.
         let mut fmetrics = FaultMetrics::default();
-        if config.faults.is_some() && recovery.standby.is_enabled() {
-            let standby = recovery.standby;
+        if config.faults.is_some() && standby.is_enabled() {
             let primary: Vec<ServiceId> = dstate.iter().map(|ds| ds.service).collect();
             let mut slots = vec![None; config.devices];
             for svc_def in gt.zoo().services() {
@@ -660,7 +676,7 @@ impl SimState {
             placement_secs: Vec::with_capacity(1024),
             iter_scale: 1.0,
             fault_schedule,
-            recovery,
+            standby,
             fmetrics,
             ckpt: Vec::new(),
             topo,
@@ -830,12 +846,8 @@ impl SimState {
                 // Re-validate: the serial phase (or an earlier
                 // envelope) may have unstuck the device meanwhile.
                 let t = self.dev_time(device, at);
-                let ds = &self.dstate[device];
-                let stuck = ds
-                    .paused_since
-                    .map(|t0| t.since(t0).as_secs() > 1800.0)
-                    .unwrap_or(false);
-                if ds.training_paused && stuck && !self.config.system.manages_memory() {
+                let manages_memory = self.config.system.manages_memory();
+                if self.dstate[device].training_stuck(t, manages_memory) {
                     Control.evict_trainings(self, t, device);
                 }
             }
@@ -944,15 +956,15 @@ impl SimState {
         let est = self.shared.gt.zoo().task(job.task).gpu_hours * 3600.0 * self.iter_scale;
         self.queue.push(QueueItem {
             arrival: job.submitted,
-            est_duration: simcore::SimDuration::from_secs(est),
+            est_duration: SimDuration::from_secs(est),
             priority: job.priority,
             class: job.class,
             payload: job_id,
         });
     }
 
-    /// Restores a training process for a queued-or-stranded job from
-    /// its checkpointed progress.
+    /// Restores a training process for a queued job from its
+    /// checkpointed progress.
     pub fn restored_process(&self, job_id: JobId) -> TrainingProcess {
         let job = &self.jobs[job_id.0 as usize];
         TrainingProcess::with_progress(

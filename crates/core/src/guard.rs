@@ -68,11 +68,6 @@ impl RetuneGuard {
             None => until,
         });
     }
-
-    /// The configured dwell.
-    pub fn dwell(&self) -> SimDuration {
-        self.dwell
-    }
 }
 
 /// SLO circuit-breaker: sheds best-effort training share while open.

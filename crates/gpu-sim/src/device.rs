@@ -7,7 +7,7 @@
 
 use std::cell::Cell;
 
-use simcore::{SimDuration, SimEvent, SimTime, TraceBus, UtilizationIntegrator};
+use simcore::{SimDuration, SimTime, UtilizationIntegrator};
 use workloads::{ColoWorkload, GroundTruth, ServiceId, TaskId};
 
 use crate::memory::MemoryManager;
@@ -601,54 +601,6 @@ impl GpuDevice {
     /// Time-averaged memory utilization.
     pub fn mean_mem_utilization(&self) -> f64 {
         self.mem_util.time_average()
-    }
-
-    // ------------------------------------------------------------------
-    // Traced control hooks.
-    //
-    // Wrappers over the plain state transitions that additionally
-    // publish the transition on a [`TraceBus`]. The engine's stages use
-    // these so every device-level control action is observable without
-    // the device layer depending on anything above `simcore`.
-    // ------------------------------------------------------------------
-
-    /// [`GpuDevice::repair`], publishing a `DeviceRepaired` event.
-    pub fn repair_traced(&mut self, now: SimTime, bus: &mut TraceBus) {
-        self.repair();
-        let d = self.id.0;
-        bus.emit_with(now, || SimEvent::DeviceRepaired { device: d });
-    }
-
-    /// [`GpuDevice::promote_standby`], publishing a `StandbyPromoted`
-    /// event naming the device (`covered`) whose traffic the standby
-    /// now serves.
-    pub fn promote_standby_traced(
-        &mut self,
-        gt: &GroundTruth,
-        now: SimTime,
-        qps: f64,
-        covered: usize,
-        bus: &mut TraceBus,
-    ) -> SimDuration {
-        let took = self.promote_standby(gt, now, qps);
-        let host = self.id.0;
-        bus.emit_with(now, || SimEvent::StandbyPromoted { host, covered });
-        took
-    }
-
-    /// [`GpuDevice::demote_standby`], publishing a `StandbyDemoted`
-    /// event naming the device (`covered`) the standby stops covering.
-    pub fn demote_standby_traced(
-        &mut self,
-        gt: &GroundTruth,
-        now: SimTime,
-        covered: usize,
-        bus: &mut TraceBus,
-    ) -> SimDuration {
-        let took = self.demote_standby(gt, now);
-        let host = self.id.0;
-        bus.emit_with(now, || SimEvent::StandbyDemoted { host, covered });
-        took
     }
 }
 

@@ -13,10 +13,13 @@
 //! * [`CheckpointTracker`] — checkpoint/restore accounting with exact
 //!   period-boundary interpolation, guaranteeing a restore never loses
 //!   more than one checkpoint period of progress.
-//! * [`RecoveryPolicy`] — per-run recovery strategy: inference
-//!   failover, training requeue, restart costs, and the guardrail
-//!   parameters (retune dwell, degraded-mode training share) the local
-//!   coordinator enforces.
+//! * [`RecoveryPolicy`] — the per-run recovery strategy. Every run
+//!   fails inference over to surviving replicas and requeues evicted
+//!   training; the only knob is the warm-standby pool
+//!   ([`StandbyPolicy`]). Restart costs, the checkpoint period and
+//!   bandwidth, and the guardrail parameters the local coordinator
+//!   enforces (retune dwell, degraded-mode training share and hold) are
+//!   named constants in [`recovery`].
 //!
 //! The cluster engine owns the event loop; this crate owns the *what*
 //! and *when* of faults and the accounting rules of recovery, keeping
@@ -30,7 +33,8 @@ pub mod schedule;
 
 pub use checkpoint::CheckpointTracker;
 pub use recovery::{
-    young_daly_period, CheckpointPeriod, FaultProfile, RecoveryPolicy, StandbyPolicy,
+    FaultProfile, RecoveryPolicy, StandbyPolicy, CHECKPOINT_PERIOD_SECS, CHECKPOINT_WRITE_GBPS,
+    DEGRADED_HOLD_SECS, DEGRADED_TRAINING_SHARE, PROCESS_RESTART_SECS, RETUNE_DWELL_SECS,
 };
 pub use schedule::{
     CorrelatedFaultConfig, FaultConfig, FaultDomain, FaultEvent, FaultKind, FaultSchedule,

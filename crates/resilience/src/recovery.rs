@@ -4,50 +4,34 @@
 //! failure experiments compare recovery *strategies*, not accidents of
 //! wiring. The engine consults one [`RecoveryPolicy`] per run.
 
-use simcore::SimDuration;
-
 use crate::schedule::{CorrelatedFaultConfig, FaultConfig};
 
-/// The Young/Daly first-order optimal checkpoint interval,
-/// `sqrt(2 · MTBF · write_cost)`, in seconds. Minimises the overhead
-/// model `overhead(T) = write/T + T/(2·MTBF)` — the checkpoint-write
-/// amortisation plus the expected half-period of work lost per failure.
-pub fn young_daly_period(mtbf_secs: f64, write_secs: f64) -> f64 {
-    (2.0 * mtbf_secs * write_secs).sqrt()
-}
+/// Period between training checkpoints, in seconds of accrued running
+/// time (10 minutes).
+pub const CHECKPOINT_PERIOD_SECS: f64 = 600.0;
 
-/// How the checkpoint period for a training task is chosen.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CheckpointPeriod {
-    /// One fixed period for every task, in accrued running time.
-    Fixed(SimDuration),
-    /// Per-task Young/Daly optimum: `sqrt(2 · MTBF · write_cost)`,
-    /// where the write cost comes from the task's working-set size and
-    /// the policy's checkpoint bandwidth. Tasks with a zero write cost
-    /// (fault-free runs) fall back to [`CheckpointPeriod::DEFAULT_SECS`].
-    YoungDaly,
-}
+/// Cold-restart time for a crashed training process (MPS teardown,
+/// relaunch, checkpoint reload), in seconds.
+pub const PROCESS_RESTART_SECS: f64 = 20.0;
 
-impl CheckpointPeriod {
-    /// The fixed fallback period (10 minutes) used when Young/Daly is
-    /// undefined — zero write cost or an unknown MTBF.
-    pub const DEFAULT_SECS: f64 = 600.0;
+/// Anti-thrashing dwell: minimum spacing between fault-triggered
+/// retunes of the same device (see `mudi::RetuneGuard`), in seconds.
+pub const RETUNE_DWELL_SECS: f64 = 10.0;
 
-    /// Resolves the concrete period for a task given the device MTBF
-    /// and the task's checkpoint write cost, both in seconds.
-    pub fn resolve(&self, mtbf_secs: f64, write_secs: f64) -> SimDuration {
-        match *self {
-            CheckpointPeriod::Fixed(period) => period,
-            CheckpointPeriod::YoungDaly => {
-                if write_secs > 0.0 && mtbf_secs.is_finite() && mtbf_secs > 0.0 {
-                    SimDuration::from_secs(young_daly_period(mtbf_secs, write_secs))
-                } else {
-                    SimDuration::from_secs(Self::DEFAULT_SECS)
-                }
-            }
-        }
-    }
-}
+/// While a device is in post-failure degraded mode, best-effort
+/// training is capped at this fraction of its normal GPU% share (the
+/// SLO circuit-breaker, `mudi::CircuitBreaker`).
+pub const DEGRADED_TRAINING_SHARE: f64 = 0.5;
+
+/// How long a freshly repaired device stays in degraded mode (burn-in:
+/// reduced clocks while the driver re-validates memory), in seconds.
+pub const DEGRADED_HOLD_SECS: f64 = 300.0;
+
+/// Effective bandwidth for writing a training checkpoint (PCIe to host
+/// then NVMe, end to end), in GB/s. Under fault injection each
+/// checkpoint stalls the job for `working_set_gb / CHECKPOINT_WRITE_GBPS`
+/// seconds of accrued running time.
+pub const CHECKPOINT_WRITE_GBPS: f64 = 4.0;
 
 /// Warm-standby shadow-instance pool configuration.
 ///
@@ -106,73 +90,26 @@ impl Default for StandbyPolicy {
     }
 }
 
-/// Knobs controlling recovery behaviour after injected faults.
-#[derive(Clone, Copy, Debug)]
+/// Recovery behaviour after injected faults.
+///
+/// Every run checkpoints training, fails inference over to surviving
+/// same-service replicas, requeues evicted training through the
+/// system's placement logic, and applies the guardrails, with the
+/// fixed values above. The one strategy that varies is the warm-standby
+/// pool.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryPolicy {
-    /// Period between training checkpoints, in accrued running time.
-    pub checkpoint_period: CheckpointPeriod,
-    /// Re-place inference replicas evicted by a device failure onto
-    /// surviving devices (re-running the system's placement logic).
-    /// When `false`, the failed replica's traffic is dropped — and
-    /// counted as SLO violations — until the device returns.
-    pub failover_inference: bool,
-    /// Requeue training jobs evicted by a device failure so the
-    /// scheduler can restart them elsewhere. When `false`, evicted jobs
-    /// wait for their original device to be repaired.
-    pub requeue_training: bool,
-    /// Cold-restart time for a crashed training process (MPS teardown,
-    /// relaunch, checkpoint reload).
-    pub process_restart: SimDuration,
-    /// Anti-thrashing dwell: minimum spacing between fault-triggered
-    /// retunes of the same device (see `mudi::RetuneGuard`).
-    pub retune_dwell: SimDuration,
-    /// While a device is in post-failure degraded mode, cap best-effort
-    /// training at this fraction of its normal GPU% share (the SLO
-    /// circuit-breaker; `1.0` disables shedding).
-    pub degraded_training_share: f64,
-    /// How long a freshly repaired device stays in degraded mode
-    /// (burn-in: reduced clocks while the driver re-validates memory).
-    pub degraded_hold: SimDuration,
-    /// Effective bandwidth for writing a training checkpoint (PCIe to
-    /// host then NVMe, end to end), in GB/s. Each checkpoint stalls the
-    /// job for `working_set_gb / checkpoint_write_gbps` seconds of
-    /// accrued running time, so checkpoints are no longer free — the
-    /// first step toward a Young/Daly-optimal period.
-    pub checkpoint_write_gbps: f64,
     /// Warm-standby shadow-instance pool; disabled by default.
     pub standby: StandbyPolicy,
 }
 
 impl RecoveryPolicy {
-    /// The full recovery stack: checkpointing, inference failover,
-    /// training requeue, and guardrails. What Mudi and the adaptive
-    /// baselines run with.
+    /// The full recovery stack with the standby pool off. What Mudi and
+    /// the adaptive baselines run with.
     pub fn standard() -> Self {
         RecoveryPolicy {
-            checkpoint_period: CheckpointPeriod::Fixed(SimDuration::from_mins(10.0)),
-            failover_inference: true,
-            requeue_training: true,
-            process_restart: SimDuration::from_secs(20.0),
-            retune_dwell: SimDuration::from_secs(10.0),
-            degraded_training_share: 0.5,
-            degraded_hold: SimDuration::from_mins(5.0),
-            checkpoint_write_gbps: 4.0,
             standby: StandbyPolicy::disabled(),
         }
-    }
-
-    /// Standard recovery with a custom fixed checkpoint period.
-    pub fn with_checkpoint_period(period: SimDuration) -> Self {
-        RecoveryPolicy {
-            checkpoint_period: CheckpointPeriod::Fixed(period),
-            ..Self::standard()
-        }
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 
@@ -214,13 +151,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_enables_the_full_stack() {
-        let p = RecoveryPolicy::standard();
-        assert!(p.failover_inference);
-        assert!(p.requeue_training);
-        assert!(p.checkpoint_period.resolve(f64::INFINITY, 0.0).as_secs() > 0.0);
-        assert!(p.degraded_training_share < 1.0);
-        assert!(!p.standby.is_enabled(), "standby must default off");
+    fn standard_keeps_the_standby_pool_off() {
+        assert!(!RecoveryPolicy::standard().standby.is_enabled());
+        assert!(!RecoveryPolicy::default().standby.is_enabled());
     }
 
     #[test]
@@ -232,59 +165,5 @@ mod tests {
         assert_eq!(p.pool_per_service, 2);
         assert!(p.preloaded_weights);
         assert!(p.reserve_fraction > 0.0);
-    }
-
-    /// The closed-form Young/Daly period lands on the argmin of the
-    /// overhead model `overhead(T) = w/T + T/(2·MTBF)` — checked
-    /// against a brute-force sweep over a fine grid of periods.
-    #[test]
-    fn young_daly_matches_brute_force_optimum() {
-        for (mtbf, write) in [
-            (720.0 * 3600.0, 30.0),
-            (72.0 * 3600.0, 120.0),
-            (2.0 * 3600.0, 5.0),
-            (24.0 * 3600.0, 600.0),
-        ] {
-            let overhead = |t: f64| write / t + t / (2.0 * mtbf);
-            let closed = young_daly_period(mtbf, write);
-            // Sweep a dense log grid spanning well past the optimum.
-            let mut best_t = f64::NAN;
-            let mut best = f64::INFINITY;
-            let steps = 20_000;
-            let (lo, hi) = (1.0f64, 100.0 * closed.max(1.0));
-            for i in 0..=steps {
-                let t = lo * (hi / lo).powf(i as f64 / steps as f64);
-                let o = overhead(t);
-                if o < best {
-                    best = o;
-                    best_t = t;
-                }
-            }
-            assert!(
-                (closed - best_t).abs() / best_t < 2e-3,
-                "mtbf={mtbf} write={write}: closed {closed} vs swept {best_t}"
-            );
-            assert!(overhead(closed) <= best * (1.0 + 1e-6));
-        }
-    }
-
-    #[test]
-    fn young_daly_resolution_and_fallback() {
-        let yd = CheckpointPeriod::YoungDaly;
-        let mtbf = 720.0 * 3600.0;
-        let resolved = yd.resolve(mtbf, 30.0);
-        assert!((resolved.as_secs() - (2.0 * mtbf * 30.0).sqrt()).abs() < 1e-9);
-        // No write cost (fault-free run) or unknown MTBF: fixed default.
-        assert_eq!(
-            yd.resolve(mtbf, 0.0).as_secs(),
-            CheckpointPeriod::DEFAULT_SECS
-        );
-        assert_eq!(
-            yd.resolve(f64::INFINITY, 30.0).as_secs(),
-            CheckpointPeriod::DEFAULT_SECS
-        );
-        // Fixed periods resolve to themselves regardless of inputs.
-        let fixed = CheckpointPeriod::Fixed(SimDuration::from_secs(42.0));
-        assert_eq!(fixed.resolve(mtbf, 30.0).as_secs(), 42.0);
     }
 }

@@ -494,26 +494,6 @@ impl FaultSchedule {
         }
     }
 
-    /// Splits the schedule by home shard: event `e` lands in the
-    /// schedule of `map.shard_of_device(topo, e.device)`. Relative
-    /// order within each part is preserved, so every part is itself
-    /// canonically sorted and the parts' union (ordered by shard, then
-    /// position) is a permutation of the whole.
-    ///
-    /// This is an *accounting* view — per-shard fault densities,
-    /// blast-radius audits, capacity planning — not an execution
-    /// order. The engine seeds faults from the unpartitioned schedule
-    /// so the global tie-break sequence matches the single-queue
-    /// kernel exactly; re-seeding from partitions would renumber the
-    /// `Event::Fault(idx)` indices and break replay.
-    pub fn partition(&self, topo: &Topology, map: &simcore::ShardMap) -> Vec<FaultSchedule> {
-        let mut parts = vec![FaultSchedule::empty(); map.shards()];
-        for &e in &self.events {
-            parts[map.shard_of_device(topo, e.device)].events.push(e);
-        }
-        parts
-    }
-
     /// The events, sorted by time.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -784,47 +764,6 @@ mod tests {
             .filter(|e| e.domain == FaultDomain::Device)
             .collect();
         assert_eq!(plain.events(), device_local.as_slice());
-    }
-
-    #[test]
-    fn partition_is_a_shard_exact_accounting_of_the_whole() {
-        let cfg = dense();
-        let corr = CorrelatedFaultConfig::scaled(100.0);
-        let t = topo(12);
-        let whole = FaultSchedule::generate_with_topology(
-            &cfg,
-            Some(&corr),
-            &t,
-            60_000.0,
-            &SimRng::seed(47),
-        );
-        assert!(!whole.is_empty());
-        let map = simcore::ShardMap::new(&t, 4);
-        let parts = whole.partition(&t, &map);
-        assert_eq!(parts.len(), map.shards());
-        assert_eq!(
-            parts.iter().map(FaultSchedule::len).sum::<usize>(),
-            whole.len()
-        );
-        for (s, part) in parts.iter().enumerate() {
-            // Every event sits in its owner shard, still time-sorted.
-            for e in part.events() {
-                assert_eq!(map.shard_of_device(&t, e.device), s);
-            }
-            for w in part.events().windows(2) {
-                assert!(w[0].at.as_secs() <= w[1].at.as_secs());
-            }
-        }
-        // The parts' union is exactly the whole, as a multiset.
-        let key = |e: &FaultEvent| format!("{e:?}");
-        let mut merged: Vec<String> = parts
-            .iter()
-            .flat_map(|p| p.events().iter().map(key))
-            .collect();
-        let mut all: Vec<String> = whole.events().iter().map(key).collect();
-        merged.sort();
-        all.sort();
-        assert_eq!(merged, all);
     }
 
     #[test]

@@ -3,16 +3,23 @@
 //! Every `MUDI_*` knob in the workspace is read through these helpers,
 //! so the accepted spellings stay consistent across crates:
 //!
-//! | variable           | helper                | meaning                                    |
-//! |--------------------|-----------------------|--------------------------------------------|
-//! | `MUDI_TRACE`       | [`flag`]              | enable the structured trace bus            |
-//! | `MUDI_THREADS`     | [`parse`]             | worker-pool cap                            |
-//! | `MUDI_TOPOLOGY`    | [`string`]            | rack/node shape, `RACKSxNODES`             |
-//! | `MUDI_FULL_SCALE`  | [`flag`]              | paper-scale benches                        |
-//! | `MUDI_BLESS`       | [`flag`]              | re-record golden snapshots                 |
-//! | `MUDI_SEED`        | [`parse_or`]          | experiment seed                            |
-//! | `MUDI_SERVE_ADDR`  | [`string_or`]         | control-plane listen address               |
-//! | `MUDI_SERVE_PACE`  | [`parse_or`]          | sim-seconds per wall-second (`0` = frozen) |
+//! | variable             | helper        | meaning                                        |
+//! |----------------------|---------------|------------------------------------------------|
+//! | `MUDI_TRACE`         | [`flag`]      | enable the structured trace bus                |
+//! | `MUDI_THREADS`       | [`parse`]     | worker-pool cap                                |
+//! | `MUDI_SHARDS`        | [`parse`]     | engine lane (shard) count; `0` = auto          |
+//! | `MUDI_TOPOLOGY`      | [`string`]    | rack/node shape, `RACKSxNODES`                 |
+//! | `MUDI_FULL_SCALE`    | [`flag`]      | paper-scale benches                            |
+//! | `MUDI_BLESS`         | [`flag`]      | re-record golden snapshots                     |
+//! | `MUDI_SEED`          | [`parse_or`]  | experiment seed                                |
+//! | `MUDI_BENCH_NO_GATE` | [`flag`]      | bench gates report regressions, do not fail    |
+//! | `MUDI_PERF_SAMPLES`  | [`parse_or`]  | `perf_kernel` samples per shape (default 3)    |
+//! | `MUDI_FIG22_DEVICES` | [`parse`]     | run only the `fig22_scale` sweep of this size  |
+//! | `MUDI_SERVE_ADDR`    | [`string_or`] | control-plane listen address                   |
+//! | `MUDI_SERVE_PACE`    | [`parse_or`]  | sim-seconds per wall-second (`0` = frozen)     |
+//! | `MUDI_SERVE_SEED`    | [`parse_or`]  | `mudi-serve` simulation seed (default 7)       |
+//! | `MUDI_SERVE_PRESET`  | [`string_or`] | `mudi-serve` preset, `tiny` or `physical`      |
+//! | `MUDI_SERVE_LLM`     | [`parse_or`]  | nonzero adds the generative services to `mudi-serve` |
 //!
 //! Boolean flags accept `1` or `true` (anything else is off), numeric
 //! values fall back to their default when unset or unparseable, and

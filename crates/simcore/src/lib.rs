@@ -30,8 +30,7 @@ pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Pois
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{MulBuildHasher, MulHasher};
 pub use metrics::{
-    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, TreeFolder,
-    UtilizationIntegrator,
+    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TreeFolder, UtilizationIntegrator,
 };
 pub use pool::{fan_out, max_workers, scoped_map, scoped_map_workers};
 pub use rng::{MergeKey, SimRng};

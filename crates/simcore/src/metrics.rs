@@ -6,8 +6,6 @@
 //!   queries (P50/P90/P99 as the paper reports).
 //! * [`UtilizationIntegrator`] — time-weighted average of a piecewise-
 //!   constant signal such as SM or memory utilization.
-//! * [`TimeSeries`] — raw `(t, v)` samples with fixed-interval resampling
-//!   for the utilization-over-time figures.
 //! * [`Cdf`] — empirical CDF for the trace-analysis figures.
 
 use crate::time::SimTime;
@@ -323,47 +321,6 @@ impl UtilizationIntegrator {
     /// Total observed span in seconds.
     pub fn span_secs(&self) -> f64 {
         self.span
-    }
-}
-
-/// Raw `(t, v)` time series with fixed-interval resampling.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample; times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous sample.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        let t = t.as_secs();
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be appended in order");
-        }
-        self.points.push((t, v));
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` when the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Raw samples as `(seconds, value)` pairs.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
     }
 }
 

@@ -149,7 +149,7 @@ fn burst_schedule_applies_cluster_wide() {
 /// total-outage accounting with its correlated domain tag.
 #[test]
 fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
-    use resilience::{FaultDomain, FaultEvent, FaultKind, FaultSchedule, RecoveryPolicy};
+    use resilience::{FaultDomain, FaultEvent, FaultKind, FaultSchedule};
     use simcore::{SimDuration, SimTime};
     use workloads::Zoo;
 
@@ -174,10 +174,6 @@ fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
             })
             .collect(),
     ));
-    engine.set_recovery_policy(RecoveryPolicy {
-        failover_inference: true,
-        ..RecoveryPolicy::standard()
-    });
     let r = engine.run_scaled(0.002);
 
     assert_eq!(r.faults.device_failures, 2);
@@ -223,8 +219,7 @@ fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
 fn rack_blast_survived_only_by_standby_in_another_rack() {
     use gpu_sim::SHADOW_SWITCH_SECS;
     use resilience::{
-        FaultDomain, FaultEvent, FaultKind, FaultProfile, FaultSchedule, RecoveryPolicy,
-        StandbyPolicy,
+        FaultDomain, FaultEvent, FaultKind, FaultProfile, FaultSchedule, StandbyPolicy,
     };
     use simcore::{SimDuration, SimTime};
     use workloads::Zoo;
@@ -236,10 +231,6 @@ fn rack_blast_survived_only_by_standby_in_another_rack() {
     // happens at engine construction. The generated schedule is then
     // replaced with the hand-built blast.
     let mut profile = FaultProfile::scaled(1.0);
-    profile.recovery = RecoveryPolicy {
-        failover_inference: true,
-        ..RecoveryPolicy::standard()
-    };
     profile.recovery.standby = StandbyPolicy::warm(1);
     cfg.faults = Some(profile);
     let mut engine = ClusterEngine::new(cfg);

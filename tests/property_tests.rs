@@ -435,17 +435,13 @@ proptest! {
     /// equal the pool-0 run's `dropped` on the identical schedule.
     #[test]
     fn standby_coverage_conserves_blast_traffic(seed in 0u64..100_000) {
-        use resilience::{FaultEvent, FaultKind, FaultProfile, RecoveryPolicy, StandbyPolicy};
+        use resilience::{FaultEvent, FaultKind, FaultProfile, StandbyPolicy};
         use simcore::SimDuration;
         let n = Zoo::standard().services().len();
         let run = |pool: usize| {
             let mut cfg = ClusterConfig::tiny(SystemKind::Random, seed);
             cfg.devices = n + 1; // Flat layout: service 0 on devices 0 and n.
             let mut profile = FaultProfile::scaled(1.0);
-            profile.recovery = RecoveryPolicy {
-                failover_inference: true,
-                ..RecoveryPolicy::standard()
-            };
             profile.recovery.standby = StandbyPolicy::warm(pool);
             cfg.faults = Some(profile);
             let mut engine = ClusterEngine::new(cfg);
