@@ -38,7 +38,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cluster::engine::{ClusterConfig, ClusterSession, ScalePreset};
+use cluster::engine::{ClusterConfig, ClusterSession, ScalePreset, TuningCounters};
 use cluster::systems::SystemKind;
 use simcore::{SimTime, TopologyShape};
 
@@ -115,6 +115,7 @@ struct Cell {
     goodput_iters_per_hour: f64,
     violation_rate: f64,
     fingerprint: u64,
+    tuning: TuningCounters,
 }
 
 impl Cell {
@@ -198,6 +199,7 @@ fn run_cell(sweep: &Sweep, shards: usize, workers: usize) -> Cell {
         goodput_iters_per_hour: result.goodput_iters_per_hour(),
         violation_rate: result.overall_violation_rate(),
         fingerprint: result.fingerprint(),
+        tuning: profile.tuning,
     }
 }
 
@@ -297,6 +299,9 @@ fn main() {
                 cell.violation_rate,
                 cell.fingerprint,
             );
+            // Exact counts: the same at every worker count of a shard
+            // count (the memos split by lane, so not across shards).
+            println!("{:>16}tuning {}", "", cell.tuning);
             // The grid-equivalence assertion: within one cluster size,
             // every (shards, workers) point must land on the identical
             // simulated outcome.

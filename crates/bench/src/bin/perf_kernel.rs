@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cluster::engine::{ClusterConfig, ClusterSession};
+use cluster::engine::{ClusterConfig, ClusterSession, TuningCounters};
 use cluster::systems::SystemKind;
 use simcore::SimTime;
 
@@ -104,6 +104,8 @@ struct Measurement {
     events: u64,
     sim_secs: f64,
     wall_secs: f64,
+    /// Exact tuning-work counts (the same on every sample).
+    tuning: TuningCounters,
 }
 
 impl Measurement {
@@ -144,13 +146,16 @@ fn run_shape(
         events: events.max(1),
         sim_secs: session.now().as_secs(),
         wall_secs: start.elapsed().as_secs_f64(),
+        tuning: session.phase_profile().tuning,
     }
 }
 
 /// `--check`: fingerprint each shape's simulated outcome against the
-/// golden file. Pure correctness — no timing involved.
+/// golden file, and print each shape's tuning counters. Pure
+/// correctness — no timing involved.
 fn run_check() {
     let mut actual = String::new();
+    let mut counters = String::new();
     for (shape, config, horizon, step) in shapes() {
         let mut session = ClusterSession::new_scaled(config, 0.01);
         let mut t = 0.0;
@@ -158,9 +163,11 @@ fn run_check() {
             t = (t + step).min(horizon);
             session.step_until(SimTime::from_secs(t));
         }
+        let _ = writeln!(counters, "{shape} {}", session.phase_profile().tuning);
         let fp = session.finish().fingerprint();
         let _ = writeln!(actual, "{shape} {fp:016x}");
     }
+    println!("tuning counters per shape:\n{counters}");
     if simcore::env::flag("MUDI_BLESS") {
         std::fs::write(FINGERPRINT_PATH, &actual).expect("write fingerprint golden");
         println!("perf_kernel --check: fingerprints recorded\n{actual}");
@@ -243,6 +250,7 @@ fn main() {
             m.steps_per_sec(),
             m.sim_secs_per_wall_sec()
         );
+        println!("{:>32} tuning {}", "", m.tuning);
         let _ = writeln!(
             json,
             "    {{\"shape\": \"{}\", \"events\": {}, \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \"sim_secs_per_wall_sec\": {:.0}}}{}",

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use gpu_sim::GpuDevice;
-use mudi::{DeviceCandidate, ReliabilityPrior};
+use mudi::{DeviceCandidate, ReliabilityPrior, TuneTrigger};
 use resilience::{CHECKPOINT_PERIOD_SECS, CHECKPOINT_WRITE_GBPS};
 use simcore::{SimDuration, SimEvent, SimTime, Topology};
 use workloads::PhillyArrivals;
@@ -243,7 +243,7 @@ impl Admission {
             let cap = st.dstate[device].applied_share_cap(td);
             st.devices[device].rebalance_training_fractions(cap);
             Control.refresh_memory_pause(st, td, device);
-            Control.reconfigure(st, td, device);
+            Control.reconfigure(st, td, device, TuneTrigger::NewTraining);
         }
     }
 }

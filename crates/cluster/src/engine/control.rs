@@ -19,6 +19,7 @@
 //! its outbox immediately.
 
 use gpu_sim::{GpuDevice, ReconfigPolicy, ResidentId};
+use mudi::TuneTrigger;
 use simcore::{normal_cdf, SimDuration, SimEvent, SimTime};
 use workloads::GroundTruth;
 
@@ -302,12 +303,11 @@ pub(super) fn on_qps_change(ctx: &mut LaneCtx, now: SimTime, d: usize) {
 
     // Monitor check (§5.3.2): QPS drift or SLO risk retunes.
     let ds = &mut ctx.dstate[li];
-    if ds
+    if let Some(trigger) = ds
         .monitor
         .check(now, qps, ds.last_p99, ds.last_util, ds.last_pviol)
-        .is_some()
     {
-        reconfigure(ctx, now, d);
+        reconfigure(ctx, now, d, trigger);
     }
 
     // Cap the next dwell so bursts (Fig. 16) are noticed promptly.
@@ -330,7 +330,7 @@ pub(super) fn on_retune(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     let li = d - ctx.base;
     ctx.dstate[li].retune_pending = false;
     if ctx.dstate[li].training_paused {
-        reconfigure(ctx, now, d);
+        reconfigure(ctx, now, d, TuneTrigger::Paused);
         // Systems without unified-memory swapping can stay
         // overcommitted indefinitely (e.g. a static split that never
         // shrinks); after 30 simulated minutes the operator evicts
@@ -366,12 +366,16 @@ pub(super) fn observed_p99(ctx: &LaneCtx, d: usize) -> Option<f64> {
 ///
 /// The tuner runs on the lane's own system replica and draws from the
 /// device's `retune_rng` substream — the draws depend only on
-/// `(seed, device, draw index)`, never on cross-device ordering.
-pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize) {
+/// `(seed, device, draw index)`, never on cross-device ordering. Its
+/// proposals go through the session memo and the lane's own
+/// ([`super::state::SessionMemo::with_lane`]), and the pass is counted
+/// under `trigger` on the lane.
+pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: TuneTrigger) {
     let li = d - ctx.base;
     if !ctx.devices[li].is_up() {
         return; // Nothing to tune on a down device.
     }
+    ctx.lane.tune_passes[trigger as usize] += 1;
     accrue(ctx, now, d);
     // The task list rides in a pooled vector (taken here, returned
     // after configure) so a steady-state retune never allocates.
@@ -393,10 +397,11 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     };
     let qps = inf.qps;
     let old_fraction = inf.gpu_fraction;
+    let memos = ctx.session_memo.with_lane(&mut ctx.lane.memo);
     let mut decision: ConfigDecision =
         ctx.lane
             .system
-            .configure(ctx.gt, &view, &mut ctx.dstate[li].retune_rng);
+            .configure(ctx.gt, &view, &mut ctx.dstate[li].retune_rng, memos);
     let mut tasks = view.tasks;
     tasks.clear();
     ctx.lane.scratch_tasks = tasks;
@@ -583,8 +588,8 @@ impl Control {
     }
 
     /// Serial-phase reconfigure for device `d`.
-    pub fn reconfigure(&self, st: &mut SimState, now: SimTime, d: usize) {
-        st.with_lane_of(d, |ctx| reconfigure(ctx, now, d));
+    pub fn reconfigure(&self, st: &mut SimState, now: SimTime, d: usize, trigger: TuneTrigger) {
+        st.with_lane_of(d, |ctx| reconfigure(ctx, now, d, trigger));
     }
 
     /// Serial-phase memory-pause refresh for device `d`.
@@ -630,7 +635,7 @@ impl Control {
         let cap = st.dstate[device].applied_share_cap(t);
         st.devices[device].rebalance_training_fractions(cap);
         self.refresh_memory_pause(st, t, device);
-        self.reconfigure(st, t, device);
+        self.reconfigure(st, t, device, TuneTrigger::TrainingDone);
         Admission.try_dispatch(st, now);
         Some(t)
     }

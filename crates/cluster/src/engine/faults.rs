@@ -17,6 +17,7 @@
 //! timelines stay monotone inside a stepping window.
 
 use gpu_sim::{ResidentId, StandbyInstance, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
+use mudi::TuneTrigger;
 use resilience::{FaultDomain, FaultKind, DEGRADED_HOLD_SECS, PROCESS_RESTART_SECS};
 use simcore::{SimDuration, SimEvent, SimTime};
 
@@ -42,14 +43,14 @@ pub(super) struct Faults;
 /// burst of faults on one device retunes at most once per dwell,
 /// and not at all during an explicit cooldown. Load-driven retunes
 /// (Monitor drift, SLO risk) are not gated — only fault reactions.
-pub(super) fn reconfigure_guarded(ctx: &mut LaneCtx, now: SimTime, d: usize) {
+pub(super) fn reconfigure_guarded(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: TuneTrigger) {
     let li = d - ctx.base;
     if !ctx.devices[li].is_up() {
         return;
     }
     if ctx.dstate[li].guard.allows(now) {
         ctx.dstate[li].guard.record(now);
-        control::reconfigure(ctx, now, d);
+        control::reconfigure(ctx, now, d, trigger);
     }
 }
 
@@ -61,7 +62,7 @@ pub(super) fn on_slowdown_end(ctx: &mut LaneCtx, now: SimTime, d: usize, token: 
     }
     control::accrue(ctx, now, d);
     ctx.devices[li].clear_degraded();
-    reconfigure_guarded(ctx, now, d);
+    reconfigure_guarded(ctx, now, d, TuneTrigger::DeviceFault);
     control::reschedule_completions(ctx, now, d);
 }
 
@@ -87,8 +88,14 @@ pub(super) fn on_process_restart(ctx: &mut LaneCtx, now: SimTime, d: usize, job:
 
 impl Faults {
     /// Serial-phase guarded retune for device `d`.
-    pub fn reconfigure_guarded(&self, st: &mut SimState, now: SimTime, d: usize) {
-        st.with_lane_of(d, |ctx| reconfigure_guarded(ctx, now, d));
+    pub fn reconfigure_guarded(
+        &self,
+        st: &mut SimState,
+        now: SimTime,
+        d: usize,
+        trigger: TuneTrigger,
+    ) {
+        st.with_lane_of(d, |ctx| reconfigure_guarded(ctx, now, d, trigger));
     }
 
     /// Dispatches schedule entry `idx` to its class handler.
@@ -191,7 +198,7 @@ impl Faults {
                     let cur = st.devices[s].inference().expect("up replica").qps;
                     st.devices[s].set_inference_qps(&st.shared.gt, ts, cur + share);
                     st.dstate[d].rerouted.push((s, share));
-                    self.reconfigure_guarded(st, ts, s);
+                    self.reconfigure_guarded(st, ts, s, TuneTrigger::Failover);
                 }
                 st.fmetrics.failover_latency_secs.push(0.0);
             } else {
@@ -293,7 +300,7 @@ impl Faults {
                     covered: d,
                 });
                 st.fmetrics.standby_reseeds += 1;
-                self.reconfigure_guarded(st, th, h);
+                self.reconfigure_guarded(st, th, h, TuneTrigger::Repair);
             }
         }
         // Cancel any promotion still pending on this device's behalf
@@ -318,7 +325,7 @@ impl Faults {
                 Control.accrue(st, ts, s);
                 let cur = st.devices[s].inference().expect("up replica").qps;
                 st.devices[s].set_inference_qps(&st.shared.gt, ts, (cur - share).max(0.0));
-                self.reconfigure_guarded(st, ts, s);
+                self.reconfigure_guarded(st, ts, s, TuneTrigger::Repair);
             }
         }
 
@@ -361,7 +368,7 @@ impl Faults {
         st.dstate[d].breaker.trip(td, hold);
 
         Control.refresh_memory_pause(st, td, d);
-        Control.reconfigure(st, td, d);
+        Control.reconfigure(st, td, d, TuneTrigger::Repair);
         Admission.try_dispatch(st, now);
     }
 
@@ -402,7 +409,7 @@ impl Faults {
         st.dstate[target].standby_pviol =
             control::standby_score(&st.shared.gt, &st.devices[host]).map_or(0.0, |(p, ..)| p);
         st.fmetrics.standby_promotions += 1;
-        self.reconfigure_guarded(st, th, host);
+        self.reconfigure_guarded(st, th, host, TuneTrigger::Failover);
     }
 
     /// Transient slowdown: the device keeps running at `factor` of its
@@ -427,7 +434,7 @@ impl Faults {
         let token = st.dstate[d].degrade_token;
         st.schedule_lane(now + duration, LaneEvent::SlowdownEnd { device: d, token });
         st.dstate[d].breaker.trip(td, duration);
-        self.reconfigure_guarded(st, td, d);
+        self.reconfigure_guarded(st, td, d, TuneTrigger::DeviceFault);
         Control.reschedule_completions(st, td, d);
     }
 

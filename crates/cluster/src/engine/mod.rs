@@ -59,7 +59,7 @@ pub use config::{ClusterConfig, ClusterConfigBuilder, ClusterScale, ScalePreset}
 pub use control::{itl_violation_probability, violation_probability};
 pub use session::{
     ClusterSession, GenInferOutcome, InferOutcome, LiveFault, ScaleOutcome, ServiceSlo,
-    SessionError, TokenVerdict,
+    SessionError, TokenVerdict, TuningCounters,
 };
 pub use state::{striped_service_assignment, PlacementLog};
 

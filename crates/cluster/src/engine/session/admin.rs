@@ -7,6 +7,7 @@
 use std::cmp::Reverse;
 
 use gpu_sim::InferenceInstance;
+use mudi::TuneTrigger;
 use resilience::{FaultEvent, FaultKind};
 use simcore::SimDuration;
 use workloads::ServiceId;
@@ -127,7 +128,7 @@ impl ClusterSession {
         // This deploy restores the service if it was in total outage.
         self.st.close_outage(service, now);
         Control.refresh_memory_pause(&mut self.st, now, device);
-        Control.reconfigure(&mut self.st, now, device);
+        Control.reconfigure(&mut self.st, now, device, TuneTrigger::Operator);
         Ok(())
     }
 

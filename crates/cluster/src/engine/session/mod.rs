@@ -36,6 +36,8 @@ use infer::Candidate;
 
 use std::time::Instant;
 
+use modeling::bo::SearchCounts;
+use mudi::TuneTrigger;
 use simcore::{SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
 use workloads::ServiceId;
 
@@ -113,7 +115,8 @@ pub struct ServiceSlo {
 
 /// Wall-clock split of the stepping work, for scaling diagnostics:
 /// how much time was spent in the parallel lane phase versus the
-/// serial barrier-plus-global phase, and the parallelism applied.
+/// serial barrier-plus-global phase, the parallelism applied, and the
+/// exact tuning-work counts behind it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Seconds spent in the (potentially parallel) lane phase.
@@ -127,6 +130,59 @@ pub struct PhaseProfile {
     pub workers: usize,
     /// Number of device lanes (shards).
     pub lanes: usize,
+    /// Exact tuning-work counts.
+    pub tuning: TuningCounters,
+}
+
+/// Exact counts of the tuning work so far. Each lane counts its own
+/// devices' passes and its memo's searches, and the session memo counts
+/// the serial phase's searches; [`ClusterSession::phase_profile`] sums
+/// them. At a fixed shard count every count is the same at every worker
+/// count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TuningCounters {
+    /// Tuning passes (`Multiplexer::configure` calls) per trigger,
+    /// indexed by [`TuneTrigger`] discriminant.
+    pub passes: [u64; TuneTrigger::ALL.len()],
+    /// GP-LCB search traffic over every proposal memo.
+    pub search: SearchCounts,
+}
+
+impl TuningCounters {
+    /// Passes started by `trigger`.
+    pub fn passes(&self, trigger: TuneTrigger) -> u64 {
+        self.passes[trigger as usize]
+    }
+
+    /// Passes over every trigger.
+    pub fn total_passes(&self) -> u64 {
+        self.passes.iter().sum()
+    }
+}
+
+impl std::fmt::Display for TuningCounters {
+    /// One line: the passes per trigger (nonzero ones), then the
+    /// searches, proposal points, memo hits (and hit rate), GP refits
+    /// and searches that met a full memo.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "passes {}", self.total_passes())?;
+        for t in TuneTrigger::ALL {
+            if self.passes(t) > 0 {
+                write!(f, " {}={}", t.name(), self.passes(t))?;
+            }
+        }
+        let s = &self.search;
+        write!(
+            f,
+            " | searches {} proposals {} hits {} ({:.1}%) refits {} full {}",
+            s.searches,
+            s.proposals,
+            s.hits,
+            100.0 * s.hit_rate(),
+            s.refits,
+            s.full
+        )
+    }
 }
 
 /// A live, incrementally stepped cluster: the engine state plus a
@@ -292,7 +348,8 @@ impl ClusterSession {
     }
 
     /// Wall-clock split between the parallel lane phase and the serial
-    /// commit/global phase accumulated so far. The utilization
+    /// commit/global phase accumulated so far, with the tuning counters
+    /// ([`TuningCounters`]). The utilization
     /// sample's read fan-out and the placement candidate scan run
     /// during the serial phase but parallelize over the same pool, so
     /// their time counts as lane work here.
@@ -308,6 +365,7 @@ impl ClusterSession {
             barrier_secs: self.st.phase_barrier_secs,
             workers: self.st.workers,
             lanes: self.st.lanes.len(),
+            tuning: self.st.tuning_counters(),
         }
     }
 

@@ -9,14 +9,15 @@
 //!
 //! The parallel-commit split lives here too: [`LaneBox`] owns
 //! everything one execution lane mutates during the lane phase (a
-//! contiguous device range's event queue, a tuner replica, the
-//! envelope outbox and pooled scratch), and [`LaneCtx`] is the view a
-//! lane handler receives — its own device slices plus read-only shared
-//! state. A lane handler never touches shared state, the trace bus
-//! included: it defers every such effect into its outbox. The serial
-//! phase reconstructs the same view through [`SimState::with_lane_of`]
-//! and drains the outbox at once, so lane handlers are the *only*
-//! implementation of per-device control logic at every grid point.
+//! contiguous device range's event queue, a tuner replica with its
+//! proposal memo and pass counters, the envelope outbox and pooled
+//! scratch), and [`LaneCtx`] is the view a lane handler receives — its
+//! own device slices plus read-only shared state. A lane handler never
+//! writes shared state, the trace bus included: it defers every such
+//! effect into its outbox. The serial phase reconstructs the same view
+//! through [`SimState::with_lane_of`] and drains the outbox at once, so
+//! lane handlers are the *only* implementation of per-device control
+//! logic at every grid point.
 //!
 //! [`Admission`]: super::admission::Admission
 //! [`Control`]: super::control::Control
@@ -26,8 +27,9 @@
 use gpu_sim::{
     DeviceId, GpuDevice, InferenceInstance, ResidentId, StandbyInstance, TrainingProcess,
 };
+use modeling::bo::{DecisionMemo, Memos};
 use mudi::policy::{FairState, QueueItem};
-use mudi::{CircuitBreaker, Monitor, RetuneGuard};
+use mudi::{CircuitBreaker, Monitor, RetuneGuard, TuneTrigger};
 use resilience::{
     CheckpointTracker, FaultSchedule, StandbyPolicy, DEGRADED_TRAINING_SHARE, RETUNE_DWELL_SECS,
 };
@@ -44,6 +46,7 @@ use crate::systems::{build_system, Multiplexer};
 use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
+use super::session::TuningCounters;
 use super::shard::{Envelope, EventLane, OutMsg, ShardedEvents, VpCache, AUTO_SHARD_MIN_DEVICES};
 
 /// Device-local engine events. Each concerns exactly one device and
@@ -341,6 +344,11 @@ pub(super) struct LaneBox {
     /// Pooled backing storage for the [`crate::systems::DeviceView`]
     /// task list built on every reconfigure.
     pub scratch_tasks: Vec<workloads::TaskId>,
+    /// The GP-LCB proposal memo of this lane's lane-phase retunes.
+    pub memo: DecisionMemo,
+    /// Tuning passes on this lane's devices, both phases, indexed by
+    /// [`TuneTrigger`] discriminant.
+    pub tune_passes: [u64; TuneTrigger::ALL.len()],
 }
 
 /// The view a lane handler receives: the lane's own device slices
@@ -359,6 +367,34 @@ pub(super) struct LaneCtx<'a> {
     /// Whether the run traces: trace events then ride the outbox as
     /// [`OutMsg`] envelopes (see [`LaneCtx::push_trace`]).
     pub tracing: bool,
+    /// The session's proposal memo: lent to the serial phase by
+    /// [`SimState::with_lane_of`], shared read-only by the lane phase.
+    pub session_memo: SessionMemo<'a>,
+}
+
+/// How a lane handler reaches the session's proposal memo. No lock is
+/// taken either way, and which memos a retune reads and records into
+/// depends only on its phase and lane, never on the worker count.
+pub(super) enum SessionMemo<'a> {
+    /// The serial phase: every retune reads and records into it.
+    Lent(&'a mut DecisionMemo),
+    /// The lane phase, in which nothing writes the session memo: a
+    /// retune reads it and records into the lane's own
+    /// [`LaneBox::memo`].
+    Shared(&'a DecisionMemo),
+}
+
+impl SessionMemo<'_> {
+    /// The memos of a retune on a lane whose own memo is `lane`.
+    pub fn with_lane<'b>(&'b mut self, lane: &'b mut DecisionMemo) -> Memos<'b> {
+        match self {
+            SessionMemo::Lent(memo) => Memos::from(&mut **memo),
+            SessionMemo::Shared(memo) => Memos {
+                own: lane,
+                shared: Some(*memo),
+            },
+        }
+    }
 }
 
 impl LaneCtx<'_> {
@@ -382,6 +418,21 @@ impl LaneCtx<'_> {
     pub fn schedule(&mut self, at: SimTime, ev: LaneEvent) {
         self.lane.events.schedule(at, ev);
     }
+}
+
+/// Proposal-memo slots per device a memo serves, before the bounds.
+const MEMO_SLOTS_PER_DEVICE: usize = 16;
+/// Slot bounds of a lane's memo: 64–256 KiB.
+const LANE_MEMO_SLOTS: (usize, usize) = (1 << 12, 1 << 14);
+/// Slot bounds of the session memo: 64 KiB–2 MiB. It serves every
+/// serial-phase retune, among them a failure's survivor fan-out over
+/// the whole service, so it gets the larger cap.
+const SESSION_MEMO_SLOTS: (usize, usize) = (1 << 12, 1 << 17);
+
+/// A proposal memo sized for `devices` devices within `(min, max)`
+/// slots (16 bytes each), allocated once here.
+fn decision_memo(devices: usize, (min, max): (usize, usize)) -> DecisionMemo {
+    DecisionMemo::with_slots((devices * MEMO_SLOTS_PER_DEVICE).clamp(min, max))
 }
 
 /// Everything a run mutates, shared by every stage through an explicit
@@ -459,6 +510,9 @@ pub(super) struct SimState {
     /// table and is therefore reported as parallelizable by the phase
     /// profile.
     pub phase_place_secs: f64,
+    /// The proposal memo every serial-phase retune records into, and
+    /// every lane-phase retune reads (see [`SessionMemo`]).
+    pub session_memo: DecisionMemo,
 }
 
 impl SimState {
@@ -611,6 +665,7 @@ impl SimState {
         let mut lanes = Vec::with_capacity(map.shards());
         for s in 0..map.shards() {
             let range = map.device_range(s);
+            let memo = decision_memo(range.len(), LANE_MEMO_SLOTS);
             lanes.push(LaneBox {
                 system: system.replica(),
                 events: EventLane::new(range.start, range.len()),
@@ -622,6 +677,8 @@ impl SimState {
                 scratch_advance: Vec::new(),
                 scratch_schedule: Vec::new(),
                 scratch_tasks: Vec::new(),
+                memo,
+                tune_passes: [0; TuneTrigger::ALL.len()],
             });
         }
         let req_workers = if config.workers == 0 {
@@ -649,6 +706,7 @@ impl SimState {
         ];
         let util_samples = (config.max_sim_secs / config.util_sample_secs.max(1.0)) as usize;
         let util_series = Vec::with_capacity(util_samples.saturating_add(2).min(1 << 18));
+        let session_memo = decision_memo(config.devices, SESSION_MEMO_SLOTS);
 
         SimState {
             shared: SharedState {
@@ -689,6 +747,7 @@ impl SimState {
             phase_sample_secs: 0.0,
             phase_barrier_secs: 0.0,
             phase_place_secs: 0.0,
+            session_memo,
         }
     }
 
@@ -770,10 +829,27 @@ impl SimState {
             jobs: &self.jobs,
             ckpt: &self.ckpt,
             tracing: self.trace.is_enabled(),
+            session_memo: SessionMemo::Lent(&mut self.session_memo),
         });
         if !self.lanes[s].outbox.is_empty() {
             self.apply_outboxes(s..s + 1);
         }
+    }
+
+    /// The tuning counters summed over every lane and the session memo
+    /// (integer sums: the same in any order).
+    pub fn tuning_counters(&self) -> TuningCounters {
+        let mut c = TuningCounters {
+            search: self.session_memo.counts(),
+            ..TuningCounters::default()
+        };
+        for lane in &self.lanes {
+            c.search.add(&lane.memo.counts());
+            for (total, n) in c.passes.iter_mut().zip(lane.tune_passes) {
+                *total += n;
+            }
+        }
+        c
     }
 
     /// The epoch barrier: applies every lane's outbox.

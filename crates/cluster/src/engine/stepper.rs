@@ -35,7 +35,7 @@ use super::admission::Admission;
 use super::control::{self, Control};
 use super::faults::{self, Faults};
 use super::shard::Envelope;
-use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SimState};
+use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SessionMemo, SimState};
 
 /// The stepper. Stateless: everything lives in [`SimState`].
 pub(super) struct Stepper;
@@ -157,6 +157,7 @@ impl Stepper {
         let workers = st.workers;
         let tracing = st.trace.is_enabled();
         let (gt, config, jobs, ckpt) = (&st.shared.gt, &st.config, &st.jobs[..], &st.ckpt[..]);
+        let session_memo = &st.session_memo;
         let (mut devices, mut dstate) = (&mut st.devices[..], &mut st.dstate[..]);
         let lanes = st.lanes.iter_mut().map(|lane| {
             // Lanes own contiguous ascending ranges: peel each one off.
@@ -174,6 +175,7 @@ impl Stepper {
                 jobs,
                 ckpt,
                 tracing,
+                session_memo: SessionMemo::Shared(session_memo),
             }
         });
         simcore::fan_out(lanes, workers, |mut ctx| drain_lane(&mut ctx, t1), |()| {});

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use gpu_sim::{DeviceId, GpuDevice, InferenceInstance, ResidentId, TrainingProcess};
+use modeling::bo::DecisionMemo;
 use simcore::{SimRng, SimTime};
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{BurstSchedule, ColoWorkload, GroundTruth, ServiceId, Zoo};
@@ -218,7 +219,9 @@ fn max_throughput_cell(system: SystemKind, seed: u64, svc_idx: usize) -> (Servic
             measured_p99: None,
             mem_headroom_gb: 10.0,
         };
-        let d = sys.configure(&gt, &view, rng);
+        // One device at a fresh QPS per probe: its probe histories
+        // rarely repeat, so the Tuner runs without memo slots.
+        let d = sys.configure(&gt, &view, rng, (&mut DecisionMemo::default()).into());
         if d.pause_training || d.fraction > 0.90 + 1e-9 {
             return false; // Training squeezed out.
         }
@@ -350,7 +353,7 @@ pub fn bursty_case_study(
                 measured_p99: None,
                 mem_headroom_gb: dev.memory().capacity_gb() - dev.memory().total_demand_gb(),
             };
-            let d = sys.configure(&gt, &view, &mut rng);
+            let d = sys.configure(&gt, &view, &mut rng, (&mut DecisionMemo::default()).into());
             dev.set_inference_batch(&gt, now, d.batch);
             dev.set_inference_fraction(d.fraction);
             dev.rebalance_training_fractions(d.training_share_cap);

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 
+use modeling::bo::Memos;
 use modeling::solver::{min_gpu_fraction, min_gpu_fraction_decode};
 use mudi::{
     DeviceCandidate, DeviceSelector, InterferencePredictor, LatencyProfiler, MudiConfig, Tuner,
@@ -178,12 +179,16 @@ pub trait Multiplexer: Send {
     ) -> Option<usize>;
 
     /// (Re)configures a device on a trigger (placement, QPS change,
-    /// SLO risk).
+    /// SLO risk). A system that runs the GP-LCB Tuner reads its
+    /// proposals from `memos` and records new ones there; the engine
+    /// owns the memos (one per lane, one for the serial phase) and
+    /// lends the right ones.
     fn configure(
         &mut self,
         gt: &GroundTruth,
         view: &DeviceView,
         rng: &mut SimRng,
+        memos: Memos<'_>,
     ) -> ConfigDecision;
 
     /// The system's kind.
@@ -295,6 +300,7 @@ impl Multiplexer for MudiSystem {
         gt: &GroundTruth,
         view: &DeviceView,
         rng: &mut SimRng,
+        memos: Memos<'_>,
     ) -> ConfigDecision {
         let arch = LatencyProfiler::merged_arch(gt, &view.tasks);
         if self.kind == SystemKind::MudiClusterOnly {
@@ -367,6 +373,7 @@ impl Multiplexer for MudiSystem {
             // under the probed configuration.
             |batch, frac| p99_memo.p99(gt, service, batch, frac, tasks),
             rng,
+            memos,
         );
         ConfigDecision {
             batch: outcome.batch,
@@ -494,6 +501,7 @@ impl Multiplexer for Gslice {
         gt: &GroundTruth,
         view: &DeviceView,
         _rng: &mut SimRng,
+        _memos: Memos<'_>,
     ) -> ConfigDecision {
         // Batch: largest candidate whose fill wait stays under half the
         // SLO (a throughput-oriented heuristic without a latency model).
@@ -598,6 +606,7 @@ impl Multiplexer for Gpulets {
         gt: &GroundTruth,
         view: &DeviceView,
         _rng: &mut SimRng,
+        _memos: Memos<'_>,
     ) -> ConfigDecision {
         // Solo curve + fixed 10 % buffer, sized for *peak* load (1.5x
         // the current rate): gpulets pre-partitions its virtual GPUs
@@ -749,6 +758,7 @@ impl Multiplexer for MuxFlow {
         gt: &GroundTruth,
         view: &DeviceView,
         _rng: &mut SimRng,
+        _memos: Memos<'_>,
     ) -> ConfigDecision {
         // MuxFlow's split is static per co-location: computed at
         // placement time for the QPS observed then, never revisited
@@ -872,6 +882,7 @@ impl Multiplexer for RandomSystem {
         _gt: &GroundTruth,
         view: &DeviceView,
         _rng: &mut SimRng,
+        _memos: Memos<'_>,
     ) -> ConfigDecision {
         // Even split among inference + trainings, fixed batch 64.
         let n = 1 + view.tasks.len();
@@ -1024,6 +1035,7 @@ impl Multiplexer for Optimal {
         gt: &GroundTruth,
         view: &DeviceView,
         _rng: &mut SimRng,
+        _memos: Memos<'_>,
     ) -> ConfigDecision {
         match self.best_config(gt, view.service, view.slo_secs, view.qps, &view.tasks) {
             Some((batch, fraction, _)) => ConfigDecision {

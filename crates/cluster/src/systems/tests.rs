@@ -1,4 +1,5 @@
 use super::*;
+use modeling::bo::DecisionMemo;
 use workloads::Zoo;
 
 fn gt() -> GroundTruth {
@@ -50,10 +51,10 @@ fn gslice_feedback_raises_fraction_under_pressure() {
         measured_p99: Some(svc.slo_secs() * 0.95),
         mem_headroom_gb: 30.0,
     };
-    let d1 = sys.configure(&g, &view, &mut rng);
+    let d1 = sys.configure(&g, &view, &mut rng, (&mut DecisionMemo::default()).into());
     assert!(d1.fraction > 0.6, "should grow under SLO pressure");
     view.measured_p99 = Some(svc.slo_secs() * 0.2);
-    let d2 = sys.configure(&g, &view, &mut rng);
+    let d2 = sys.configure(&g, &view, &mut rng, (&mut DecisionMemo::default()).into());
     assert!(d2.fraction < d1.fraction, "should shrink when comfortable");
     assert!(d2.fraction >= 0.30, "conservative floor");
 }
@@ -136,12 +137,52 @@ fn gpulets_underestimates_versus_mudi() {
         measured_p99: None,
         mem_headroom_gb: 10.0,
     };
-    let dg = gp.configure(&g, &view, &mut rng);
-    let dm = mu.configure(&g, &view, &mut rng);
+    let dg = gp.configure(&g, &view, &mut rng, (&mut DecisionMemo::default()).into());
+    let dm = mu.configure(&g, &view, &mut rng, (&mut DecisionMemo::default()).into());
     assert!(!dm.pause_training);
     // Compare required fractions at the same batch via true curves:
     // the gpulets decision must ignore the co-location, so its
     // fraction reflects only solo needs.
     assert!(dg.fraction <= 0.95 && dg.fraction >= 0.05);
     assert!(dm.bo_iterations > 0);
+}
+
+#[test]
+fn mudi_configure_decides_the_same_through_a_warm_memo() {
+    // Repeated retunes of a few devices: a replica sharing one memo
+    // must decide exactly what a replica with no memo decides, while
+    // answering repeated probe histories from the memo.
+    let g = gt();
+    let mut rng = SimRng::seed(4);
+    let sys = MudiSystem::new(SystemKind::Mudi, &g, &mut rng);
+    let (mut cold, mut warm) = (sys.replica(), sys.replica());
+    let mut memo = DecisionMemo::with_slots(4096);
+    let task = g.zoo().task_by_name("LSTM").unwrap().id;
+    for round in 0..6u64 {
+        for (i, svc) in g.zoo().services().iter().enumerate() {
+            let view = DeviceView {
+                device: i,
+                service: svc.id,
+                qps: 150.0 + 50.0 * (round % 2) as f64,
+                slo_secs: svc.slo_secs(),
+                tasks: if i % 2 == 0 { vec![] } else { vec![task] },
+                batch: 32,
+                fraction: 0.5,
+                measured_p99: None,
+                mem_headroom_gb: 20.0,
+            };
+            let seed = SimRng::seed(round % 3 + 10 * i as u64);
+            let want = cold.configure(
+                &g,
+                &view,
+                &mut seed.clone(),
+                (&mut DecisionMemo::default()).into(),
+            );
+            let got = warm.configure(&g, &view, &mut seed.clone(), (&mut memo).into());
+            assert_eq!(got, want, "round {round}, service {i}");
+        }
+    }
+    let counts = memo.counts();
+    assert!(counts.hits > 0, "{counts:?}");
+    assert_eq!(counts.full, 0, "{counts:?}");
 }

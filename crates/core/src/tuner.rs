@@ -18,7 +18,7 @@
 
 use std::cell::RefCell;
 
-use modeling::bo::{BoWorkspace, GpLcbTuner};
+use modeling::bo::{BoWorkspace, GpLcbTuner, Memos};
 use modeling::solver::{
     decode_latency_budget, decode_latency_budget_relaxed, latency_budget, latency_budget_relaxed,
     min_gpu_fraction, min_gpu_fraction_decode,
@@ -39,6 +39,51 @@ pub enum TuneTrigger {
     QpsChange,
     /// The Monitor observed tail latency at risk of violating the SLO.
     SloRisk,
+    /// Another device failed: a survivor absorbs its traffic, or a warm
+    /// standby is promoted to serve it.
+    Failover,
+    /// A device was repaired: the device itself, the survivors handing
+    /// its traffic back, and the standby that covered it.
+    Repair,
+    /// A fault on the device itself: a slowdown starts, or a degraded
+    /// window (a slowdown or a post-repair burn-in) ends.
+    DeviceFault,
+    /// The heartbeat of a device whose training is paused.
+    Paused,
+    /// A co-located training task finished.
+    TrainingDone,
+    /// An operator redeployed the device.
+    Operator,
+}
+
+impl TuneTrigger {
+    /// Every trigger, in declaration order (`t as usize` indexes it).
+    pub const ALL: [TuneTrigger; 9] = [
+        TuneTrigger::NewTraining,
+        TuneTrigger::QpsChange,
+        TuneTrigger::SloRisk,
+        TuneTrigger::Failover,
+        TuneTrigger::Repair,
+        TuneTrigger::DeviceFault,
+        TuneTrigger::Paused,
+        TuneTrigger::TrainingDone,
+        TuneTrigger::Operator,
+    ];
+
+    /// Short display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            TuneTrigger::NewTraining => "new-training",
+            TuneTrigger::QpsChange => "qps-drift",
+            TuneTrigger::SloRisk => "slo-risk",
+            TuneTrigger::Failover => "failover",
+            TuneTrigger::Repair => "repair",
+            TuneTrigger::DeviceFault => "device-fault",
+            TuneTrigger::Paused => "paused",
+            TuneTrigger::TrainingDone => "training-done",
+            TuneTrigger::Operator => "operator",
+        }
+    }
 }
 
 /// The Tuner's decision for one device.
@@ -125,8 +170,12 @@ impl Tuner {
     ///   *iteration* tail latency, and feasibility uses the decode
     ///   budgets (no batch-fill wait, token-throughput stability at
     ///   `qps × tokens_per_request` tokens/second).
+    /// * `memos` hold the GP-LCB proposals of earlier passes, keyed on
+    ///   their exact probe histories ([`Memos`]; a
+    ///   `&mut DecisionMemo` converts): a pass that repeats a history
+    ///   skips the GP work and decides the same.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's tuning inputs (§5.3.1)
-    pub fn tune(
+    pub fn tune<'m>(
         &self,
         predictor: &InterferencePredictor,
         service: ServiceId,
@@ -137,6 +186,7 @@ impl Tuner {
         mut observe_iteration: impl FnMut(u32, f64) -> f64,
         mut observe_p99: impl FnMut(u32, f64) -> f64,
         rng: &mut SimRng,
+        memos: impl Into<Memos<'m>>,
     ) -> TuningOutcome {
         let lo = self.config.min_inference_fraction;
         let hi = self.config.max_inference_fraction;
@@ -210,7 +260,7 @@ impl Tuner {
         let mut ws = self.ws.borrow_mut();
         let mut probes = [(0u32, 0.0f64, 0.0f64); MAX_PROBES];
         let mut probed = 0usize;
-        let result = self.bo.run_with(&mut ws, rng, |b| {
+        let result = self.bo.run_with(&mut ws, memos, rng, |b| {
             let batch = b as u32;
             let frac = required(batch, &mut observe_p99)?;
             let iteration = observe_iteration(batch, frac);
@@ -329,6 +379,7 @@ impl Tuner {
 mod tests {
     use super::*;
     use crate::profiler::LatencyProfiler;
+    use modeling::bo::DecisionMemo;
     use workloads::{ColoWorkload, GroundTruth, Zoo};
 
     struct Fixture {
@@ -373,6 +424,7 @@ mod tests {
                 gt.p99_inference_latency(svc.id, batch, frac, &colo)
             },
             &mut rng,
+            &mut DecisionMemo::default(),
         );
         assert!(out.feasible, "should be feasible at 200 QPS");
         assert!(f.tuner.config.batch_candidates.contains(&out.batch));
@@ -420,6 +472,7 @@ mod tests {
                 }
             },
             &mut rng,
+            &mut DecisionMemo::default(),
         );
         assert!(out.feasible);
         assert!(out.gpu_fraction < 0.9, "fraction {}", out.gpu_fraction);
@@ -450,6 +503,7 @@ mod tests {
                 }
             },
             &mut rng,
+            &mut DecisionMemo::default(),
         );
         assert!(!out.feasible);
         assert_eq!(out.gpu_fraction, 0.90);
@@ -487,12 +541,20 @@ mod tests {
                 gt.p99_inference_latency(svc.id, batch, frac, &colo)
             },
             &mut SimRng::seed(1),
+            &mut DecisionMemo::default(),
         );
         assert!(out.feasible);
         assert!(
             searched.contains(&(out.batch, out.gpu_fraction)),
             "{out:?} not among {searched:?}"
         );
+    }
+
+    #[test]
+    fn trigger_table_is_indexed_by_discriminant() {
+        for (i, t) in TuneTrigger::ALL.iter().enumerate() {
+            assert_eq!(*t as usize, i, "{}", t.name());
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@ use simcore::SimRng;
 
 use crate::gp::{GaussianProcess, GpScratch};
 
+mod memo;
+
+pub use memo::{DecisionMemo, Memos, SearchCounts};
+use memo::{Proposal, ROOT};
+
 /// Reusable buffers for [`GpLcbTuner::run_with`]: the candidate masks,
 /// the observation log, the GP surrogate with its prediction scratch,
 /// and each candidate's posterior under the current fit. A long-lived
@@ -36,6 +41,9 @@ pub struct BoWorkspace {
     /// Posterior `(μ, σ)` per candidate under the current fit; valid for
     /// the candidates that were untried and feasible when it was fitted.
     posterior: Vec<(f64, f64)>,
+    /// Observation count of the current fit, and whether it succeeded.
+    fitted_on: Option<usize>,
+    fitted: bool,
 }
 
 impl BoWorkspace {
@@ -132,21 +140,29 @@ impl GpLcbTuner {
         rng: &mut SimRng,
         objective: impl FnMut(f64) -> Option<f64>,
     ) -> Option<BoResult> {
-        self.run_with(&mut BoWorkspace::default(), rng, objective)
+        self.run_with(
+            &mut BoWorkspace::default(),
+            &mut DecisionMemo::default(),
+            rng,
+            objective,
+        )
     }
 
-    /// [`GpLcbTuner::run`] through a caller-owned [`BoWorkspace`] —
+    /// [`GpLcbTuner::run`] through a caller-owned [`BoWorkspace`] and
+    /// proposal memos ([`Memos`]; a `&mut DecisionMemo` converts) —
     /// identical search (same RNG draws, same proposals), but repeated
-    /// runs reuse the workspace buffers instead of allocating.
+    /// runs reuse the workspace buffers instead of allocating, and skip
+    /// the proposal work the memos already hold.
     ///
-    /// The GP is refitted only when an observation arrived since the
-    /// last fit. An infeasible probe adds none, and the fit and every
-    /// posterior are pure functions of the observations, so the next
-    /// proposal reuses them and recomputes only the LCB under the new
-    /// βₙ: the proposals are exactly those of refitting every time.
-    pub fn run_with(
+    /// The search steps the memos' tries after every evaluation. At a
+    /// proposal point it reads the decision stored for its exact probe
+    /// history, in the shared memo first; on a miss in both it fits the
+    /// GP, scores the candidates and records the decision it computed
+    /// in its own memo.
+    pub fn run_with<'m>(
         &self,
         ws: &mut BoWorkspace,
+        memos: impl Into<Memos<'m>>,
         rng: &mut SimRng,
         mut objective: impl FnMut(f64) -> Option<f64>,
     ) -> Option<BoResult> {
@@ -159,12 +175,16 @@ impl GpLcbTuner {
         ws.posterior.resize(len, (0.0, 0.0));
         ws.observed_x.clear();
         ws.observed_y.clear();
+        ws.fitted_on = None;
+        ws.fitted = false;
         let mut evals = 0usize;
         let mut best: Option<(f64, f64)> = None;
         let mut converged = false;
-        // Observation count of the current fit, and whether it succeeded.
-        let mut fitted_on: Option<usize> = None;
-        let mut fitted = false;
+        let Memos { own: memo, shared } = memos.into();
+        let mut node = memo.start(&self.candidates, self.gamma, self.noise);
+        let mut shared = shared
+            .filter(|m| m.serves(&self.candidates, self.gamma, self.noise))
+            .map(|m| (m, ROOT));
 
         // Seed with two quasi-random distinct candidates for a usable GP.
         let first = rng.uniform_usize(0, len);
@@ -179,61 +199,27 @@ impl GpLcbTuner {
             let idx = match ws.to_try.pop() {
                 Some(i) => i,
                 None => {
-                    // Fit the GP (unless the data are unchanged) and pick
-                    // the LCB-minimizing untried feasible candidate.
-                    if fitted_on != Some(ws.observed_y.len()) {
-                        fitted_on = Some(ws.observed_y.len());
-                        fitted =
-                            ws.gp
-                                .refit(&ws.observed_x, 1, &ws.observed_y, self.gamma, self.noise);
-                        if fitted {
-                            for (i, &c) in self.candidates.iter().enumerate() {
-                                if ws.feasible[i] && !ws.tried[i] {
-                                    let (mu, var) = ws.gp.predict_with(&[c], &mut ws.scratch);
-                                    ws.posterior[i] = (mu, var.sqrt());
-                                }
-                            }
-                        }
-                    }
-                    let beta_sqrt = self.beta(n).sqrt();
-                    let mut best_idx = None;
-                    let mut best_acq = f64::INFINITY;
-                    for i in 0..len {
-                        if !ws.feasible[i] || ws.tried[i] {
-                            continue;
-                        }
-                        let acq = if fitted {
-                            let (mu, sd) = ws.posterior[i];
-                            mu - beta_sqrt * sd
-                        } else {
-                            0.0
-                        };
-                        if acq < best_acq {
-                            best_acq = acq;
-                            best_idx = Some(i);
-                        }
-                    }
-                    match best_idx {
-                        Some(i) => {
-                            // Exploit check: if the GP's LCB at the best
-                            // untried point cannot beat the incumbent,
-                            // declare convergence. A minimum number of
-                            // *successful* observations guards against a
-                            // miscalibrated GP built from too few points
-                            // (infeasible probes carry no information
-                            // about the objective's shape).
-                            let min_obs = len.min(5);
-                            if let Some((_, incumbent)) = best {
-                                if best_acq >= incumbent - 1e-12 && ws.observed_y.len() >= min_obs {
-                                    converged = true;
-                                    break;
-                                }
-                            }
-                            i
+                    memo.counts.proposals += 1;
+                    let stored = shared.and_then(|(m, nd)| m.decision(nd));
+                    let proposal = match stored.or_else(|| node.and_then(|nd| memo.decision(nd))) {
+                        Some(p) => {
+                            memo.counts.hits += 1;
+                            p
                         }
                         None => {
+                            let incumbent = best.map(|(_, y)| y);
+                            let p = self.propose(ws, n, incumbent, &mut memo.counts.refits);
+                            if let Some(nd) = node {
+                                memo.record(nd, p);
+                            }
+                            p
+                        }
+                    };
+                    match proposal {
+                        Proposal::Probe(i) => i,
+                        Proposal::Stop => {
                             converged = true;
-                            break; // All feasible candidates tried.
+                            break;
                         }
                     }
                 }
@@ -245,7 +231,8 @@ impl GpLcbTuner {
             ws.tried[idx] = true;
             let candidate = self.candidates[idx];
             evals += 1;
-            match objective(candidate) {
+            let outcome = objective(candidate);
+            match outcome {
                 Some(y) => {
                     ws.observed_x.push(candidate);
                     ws.observed_y.push(y);
@@ -255,6 +242,8 @@ impl GpLcbTuner {
                 }
                 None => ws.feasible[idx] = false,
             }
+            node = node.and_then(|nd| memo.step(nd, idx, outcome));
+            shared = shared.and_then(|(m, nd)| Some((m, m.find(nd, idx, outcome)?)));
         }
 
         best.map(|(x, y)| BoResult {
@@ -263,6 +252,74 @@ impl GpLcbTuner {
             iterations: evals,
             converged,
         })
+    }
+
+    /// The proposal at step `n`: fit the GP (unless the data are
+    /// unchanged), pick the LCB-minimizing untried feasible candidate,
+    /// and stop if it cannot beat the `incumbent` objective or none is
+    /// left. Counts each fit in `refits`.
+    ///
+    /// The GP is refitted only when an observation arrived since the
+    /// last fit. An infeasible probe adds none, and the fit and every
+    /// posterior are pure functions of the observations, so the next
+    /// proposal reuses them and recomputes only the LCB under the new
+    /// βₙ: the proposals are exactly those of refitting every time. A
+    /// memo hit skips this call and leaves the fit stale; the next miss
+    /// then refits on the same observations, which gives the same bits.
+    fn propose(
+        &self,
+        ws: &mut BoWorkspace,
+        n: usize,
+        incumbent: Option<f64>,
+        refits: &mut u64,
+    ) -> Proposal {
+        let len = self.candidates.len();
+        if ws.fitted_on != Some(ws.observed_y.len()) {
+            ws.fitted_on = Some(ws.observed_y.len());
+            *refits += 1;
+            ws.fitted = ws
+                .gp
+                .refit(&ws.observed_x, 1, &ws.observed_y, self.gamma, self.noise);
+            if ws.fitted {
+                for (i, &c) in self.candidates.iter().enumerate() {
+                    if ws.feasible[i] && !ws.tried[i] {
+                        let (mu, var) = ws.gp.predict_with(&[c], &mut ws.scratch);
+                        ws.posterior[i] = (mu, var.sqrt());
+                    }
+                }
+            }
+        }
+        let beta_sqrt = self.beta(n).sqrt();
+        let mut best_idx = None;
+        let mut best_acq = f64::INFINITY;
+        for i in 0..len {
+            if !ws.feasible[i] || ws.tried[i] {
+                continue;
+            }
+            let acq = if ws.fitted {
+                let (mu, sd) = ws.posterior[i];
+                mu - beta_sqrt * sd
+            } else {
+                0.0
+            };
+            if acq < best_acq {
+                best_acq = acq;
+                best_idx = Some(i);
+            }
+        }
+        let Some(i) = best_idx else {
+            return Proposal::Stop; // All feasible candidates tried.
+        };
+        // Exploit check: if the GP's LCB at the best untried point
+        // cannot beat the incumbent, declare convergence. A minimum
+        // number of *successful* observations guards against a
+        // miscalibrated GP built from too few points (infeasible probes
+        // carry no information about the objective's shape).
+        let min_obs = len.min(5);
+        if incumbent.is_some_and(|y| best_acq >= y - 1e-12 && ws.observed_y.len() >= min_obs) {
+            return Proposal::Stop;
+        }
+        Proposal::Probe(i)
     }
 
     /// The candidate set.
@@ -367,7 +424,12 @@ mod tests {
         for seed in 0..12 {
             let objective = |b: f64| (b <= 256.0).then(|| (b.log2() - 5.0).powi(2) + 0.25);
             let fresh = tuner.run(&mut SimRng::seed(seed), objective);
-            let reused = tuner.run_with(&mut ws, &mut SimRng::seed(seed), objective);
+            let reused = tuner.run_with(
+                &mut ws,
+                &mut DecisionMemo::default(),
+                &mut SimRng::seed(seed),
+                objective,
+            );
             assert_eq!(fresh, reused, "seed {seed}");
         }
     }
@@ -519,12 +581,227 @@ mod tests {
             let mut ws = BoWorkspace::default();
             for _ in 0..2 {
                 let mut evaluated = Vec::new();
-                let got = tuner.run_with(&mut ws, &mut SimRng::seed(seed), |b| {
+                let got = tuner.run_with(
+                    &mut ws,
+                    &mut DecisionMemo::default(),
+                    &mut SimRng::seed(seed),
+                    |b| {
+                        evaluated.push(b);
+                        objective(b)
+                    },
+                );
+                proptest::prop_assert_eq!((got, evaluated), want.clone());
+            }
+        }
+
+        /// Runs that share one memo, warmed by the runs before them,
+        /// propose exactly what refitting on every proposal does — both
+        /// runs that record into it and runs that only read it beside a
+        /// memo of their own. The objectives draw from four levels (0.0
+        /// among them, whose bits equal an infeasible probe's) and a
+        /// few infeasibility masks, so histories repeat, and the memo
+        /// sizes run from none through a few slots that fill mid-run to
+        /// roomy.
+        #[test]
+        fn memoized_runs_match_refit_every_proposal(
+            raw in proptest::collection::vec(1u32..600, 1..13),
+            runs in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..16),
+            mask in proptest::prelude::any::<u64>(),
+            max_iters in 1usize..30,
+            slots in 0usize..80,
+        ) {
+            let tuner = GpLcbTuner::new(raw.iter().map(|&c| c as f64).collect(), max_iters);
+            let mut ws = BoWorkspace::default();
+            let mut memo = DecisionMemo::with_slots(slots);
+            let mut reader = DecisionMemo::with_slots(slots / 4);
+            for &run in &runs {
+                let (seed, variant) = (run % 6, run >> 8 & 3);
+                let objective = quantized(&tuner, mask, variant);
+                let want = refit_every_proposal(&tuner, &mut SimRng::seed(seed), &objective);
+                let memos = if run >> 16 & 1 == 0 {
+                    Memos::from(&mut memo)
+                } else {
+                    Memos { own: &mut reader, shared: Some(&memo) }
+                };
+                let mut evaluated = Vec::new();
+                let got = tuner.run_with(&mut ws, memos, &mut SimRng::seed(seed), |b| {
                     evaluated.push(b);
                     objective(b)
                 });
-                proptest::prop_assert_eq!((got, evaluated), want.clone());
+                proptest::prop_assert_eq!((got, evaluated), want);
             }
+            let counts = memo.counts();
+            proptest::prop_assert_eq!(
+                counts.searches + reader.counts().searches,
+                runs.len() as u64
+            );
+            proptest::prop_assert!(counts.hits <= counts.proposals);
+            proptest::prop_assert!(2 * memo.len() <= memo.slots());
+        }
+    }
+
+    /// Objective `variant` over `tuner`'s candidates: one of four levels
+    /// per candidate index, infeasible where the variant's rotation of
+    /// `mask` has the index's bit set.
+    fn quantized(tuner: &GpLcbTuner, mask: u64, variant: u64) -> impl Fn(f64) -> Option<f64> + '_ {
+        const LEVELS: [f64; 4] = [0.0, 0.5, 1.25, 2.0];
+        move |b| {
+            let i = tuner.candidates.iter().position(|&c| c == b).unwrap() as u64;
+            if mask.rotate_left(21 * variant as u32) >> (i % 64) & 1 == 1 {
+                return None;
+            }
+            Some(LEVELS[((i * 7 + variant) % 4) as usize])
+        }
+    }
+
+    #[test]
+    fn repeated_history_is_answered_from_the_memo() {
+        let tuner = GpLcbTuner::new(batch_candidates(), 25);
+        let objective = |b: f64| (b <= 256.0).then(|| (b.log2() - 5.0).powi(2) + 0.25);
+        let (mut ws, mut memo) = (BoWorkspace::default(), DecisionMemo::with_slots(256));
+        let first = tuner.run_with(&mut ws, &mut memo, &mut SimRng::seed(3), objective);
+        let cold = memo.counts();
+        assert!(cold.proposals > 0 && cold.refits > 0);
+        assert_eq!((cold.hits, cold.full), (0, 0));
+        let second = tuner.run_with(&mut ws, &mut memo, &mut SimRng::seed(3), objective);
+        assert_eq!(first, second);
+        let warm = memo.counts();
+        assert_eq!(warm.searches, 2);
+        // Every proposal point of the replay is a hit, and no GP is fit.
+        assert_eq!(warm.proposals, 2 * cold.proposals);
+        assert_eq!(warm.hits, cold.proposals);
+        assert_eq!(warm.refits, cold.refits);
+        assert!((warm.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shared_memo_answers_searches_it_does_not_record() {
+        let tuner = GpLcbTuner::new(batch_candidates(), 25);
+        let objective = |b: f64| (b >= 32.0).then(|| (b.log2() - 7.0).powi(2) + 0.5);
+        let mut ws = BoWorkspace::default();
+        let mut filled = DecisionMemo::with_slots(256);
+        let want = tuner.run_with(&mut ws, &mut filled, &mut SimRng::seed(8), objective);
+        let (len, counts) = (filled.len(), filled.counts());
+        // No slots of its own: every proposal is answered by the shared
+        // memo, which stays as it was.
+        let mut own = DecisionMemo::default();
+        let memos = Memos {
+            own: &mut own,
+            shared: Some(&filled),
+        };
+        let got = tuner.run_with(&mut ws, memos, &mut SimRng::seed(8), objective);
+        assert_eq!(got, want);
+        assert_eq!((filled.len(), filled.counts()), (len, counts));
+        let read = own.counts();
+        assert_eq!(read.proposals, counts.proposals);
+        assert_eq!(
+            (read.hits, read.refits, read.full),
+            (counts.proposals, 0, 1)
+        );
+        // A shared memo filled for another tuner is ignored.
+        let other = GpLcbTuner::new(vec![8.0, 16.0, 32.0, 64.0, 128.0, 256.0], 25);
+        let mut own = DecisionMemo::default();
+        let memos = Memos {
+            own: &mut own,
+            shared: Some(&filled),
+        };
+        other.run_with(&mut ws, memos, &mut SimRng::seed(8), objective);
+        assert_eq!(own.counts().hits, 0);
+    }
+
+    #[test]
+    fn infeasible_and_zero_outcomes_are_different_histories() {
+        // An infeasible probe stores outcome bits 0, the bits of an
+        // observed 0.0: only the feasibility flag tells the two apart.
+        // Each pair of runs differs in one candidate alone, infeasible
+        // in the first run and observed at 0.0 in the second, and the
+        // second run reads a memo the first one filled.
+        let tuner = GpLcbTuner::new(batch_candidates(), 25);
+        let shape = |b: f64| (b.log2() - 6.0).powi(2) + 0.5;
+        let mut diverged = 0;
+        for k in batch_candidates() {
+            let infeasible = |b: f64| (b != k).then(|| shape(b));
+            let zero = |b: f64| Some(if b == k { 0.0 } else { shape(b) });
+            for seed in 0..4 {
+                let (want_a, seq_a) =
+                    refit_every_proposal(&tuner, &mut SimRng::seed(seed), infeasible);
+                let (want_b, seq_b) = refit_every_proposal(&tuner, &mut SimRng::seed(seed), zero);
+                diverged += usize::from(seq_a != seq_b);
+                let (mut ws, mut memo) = (BoWorkspace::default(), DecisionMemo::with_slots(1024));
+                let got_a = tuner.run_with(&mut ws, &mut memo, &mut SimRng::seed(seed), infeasible);
+                let got_b = tuner.run_with(&mut ws, &mut memo, &mut SimRng::seed(seed), zero);
+                assert_eq!((got_a, got_b), (want_a, want_b), "k {k}, seed {seed}");
+            }
+        }
+        assert!(diverged > 0, "no pair of runs probed differently");
+    }
+
+    #[test]
+    fn tiny_memo_fills_mid_run_and_the_search_goes_on_without_it() {
+        // Four slots hold two nodes: the two seed probes. The first
+        // proposal is stored at the second seed's node; the third probe
+        // finds the table half full and the search finishes unmemoized.
+        let tuner = GpLcbTuner::new(batch_candidates(), 25);
+        let objective = |b: f64| Some((b.log2() - 6.0).powi(2) + 0.5);
+        let (want, evaluated) = refit_every_proposal(&tuner, &mut SimRng::seed(5), objective);
+        assert!(evaluated.len() > 3, "evaluated {evaluated:?}");
+        let (mut ws, mut memo) = (BoWorkspace::default(), DecisionMemo::with_slots(4));
+        for run in 1..=2u64 {
+            let got = tuner.run_with(&mut ws, &mut memo, &mut SimRng::seed(5), objective);
+            assert_eq!(got, want, "run {run}");
+            let counts = memo.counts();
+            assert_eq!(memo.len(), 2);
+            assert_eq!(counts.full, run, "run {run}");
+            assert_eq!(counts.hits, run - 1, "run {run}");
+        }
+    }
+
+    #[test]
+    fn memo_filled_for_another_tuner_is_cleared() {
+        // Same candidate count and the same outcome per candidate index,
+        // so the probe histories are index-for-index equal; only the
+        // candidate values (or γ) differ, and with them the decisions.
+        let a = GpLcbTuner::new(batch_candidates(), 25);
+        let mut reversed = batch_candidates();
+        reversed.reverse();
+        let gamma = GpLcbTuner {
+            gamma: 0.5,
+            ..a.clone()
+        };
+        let by_index = |t: &GpLcbTuner, b: f64| {
+            let i = t.candidates.iter().position(|&c| c == b).unwrap();
+            Some([3.0, 1.0, 2.5, 0.5, 2.0, 1.5][i])
+        };
+        for b in [GpLcbTuner::new(reversed, 25), gamma] {
+            let mut memo = DecisionMemo::with_slots(1024);
+            let mut ws = BoWorkspace::default();
+            let seeds = 0..6;
+            let mut differs = false;
+            for seed in seeds.clone() {
+                let rng = &mut SimRng::seed(seed);
+                let (want_a, seq_a) = refit_every_proposal(&a, rng, |x| by_index(&a, x));
+                let (want_b, seq_b) =
+                    refit_every_proposal(&b, &mut SimRng::seed(seed), |x| by_index(&b, x));
+                let idx = |t: &GpLcbTuner, seq: &[f64]| -> Vec<usize> {
+                    seq.iter()
+                        .map(|&x| t.candidates.iter().position(|&c| c == x).unwrap())
+                        .collect()
+                };
+                differs |= idx(&a, &seq_a) != idx(&b, &seq_b);
+                let got = a.run_with(&mut ws, &mut memo, &mut SimRng::seed(seed), |x| {
+                    by_index(&a, x)
+                });
+                assert_eq!(got, want_a, "seed {seed}");
+                let filled = memo.len();
+                let got = b.run_with(&mut ws, &mut memo, &mut SimRng::seed(seed), |x| {
+                    by_index(&b, x)
+                });
+                assert_eq!(got, want_b, "seed {seed}");
+                assert!(memo.len() <= filled.max(seq_b.len()), "seed {seed}");
+            }
+            assert!(differs, "the two tuners must decide differently somewhere");
+            // Every switch cleared the memo, so no search ever hit.
+            assert_eq!(memo.counts().hits, 0);
         }
     }
 }

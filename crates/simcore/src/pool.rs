@@ -49,7 +49,9 @@ where
 
 /// [`scoped_map`] with an explicit worker count (tests pin 1/2/8 here
 /// without touching the process environment). `workers` is clamped to
-/// `[1, items.len()]`; `workers == 1` runs in the calling thread.
+/// `[1, items.len()]`; `workers == 1` runs in the calling thread. With
+/// more, the calling thread is one of the workers: it spawns
+/// `workers - 1` threads and runs the same claim loop they do.
 pub fn scoped_map_workers<I, O, F>(items: Vec<I>, workers: usize, f: F) -> Vec<O>
 where
     I: Send,
@@ -78,36 +80,41 @@ where
     let out: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
+    // The claim loop every worker runs, the calling thread included. A
+    // panic is caught inside it, so the caller's share reports like any
+    // other and the scope still joins every spawned worker.
+    let claim = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let item = slots[i]
+            .lock()
+            .expect("item slot lock")
+            .take()
+            .expect("each index is claimed exactly once");
+        match catch_unwind(AssertUnwindSafe(|| f(item))) {
+            Ok(o) => *out[i].lock().expect("output slot lock") = Some(o),
+            Err(payload) => {
+                let msg = panic_message(payload.as_ref());
+                let mut slot = failure.lock().expect("failure slot lock");
+                // Keep the lowest-index failure so the caller sees a
+                // stable report when several race.
+                if slot.as_ref().is_none_or(|&(j, _)| i < j) {
+                    *slot = Some((i, msg));
+                }
+                // Stop handing out further work.
+                cursor.store(n, Ordering::Relaxed);
+                break;
+            }
+        }
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot lock")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                    Ok(o) => *out[i].lock().expect("output slot lock") = Some(o),
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        let mut slot = failure.lock().expect("failure slot lock");
-                        // Keep the lowest-index failure so the caller
-                        // sees a stable report when several race.
-                        if slot.as_ref().is_none_or(|&(j, _)| i < j) {
-                            *slot = Some((i, msg));
-                        }
-                        // Stop handing out further work.
-                        cursor.store(n, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(claim);
         }
+        claim();
     });
 
     if let Some((i, msg)) = failure.into_inner().expect("failure slot") {
@@ -136,8 +143,9 @@ where
 ///   thread with no thread machinery and no allocation — the 1-worker
 ///   engine keeps its zero-allocation steady state.
 /// * Otherwise the parts run on [`scoped_map_workers`], which allocates
-///   O(parts) slots and spawns its workers **per call**; callers
-///   amortize this by batching meaningful work per call.
+///   O(parts) slots and spawns `workers - 1` threads **per call** (the
+///   calling thread works the last share); callers amortize this by
+///   batching meaningful work per call.
 ///
 /// A panicking part re-panics in the caller labelled with its index,
 /// at every worker count.
@@ -290,6 +298,67 @@ mod tests {
             let msg = panic_message(err.as_ref());
             assert!(
                 msg.contains("item 3") && msg.contains("boom"),
+                "workers={workers}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn caller_runs_a_share_and_order_is_positional() {
+        // As many items as workers, each waiting at a barrier until every
+        // worker holds one: each worker, the calling thread included,
+        // runs exactly one item.
+        for workers in [2, 3, 8] {
+            let caller = std::thread::current().id();
+            let barrier = std::sync::Barrier::new(workers);
+            let callers_share = Mutex::new(0);
+            let out = scoped_map_workers((0..workers).collect(), workers, |i| {
+                barrier.wait();
+                if std::thread::current().id() == caller {
+                    *callers_share.lock().unwrap() += 1;
+                }
+                i * 10
+            });
+            let want: Vec<usize> = (0..workers).map(|i| i * 10).collect();
+            assert_eq!(out, want, "workers={workers}");
+            assert_eq!(callers_share.into_inner().unwrap(), 1, "workers={workers}");
+        }
+        // More items than workers: outputs stay positional.
+        for workers in [2, 3, 8] {
+            let items: Vec<u64> = (0..41).collect();
+            let out = scoped_map_workers(items.clone(), workers, |x| {
+                // Early items take longest, so they finish last.
+                std::thread::sleep(std::time::Duration::from_micros(200 / (x + 1)));
+                x * 3
+            });
+            let want: Vec<u64> = items.iter().map(|x| x * 3).collect();
+            assert_eq!(out, want, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn panic_in_the_callers_share_is_labelled() {
+        for workers in [2, 3, 8] {
+            let caught = Mutex::new(None);
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let caller = std::thread::current().id();
+                let barrier = std::sync::Barrier::new(workers);
+                scoped_map_workers((0..workers).collect(), workers, |i: usize| {
+                    barrier.wait();
+                    if std::thread::current().id() == caller {
+                        *caught.lock().unwrap() = Some(i);
+                        panic!("caller share failed");
+                    }
+                })
+            }))
+            .unwrap_err();
+            let i = caught
+                .into_inner()
+                .unwrap()
+                .expect("the caller ran a share");
+            let msg = panic_message(err.as_ref());
+            assert!(
+                msg.contains(&format!("item {i} panicked")) && msg.contains("caller share failed"),
                 "workers={workers}: {msg}"
             );
         }

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use modeling::bo::DecisionMemo;
 use mudi::{InterferencePredictor, LatencyProfiler, MudiConfig, Tuner};
 use simcore::SimRng;
 use workloads::{ColoWorkload, GroundTruth, UnknownModel, Zoo};
@@ -59,6 +60,8 @@ fn main() -> Result<(), UnknownModel> {
             gt.p99_inference_latency(svc.id, batch, frac, &colo)
         },
         &mut rng,
+        // A single pass: nothing to reuse, so no memo slots.
+        &mut DecisionMemo::default(),
     );
 
     println!("\ntuned configuration for BERT @ {qps} QPS + VGG16 training:");

@@ -2,6 +2,7 @@
 //! profiling through online placement and tuning, exercised end to end
 //! against the ground-truth substrate.
 
+use modeling::bo::DecisionMemo;
 use mudi::{
     DeviceCandidate, DeviceSelector, InterferenceModeler, InterferencePredictor, LatencyProfiler,
     MudiConfig, Tuner,
@@ -27,6 +28,8 @@ fn profile_predict_place_tune_holds_slo_for_unobserved_tasks() {
     let config = MudiConfig::default();
     let selector = DeviceSelector::new(config.clone());
     let tuner = Tuner::new(config);
+    // One memo across the passes, as the engine keeps one per lane.
+    let mut memo = DecisionMemo::with_slots(1024);
     let qps = 220.0;
 
     for &task in &gt.zoo().unobserved_task_ids() {
@@ -75,6 +78,7 @@ fn profile_predict_place_tune_holds_slo_for_unobserved_tasks() {
                 }
             },
             &mut rng,
+            &mut memo,
         );
         assert!(
             outcome.feasible,

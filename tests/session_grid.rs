@@ -17,8 +17,9 @@
 
 use std::fmt::Write;
 
-use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
+use cluster::engine::{ClusterConfig, ClusterSession, LiveFault, TuningCounters};
 use cluster::systems::SystemKind;
+use mudi::TuneTrigger;
 use resilience::{CorrelatedFaultConfig, FaultProfile};
 use simcore::{SimTime, TopologyShape, TraceConfig};
 
@@ -177,6 +178,43 @@ fn scripted_session_is_identical_across_shard_worker_grid() {
                 "shards={shards} workers={workers} drifted from the 1x1 baseline"
             );
         }
+    }
+}
+
+/// The scripted session's tuning counters after the script.
+fn script_counters(cfg: ClusterConfig) -> TuningCounters {
+    let mut s = ClusterSession::new_scaled(cfg, 0.01);
+    drive_script(&mut s, direct);
+    s.phase_profile().tuning
+}
+
+/// The tuning counters are exact: at a fixed shard count, every pass
+/// count and every memo count is the same at 1, 2 and 4 workers. Each
+/// lane counts its own passes and searches, and lane-phase retunes read
+/// the session memo only while nothing writes it.
+#[test]
+fn tuning_counters_are_identical_across_worker_counts() {
+    let base = script_counters(grid_config(4, 1));
+    for trigger in [
+        TuneTrigger::QpsChange,
+        TuneTrigger::Failover,
+        TuneTrigger::Repair,
+    ] {
+        assert!(
+            base.passes(trigger) > 0,
+            "no {} pass: {base}",
+            trigger.name()
+        );
+    }
+    let search = base.search;
+    assert_eq!(search.searches, base.total_passes(), "{base}");
+    assert!(search.hits > 0 && search.refits > 0, "{base}");
+    for workers in [2, 4] {
+        assert_eq!(
+            base,
+            script_counters(grid_config(4, workers)),
+            "workers={workers} counted differently"
+        );
     }
 }
 
