@@ -29,7 +29,7 @@ use cluster::experiments::{end_to_end_many, warm_standby_cells};
 use cluster::report::{ratio, standby_table};
 use cluster::systems::SystemKind;
 use gpu_sim::SHADOW_SWITCH_SECS;
-use resilience::{CorrelatedFaultConfig, FaultConfig, FaultSchedule, StandbyPolicy};
+use resilience::{CorrelatedFaultConfig, FaultConfig, FaultSchedule, STANDBY_RESERVE_FRACTION};
 use simcore::{SimRng, Topology, TopologyShape};
 
 fn main() {
@@ -48,14 +48,13 @@ fn main() {
     // and the pool shape the nonzero cells provision.
     let (cfg0, _) = physical_config(SystemKind::Mudi);
     let topo = Topology::new(TopologyShape::from_env(), cfg0.devices);
-    let warm = StandbyPolicy::warm(1);
     println!(
         "\ntopology: {} ({} devices, ~{} per node); standby reserve {:.0}% \
          per slot, promote latency {SHADOW_SWITCH_SECS}s (preloaded weights)",
         topo.shape(),
         cfg0.devices,
         topo.devices_per_node(),
-        warm.reserve_fraction * 100.0,
+        STANDBY_RESERVE_FRACTION * 100.0,
     );
     for &rate in &rates {
         let schedule = FaultSchedule::generate_with_topology(

@@ -12,15 +12,6 @@ use workloads::BurstSchedule;
 
 use crate::systems::SystemKind;
 
-/// Cluster scale presets matching §7.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClusterScale {
-    /// The private physical cluster: 12 A100s, 300 training tasks.
-    Physical,
-    /// The simulated cluster: 1000 GPUs, 5000 tasks, arrivals ×80.
-    Simulated,
-}
-
 /// The scale preset a config builder starts from. Each preset fixes
 /// the fields that differ between the paper's two clusters (and the
 /// reduced test scale); everything else shares one set of defaults.
@@ -268,14 +259,5 @@ impl ClusterConfig {
     /// The multiplier the burst schedule applies at `now`.
     pub(super) fn burst_multiplier(&self, now: simcore::SimTime) -> f64 {
         self.burst.as_ref().map_or(1.0, |b| b.multiplier_at(now))
-    }
-
-    /// Which paper-scale regime this configuration falls into.
-    pub fn scale(&self) -> ClusterScale {
-        if self.devices >= 100 {
-            ClusterScale::Simulated
-        } else {
-            ClusterScale::Physical
-        }
     }
 }

@@ -18,7 +18,9 @@
 
 use gpu_sim::{ResidentId, StandbyInstance, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
 use mudi::TuneTrigger;
-use resilience::{FaultDomain, FaultKind, DEGRADED_HOLD_SECS, PROCESS_RESTART_SECS};
+use resilience::{
+    FaultDomain, FaultKind, DEGRADED_HOLD_SECS, PROCESS_RESTART_SECS, STANDBY_RESERVE_FRACTION,
+};
 use simcore::{SimDuration, SimEvent, SimTime};
 
 use crate::job::{JobId, JobState};
@@ -218,16 +220,11 @@ impl Faults {
                         st.dstate[h].promote_token += 1;
                         let token = st.dstate[h].promote_token;
                         st.dstate[h].pending_promote = Some((d, token));
-                        let promote_secs = if st.devices[h].standby().expect("standby").preloaded {
-                            SHADOW_SWITCH_SECS
-                        } else {
-                            MPS_RESTART_SECS
-                        };
                         st.events.schedule_at(
-                            now + SimDuration::from_secs(promote_secs),
+                            now + SimDuration::from_secs(SHADOW_SWITCH_SECS),
                             GlobalEvent::StandbyPromote { host: h, token },
                         );
-                        st.fmetrics.failover_latency_secs.push(promote_secs);
+                        st.fmetrics.failover_latency_secs.push(SHADOW_SWITCH_SECS);
                         st.fmetrics.inference_failovers += 1;
                         standby_covered = true;
                     }
@@ -340,14 +337,13 @@ impl Faults {
 
         // Re-seed the pool: a repaired device that held a standby slot
         // rejoins with a fresh idle standby.
-        let sb = st.standby;
-        if sb.is_enabled() {
+        if st.standby.is_enabled() {
             if let Some(svc) = st.dstate[d].standby_slot {
                 if st.devices[d].standby().is_none() {
                     st.devices[d].seed_standby(
                         &st.shared.gt,
                         td,
-                        StandbyInstance::new(svc, 16, sb.reserve_fraction, sb.preloaded_weights),
+                        StandbyInstance::new(svc, 16, STANDBY_RESERVE_FRACTION),
                     );
                     st.fmetrics.standby_reseeds += 1;
                 }

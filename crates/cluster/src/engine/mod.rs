@@ -55,7 +55,7 @@ use admission::Admission;
 use state::SimState;
 use stepper::Stepper;
 
-pub use config::{ClusterConfig, ClusterConfigBuilder, ClusterScale, ScalePreset};
+pub use config::{ClusterConfig, ClusterConfigBuilder, ScalePreset};
 pub use control::{itl_violation_probability, violation_probability};
 pub use session::{
     ClusterSession, GenInferOutcome, InferOutcome, LiveFault, ScaleOutcome, ServiceSlo,

@@ -46,6 +46,7 @@ use crate::metrics::{ExperimentResult, FaultMetrics};
 use super::admission::Admission;
 use super::config::ClusterConfig;
 use super::control::Control;
+use super::shard::epoch_end_after;
 use super::state::{ServiceFold, SimState};
 use super::stepper::Stepper;
 
@@ -275,7 +276,7 @@ impl ClusterSession {
         // Handlers may schedule follow-ups inside the horizon, so keep
         // opening windows until nothing at or before it remains.
         while let Some(next) = self.st.next_event_time().filter(|&t| t <= horizon) {
-            let t1 = self.st.events.epoch_end_after(next).min(horizon);
+            let t1 = epoch_end_after(self.st.config.shard_epoch_secs, next).min(horizon);
             Stepper.run_window(&mut self.st, t1, &mut self.last_finish, false);
         }
         self.now = horizon;

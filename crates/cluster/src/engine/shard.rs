@@ -29,11 +29,12 @@
 //!   [`EventLane`] and fire during the parallel phase device by device:
 //!   the lane sweeps its devices in ascending order and fires each
 //!   one's events up to the window end in `(time, schedule order)`.
-//! * **Global** ([`GlobalEvent`]: `JobArrival`, `JobCompletion`,
-//!   `UtilSample`, `Fault`, `DeviceRepair`, `StandbyPromote`): touch
-//!   shared state (the job table, the queue, cross-device reroutes).
-//!   They live in the single global [`ShardedEvents`] queue and fire in
-//!   the serial phase after the barrier.
+//! * **Global** ([`GlobalEvent`](super::state::GlobalEvent):
+//!   `JobArrival`, `JobCompletion`, `UtilSample`, `Fault`,
+//!   `DeviceRepair`, `StandbyPromote`): touch shared state (the job
+//!   table, the queue, cross-device reroutes). They live in the single
+//!   global [`SimState::events`](super::state::SimState::events) queue
+//!   and fire in the serial phase after the barrier.
 //!
 //! Within one window a lane may advance a device past the firing time
 //! of a later global event; the serial phase clamps per-device
@@ -43,10 +44,10 @@
 //! `shard_epoch_secs`), so this quantization is identical at every grid
 //! point.
 
-use simcore::{EventQueue, MergeKey, SimDuration, SimTime};
+use simcore::{MergeKey, SimDuration, SimTime};
 
 use super::control::violation_probability;
-use super::state::{GlobalEvent, LaneEvent};
+use super::state::LaneEvent;
 
 /// Auto-sharding floor: below this device count a single lane wins
 /// (the barrier machinery costs more than it saves).
@@ -257,81 +258,21 @@ impl EventLane {
     }
 }
 
-/// The global event queue: shared-state events only (arrivals,
-/// completions, faults, repairs, promotions, the utilization sample).
-/// A thin wrapper over one [`EventQueue`] that also owns the epoch
-/// window geometry.
-pub(super) struct ShardedEvents {
-    queue: EventQueue<GlobalEvent>,
-    /// Epoch window length, simulated seconds.
-    epoch_secs: f64,
-}
-
-impl ShardedEvents {
-    /// A global queue pre-sized for `reserve` pending events.
-    pub fn new(epoch_secs: f64, reserve: usize) -> Self {
-        let mut queue = EventQueue::new();
-        queue.reserve(reserve);
-        ShardedEvents {
-            queue,
-            epoch_secs: epoch_secs.max(1.0),
-        }
-    }
-
-    /// Global simulated time (firing time of the last popped global
-    /// event).
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Global events fired.
-    pub fn fired(&self) -> u64 {
-        self.queue.fired()
-    }
-
-    /// Whether the global queue is drained.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Schedules a global event at absolute time `at` (past times
-    /// clamp to the global clock).
-    pub fn schedule_at(&mut self, at: SimTime, event: GlobalEvent) {
-        self.queue.schedule_at(at, event);
-    }
-
-    /// Schedules a global event `delay` after the global clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: GlobalEvent) {
-        self.queue.schedule_in(delay, event);
-    }
-
-    /// Firing time of the next global event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Pops the next global event if it fires at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, GlobalEvent)> {
-        self.queue.pop_until(horizon)
-    }
-
-    /// The first epoch boundary strictly after `t` — the commit
-    /// window's end. Windows are anchored on absolute multiples of the
-    /// epoch length so the boundary sequence is a property of the
-    /// config, not of the event population; anchoring on the *next
-    /// event's* time fast-forwards over idle stretches (a window is
-    /// never empty).
-    pub fn epoch_end_after(&self, t: SimTime) -> SimTime {
-        let e = self.epoch_secs;
-        let end = ((t.as_secs() / e).floor() + 1.0) * e;
-        if end > t.as_secs() {
-            SimTime::from_secs(end)
-        } else {
-            // f64 roundoff at extreme magnitudes: fall back to a plain
-            // one-epoch advance so the window always makes progress.
-            t + SimDuration::from_secs(e)
-        }
+/// The first epoch boundary strictly after `t` for epochs of
+/// `epoch_secs` (clamped to at least one second) — the commit window's
+/// end. Windows are anchored on absolute multiples of the epoch length
+/// so the boundary sequence is a property of the config, not of the
+/// event population; anchoring on the *next event's* time
+/// fast-forwards over idle stretches (a window is never empty).
+pub(super) fn epoch_end_after(epoch_secs: f64, t: SimTime) -> SimTime {
+    let e = epoch_secs.max(1.0);
+    let end = ((t.as_secs() / e).floor() + 1.0) * e;
+    if end > t.as_secs() {
+        SimTime::from_secs(end)
+    } else {
+        // f64 roundoff at extreme magnitudes: fall back to a plain
+        // one-epoch advance so the window always makes progress.
+        t + SimDuration::from_secs(e)
     }
 }
 
@@ -608,22 +549,20 @@ mod tests {
 
     #[test]
     fn epoch_windows_fast_forward_past_idle_gaps() {
-        let q = ShardedEvents::new(60.0, 16);
-        assert!(q.is_empty());
         // Inside an epoch: boundary is the next multiple of 60.
         assert_eq!(
-            q.epoch_end_after(SimTime::from_secs(10.0)),
+            epoch_end_after(60.0, SimTime::from_secs(10.0)),
             SimTime::from_secs(60.0)
         );
         // Exactly on a boundary: the window is the *next* epoch.
         assert_eq!(
-            q.epoch_end_after(SimTime::from_secs(60.0)),
+            epoch_end_after(60.0, SimTime::from_secs(60.0)),
             SimTime::from_secs(120.0)
         );
         // Far in the future: anchored on absolute multiples, so the
         // window still lands on a config-derived boundary.
         assert_eq!(
-            q.epoch_end_after(SimTime::from_secs(86_401.0)),
+            epoch_end_after(60.0, SimTime::from_secs(86_401.0)),
             SimTime::from_secs(86_460.0)
         );
     }

@@ -32,9 +32,11 @@ use mudi::policy::{FairState, QueueItem};
 use mudi::{CircuitBreaker, Monitor, RetuneGuard, TuneTrigger};
 use resilience::{
     CheckpointTracker, FaultSchedule, StandbyPolicy, DEGRADED_TRAINING_SHARE, RETUNE_DWELL_SECS,
+    STANDBY_RESERVE_FRACTION,
 };
 use simcore::{
-    ShardMap, SimDuration, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig, TreeFolder,
+    EventQueue, ShardMap, SimDuration, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig,
+    TreeFolder,
 };
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{FluctuatingQps, GroundTruth, ServiceId, Zoo};
@@ -47,7 +49,7 @@ use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
 use super::session::TuningCounters;
-use super::shard::{Envelope, EventLane, OutMsg, ShardedEvents, VpCache, AUTO_SHARD_MIN_DEVICES};
+use super::shard::{Envelope, EventLane, OutMsg, VpCache, AUTO_SHARD_MIN_DEVICES};
 
 /// Device-local engine events. Each concerns exactly one device and
 /// touches only lane-local state, so it lives on the owning lane's
@@ -447,7 +449,7 @@ pub(super) struct SimState {
     pub queue: Vec<QueueItem<JobId>>,
     pub fair: FairState,
     /// The global event queue (shared-state events only).
-    pub events: ShardedEvents,
+    pub events: EventQueue<GlobalEvent>,
     /// The execution lanes, along contiguous ascending device ranges.
     pub lanes: Vec<LaneBox>,
     /// Device → lane index.
@@ -625,12 +627,7 @@ impl SimState {
                     devices[h].seed_standby(
                         &gt,
                         SimTime::ZERO,
-                        StandbyInstance::new(
-                            svc,
-                            16,
-                            standby.reserve_fraction,
-                            standby.preloaded_weights,
-                        ),
+                        StandbyInstance::new(svc, 16, STANDBY_RESERVE_FRACTION),
                     );
                     fmetrics.standby_slots += 1;
                 }
@@ -691,10 +688,8 @@ impl SimState {
         // Global queue population: all arrivals are scheduled up front,
         // completions are bounded by the training slots, plus the fault
         // schedule and the repair/promote tails.
-        let events = ShardedEvents::new(
-            config.shard_epoch_secs,
-            config.jobs + 3 * config.devices + fault_schedule.events().len() + 64,
-        );
+        let mut events = EventQueue::new();
+        events.reserve(config.jobs + 3 * config.devices + fault_schedule.events().len() + 64);
         // The barrier buffer must hold every lane's worst-case window
         // of envelopes; the three small leading buffers serve nested
         // drains during envelope application.
@@ -906,7 +901,7 @@ impl SimState {
                 if self.devices[host].is_up() {
                     let t = self.dev_time(host, at);
                     Control.accrue(self, t, host);
-                    self.devices[host].set_standby_qps(&self.shared.gt, t, qps);
+                    self.devices[host].promote_standby(&self.shared.gt, t, qps);
                     // The emitter (key actor) is the covered device:
                     // refresh its frozen served-traffic violation
                     // probability from the host's live profile.

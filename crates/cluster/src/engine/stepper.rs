@@ -2,8 +2,7 @@
 //!
 //! Owns window sequencing for the parallel-commit kernel. Time
 //! advances in epoch windows (`(0, e], (e, 2e], …` per
-//! [`super::shard::ShardedEvents::epoch_end_after`]); each window runs
-//! rounds of
+//! [`epoch_end_after`]); each window runs rounds of
 //!
 //! 1. **lane phase** — every lane executes its own events up to the
 //!    window end, device by device, fanned out over the worker pool
@@ -34,7 +33,7 @@ use crate::metrics::ExperimentResult;
 use super::admission::Admission;
 use super::control::{self, Control};
 use super::faults::{self, Faults};
-use super::shard::Envelope;
+use super::shard::{epoch_end_after, Envelope};
 use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SessionMemo, SimState};
 
 /// The stepper. Stateless: everything lives in [`SimState`].
@@ -98,7 +97,7 @@ impl Stepper {
             if next > cap {
                 break; // Past the sim-time cap: stop without firing.
             }
-            let t1 = st.events.epoch_end_after(next).min(cap);
+            let t1 = epoch_end_after(st.config.shard_epoch_secs, next).min(cap);
             if self.run_window(st, t1, &mut last_finish, true) {
                 break; // Every job completed.
             }

@@ -196,11 +196,9 @@ fn config_builder_presets_and_overrides() {
     // The legacy constructors are builder shorthands.
     let phys = ClusterConfig::physical(SystemKind::Mudi, 1);
     assert_eq!((phys.devices, phys.jobs), (12, 300));
-    assert_eq!(phys.scale(), ClusterScale::Physical);
     let sim = ClusterConfig::simulated(SystemKind::Mudi, 1);
     assert_eq!((sim.devices, sim.jobs), (1000, 5000));
     assert_eq!(sim.arrival_scale, 80.0);
-    assert_eq!(sim.scale(), ClusterScale::Simulated);
     let tiny = ClusterConfig::tiny(SystemKind::Mudi, 1);
     assert_eq!((tiny.devices, tiny.jobs), (6, 24));
 

@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod report;
 pub mod systems;
 
-pub use engine::{ClusterConfig, ClusterEngine, ClusterScale};
+pub use engine::{ClusterConfig, ClusterEngine};
 pub use job::{JobId, TrainingJob};
 pub use metrics::{ExperimentResult, FaultMetrics, ServiceMetrics};
 pub use systems::SystemKind;

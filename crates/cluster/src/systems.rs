@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use modeling::bo::Memos;
-use modeling::solver::{min_gpu_fraction, min_gpu_fraction_decode};
+use modeling::solver::min_serving_fraction;
 use mudi::{
     DeviceCandidate, DeviceSelector, InterferencePredictor, LatencyProfiler, MudiConfig, Tuner,
 };
@@ -428,25 +428,15 @@ fn best_static_batch(
         let Some(curve) = predictor.curve_for_arch(service, arch, b) else {
             continue;
         };
-        let frac = if tokens_per_request > 0.0 {
-            min_gpu_fraction_decode(
-                &curve,
-                qps * tokens_per_request,
-                b as f64,
-                slo_secs,
-                config.min_inference_fraction,
-                config.max_inference_fraction,
-            )
-        } else {
-            min_gpu_fraction(
-                &curve,
-                qps,
-                b as f64,
-                slo_secs,
-                config.min_inference_fraction,
-                config.max_inference_fraction,
-            )
-        };
+        let frac = min_serving_fraction(
+            &curve,
+            qps,
+            tokens_per_request,
+            b as f64,
+            slo_secs,
+            config.min_inference_fraction,
+            config.max_inference_fraction,
+        );
         if let Some(frac) = frac {
             if best.is_none_or(|(_, bf)| frac < bf) {
                 best = Some((b, frac));
@@ -620,25 +610,15 @@ impl Multiplexer for Gpulets {
             let Some(curve) = self.predictor.curve_for_arch(view.service, &solo_arch, b) else {
                 continue;
             };
-            let frac = if toks > 0.0 {
-                min_gpu_fraction_decode(
-                    &curve,
-                    sizing_qps * toks,
-                    b as f64,
-                    view.slo_secs,
-                    self.config.min_inference_fraction,
-                    0.90,
-                )
-            } else {
-                min_gpu_fraction(
-                    &curve,
-                    sizing_qps,
-                    b as f64,
-                    view.slo_secs,
-                    self.config.min_inference_fraction,
-                    0.90,
-                )
-            };
+            let frac = min_serving_fraction(
+                &curve,
+                sizing_qps,
+                toks,
+                b as f64,
+                view.slo_secs,
+                self.config.min_inference_fraction,
+                0.90,
+            );
             if let Some(frac) = frac {
                 if best.is_none_or(|(_, bf)| frac < bf) {
                     best = Some((b, frac));
@@ -791,25 +771,15 @@ impl Multiplexer for MuxFlow {
                 continue;
             };
             // No margin: divide out the solver's built-in 10 % pad.
-            let frac = if toks > 0.0 {
-                min_gpu_fraction_decode(
-                    &curve,
-                    view.qps * toks,
-                    b as f64,
-                    view.slo_secs,
-                    self.config.min_inference_fraction,
-                    0.90,
-                )
-            } else {
-                min_gpu_fraction(
-                    &curve,
-                    view.qps,
-                    b as f64,
-                    view.slo_secs,
-                    self.config.min_inference_fraction,
-                    0.90,
-                )
-            };
+            let frac = min_serving_fraction(
+                &curve,
+                view.qps,
+                toks,
+                b as f64,
+                view.slo_secs,
+                self.config.min_inference_fraction,
+                0.90,
+            );
             if let Some(frac) = frac {
                 let unpadded = (frac / (1.0 + modeling::solver::SAFETY_MARGIN)).max(0.05);
                 if best.is_none_or(|(_, bf)| unpadded < bf) {

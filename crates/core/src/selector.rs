@@ -134,8 +134,14 @@ impl DeviceSelector {
             candidate.service,
             &candidate.existing_tasks,
         )?;
-        let incoming_mem = gt.training_memory_gb(incoming);
-        let overflow = (incoming_mem - candidate.mem_headroom_gb).max(0.0);
+        Some(self.weigh(base, gt.training_memory_gb(incoming), candidate))
+    }
+
+    /// A candidate's score from its shape's `base` slope score: `base`
+    /// times the memory-overflow, reliability and fault-domain
+    /// anti-affinity multipliers, in that order.
+    fn weigh(&self, base: f64, incoming_mem_gb: f64, candidate: &DeviceCandidate) -> f64 {
+        let overflow = (incoming_mem_gb - candidate.mem_headroom_gb).max(0.0);
         // Each GB of immediate overflow costs like ~4 % extra slope.
         let memory = 1.0 + 0.04 * overflow;
         let reliability = candidate
@@ -143,7 +149,7 @@ impl DeviceSelector {
             .penalty(self.config.reliability_weight);
         let anti_affinity =
             1.0 + self.config.anti_affinity_weight * candidate.domain_training_load.clamp(0.0, 1.0);
-        Some(base * memory * reliability * anti_affinity)
+        base * memory * reliability * anti_affinity
     }
 
     /// Picks the best device for the incoming task.
@@ -180,12 +186,7 @@ impl DeviceSelector {
             let Some(base) = base else {
                 continue;
             };
-            let overflow = (incoming_mem - c.mem_headroom_gb).max(0.0);
-            let memory = 1.0 + 0.04 * overflow;
-            let reliability = c.reliability.penalty(self.config.reliability_weight);
-            let anti_affinity =
-                1.0 + self.config.anti_affinity_weight * c.domain_training_load.clamp(0.0, 1.0);
-            let score = base * memory * reliability * anti_affinity;
+            let score = self.weigh(base, incoming_mem, c);
             evaluated += 1;
             // Ties (within epsilon) keep the earlier candidate for determinism.
             let better = match best {

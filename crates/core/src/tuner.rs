@@ -19,10 +19,7 @@
 use std::cell::RefCell;
 
 use modeling::bo::{BoWorkspace, GpLcbTuner, Memos};
-use modeling::solver::{
-    decode_latency_budget, decode_latency_budget_relaxed, latency_budget, latency_budget_relaxed,
-    min_gpu_fraction, min_gpu_fraction_decode,
-};
+use modeling::solver::{min_serving_fraction, serving_budgets};
 use simcore::SimRng;
 use workloads::NetworkArchitecture;
 use workloads::ServiceId;
@@ -190,7 +187,6 @@ impl Tuner {
     ) -> TuningOutcome {
         let lo = self.config.min_inference_fraction;
         let hi = self.config.max_inference_fraction;
-        let tok_rate = qps * tokens_per_request;
 
         // Required GPU fraction per candidate batch (None = infeasible).
         // Seeded from the predicted curve under the drift-headroom
@@ -198,17 +194,7 @@ impl Tuner {
         // under-prediction and a probe step reclaims over-provisioning.
         let required = |batch: u32, observe_p99: &mut dyn FnMut(u32, f64) -> f64| -> Option<f64> {
             let b = batch as f64;
-            let (strict, relaxed) = if tokens_per_request > 0.0 {
-                (
-                    decode_latency_budget(tok_rate, b, slo_secs),
-                    decode_latency_budget_relaxed(tok_rate, b, slo_secs),
-                )
-            } else {
-                (
-                    latency_budget(qps, b, slo_secs),
-                    latency_budget_relaxed(qps, b, slo_secs),
-                )
-            };
+            let (strict, relaxed) = serving_budgets(qps, tokens_per_request, b, slo_secs);
             if relaxed <= 0.0 {
                 return None;
             }
@@ -216,11 +202,7 @@ impl Tuner {
             let mut frac = predictor
                 .curve_for_arch(service, arch, batch)
                 .and_then(|c| {
-                    if tokens_per_request > 0.0 {
-                        min_gpu_fraction_decode(&c, tok_rate, b, slo_secs, lo, hi)
-                    } else {
-                        min_gpu_fraction(&c, qps, b, slo_secs, lo, hi)
-                    }
+                    min_serving_fraction(&c, qps, tokens_per_request, b, slo_secs, lo, hi)
                 })
                 .unwrap_or(hi);
             let measured = observe_p99(batch, frac);
@@ -380,6 +362,7 @@ mod tests {
     use super::*;
     use crate::profiler::LatencyProfiler;
     use modeling::bo::DecisionMemo;
+    use modeling::solver::min_gpu_fraction;
     use workloads::{ColoWorkload, GroundTruth, Zoo};
 
     struct Fixture {

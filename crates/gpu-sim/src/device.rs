@@ -285,8 +285,8 @@ impl GpuDevice {
     }
 
     /// Parks a warm-standby shadow instance on the device, pinning its
-    /// model memory when weights are pre-loaded. Returns the swap
-    /// transfer time from the memory rebalance.
+    /// model memory. Returns the swap transfer time from the memory
+    /// rebalance.
     ///
     /// # Panics
     ///
@@ -299,18 +299,15 @@ impl GpuDevice {
     ) -> SimDuration {
         assert!(self.is_up(), "cannot seed a standby on a down device");
         assert!(self.standby.is_none(), "device already hosts a standby");
-        let demand = if instance.preloaded {
-            gt.inference_memory_gb(instance.service, instance.batch, 0.0)
-        } else {
-            0.0
-        };
+        let demand = gt.inference_memory_gb(instance.service, instance.batch, 0.0);
         self.standby = Some(instance);
         self.memory.set_standby_demand(now, demand)
     }
 
     /// Promotes the parked standby to serving `qps` (the shadow
-    /// hand-off: traffic starts routing to the reserved slice). Returns
-    /// the swap transfer time from the staging-pool growth.
+    /// hand-off: traffic starts routing to the reserved slice), or
+    /// updates the traffic an active standby serves. Returns the swap
+    /// transfer time from the staging-pool change.
     ///
     /// # Panics
     ///
@@ -323,18 +320,9 @@ impl GpuDevice {
         self.memory.set_standby_demand(now, demand)
     }
 
-    /// Updates the traffic served by an active standby.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no standby is parked.
-    pub fn set_standby_qps(&mut self, gt: &GroundTruth, now: SimTime, qps: f64) -> SimDuration {
-        self.promote_standby(gt, now, qps)
-    }
-
     /// Returns an active standby to the idle pool (the covered replica
     /// rejoined): traffic stops, memory shrinks back to the pinned
-    /// weights (or zero for a cold standby).
+    /// weights.
     ///
     /// # Panics
     ///
@@ -342,11 +330,7 @@ impl GpuDevice {
     pub fn demote_standby(&mut self, gt: &GroundTruth, now: SimTime) -> SimDuration {
         let s = self.standby.as_mut().expect("no standby to demote");
         s.qps = 0.0;
-        let demand = if s.preloaded {
-            gt.inference_memory_gb(s.service, s.batch, 0.0)
-        } else {
-            0.0
-        };
+        let demand = gt.inference_memory_gb(s.service, s.batch, 0.0);
         self.memory.set_standby_demand(now, demand)
     }
 
@@ -857,11 +841,7 @@ mod tests {
         )
         .unwrap();
         let idle_demand = d.memory().total_demand_gb();
-        d.seed_standby(
-            &g,
-            t(1.0),
-            StandbyInstance::new(ServiceId(2), 16, 0.1, true),
-        );
+        d.seed_standby(&g, t(1.0), StandbyInstance::new(ServiceId(2), 16, 0.1));
         assert_eq!(d.standby_reserve(), 0.1);
         assert!(!d.standby().unwrap().is_active());
         assert!(
@@ -890,22 +870,6 @@ mod tests {
         d.fail(t(4.0));
         assert!(d.standby().is_none());
         assert_eq!(d.standby_reserve(), 0.0);
-        assert_eq!(d.memory().total_demand_gb(), 0.0);
-    }
-
-    #[test]
-    fn cold_standby_holds_no_idle_memory() {
-        let g = gt();
-        let mut d = GpuDevice::new(DeviceId(0), 40.0);
-        d.seed_standby(
-            &g,
-            t(0.0),
-            StandbyInstance::new(ServiceId(1), 16, 0.15, false),
-        );
-        assert_eq!(d.memory().total_demand_gb(), 0.0);
-        d.promote_standby(&g, t(1.0), 80.0);
-        assert!(d.memory().total_demand_gb() > 0.0);
-        d.demote_standby(&g, t(2.0));
         assert_eq!(d.memory().total_demand_gb(), 0.0);
     }
 

@@ -11,17 +11,19 @@
 //! The [`memory`] module reproduces Mudi's Memory Manager (§5.6): a
 //! unified pool where inference memory is pinned on-device and training
 //! memory spills to the host when the device overflows, with PCIe
-//! transfer costs and slowdown accounting (Tab. 4, Fig. 16).
+//! transfer costs and slowdown accounting (Tab. 4, Fig. 16). A
+//! generative service needs no separate model here: its KV cache is
+//! part of the inference demand the pool is given
+//! (`GroundTruth::inference_memory_gb`), and the engine accounts its
+//! decode loop analytically.
 
 #![forbid(unsafe_code)]
 
-pub mod batcher;
 pub mod device;
 pub mod memory;
 pub mod process;
 pub mod restart;
 
-pub use batcher::{CompletedGen, ContinuousBatcher, GenRequest, StepReport, TokenLedger};
 pub use device::{DeviceHealth, DeviceId, GpuDevice};
 pub use memory::{MemoryManager, SwapStats, PCIE_GBPS};
 pub use process::{InferenceInstance, ResidentId, StandbyInstance, TrainingProcess};

@@ -59,7 +59,6 @@ pub struct MemoryManager {
     swapped: Vec<(ResidentId, f64)>,
     stats: SwapStats,
     overflow_time: UtilizationIntegrator,
-    swapped_series: Vec<(f64, f64)>,
 }
 
 impl MemoryManager {
@@ -80,7 +79,6 @@ impl MemoryManager {
             swapped: Vec::new(),
             stats: SwapStats::default(),
             overflow_time,
-            swapped_series: vec![(0.0, 0.0)],
         }
     }
 
@@ -186,11 +184,6 @@ impl MemoryManager {
         self.overflow_time.time_average()
     }
 
-    /// Time series of `(seconds, swapped GB)`, for Fig. 16(b).
-    pub fn swapped_series(&self) -> &[(f64, f64)] {
-        &self.swapped_series
-    }
-
     /// Closes the accounting window at `now`.
     pub fn finish(&mut self, now: SimTime) {
         self.overflow_time.finish(now);
@@ -206,7 +199,6 @@ impl MemoryManager {
         self.trainings.clear();
         self.swapped.clear();
         self.overflow_time.set(now, 0.0);
-        self.swapped_series.push((now.as_secs(), 0.0));
     }
 
     /// Rebalances after a demand change: training memory spills to the
@@ -243,7 +235,6 @@ impl MemoryManager {
             self.stats.total_transfer_secs += transfer;
             self.overflow_time
                 .set(now, if self.is_overflowed() { 1.0 } else { 0.0 });
-            self.swapped_series.push((now.as_secs(), after));
             SimDuration::from_secs(transfer)
         } else {
             self.overflow_time
@@ -338,17 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn series_records_transitions() {
-        let mut m = MemoryManager::new(40.0);
-        m.add_training(t(0.0), ResidentId(1), 30.0);
-        m.set_inference_demand(t(5.0), 20.0);
-        m.set_inference_demand(t(9.0), 2.0);
-        let series = m.swapped_series();
-        assert!(series.len() >= 3);
-        assert_eq!(series.last().unwrap().1, 0.0);
-    }
-
-    #[test]
     fn inference_larger_than_capacity_saturates() {
         let mut m = MemoryManager::new(40.0);
         m.add_training(t(0.0), ResidentId(1), 10.0);
@@ -371,6 +351,65 @@ mod tests {
         // Dropping the standby releases the pressure again.
         m.set_standby_demand(t(2.0), 0.0);
         assert!(!m.is_overflowed());
+    }
+
+    proptest::proptest! {
+        /// The swap rule under any sequence of demand changes: the host
+        /// holds exactly the overflow, capped by the training demand
+        /// (inference and standby memory never swap), and training
+        /// spills newest first — a resident is partly on the host only
+        /// when every later resident is entirely there.
+        #[test]
+        fn swap_rule_holds_under_random_demand(
+            seed in proptest::prelude::any::<u64>(),
+            ops in 1usize..80,
+        ) {
+            let mut rng = simcore::SimRng::seed(seed);
+            let mut m = MemoryManager::new(40.0);
+            // Live training residents in arrival order, with demands.
+            let mut live: Vec<(ResidentId, f64)> = Vec::new();
+            let mut next_id = 0;
+            for op in 0..ops {
+                let now = t(op as f64);
+                match rng.uniform_usize(0, 4) {
+                    0 => {
+                        m.set_inference_demand(now, rng.uniform(0.0, 45.0));
+                    }
+                    1 => {
+                        m.set_standby_demand(now, rng.uniform(0.0, 20.0));
+                    }
+                    2 if live.len() < 5 => {
+                        let gb = rng.uniform(0.5, 30.0);
+                        m.add_training(now, ResidentId(next_id), gb);
+                        live.push((ResidentId(next_id), gb));
+                        next_id += 1;
+                    }
+                    _ if !live.is_empty() => {
+                        let (id, _) = live.remove(rng.uniform_usize(0, live.len()));
+                        m.remove_training(now, id);
+                    }
+                    _ => {}
+                }
+                let training: f64 = live.iter().map(|&(_, gb)| gb).sum();
+                let want = (m.total_demand_gb() - m.capacity_gb()).max(0.0).min(training);
+                proptest::prop_assert!(
+                    (m.total_swapped_gb() - want).abs() < 1e-9,
+                    "swapped {} != overflow rule {want}",
+                    m.total_swapped_gb()
+                );
+                for (i, &(id, _)) in live.iter().enumerate() {
+                    if m.swapped_fraction(id) > 1e-9 {
+                        let newer_all_out = live[i + 1..]
+                            .iter()
+                            .all(|&(later, _)| m.swapped_fraction(later) >= 1.0 - 1e-9);
+                        proptest::prop_assert!(
+                            newer_all_out,
+                            "resident {i} spilled before a newer one"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ impl InferenceInstance {
 /// A warm-standby shadow instance parked on a GPU.
 ///
 /// The standby reserves `reserve_fraction` of the device's GPU% while
-/// idle (`qps == 0`) and, when its weights are pre-loaded, pins the
-/// service's model memory so promotion skips the cold deploy path.
+/// idle (`qps == 0`) and pins the service's model memory, so promotion
+/// skips the cold deploy path.
 /// Promotion simply starts routing traffic to it (`qps > 0`); the
 /// reserved slice doubles as its serving allocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,8 +57,6 @@ pub struct StandbyInstance {
     pub batch: u32,
     /// GPU fraction reserved for (and served with by) the standby.
     pub reserve_fraction: f64,
-    /// Whether model weights are resident in GPU memory while idle.
-    pub preloaded: bool,
     /// Traffic currently served; `0.0` while idle, positive once
     /// promoted.
     pub qps: f64,
@@ -71,7 +69,7 @@ impl StandbyInstance {
     ///
     /// Panics if the reserve fraction is outside `(0, 1]` or the batch
     /// is zero.
-    pub fn new(service: ServiceId, batch: u32, reserve_fraction: f64, preloaded: bool) -> Self {
+    pub fn new(service: ServiceId, batch: u32, reserve_fraction: f64) -> Self {
         assert!(batch > 0, "batch must be positive");
         assert!(
             reserve_fraction > 0.0 && reserve_fraction <= 1.0,
@@ -81,7 +79,6 @@ impl StandbyInstance {
             service,
             batch,
             reserve_fraction,
-            preloaded,
             qps: 0.0,
         }
     }

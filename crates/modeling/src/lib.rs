@@ -42,4 +42,4 @@ pub use fit::poly::Polynomial;
 pub use gp::{GaussianProcess, GpScratch};
 pub use regressor::{Dataset, Regressor, RegressorKind};
 pub use select::{select_best_model, SelectionReport};
-pub use solver::{min_gpu_fraction, min_gpu_fraction_decode};
+pub use solver::min_gpu_fraction;

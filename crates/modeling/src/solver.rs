@@ -93,17 +93,67 @@ pub fn min_gpu_fraction(
     lo: f64,
     hi: f64,
 ) -> Option<f64> {
+    min_fraction_meeting(curve, latency_budget(qps, batch, slo), lo, hi)
+}
+
+/// The minimum GPU fraction for a service in either serving regime: a
+/// generative service (`tokens_per_request > 0`) is sized as a
+/// continuous-batching decode loop at `qps × tokens_per_request`
+/// tokens/second, whose iteration latency at concurrency `batch` must
+/// meet the inter-token SLO; any other service takes
+/// [`min_gpu_fraction`]'s request form. Same safety margin, rounding
+/// and `None`-on-infeasible contract as [`min_gpu_fraction`].
+pub fn min_serving_fraction(
+    curve: &PiecewiseLinear,
+    qps: f64,
+    tokens_per_request: f64,
+    batch: f64,
+    slo: f64,
+    lo: f64,
+    hi: f64,
+) -> Option<f64> {
+    if tokens_per_request > 0.0 {
+        let budget = decode_latency_budget(qps * tokens_per_request, batch, slo);
+        min_fraction_meeting(curve, budget, lo, hi)
+    } else {
+        min_gpu_fraction(curve, qps, batch, slo, lo, hi)
+    }
+}
+
+/// The `(strict, relaxed)` latency budgets of a service in either
+/// serving regime, chosen as in [`min_serving_fraction`]: the request
+/// pair [`latency_budget`] / [`latency_budget_relaxed`], or their
+/// decode-loop analogues (`min(SLO, 0.8 · b/λ)` and `min(SLO, b/λ)` at
+/// token rate `λ = qps × tokens_per_request`).
+pub fn serving_budgets(qps: f64, tokens_per_request: f64, batch: f64, slo: f64) -> (f64, f64) {
+    if tokens_per_request > 0.0 {
+        let tok_rate = qps * tokens_per_request;
+        (
+            decode_latency_budget(tok_rate, batch, slo),
+            decode_latency_budget_relaxed(tok_rate, batch, slo),
+        )
+    } else {
+        (
+            latency_budget(qps, batch, slo),
+            latency_budget_relaxed(qps, batch, slo),
+        )
+    }
+}
+
+/// The minimum fraction in `[lo, hi]` whose latency on `curve` meets
+/// `target`, inflated by [`SAFETY_MARGIN`] and rounded up to the MPS
+/// percentage granularity; `None` when the budget is non-positive or
+/// unreachable in range.
+fn min_fraction_meeting(curve: &PiecewiseLinear, target: f64, lo: f64, hi: f64) -> Option<f64> {
     assert!(
         (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0,
         "bad range"
     );
-    let target = latency_budget(qps, batch, slo);
     if target <= 0.0 {
         return None;
     }
     let raw = curve.min_x_meeting(target, lo, hi)?;
     let inflated = (raw * (1.0 + SAFETY_MARGIN)).min(hi);
-    // Round up to the MPS percentage granularity.
     let stepped = (inflated / GPU_FRACTION_STEP).ceil() * GPU_FRACTION_STEP;
     Some(stepped.clamp(lo, hi))
 }
@@ -138,7 +188,7 @@ pub fn latency_budget_relaxed(qps: f64, batch: f64, slo: f64) -> f64 {
 ///
 /// There is no batch-fill wait term: under continuous batching the next
 /// token follows the previous iteration directly.
-pub fn decode_latency_budget(tok_rate: f64, batch: f64, slo: f64) -> f64 {
+fn decode_latency_budget(tok_rate: f64, batch: f64, slo: f64) -> f64 {
     assert!(
         tok_rate >= 0.0 && batch > 0.0 && slo > 0.0,
         "invalid inputs"
@@ -151,7 +201,7 @@ pub fn decode_latency_budget(tok_rate: f64, batch: f64, slo: f64) -> f64 {
 
 /// [`decode_latency_budget`] without the drift headroom: `min(SLO,
 /// b/λ)`. The decode analogue of [`latency_budget_relaxed`].
-pub fn decode_latency_budget_relaxed(tok_rate: f64, batch: f64, slo: f64) -> f64 {
+fn decode_latency_budget_relaxed(tok_rate: f64, batch: f64, slo: f64) -> f64 {
     assert!(
         tok_rate >= 0.0 && batch > 0.0 && slo > 0.0,
         "invalid inputs"
@@ -160,32 +210,6 @@ pub fn decode_latency_budget_relaxed(tok_rate: f64, batch: f64, slo: f64) -> f64
         return slo;
     }
     slo.min(batch / tok_rate)
-}
-
-/// Solves Eq. (4) for a continuous-batching decode loop: the minimum
-/// GPU fraction whose predicted *iteration* latency at concurrency
-/// `batch` meets [`decode_latency_budget`], with the same 10 % safety
-/// margin and MPS-step rounding as [`min_gpu_fraction`].
-pub fn min_gpu_fraction_decode(
-    curve: &PiecewiseLinear,
-    tok_rate: f64,
-    batch: f64,
-    slo: f64,
-    lo: f64,
-    hi: f64,
-) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0,
-        "bad range"
-    );
-    let target = decode_latency_budget(tok_rate, batch, slo);
-    if target <= 0.0 {
-        return None;
-    }
-    let raw = curve.min_x_meeting(target, lo, hi)?;
-    let inflated = (raw * (1.0 + SAFETY_MARGIN)).min(hi);
-    let stepped = (inflated / GPU_FRACTION_STEP).ceil() * GPU_FRACTION_STEP;
-    Some(stepped.clamp(lo, hi))
 }
 
 #[cfg(test)]
@@ -263,6 +287,30 @@ mod tests {
         assert!((latency_budget(400.0, 64.0, 0.2) - (0.2 - 0.16 / 0.85)).abs() < 1e-12);
         // Infeasible batch: negative budget.
         assert!(latency_budget(100.0, 64.0, 0.2) < 0.0);
+    }
+
+    #[test]
+    fn serving_regime_follows_tokens_per_request() {
+        let c = curve();
+        // No tokens: the request form, bit for bit.
+        assert_eq!(
+            serving_budgets(800.0, 0.0, 64.0, 0.3),
+            (
+                latency_budget(800.0, 64.0, 0.3),
+                latency_budget_relaxed(800.0, 64.0, 0.3)
+            )
+        );
+        assert_eq!(
+            min_serving_fraction(&c, 800.0, 0.0, 64.0, 0.3, 0.05, 1.0),
+            min_gpu_fraction(&c, 800.0, 64.0, 0.3, 0.05, 1.0)
+        );
+        // 2 req/s × 100 tokens = 200 tokens/s at concurrency 16: the
+        // stability term 16/200 = 0.08 s binds under a 0.3 s ITL SLO,
+        // and there is no fill-wait term.
+        let (strict, relaxed) = serving_budgets(2.0, 100.0, 16.0, 0.3);
+        assert!((strict - 0.8 * 0.08).abs() < 1e-12 && (relaxed - 0.08).abs() < 1e-12);
+        let f = min_serving_fraction(&c, 2.0, 100.0, 16.0, 0.3, 0.05, 1.0).unwrap();
+        assert!(c.eval(f) <= strict + 1e-9);
     }
 
     #[test]

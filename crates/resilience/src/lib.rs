@@ -17,9 +17,9 @@
 //!   fails inference over to surviving replicas and requeues evicted
 //!   training; the only knob is the warm-standby pool
 //!   ([`StandbyPolicy`]). Restart costs, the checkpoint period and
-//!   bandwidth, and the guardrail parameters the local coordinator
-//!   enforces (retune dwell, degraded-mode training share and hold) are
-//!   named constants in [`recovery`].
+//!   bandwidth, the standby reserve, and the guardrail parameters the
+//!   local coordinator enforces (retune dwell, degraded-mode training
+//!   share and hold) are named constants in [`recovery`].
 //!
 //! The cluster engine owns the event loop; this crate owns the *what*
 //! and *when* of faults and the accounting rules of recovery, keeping
@@ -35,6 +35,7 @@ pub use checkpoint::CheckpointTracker;
 pub use recovery::{
     FaultProfile, RecoveryPolicy, StandbyPolicy, CHECKPOINT_PERIOD_SECS, CHECKPOINT_WRITE_GBPS,
     DEGRADED_HOLD_SECS, DEGRADED_TRAINING_SHARE, PROCESS_RESTART_SECS, RETUNE_DWELL_SECS,
+    STANDBY_RESERVE_FRACTION,
 };
 pub use schedule::{
     CorrelatedFaultConfig, FaultConfig, FaultDomain, FaultEvent, FaultKind, FaultSchedule,

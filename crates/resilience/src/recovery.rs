@@ -33,54 +33,45 @@ pub const DEGRADED_HOLD_SECS: f64 = 300.0;
 /// seconds of accrued running time.
 pub const CHECKPOINT_WRITE_GBPS: f64 = 4.0;
 
+/// GPU% slice each idle warm standby reserves on its host device; the
+/// reserved slice doubles as its serving allocation once promoted.
+pub const STANDBY_RESERVE_FRACTION: f64 = 0.10;
+
 /// Warm-standby shadow-instance pool configuration.
 ///
 /// A standby is a pre-provisioned inference instance parked on a
-/// healthy device with a reserved GPU% slice (and, optionally,
-/// pre-loaded weights). When a replica of its service fails, the
-/// standby promotes to serving within a bounded hand-off latency
-/// instead of re-routing traffic onto already-loaded survivors or
-/// paying the cold `deploy_inference` path. The reserved slice is
-/// charged to the device the whole time — the pool's cost — and is
-/// booked as `standby_reserved_gpu_secs` in the fault metrics.
+/// healthy device with a reserved GPU% slice
+/// ([`STANDBY_RESERVE_FRACTION`]) and its weights resident in GPU
+/// memory. When a replica of its service fails, the standby promotes
+/// to serving within a bounded hand-off latency instead of re-routing
+/// traffic onto already-loaded survivors or paying the cold
+/// `deploy_inference` path. The reserved slice is charged to the
+/// device the whole time — the pool's cost — and is booked as
+/// `standby_reserved_gpu_secs` in the fault metrics.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StandbyPolicy {
     /// Shadow instances kept warm per service; `0` disables the pool
     /// (bit-identical to the plain failover path).
     pub pool_per_service: usize,
-    /// GPU% slice each idle standby reserves on its host device.
-    pub reserve_fraction: f64,
-    /// Whether standby weights are resident in GPU memory. Pre-loaded
-    /// standbys promote at the shadow hand-off latency (sub-second);
-    /// cold standbys pay an MPS-restart-class delay and hold no memory
-    /// while idle.
-    pub preloaded_weights: bool,
 }
 
 impl StandbyPolicy {
     /// No standby pool: the engine's behaviour is byte-identical to
     /// the pre-standby failover path.
     pub fn disabled() -> Self {
-        StandbyPolicy {
-            pool_per_service: 0,
-            reserve_fraction: 0.0,
-            preloaded_weights: true,
-        }
+        Self::warm(0)
     }
 
-    /// A warm pool of `pool` pre-loaded standbys per service, each
-    /// reserving a 10% GPU slice on its host.
+    /// A warm pool of `pool` standbys per service.
     pub fn warm(pool: usize) -> Self {
         StandbyPolicy {
             pool_per_service: pool,
-            reserve_fraction: 0.10,
-            preloaded_weights: true,
         }
     }
 
     /// Whether the pool does anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.pool_per_service > 0 && self.reserve_fraction > 0.0
+        self.pool_per_service > 0
     }
 }
 
@@ -161,9 +152,6 @@ mod tests {
         assert!(!StandbyPolicy::disabled().is_enabled());
         assert!(StandbyPolicy::warm(1).is_enabled());
         assert!(!StandbyPolicy::warm(0).is_enabled());
-        let p = StandbyPolicy::warm(2);
-        assert_eq!(p.pool_per_service, 2);
-        assert!(p.preloaded_weights);
-        assert!(p.reserve_fraction > 0.0);
+        assert_eq!(StandbyPolicy::warm(2).pool_per_service, 2);
     }
 }

@@ -4,9 +4,9 @@
 //! deterministic discrete-event scheduler ([`EventQueue`]), simulated time
 //! ([`SimTime`], [`SimDuration`]), seeded random-number utilities and
 //! probability distributions ([`rng`], [`dist`]), and streaming metric
-//! sinks used by every experiment (histograms with percentile queries,
-//! time-weighted utilization integrators, time series, CDF builders),
-//! and a scoped worker pool ([`pool`]) that fans independent experiment
+//! sinks used by every experiment (Welford statistics, time-weighted
+//! utilization integrators, CDF builders, order-fixed folds), and a
+//! scoped worker pool ([`pool`]) that fans independent experiment
 //! cells out across cores without changing their output.
 //!
 //! Everything is deterministic given a seed: experiments in the paper
@@ -30,7 +30,7 @@ pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Pois
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{MulBuildHasher, MulHasher};
 pub use metrics::{
-    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TreeFolder, UtilizationIntegrator,
+    fold_ordered, tree_fold, Cdf, StreamingStats, TreeFolder, UtilizationIntegrator,
 };
 pub use pool::{fan_out, max_workers, scoped_map, scoped_map_workers};
 pub use rng::{MergeKey, SimRng};

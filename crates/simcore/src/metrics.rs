@@ -2,11 +2,12 @@
 //!
 //! * [`StreamingStats`] — count/mean/variance/min/max via Welford's
 //!   algorithm, O(1) memory.
-//! * [`Histogram`] — log-bucketed latency histogram with percentile
-//!   queries (P50/P90/P99 as the paper reports).
 //! * [`UtilizationIntegrator`] — time-weighted average of a piecewise-
 //!   constant signal such as SM or memory utilization.
 //! * [`Cdf`] — empirical CDF for the trace-analysis figures.
+//! * [`tree_fold`], [`TreeFolder`] and [`fold_ordered`] — fixed-shape
+//!   reductions, so merged statistics are bit-identical whichever
+//!   threads or shards produced the parts.
 
 use crate::time::SimTime;
 
@@ -112,138 +113,6 @@ impl StreamingStats {
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
-    }
-}
-
-/// Log-bucketed histogram over positive values, with percentile queries.
-///
-/// Buckets grow geometrically, giving a bounded relative quantile error
-/// (default 1 % with 2,305 buckets spanning 1 µs–10⁵ s when values are
-/// seconds). Used for the paper's P99 tail-latency metrics.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// Lower bound of bucket 0.
-    floor: f64,
-    /// Geometric growth factor between bucket boundaries.
-    growth: f64,
-    /// `ln(growth)` cached for index computation.
-    ln_growth: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    total: u64,
-    stats: StreamingStats,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates a histogram spanning `1e-6 ..= 1e5` with 1 % resolution,
-    /// suitable for latencies in seconds.
-    pub fn new() -> Self {
-        Self::with_range(1e-6, 1e5, 1.01)
-    }
-
-    /// Creates a histogram spanning `[floor, ceil]` with geometric bucket
-    /// growth `growth`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor <= 0`, `ceil <= floor`, or `growth <= 1`.
-    pub fn with_range(floor: f64, ceil: f64, growth: f64) -> Self {
-        assert!(floor > 0.0 && ceil > floor && growth > 1.0);
-        let n = ((ceil / floor).ln() / growth.ln()).ceil() as usize + 1;
-        Histogram {
-            floor,
-            growth,
-            ln_growth: growth.ln(),
-            counts: vec![0; n],
-            underflow: 0,
-            total: 0,
-            stats: StreamingStats::new(),
-        }
-    }
-
-    fn bucket_index(&self, x: f64) -> Option<usize> {
-        if x < self.floor {
-            return None;
-        }
-        let idx = ((x / self.floor).ln() / self.ln_growth) as usize;
-        Some(idx.min(self.counts.len() - 1))
-    }
-
-    /// Records one observation (non-positive values land in underflow).
-    pub fn record(&mut self, x: f64) {
-        debug_assert!(x.is_finite(), "non-finite observation {x}");
-        self.total += 1;
-        self.stats.record(x);
-        match self.bucket_index(x) {
-            Some(i) => self.counts[i] += 1,
-            None => self.underflow += 1,
-        }
-    }
-
-    /// Merges another histogram with identical bucketing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        assert_eq!(self.floor, other.floor);
-        assert_eq!(self.growth, other.growth);
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-        self.stats.merge(&other.stats);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact running mean.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Exact running extrema and moments.
-    pub fn stats(&self) -> &StreamingStats {
-        &self.stats
-    }
-
-    /// The `q`-quantile (`0 <= q <= 1`), within one bucket's relative
-    /// resolution. Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.floor);
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Report the geometric midpoint of the bucket.
-                let lo = self.floor * self.growth.powi(i as i32);
-                return Some(lo * self.growth.sqrt());
-            }
-        }
-        Some(self.floor * self.growth.powi(self.counts.len() as i32))
-    }
-
-    /// The P99 quantile, the paper's tail-latency metric.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 }
 
@@ -417,30 +286,6 @@ mod tests {
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn histogram_quantiles_are_accurate() {
-        let mut h = Histogram::new();
-        for i in 1..=10_000 {
-            h.record(i as f64 * 1e-3); // 1 ms .. 10 s uniformly.
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((p50 - 5.0).abs() / 5.0 < 0.02, "p50 {p50}");
-        let p99 = h.p99().unwrap();
-        assert!((p99 - 9.9).abs() / 9.9 < 0.02, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for i in 1..=100 {
-            a.record(i as f64 * 1e-3);
-            b.record(i as f64 * 1e-2);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
     }
 
     #[test]

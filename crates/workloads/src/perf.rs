@@ -413,47 +413,12 @@ impl GroundTruth {
     // answered by construction here and probed by fig23.
     // ------------------------------------------------------------------
 
-    /// Mean inter-token (decode-iteration) latency of a generative
-    /// service running `batch` concurrent sequences.
-    pub fn decode_iteration_latency(
-        &self,
-        service: ServiceId,
-        batch: u32,
-        gpu_fraction: f64,
-        colo: &[ColoWorkload],
-    ) -> f64 {
-        self.inference_latency(service, batch, gpu_fraction, colo)
-    }
-
-    /// Mean prefill latency for the service's mean prompt length: the
-    /// prompt is chunked into `prefill_chunk_tokens`-sized iterations,
-    /// each riding the running batch at the decode-iteration cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service is not generative.
-    pub fn prefill_latency(
-        &self,
-        service: ServiceId,
-        batch: u32,
-        gpu_fraction: f64,
-        colo: &[ColoWorkload],
-    ) -> f64 {
-        let g = self
-            .zoo
-            .service(service)
-            .generative
-            .as_ref()
-            .expect("prefill_latency on a non-generative service");
-        g.prefill_iterations() * self.inference_latency(service, batch, gpu_fraction, colo)
-    }
-
     /// Steady-state running batch of a generative service under
     /// Little's law: the concurrency `B` satisfying
     /// `B = qps · (prefill + decode_tokens · ITL(B))`, solved by a
     /// bounded monotone fixed-point iteration over the piece-wise
-    /// curves and clamped to the configured batch cap (the continuous
-    /// batcher's admission limit). Returns `1` for an idle service and
+    /// curves and clamped to the configured batch cap (continuous
+    /// batching's admission limit). Returns `1` for an idle service and
     /// `cap` for a non-generative one.
     pub fn steady_decode_batch(
         &self,
@@ -881,30 +846,16 @@ mod tests {
     #[test]
     fn decode_iteration_follows_piecewise_curves() {
         let g = GroundTruth::new(Zoo::with_llms(), 42);
-        let s = g.zoo().require_service("Llama-7B").unwrap().id;
-        // The decode iteration IS the batch latency at the running
-        // batch size — interference structure carries over unchanged.
-        assert_eq!(
-            g.decode_iteration_latency(s, 16, 0.5, &[]),
-            g.inference_latency(s, 16, 0.5, &[])
-        );
-        // More concurrent sequences -> slower iterations; more GPU ->
-        // faster iterations.
-        assert!(
-            g.decode_iteration_latency(s, 32, 0.5, &[])
-                > g.decode_iteration_latency(s, 4, 0.5, &[])
-        );
-        assert!(
-            g.decode_iteration_latency(s, 16, 0.8, &[])
-                < g.decode_iteration_latency(s, 16, 0.3, &[])
-        );
+        let spec = g.zoo().require_service("Llama-7B").unwrap();
+        let s = spec.id;
+        // A decode iteration is the batch latency at the running batch
+        // size: more concurrent sequences -> slower iterations; more
+        // GPU -> faster iterations.
+        assert!(g.inference_latency(s, 32, 0.5, &[]) > g.inference_latency(s, 4, 0.5, &[]));
+        assert!(g.inference_latency(s, 16, 0.8, &[]) < g.inference_latency(s, 16, 0.3, &[]));
         // Prefill costs multiple chunked iterations.
-        let itl = g.decode_iteration_latency(s, 16, 0.5, &[]);
-        let prefill = g.prefill_latency(s, 16, 0.5, &[]);
-        assert!(
-            (prefill / itl - 4.0).abs() < 1e-9,
-            "512-token prompt / 128 chunk"
-        );
+        let prefill = spec.generative.as_ref().unwrap().prefill_iterations();
+        assert!((prefill - 4.0).abs() < 1e-9, "512-token prompt / 128 chunk");
     }
 
     #[test]
@@ -916,7 +867,7 @@ mod tests {
         let light = g.steady_decode_batch(s, 32, 0.6, 0.5, &[]);
         let heavy = g.steady_decode_batch(s, 32, 0.6, 4.0, &[]);
         assert!(light >= 1 && heavy > light, "light {light} heavy {heavy}");
-        // Overload clamps to the continuous batcher's admission cap.
+        // Overload clamps to the batch cap (the admission limit).
         assert_eq!(g.steady_decode_batch(s, 32, 0.6, 1000.0, &[]), 32);
         // Non-generative services pass the cap through untouched.
         let rn = g.zoo().require_service("ResNet50").unwrap().id;

@@ -8,7 +8,7 @@ use cluster::systems::SystemKind;
 use modeling::fit::piecewise::{fit_piecewise, PiecewiseLinear};
 use modeling::solver::{latency_budget, min_gpu_fraction};
 use resilience::{CorrelatedFaultConfig, FaultConfig, FaultDomain, FaultProfile, FaultSchedule};
-use simcore::{EventQueue, Histogram, SimRng, SimTime, StreamingStats, Topology, TopologyShape};
+use simcore::{EventQueue, SimRng, SimTime, StreamingStats, Topology, TopologyShape};
 use workloads::{ColoWorkload, GroundTruth, ServiceId, TaskId, Zoo};
 
 fn gt() -> GroundTruth {
@@ -41,22 +41,6 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var));
-    }
-
-    /// Histogram quantiles are monotone in the quantile and bounded by
-    /// the observed extrema (within bucket resolution).
-    #[test]
-    fn histogram_quantiles_are_monotone(xs in proptest::collection::vec(1e-4f64..1e3, 10..500)) {
-        let mut h = Histogram::new();
-        xs.iter().for_each(|&x| h.record(x));
-        let mut last = 0.0;
-        for i in 1..=10 {
-            let q = h.quantile(i as f64 / 10.0).unwrap();
-            prop_assert!(q >= last);
-            last = q;
-        }
-        let max = xs.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert!(h.quantile(1.0).unwrap() <= max * 1.03 + 1e-6);
     }
 
     /// A fitted piece-wise curve reproduces noiseless piece-wise data
@@ -226,7 +210,7 @@ proptest! {
         let t0 = SimTime::from_secs(0.0);
         let mut dev = GpuDevice::new(DeviceId(0), 40.0);
         let reserve = reserve_pct as f64 * 0.1;
-        dev.seed_standby(&g, t0, StandbyInstance::new(ServiceId(0), 16, reserve, true));
+        dev.seed_standby(&g, t0, StandbyInstance::new(ServiceId(0), 16, reserve));
         // The engine caps the primary's slice at 1 - reserve; mirror it.
         let inf = (inf_pct as f64 * 0.1).min(1.0 - reserve).max(0.01);
         dev.deploy_inference(&g, t0, InferenceInstance::new(ServiceId(1), 16, inf, qps));
@@ -666,188 +650,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Generative regime: continuous batching, KV accounting, LLM replay.
+// Generative regime: LLM replay.
 // ---------------------------------------------------------------------
-
-proptest! {
-    /// Token conservation: under any seeded arrival/length sequence
-    /// with interleaved device faults and queue sheds, every admitted
-    /// decode token is delivered, still pending (queued, in flight, or
-    /// re-owed after a fault), or booked as dropped — never lost. After
-    /// draining, the ledger closes exactly.
-    #[test]
-    fn continuous_batching_conserves_tokens(
-        opseed in any::<u64>(),
-        n_reqs in 1usize..40,
-        cap in 1u32..16,
-        llm in 0usize..2,
-    ) {
-        use gpu_sim::{ContinuousBatcher, GenRequest, MemoryManager};
-        let g = GroundTruth::new(Zoo::with_llms(), 7);
-        let svc = g
-            .zoo()
-            .require_service(["Llama-7B", "OPT-13B"][llm])
-            .unwrap()
-            .id;
-        let mut b = ContinuousBatcher::new(&g, svc, cap, 0.6);
-        // Roomy pool: memory pressure is the next test's subject.
-        let mut mem = MemoryManager::new(100.0);
-        let mut rng = SimRng::seed(opseed);
-        let mut submitted = 0usize;
-        for _ in 0..160 {
-            while submitted < n_reqs && rng.chance(0.4) {
-                b.submit(GenRequest {
-                    id: submitted as u64,
-                    prompt_tokens: rng.uniform_usize(1, 512) as u32,
-                    decode_tokens: rng.uniform_usize(1, 96) as u32,
-                });
-                submitted += 1;
-            }
-            match rng.uniform_usize(0, 12) {
-                0 => {
-                    b.fault(&mut mem, b.now());
-                }
-                1 => {
-                    b.shed_queue();
-                }
-                _ => {
-                    b.step(&g, &mut mem);
-                }
-            }
-            prop_assert!(b.check_conservation().is_ok(), "{:?}", b.check_conservation());
-        }
-        // Late arrivals the op loop never got to, then drain to empty:
-        // nothing left pending, and admitted splits exactly into
-        // delivered + dropped.
-        while submitted < n_reqs {
-            b.submit(GenRequest {
-                id: submitted as u64,
-                prompt_tokens: rng.uniform_usize(1, 512) as u32,
-                decode_tokens: rng.uniform_usize(1, 96) as u32,
-            });
-            submitted += 1;
-        }
-        let mut guard = 0u32;
-        while b.pending_tokens() > 0 {
-            b.step(&g, &mut mem);
-            guard += 1;
-            prop_assert!(guard < 50_000, "batcher failed to drain");
-        }
-        prop_assert!(b.check_conservation().is_ok(), "{:?}", b.check_conservation());
-        prop_assert_eq!(b.queued(), 0);
-        prop_assert_eq!(b.running(), 0);
-        let l = b.ledger();
-        prop_assert_eq!(l.admitted, (l.completed - l.refaulted) + l.dropped);
-    }
-
-    /// KV-cache accounting: the KV GB the batcher charges to the
-    /// unified pool equal the live context (prefilled prompt plus
-    /// generated tokens) of every in-flight request times the
-    /// per-token cache size — recomputed here by an independent shadow
-    /// of the join/prefill/decode schedule. Training pages swap out
-    /// only above the pool high-watermark, and exactly the overflow.
-    #[test]
-    fn kv_charge_matches_live_context(
-        opseed in any::<u64>(),
-        cap in 1u32..16,
-        train_gb in 0.0f64..32.0,
-    ) {
-        use gpu_sim::{ContinuousBatcher, GenRequest, MemoryManager, ResidentId};
-        use std::collections::VecDeque;
-        let g = GroundTruth::new(Zoo::with_llms(), 7);
-        let spec = g.zoo().require_service("Llama-7B").unwrap();
-        let genp = spec.generative.as_ref().unwrap();
-        let (kv_mb, chunk) = (genp.kv_mb_per_token, genp.prefill_chunk_tokens.max(1.0) as u32);
-        let pool_gb = 40.0;
-        let mut mem = MemoryManager::new(pool_gb);
-        mem.add_training(SimTime::from_secs(0.0), ResidentId(1), train_gb);
-        let mut b = ContinuousBatcher::new(&g, spec.id, cap, 0.6);
-        let mut rng = SimRng::seed(opseed);
-
-        // Shadow of the batcher's schedule: FIFO joins, chunked
-        // prefill, one decode per iteration, swap-remove retirement
-        // (order matters — it fixes the requeue order on fault).
-        #[derive(Clone, Copy)]
-        struct Shadow {
-            prompt: u32,
-            decode: u32,
-            prefilled: u32,
-            decoded: u32,
-        }
-        let mut squeue: VecDeque<(u32, u32)> = VecDeque::new();
-        let mut srun: Vec<Shadow> = Vec::new();
-
-        let mut next_id = 0u64;
-        for _ in 0..120 {
-            if rng.chance(0.5) {
-                // Long prompts so the KV cache actually pressures the
-                // 40 GB pool at the larger caps.
-                let (p, d) = (rng.uniform_usize(16, 2048) as u32, rng.uniform_usize(1, 64) as u32);
-                b.submit(GenRequest { id: next_id, prompt_tokens: p, decode_tokens: d });
-                squeue.push_back((p, d));
-                next_id += 1;
-            }
-            if rng.chance(0.05) {
-                b.fault(&mut mem, b.now());
-                for f in srun.drain(..).rev() {
-                    squeue.push_front((f.prompt, f.decode));
-                }
-                continue;
-            }
-            let r = b.step(&g, &mut mem);
-
-            // Replay the same iteration on the shadow.
-            while srun.len() < cap as usize {
-                let Some((p, d)) = squeue.pop_front() else { break };
-                srun.push(Shadow { prompt: p, decode: d, prefilled: 0, decoded: 0 });
-            }
-            if !srun.is_empty() {
-                let mut i = 0;
-                while i < srun.len() {
-                    let f = &mut srun[i];
-                    if f.prefilled < f.prompt {
-                        f.prefilled = (f.prefilled + chunk).min(f.prompt);
-                        i += 1;
-                        continue;
-                    }
-                    f.decoded += 1;
-                    if f.decoded >= f.decode {
-                        srun.swap_remove(i);
-                        continue;
-                    }
-                    i += 1;
-                }
-            }
-            let ctx: u64 = srun.iter().map(|f| (f.prefilled + f.decoded) as u64).sum();
-            let expected_kv = ctx as f64 * kv_mb / 1024.0;
-            prop_assert!(
-                (r.kv_gb - expected_kv).abs() < 1e-9,
-                "KV charge {} != shadow context charge {}",
-                r.kv_gb,
-                expected_kv
-            );
-            prop_assert!((b.kv_demand_gb() - expected_kv).abs() < 1e-9);
-
-            // Pool identities: total demand is weights + live KV +
-            // training; swap activates only above the high-watermark
-            // and moves exactly the overflow (inference never swaps).
-            let demand = mem.total_demand_gb();
-            let expected_demand = spec.weights_gb + expected_kv + train_gb;
-            prop_assert!((demand - expected_demand).abs() < 1e-9);
-            let swapped = mem.total_swapped_gb();
-            if demand <= pool_gb + 1e-9 {
-                prop_assert!(swapped < 1e-9, "swap below the watermark: {swapped}");
-            } else {
-                let overflow = (demand - pool_gb).min(train_gb);
-                prop_assert!(
-                    (swapped - overflow).abs() < 1e-9,
-                    "swapped {swapped} != overflow {overflow}"
-                );
-            }
-            prop_assert!((mem.device_resident_gb() + swapped - demand).abs() < 1e-9);
-        }
-    }
-}
 
 proptest! {
     // Each case boots four physical-preset sessions; a few random
