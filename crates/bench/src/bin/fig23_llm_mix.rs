@@ -27,7 +27,8 @@
 
 use std::fmt::Write as _;
 
-use cluster::engine::{ClusterConfig, ClusterEngine, ScalePreset};
+use cluster::engine::{ClusterConfig, ScalePreset};
+use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
 
 const LEDGER_PATH: &str = concat!(
@@ -65,7 +66,7 @@ fn run_cell(system: SystemKind, load: f64, horizon_secs: f64) -> Cell {
         .load_multiplier(load)
         .max_sim_secs(horizon_secs)
         .build();
-    let r = ClusterEngine::new(cfg).run_scaled(0.01);
+    let r = end_to_end(cfg, 0.01);
     Cell {
         system: system.name(),
         load,

@@ -153,36 +153,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Applies a burst schedule on top of the fluctuating QPS.
-    pub fn burst(mut self, burst: BurstSchedule) -> Self {
-        self.config.burst = Some(burst);
-        self
-    }
-
-    /// Overrides the pending-queue policy.
-    pub fn policy(mut self, policy: QueuePolicy) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Overrides the base training-task arrival rate (tasks/second).
-    pub fn arrival_rate(mut self, rate: f64) -> Self {
-        self.config.arrival_rate = rate;
-        self
-    }
-
-    /// Overrides the arrival scaling factor.
-    pub fn arrival_scale(mut self, scale: f64) -> Self {
-        self.config.arrival_scale = scale;
-        self
-    }
-
-    /// Enables fault injection with the given profile.
-    pub fn faults(mut self, profile: FaultProfile) -> Self {
-        self.config.faults = Some(profile);
-        self
-    }
-
     /// Overrides the rack/node topology shape.
     pub fn topology(mut self, shape: TopologyShape) -> Self {
         self.config.topology = shape;

@@ -18,7 +18,7 @@
 //! wrappers that build the lane view for the target device and drain
 //! its outbox immediately.
 
-use gpu_sim::{GpuDevice, ReconfigPolicy, ResidentId};
+use gpu_sim::{GpuDevice, ResidentId, SHADOW_SWITCH_SECS};
 use mudi::TuneTrigger;
 use simcore::{normal_cdf, SimDuration, SimEvent, SimTime};
 use workloads::GroundTruth;
@@ -436,7 +436,7 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
             SystemKind::Gslice | SystemKind::Gpulets | SystemKind::MuxFlow => {
                 SimDuration::from_secs(1.0)
             }
-            _ => ReconfigPolicy::ShadowInstance.visible_downtime(),
+            _ => SimDuration::from_secs(SHADOW_SWITCH_SECS),
         };
         let svc = ctx.devices[li].inference().expect("replica").service;
         let lost = qps * downtime.as_secs();

@@ -1,8 +1,11 @@
-//! Incremental session API over the staged kernel.
+//! The one driver of the staged kernel.
 //!
-//! A [`ClusterSession`] is the serving-mode counterpart of
-//! [`ClusterEngine::run_traced`](super::ClusterEngine::run_traced): instead of
-//! executing the event loop to completion, the caller advances
+//! A [`ClusterSession`] owns the engine state and a session clock that
+//! only moves when the caller advances it. A batch experiment is a
+//! session run to the end: [`ClusterSession::run_to_end`] steps windows
+//! until the sim-time cap and stops in the window where the last job
+//! completes, then [`ClusterSession::finish`] assembles the
+//! [`ExperimentResult`]. A served or scripted session instead advances
 //! simulated time explicitly with [`ClusterSession::step_until`] and
 //! interleaves *live* operations between steps — routing individual
 //! inference requests through the replica selector, deploying and
@@ -12,14 +15,12 @@
 //! clock; everything here is deterministic given the config seed and
 //! the call sequence, so a scripted session replays byte-for-byte.
 //!
-//! The session reuses the batch kernel unchanged: each drain proceeds
-//! in the same epoch windows as [`Stepper::run`] — a parallel lane
-//! phase, the envelope commit barrier, then the serial global phase —
-//! so a session over a sharded cluster replays bit-identically across
+//! Both drivers share one window loop: each window is a parallel lane
+//! phase, the envelope commit barrier, then the serial global phase, so
+//! a session over a sharded cluster replays bit-identically across
 //! every `(shards, workers)` grid point. Live faults are appended to
 //! the run's fault schedule and delivered through the same `Faults`
-//! stage, and [`ClusterSession::finish`] assembles the identical
-//! [`ExperimentResult`] a batch run would have produced.
+//! stage.
 //!
 //! The module is split by concern: the request path (replica scoring
 //! and latency sampling) lives in [`infer`], the admin operations
@@ -38,8 +39,9 @@ use std::time::Instant;
 
 use modeling::bo::SearchCounts;
 use mudi::TuneTrigger;
-use simcore::{SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
-use workloads::ServiceId;
+use resilience::FaultSchedule;
+use simcore::{SimEvent, SimRng, SimTime, TraceBus, TraceConfig, TraceSummary, TracedEvent};
+use workloads::{GroundTruth, ServiceId, TaskId};
 
 use crate::metrics::{ExperimentResult, FaultMetrics};
 
@@ -47,7 +49,7 @@ use super::admission::Admission;
 use super::config::ClusterConfig;
 use super::control::Control;
 use super::shard::epoch_end_after;
-use super::state::{ServiceFold, SimState};
+use super::state::{PlacementLog, ServiceFold, SimState};
 use super::stepper::Stepper;
 
 /// Why a live operation was rejected.
@@ -222,8 +224,26 @@ impl ClusterSession {
     /// Like [`ClusterSession::new`] with every job's iteration count
     /// multiplied by `iteration_scale` (tests use ≪1).
     pub fn new_scaled(config: ClusterConfig, iteration_scale: f64) -> Self {
+        Self::build(config, iteration_scale, None)
+    }
+
+    /// Like [`ClusterSession::new_scaled`], replaying `schedule` instead
+    /// of the fault schedule the config would generate — tests inject
+    /// hand-built scenarios (e.g. exactly one failure at a known time).
+    pub fn with_fault_schedule(
+        config: ClusterConfig,
+        iteration_scale: f64,
+        schedule: FaultSchedule,
+    ) -> Self {
+        Self::build(config, iteration_scale, Some(schedule))
+    }
+
+    fn build(config: ClusterConfig, iteration_scale: f64, schedule: Option<FaultSchedule>) -> Self {
         let mut st = SimState::new(config);
         st.iter_scale = iteration_scale.clamp(1e-6, 1.0);
+        if let Some(schedule) = schedule {
+            st.fault_schedule = schedule;
+        }
         let wall_start = Instant::now();
         Admission.submit_jobs(&mut st);
         Stepper.schedule_initial_events(&mut st);
@@ -263,24 +283,51 @@ impl ClusterSession {
     /// there. Returns how many events fired. A horizon at or before
     /// the current clock is a no-op.
     pub fn step_until(&mut self, horizon: SimTime) -> u64 {
-        let horizon = horizon.min(SimTime::from_secs(self.st.config.max_sim_secs));
+        let horizon = horizon.min(self.cap());
         if horizon <= self.now {
             return 0;
         }
-        self.routes.clear();
         let before = self.st.fired();
-        // Drain in the batch stepper's epoch windows: the lane phase
-        // steps each shard's local queue in parallel, the barrier
-        // commits cross-lane envelopes in canonical `(time, device,
-        // seq)` order, then the serial phase fires global events.
-        // Handlers may schedule follow-ups inside the horizon, so keep
-        // opening windows until nothing at or before it remains.
-        while let Some(next) = self.st.next_event_time().filter(|&t| t <= horizon) {
-            let t1 = epoch_end_after(self.st.config.shard_epoch_secs, next).min(horizon);
-            Stepper.run_window(&mut self.st, t1, &mut self.last_finish, false);
-        }
+        self.run_windows(horizon, false);
         self.now = horizon;
         self.st.fired() - before
+    }
+
+    /// Runs the batch stop rule: steps windows until the sim-time cap,
+    /// stopping in the window where the last job completes. The clock
+    /// moves to the last fired event, so [`ClusterSession::finish`]
+    /// closes the run there. With `MUDI_TRACE=1` the trace summary and
+    /// its event tail go to stderr; stdout stays byte-identical.
+    pub fn run_to_end(&mut self) {
+        self.run_windows(self.cap(), true);
+        self.now = self.now.max(self.st.sim_now());
+        let bus = &self.st.trace;
+        if bus.is_enabled() && simcore::env::flag("MUDI_TRACE") {
+            eprint!("{}", bus.summary());
+            eprint!("{}", bus.render_tail(20));
+        }
+    }
+
+    /// The one window loop. Drains in epoch windows: the lane phase
+    /// steps each shard's local queue in parallel, the barrier commits
+    /// cross-lane envelopes in canonical `(time, device, seq)` order,
+    /// then the serial phase fires global events. Handlers may schedule
+    /// follow-ups inside the horizon, so windows keep opening until
+    /// nothing at or before it remains — or, with `check_done`, until
+    /// every job has completed.
+    fn run_windows(&mut self, horizon: SimTime, check_done: bool) {
+        self.routes.clear();
+        while let Some(next) = self.st.next_event_time().filter(|&t| t <= horizon) {
+            let t1 = epoch_end_after(self.st.config.shard_epoch_secs, next).min(horizon);
+            if Stepper.run_window(&mut self.st, t1, &mut self.last_finish, check_done) {
+                break;
+            }
+        }
+    }
+
+    /// The sim-time cap (`max_sim_secs`).
+    fn cap(&self) -> SimTime {
+        SimTime::from_secs(self.st.config.max_sim_secs)
     }
 
     // ------------------------------------------------------------------
@@ -411,7 +458,42 @@ impl ClusterSession {
         self.st.shared.gt.zoo()
     }
 
-    /// Finalizes the session and assembles the batch-equivalent result.
+    /// The ground-truth model backing this session.
+    pub fn ground_truth(&self) -> &GroundTruth {
+        &self.st.shared.gt
+    }
+
+    /// The fault schedule this session replays (live faults included).
+    pub fn fault_schedule(&self) -> &FaultSchedule {
+        &self.st.fault_schedule
+    }
+
+    /// The placement log `(task, chosen device, candidates)` for the
+    /// §5.4 optimality analysis, rebuilt from the retained `Placement`
+    /// events. Empty unless the trace config keeps placements
+    /// ([`TraceConfig::with_placement_log`]).
+    pub fn placement_log(&self) -> PlacementLog {
+        self.st
+            .trace
+            .placements()
+            .iter()
+            .filter_map(|te| match &te.event {
+                SimEvent::Placement {
+                    task,
+                    device,
+                    candidates,
+                } => Some((
+                    TaskId(*task),
+                    *device,
+                    candidates.iter().map(|&(d, s)| (d, ServiceId(s))).collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Finalizes the session at its clock (or the last fired event, if
+    /// later) and assembles the result.
     pub fn finish(mut self) -> ExperimentResult {
         let end = self.now.max(self.st.sim_now());
         Stepper.finalize(&mut self.st, end);
@@ -499,6 +581,32 @@ mod tests {
         // Relative stepping lands exactly delta later.
         s.step_until(s.now() + SimDuration::from_secs(60.0));
         assert_eq!(s.now(), SimTime::from_secs(660.0));
+    }
+
+    #[test]
+    fn stepping_then_running_to_the_end_matches_a_straight_run() {
+        // A session stepped to epoch boundaries before the last job
+        // completes, then run to the end, opens the same windows as a
+        // straight run and so finishes with the same result.
+        let mut straight = session(6);
+        straight.run_to_end();
+        let end = straight.now().as_secs();
+        let (done, submitted) = straight.job_counts();
+        assert_eq!(done, submitted);
+        let mut stepped = session(6);
+        let epoch = stepped.st.config.shard_epoch_secs;
+        let (mut h, mut steps) = (epoch, 0);
+        while h + epoch < end {
+            steps += u64::from(stepped.step_until(SimTime::from_secs(h)) > 0);
+            h += 3.0 * epoch;
+        }
+        assert!(steps >= 2, "the run must span several steps");
+        stepped.run_to_end();
+        assert_eq!(stepped.now(), straight.now());
+        assert_eq!(
+            stepped.finish().canonical_text(),
+            straight.finish().canonical_text()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * **device-local** — it touches only the lane's own `GpuDevice` /
 //!   `DeviceState` slice and draws only from per-device named
-//!   substreams (`substream("retune", d)`, `fork_indexed("qps", d)`),
+//!   substreams (`fork_indexed("retune", d)`, `fork_indexed("qps", d)`),
 //!   or
 //! * **deferred** — it emits a typed [`OutMsg`] envelope stamped with a
 //!   [`MergeKey`] `(time, device, seq)` into the lane's outbox.

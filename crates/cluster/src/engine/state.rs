@@ -602,7 +602,7 @@ impl SimState {
                 pending_promote: None,
                 promote_token: 0,
                 vp_cache: VpCache::default(),
-                retune_rng: rng.substream("retune", d),
+                retune_rng: rng.fork_indexed("retune", d),
                 acc: DevAccum::new(),
             });
         }

@@ -1,8 +1,8 @@
-//! Stepper stage: the simulation time loop.
+//! Stepper stage: one window of the simulation time loop.
 //!
-//! Owns window sequencing for the parallel-commit kernel. Time
-//! advances in epoch windows (`(0, e], (e, 2e], …` per
-//! [`epoch_end_after`]); each window runs rounds of
+//! Owns window execution for the parallel-commit kernel. The session's
+//! window loop advances time in epoch windows (`(0, e], (e, 2e], …` per
+//! [`super::shard::epoch_end_after`]); each window runs rounds of
 //!
 //! 1. **lane phase** — every lane executes its own events up to the
 //!    window end, device by device, fanned out over the worker pool
@@ -33,7 +33,7 @@ use crate::metrics::ExperimentResult;
 use super::admission::Admission;
 use super::control::{self, Control};
 use super::faults::{self, Faults};
-use super::shard::{epoch_end_after, Envelope};
+use super::shard::Envelope;
 use super::state::{DeviceState, GlobalEvent, LaneBox, LaneCtx, LaneEvent, SessionMemo, SimState};
 
 /// The stepper. Stateless: everything lives in [`SimState`].
@@ -86,33 +86,10 @@ impl Stepper {
         }
     }
 
-    /// Runs the event loop to completion (or the sim-time cap) and
-    /// returns the assembled result. `wall_start` anchors the reported
-    /// wall-clock cost; job submission and initial seeding must already
-    /// have happened.
-    pub fn run(&self, st: &mut SimState, wall_start: Instant) -> ExperimentResult {
-        let cap = SimTime::from_secs(st.config.max_sim_secs);
-        let mut last_finish = SimTime::ZERO;
-        while let Some(next) = st.next_event_time() {
-            if next > cap {
-                break; // Past the sim-time cap: stop without firing.
-            }
-            let t1 = epoch_end_after(st.config.shard_epoch_secs, next).min(cap);
-            if self.run_window(st, t1, &mut last_finish, true) {
-                break; // Every job completed.
-            }
-        }
-
-        let end = st.sim_now();
-        self.finalize(st, end);
-        self.build_result(st, last_finish, wall_start.elapsed().as_secs_f64())
-    }
-
     /// Runs one stepping window: rounds of lane phase → barrier →
     /// global phase until no event at or before `t1` remains anywhere.
     /// Returns `true` when `check_done` is set and every job completed
-    /// mid-window. Shared by the batch run loop and the incremental
-    /// session API.
+    /// mid-window (the run-to-end stop rule).
     pub fn run_window(
         &self,
         st: &mut SimState,

@@ -4,9 +4,20 @@ use super::*;
 
 use resilience::{FaultKind, FaultProfile, FaultSchedule};
 use simcore::{SimDuration, SimEventKind, SimTime, Topology, TopologyShape};
-use workloads::Zoo;
+use workloads::{ServiceId, Zoo};
 
+use crate::experiments::end_to_end;
+use crate::metrics::ExperimentResult;
 use crate::systems::SystemKind;
+
+use state::SimState;
+
+/// Runs `session` to the end: its result and trace summary.
+fn run_traced(mut session: ClusterSession) -> (ExperimentResult, simcore::TraceSummary) {
+    session.run_to_end();
+    let summary = session.trace_summary();
+    (session.finish(), summary)
+}
 
 #[test]
 fn violation_probability_shapes() {
@@ -71,8 +82,7 @@ fn violation_probability_slo_below_floor_latency_saturates() {
 
 #[test]
 fn tiny_random_cluster_completes_all_jobs() {
-    let engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 1));
-    let result = engine.run_scaled(0.002);
+    let result = end_to_end(ClusterConfig::tiny(SystemKind::Random, 1), 0.002);
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.makespan_secs > 0.0);
     assert!(result.ct.count() > 0);
@@ -82,16 +92,15 @@ fn tiny_random_cluster_completes_all_jobs() {
 
 #[test]
 fn tiny_gslice_cluster_completes() {
-    let engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Gslice, 2));
-    let result = engine.run_scaled(0.002);
+    let result = end_to_end(ClusterConfig::tiny(SystemKind::Gslice, 2), 0.002);
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.ct.mean() > 0.0);
 }
 
 #[test]
 fn deterministic_given_seed() {
-    let a = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7)).run_scaled(0.002);
-    let b = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7)).run_scaled(0.002);
+    let a = end_to_end(ClusterConfig::tiny(SystemKind::Random, 7), 0.002);
+    let b = end_to_end(ClusterConfig::tiny(SystemKind::Random, 7), 0.002);
     assert_eq!(a.jobs_completed, b.jobs_completed);
     assert!((a.makespan_secs - b.makespan_secs).abs() < 1e-6);
     assert!((a.overall_violation_rate() - b.overall_violation_rate()).abs() < 1e-12);
@@ -101,10 +110,10 @@ fn deterministic_given_seed() {
 fn tracing_does_not_perturb_the_run() {
     // The trace bus is pure observation: enabling it (even with the
     // unbounded placement log) must leave every result bit-identical.
-    let base = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Mudi, 7)).run_scaled(0.002);
-    let mut engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Mudi, 7));
-    engine.set_trace_config(simcore::TraceConfig::with_placement_log());
-    let (traced, summary) = engine.run_traced(0.002);
+    let base = end_to_end(ClusterConfig::tiny(SystemKind::Mudi, 7), 0.002);
+    let mut session = ClusterSession::new_scaled(ClusterConfig::tiny(SystemKind::Mudi, 7), 0.002);
+    session.set_trace_config(simcore::TraceConfig::with_placement_log());
+    let (traced, summary) = run_traced(session);
     assert!(summary.emitted() > 0, "tracing should observe events");
     assert_eq!(base.jobs_completed, traced.jobs_completed);
     assert_eq!(
@@ -125,9 +134,9 @@ fn tracing_does_not_perturb_the_run() {
 #[test]
 fn trace_counters_aggregate_engine_activity() {
     let cfg = ClusterConfig::tiny(SystemKind::Mudi, 17).with_faults(FaultProfile::scaled(50.0));
-    let mut engine = ClusterEngine::new(cfg);
-    engine.set_trace_config(simcore::TraceConfig::enabled());
-    let (result, summary) = engine.run_traced(0.002);
+    let mut session = ClusterSession::new_scaled(cfg, 0.002);
+    session.set_trace_config(simcore::TraceConfig::enabled());
+    let (result, summary) = run_traced(session);
 
     // Every fired schedule entry emits exactly one FaultApplied; every
     // *applied* fault is a fired entry, so the counter dominates the
@@ -156,16 +165,16 @@ fn single_failure_trace_matches_fault_metrics() {
     let n_services = Zoo::standard().services().len();
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 31);
     cfg.devices = n_services + 2;
-    let mut engine = ClusterEngine::new(cfg);
-    engine.set_fault_schedule(FaultSchedule::from_events(vec![FaultEvent::device_local(
+    let schedule = FaultSchedule::from_events(vec![FaultEvent::device_local(
         SimTime::from_secs(600.0),
         0,
         FaultKind::DeviceFailure {
             repair: SimDuration::from_mins(30.0),
         },
-    )]));
-    engine.set_trace_config(simcore::TraceConfig::enabled());
-    let (result, summary) = engine.run_traced(0.002);
+    )]);
+    let mut session = ClusterSession::with_fault_schedule(cfg, 0.002, schedule);
+    session.set_trace_config(simcore::TraceConfig::enabled());
+    let (result, summary) = run_traced(session);
     assert_eq!(result.faults.device_failures, 1);
     assert_eq!(summary.count(SimEventKind::FaultApplied), 1);
     assert_eq!(
@@ -175,10 +184,14 @@ fn single_failure_trace_matches_fault_metrics() {
 }
 
 #[test]
-fn run_with_log_reconstructs_placements_from_trace() {
+fn placement_log_is_rebuilt_from_trace() {
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 9);
     cfg.jobs = 8;
-    let (result, log) = ClusterEngine::new(cfg).run_with_log(0.002);
+    let mut session = ClusterSession::new_scaled(cfg, 0.002);
+    session.set_trace_config(simcore::TraceConfig::with_placement_log());
+    session.run_to_end();
+    let log = session.placement_log();
+    let result = session.finish();
     assert!(result.jobs_completed > 0);
     assert!(
         log.len() >= result.jobs_completed,
@@ -221,7 +234,7 @@ fn waiting_time_appears_under_contention() {
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 3);
     cfg.devices = 2;
     cfg.jobs = 12;
-    let result = ClusterEngine::new(cfg).run_scaled(0.002);
+    let result = end_to_end(cfg, 0.002);
     assert_eq!(result.jobs_completed, 12);
     assert!(
         result.waiting.max().unwrap_or(0.0) > 0.0,
@@ -234,7 +247,7 @@ fn faulty_run_is_deterministic() {
     let run = || {
         let cfg =
             ClusterConfig::tiny(SystemKind::Random, 17).with_faults(FaultProfile::scaled(50.0));
-        ClusterEngine::new(cfg).run_scaled(0.002)
+        end_to_end(cfg, 0.002)
     };
     let a = run();
     let b = run();
@@ -257,7 +270,7 @@ fn faulty_run_is_deterministic() {
 #[test]
 fn jobs_complete_under_faults() {
     let cfg = ClusterConfig::tiny(SystemKind::Mudi, 23).with_faults(FaultProfile::scaled(25.0));
-    let result = ClusterEngine::new(cfg).run_scaled(0.002);
+    let result = end_to_end(cfg, 0.002);
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.useful_iterations > 0.0);
     // Goodput only counts retained progress.
@@ -274,7 +287,6 @@ fn one_failure_run(devices: usize) -> ExperimentResult {
     use resilience::FaultEvent;
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 31);
     cfg.devices = devices;
-    let mut engine = ClusterEngine::new(cfg);
     let schedule = FaultSchedule::from_events(vec![FaultEvent::device_local(
         SimTime::from_secs(600.0),
         0,
@@ -282,8 +294,7 @@ fn one_failure_run(devices: usize) -> ExperimentResult {
             repair: SimDuration::from_mins(30.0),
         },
     )]);
-    engine.set_fault_schedule(schedule);
-    engine.run_scaled(0.002)
+    run_traced(ClusterSession::with_fault_schedule(cfg, 0.002, schedule)).0
 }
 
 #[test]
@@ -331,14 +342,13 @@ fn crash_rollback_loses_at_most_one_checkpoint_period() {
     // guarantee is pinned by the checkpoint tracker's own tests.)
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 41);
     cfg.jobs = 6;
-    let mut engine = ClusterEngine::new(cfg);
-    engine.set_fault_schedule(FaultSchedule::from_events(vec![FaultEvent::device_local(
+    let schedule = FaultSchedule::from_events(vec![FaultEvent::device_local(
         SimTime::from_secs(900.0),
         0,
         FaultKind::ProcessCrash { salt: 0 },
-    )]));
+    )]);
     let period = SimDuration::from_secs(CHECKPOINT_PERIOD_SECS);
-    let r = engine.run_scaled(0.002);
+    let r = run_traced(ClusterSession::with_fault_schedule(cfg, 0.002, schedule)).0;
     if r.faults.process_crashes == 0 {
         return; // Device 0 had no resident at fire time; nothing to check.
     }
@@ -468,12 +478,11 @@ fn rack_blast_run(pool: usize) -> ExperimentResult {
     let mut profile = FaultProfile::scaled(1.0);
     profile.recovery.standby = StandbyPolicy::warm(pool);
     cfg.faults = Some(profile);
-    let mut engine = ClusterEngine::new(cfg);
     // A repair interval short enough that the repairs land before
     // the last job completes (the run ends with the final job).
     let at = SimTime::from_secs(600.0);
     let repair = SimDuration::from_mins(6.0);
-    engine.set_fault_schedule(FaultSchedule::from_events(
+    let schedule = FaultSchedule::from_events(
         [0usize, n]
             .into_iter()
             .map(|d| FaultEvent {
@@ -483,8 +492,8 @@ fn rack_blast_run(pool: usize) -> ExperimentResult {
                 domain: FaultDomain::Rack(0),
             })
             .collect(),
-    ));
-    engine.run_scaled(0.002)
+    );
+    run_traced(ClusterSession::with_fault_schedule(cfg, 0.002, schedule)).0
 }
 
 #[test]
@@ -638,7 +647,7 @@ fn load_multiplier_raises_violations_for_adaptive_system() {
         let mut cfg = ClusterConfig::tiny(SystemKind::Gslice, 5);
         cfg.jobs = 10;
         cfg.load_multiplier = mult;
-        ClusterEngine::new(cfg).run_scaled(0.002)
+        end_to_end(cfg, 0.002)
     };
     let base = run(1.0);
     let heavy = run(4.0);

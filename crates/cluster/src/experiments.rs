@@ -14,7 +14,7 @@ use simcore::{SimRng, SimTime};
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{BurstSchedule, ColoWorkload, GroundTruth, ServiceId, Zoo};
 
-use crate::engine::{violation_probability, ClusterConfig, ClusterEngine};
+use crate::engine::{violation_probability, ClusterConfig, ClusterSession};
 use crate::metrics::ExperimentResult;
 use crate::systems::{build_system, DeviceView, Multiplexer, Optimal, SystemKind};
 
@@ -33,7 +33,10 @@ pub fn end_to_end_traced(
     iteration_scale: f64,
 ) -> (ExperimentResult, simcore::TraceSummary) {
     let started = std::time::Instant::now();
-    let (mut result, trace) = ClusterEngine::new(config).run_traced(iteration_scale);
+    let mut session = ClusterSession::new_scaled(config, iteration_scale);
+    session.run_to_end();
+    let trace = session.trace_summary();
+    let mut result = session.finish();
     result.wall_clock_secs = started.elapsed().as_secs_f64();
     (result, trace)
 }
@@ -445,9 +448,11 @@ pub struct OptimalityReport {
 pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> OptimalityReport {
     let mut cfg = ClusterConfig::physical(SystemKind::Mudi, seed);
     cfg.jobs = jobs;
-    let engine = ClusterEngine::new(cfg);
-    let gt = engine.ground_truth().clone();
-    let (_result, log) = engine.run_with_log(iteration_scale);
+    let mut session = ClusterSession::new_scaled(cfg, iteration_scale);
+    session.set_trace_config(simcore::TraceConfig::with_placement_log());
+    session.run_to_end();
+    let gt = session.ground_truth();
+    let log = session.placement_log();
     let mut oracle = Optimal::default();
 
     let mut matches = 0usize;
@@ -463,7 +468,7 @@ pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> Opti
             }
             let svc = gt.zoo().service(service);
             if let Some((_, _, iter)) =
-                oracle.best_config(&gt, service, svc.slo_secs(), 200.0, &[*task])
+                oracle.best_config(gt, service, svc.slo_secs(), 200.0, &[*task])
             {
                 per_service.insert(service, iter);
                 if best.is_none_or(|(_, bi)| iter < bi) {

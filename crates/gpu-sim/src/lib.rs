@@ -27,4 +27,4 @@ pub mod restart;
 pub use device::{DeviceHealth, DeviceId, GpuDevice};
 pub use memory::{MemoryManager, SwapStats, PCIE_GBPS};
 pub use process::{InferenceInstance, ResidentId, StandbyInstance, TrainingProcess};
-pub use restart::{ReconfigPolicy, MPS_RESTART_SECS, SHADOW_SWITCH_SECS};
+pub use restart::{MPS_RESTART_SECS, SHADOW_SWITCH_SECS};

@@ -298,12 +298,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(&b) if b < 0x20 => return Err(JsonError("control byte in string".into())),
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Consume the run of plain bytes up to the next quote,
+                // escape or control byte, validating only that run:
+                // those delimiters are ASCII, so they never split a
+                // scalar, and a string parses in linear time.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| JsonError("non-UTF-8 string".into()))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -344,6 +352,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn multibyte_string_at_the_body_cap_round_trips() {
+        // A body of exactly `MAX_BODY_BYTES` whose one string is mostly
+        // 2-, 3- and 4-byte scalars (ASCII-padded to the cap).
+        let cap = crate::http::MAX_BODY_BYTES;
+        let frame = r#"{"service":""}"#.len();
+        let unit = "é漢🙂";
+        let mut s = unit.repeat((cap - frame) / unit.len());
+        s.push_str(&"a".repeat(cap - frame - s.len()));
+        let text = format!(r#"{{"service":"{s}"}}"#);
+        assert_eq!(text.len(), cap);
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.get("service").and_then(Json::as_str), Some(s.as_str()));
+        assert_eq!(v.render(), text);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | variable             | helper        | meaning                                        |
 //! |----------------------|---------------|------------------------------------------------|
-//! | `MUDI_TRACE`         | [`flag`]      | enable the structured trace bus                |
+//! | `MUDI_TRACE`         | [`flag`]      | enable tracing; `run_to_end` dumps to stderr   |
 //! | `MUDI_THREADS`       | [`parse`]     | worker-pool cap                                |
 //! | `MUDI_SHARDS`        | [`parse`]     | engine lane (shard) count; `0` = auto          |
 //! | `MUDI_TOPOLOGY`      | [`string`]    | rack/node shape, `RACKSxNODES`                 |
@@ -37,12 +37,6 @@ pub fn string(name: &str) -> Option<String> {
 /// The value of `name`, or `default` when unset.
 pub fn string_or(name: &str, default: &str) -> String {
     string(name).unwrap_or_else(|| default.to_string())
-}
-
-/// Whether `name` is set at all, regardless of value. (The `MUDI_TRACE`
-/// stderr dump treats presence as consent.)
-pub fn is_set(name: &str) -> bool {
-    std::env::var_os(name).is_some()
 }
 
 /// Boolean flag: `true` iff `name` is set to `1` or `true` (trimmed).
@@ -89,18 +83,6 @@ mod tests {
             assert_eq!(flag(k), want, "value {v:?}");
         }
         std::env::remove_var(k);
-    }
-
-    #[test]
-    fn is_set_ignores_value() {
-        let k = "MUDI_TEST_ENV_IS_SET";
-        assert!(!is_set(k));
-        std::env::set_var(k, "");
-        assert!(is_set(k));
-        std::env::set_var(k, "0");
-        assert!(is_set(k));
-        std::env::remove_var(k);
-        assert!(!is_set(k));
     }
 
     #[test]

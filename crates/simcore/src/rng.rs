@@ -58,6 +58,14 @@ impl SimRng {
 
     /// Derives an independent child generator identified by an index,
     /// e.g. one stream per GPU device or per service replica.
+    ///
+    /// This is the parallel engine's RNG primitive: every
+    /// concurrently-executing actor (a device, a shard lane) draws from
+    /// its own named substream, derived purely from `(seed, label,
+    /// index)`. Because derivation never observes how many values any
+    /// other stream has drawn, the draws an actor sees are independent
+    /// of the interleaving — and therefore of the shard and worker
+    /// counts.
     pub fn fork_indexed(&self, label: &str, index: usize) -> SimRng {
         SimRng::seed(splitmix(
             self.seed ^ fnv1a(label.as_bytes()) ^ splitmix(index as u64 + 1),
@@ -155,19 +163,6 @@ impl SimRng {
             let j = self.uniform_usize(0, i + 1);
             items.swap(i, j);
         }
-    }
-
-    /// Named per-actor substream: the parallel engine's RNG primitive.
-    ///
-    /// Identical to [`SimRng::fork_indexed`], under the name the
-    /// parallel-commit contract uses: every concurrently-executing
-    /// actor (a device, a shard lane) draws from its own named
-    /// substream, derived purely from `(seed, label, index)`. Because
-    /// derivation never observes how many values any other stream has
-    /// drawn, the draws an actor sees are independent of the
-    /// interleaving — and therefore of the shard and worker counts.
-    pub fn substream(&self, label: &str, index: usize) -> SimRng {
-        self.fork_indexed(label, index)
     }
 }
 
@@ -321,20 +316,16 @@ mod tests {
     }
 
     #[test]
-    fn substream_is_fork_indexed_and_interleaving_independent() {
+    fn fork_indexed_is_interleaving_independent() {
         let root = SimRng::seed(77);
-        assert_eq!(
-            root.substream("retune", 5).u64(),
-            root.fork_indexed("retune", 5).u64()
-        );
         // Draining one substream must not shift a sibling.
-        let mut a = root.substream("retune", 0);
+        let mut a = root.fork_indexed("retune", 0);
         for _ in 0..100 {
             let _ = a.u64();
         }
         assert_eq!(
-            root.substream("retune", 1).u64(),
-            SimRng::seed(77).substream("retune", 1).u64()
+            root.fork_indexed("retune", 1).u64(),
+            SimRng::seed(77).fork_indexed("retune", 1).u64()
         );
     }
 

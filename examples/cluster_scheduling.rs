@@ -10,7 +10,8 @@
 //! cargo run --release --example cluster_scheduling
 //! ```
 
-use cluster::engine::{ClusterConfig, ClusterEngine};
+use cluster::engine::ClusterConfig;
+use cluster::experiments::end_to_end;
 use cluster::report::{pct, Table};
 use cluster::systems::SystemKind;
 use workloads::Zoo;
@@ -35,7 +36,7 @@ fn main() {
         cfg.jobs = 48;
         // Scale iteration counts down so the example finishes in
         // seconds; relative comparisons are unaffected.
-        let result = ClusterEngine::new(cfg).run_scaled(0.01);
+        let result = end_to_end(cfg, 0.01);
         table.row(vec![
             system.name().to_string(),
             pct(result.overall_violation_rate()),

@@ -2,7 +2,8 @@
 //! systems under test, checking the invariants the paper's evaluation
 //! rests on.
 
-use cluster::engine::{ClusterConfig, ClusterEngine};
+use cluster::engine::{ClusterConfig, ClusterSession};
+use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
 use mudi::policy::QueuePolicy;
 
@@ -26,7 +27,7 @@ fn every_system_completes_all_jobs() {
         SystemKind::Random,
         SystemKind::Optimal,
     ] {
-        let r = ClusterEngine::new(tiny(system, 31, 12)).run_scaled(0.002);
+        let r = end_to_end(tiny(system, 31, 12), 0.002);
         assert_eq!(
             r.jobs_completed,
             r.jobs_submitted,
@@ -43,7 +44,7 @@ fn every_system_completes_all_jobs() {
 /// GSLICE (Fig. 8/9 shapes).
 #[test]
 fn mudi_beats_baselines_on_both_axes() {
-    let run = |system| ClusterEngine::new(tiny(system, 71, 24)).run_scaled(0.004);
+    let run = |system| end_to_end(tiny(system, 71, 24), 0.004);
     let mudi = run(SystemKind::Mudi);
     let gslice = run(SystemKind::Gslice);
     let muxflow = run(SystemKind::MuxFlow);
@@ -65,7 +66,7 @@ fn mudi_beats_baselines_on_both_axes() {
 /// than requests, per service.
 #[test]
 fn violations_never_exceed_requests() {
-    let r = ClusterEngine::new(tiny(SystemKind::MuxFlow, 5, 16)).run_scaled(0.002);
+    let r = end_to_end(tiny(SystemKind::MuxFlow, 5, 16), 0.002);
     for (svc, m) in &r.services {
         assert!(
             m.violations <= m.requests + 1e-6,
@@ -91,7 +92,7 @@ fn queue_policies_work_end_to_end() {
         let mut cfg = tiny(SystemKind::Mudi, 13, 18);
         cfg.devices = 3; // Force queueing.
         cfg.policy = policy;
-        let r = ClusterEngine::new(cfg).run_scaled(0.004);
+        let r = end_to_end(cfg, 0.004);
         assert_eq!(r.jobs_completed, r.jobs_submitted, "{policy:?}");
         results.push((policy, r.waiting.mean(), r.ct.mean()));
     }
@@ -110,7 +111,7 @@ fn queue_policies_work_end_to_end() {
 fn memory_swapping_accounting_is_consistent() {
     let mut cfg = tiny(SystemKind::Mudi, 17, 10);
     cfg.load_multiplier = 2.0; // Pressure the staging pools.
-    let r = ClusterEngine::new(cfg).run_scaled(0.002);
+    let r = end_to_end(cfg, 0.002);
     assert_eq!(r.jobs_completed, r.jobs_submitted);
     for frac in r.swap_time_fraction.values() {
         assert!((0.0..=1.0).contains(frac));
@@ -122,7 +123,7 @@ fn memory_swapping_accounting_is_consistent() {
 /// should exceed the empty-cluster floor once training runs.
 #[test]
 fn utilization_is_bounded_and_nontrivial() {
-    let r = ClusterEngine::new(tiny(SystemKind::Mudi, 23, 16)).run_scaled(0.004);
+    let r = end_to_end(tiny(SystemKind::Mudi, 23, 16), 0.004);
     assert!((0.0..=1.0).contains(&r.mean_sm_util));
     assert!((0.0..=1.0).contains(&r.mean_mem_util));
     assert!(r.mean_sm_util > 0.05, "cluster never did real work");
@@ -138,7 +139,7 @@ fn burst_schedule_applies_cluster_wide() {
     use workloads::BurstSchedule;
     let mut cfg = tiny(SystemKind::Mudi, 29, 8);
     cfg.burst = Some(BurstSchedule::fig16_burst());
-    let r = ClusterEngine::new(cfg).run_scaled(0.002);
+    let r = end_to_end(cfg, 0.002);
     assert_eq!(r.jobs_completed, r.jobs_submitted);
 }
 
@@ -160,10 +161,9 @@ fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
     let n = Zoo::standard().services().len();
     let mut cfg = tiny(SystemKind::Random, 53, 24);
     cfg.devices = n + 1;
-    let mut engine = ClusterEngine::new(cfg);
     let at = SimTime::from_secs(600.0);
     let repair = SimDuration::from_mins(30.0);
-    engine.set_fault_schedule(FaultSchedule::from_events(
+    let schedule = FaultSchedule::from_events(
         [0usize, n]
             .into_iter()
             .map(|d| FaultEvent {
@@ -173,8 +173,10 @@ fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
                 domain: FaultDomain::Rack(0),
             })
             .collect(),
-    ));
-    let r = engine.run_scaled(0.002);
+    );
+    let mut session = ClusterSession::with_fault_schedule(cfg, 0.002, schedule);
+    session.run_to_end();
+    let r = session.finish();
 
     assert_eq!(r.faults.device_failures, 2);
     // The outage is explicit: one total-outage window, tagged with its
@@ -233,11 +235,10 @@ fn rack_blast_survived_only_by_standby_in_another_rack() {
     let mut profile = FaultProfile::scaled(1.0);
     profile.recovery.standby = StandbyPolicy::warm(1);
     cfg.faults = Some(profile);
-    let mut engine = ClusterEngine::new(cfg);
     // Short repair so both repairs land before the last job finishes.
     let at = SimTime::from_secs(600.0);
     let repair = SimDuration::from_mins(6.0);
-    engine.set_fault_schedule(FaultSchedule::from_events(
+    let schedule = FaultSchedule::from_events(
         [0usize, n]
             .into_iter()
             .map(|d| FaultEvent {
@@ -247,8 +248,10 @@ fn rack_blast_survived_only_by_standby_in_another_rack() {
                 domain: FaultDomain::Rack(0),
             })
             .collect(),
-    ));
-    let r = engine.run_scaled(0.002);
+    );
+    let mut session = ClusterSession::with_fault_schedule(cfg, 0.002, schedule);
+    session.run_to_end();
+    let r = session.finish();
 
     assert_eq!(r.faults.device_failures, 2);
     assert!(r.faults.standby_slots >= 1, "pool was never seeded");

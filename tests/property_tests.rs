@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use cluster::engine::{ClusterConfig, ClusterEngine, ClusterSession, LiveFault};
+use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
+use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
 use modeling::fit::piecewise::{fit_piecewise, PiecewiseLinear};
 use modeling::solver::{latency_budget, min_gpu_fraction};
@@ -355,12 +356,13 @@ proptest! {
                 .with_faults(FaultProfile::scaled(rate));
             cfg.devices = 4;
             cfg.jobs = 8;
-            ClusterEngine::new(cfg)
+            ClusterSession::new_scaled(cfg, 0.002)
         };
-        let (ea, eb) = (build(), build());
+        let (mut ea, mut eb) = (build(), build());
         prop_assert_eq!(ea.fault_schedule().events(), eb.fault_schedule().events());
-        let a = ea.run_scaled(0.002);
-        let b = eb.run_scaled(0.002);
+        ea.run_to_end();
+        eb.run_to_end();
+        let (a, b) = (ea.finish(), eb.finish());
         prop_assert_eq!(a.jobs_completed, b.jobs_completed);
         prop_assert_eq!(a.faults.device_failures, b.faults.device_failures);
         prop_assert_eq!(a.faults.slowdowns, b.faults.slowdowns);
@@ -397,12 +399,13 @@ proptest! {
             );
             cfg.devices = 6;
             cfg.jobs = 8;
-            ClusterEngine::new(cfg)
+            ClusterSession::new_scaled(cfg, 0.002)
         };
-        let (ea, eb) = (build(), build());
+        let (mut ea, mut eb) = (build(), build());
         prop_assert_eq!(ea.fault_schedule().events(), eb.fault_schedule().events());
-        let a = ea.run_scaled(0.002);
-        let b = eb.run_scaled(0.002);
+        ea.run_to_end();
+        eb.run_to_end();
+        let (a, b) = (ea.finish(), eb.finish());
         prop_assert_eq!(a.canonical_text(), b.canonical_text());
         prop_assert_eq!(a.faults.service_outages, b.faults.service_outages);
         prop_assert_eq!(a.faults.correlated_outages, b.faults.correlated_outages);
@@ -428,8 +431,7 @@ proptest! {
             let mut profile = FaultProfile::scaled(1.0);
             profile.recovery.standby = StandbyPolicy::warm(pool);
             cfg.faults = Some(profile);
-            let mut engine = ClusterEngine::new(cfg);
-            engine.set_fault_schedule(FaultSchedule::from_events(
+            let schedule = FaultSchedule::from_events(
                 [0usize, n]
                     .into_iter()
                     .map(|d| FaultEvent {
@@ -441,8 +443,10 @@ proptest! {
                         domain: FaultDomain::Rack(0),
                     })
                     .collect(),
-            ));
-            engine.run_scaled(0.002)
+            );
+            let mut session = ClusterSession::with_fault_schedule(cfg, 0.002, schedule);
+            session.run_to_end();
+            session.finish()
         };
         let with_pool = run(1);
         let without = run(0);
@@ -475,7 +479,7 @@ proptest! {
             let mut cfg = ClusterConfig::tiny(SystemKind::Mudi, seed).with_faults(profile);
             cfg.devices = 6;
             cfg.jobs = 8;
-            ClusterEngine::new(cfg).run_scaled(0.002)
+            end_to_end(cfg, 0.002)
         };
         let zero = run(StandbyPolicy::warm(0));
         let disabled = run(StandbyPolicy::disabled());

@@ -16,13 +16,14 @@
 //! every run here resolves to the same count and the comparisons hold
 //! trivially. The unsuffixed CI test job runs without the override.
 
-use cluster::engine::{ClusterConfig, ClusterEngine};
+use cluster::engine::ClusterConfig;
+use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
 use resilience::{CorrelatedFaultConfig, FaultProfile};
 use simcore::TopologyShape;
 
 fn canon(cfg: ClusterConfig, scale: f64) -> String {
-    ClusterEngine::new(cfg).run_scaled(scale).canonical_text()
+    end_to_end(cfg, scale).canonical_text()
 }
 
 /// The golden-snapshot shape (physical preset, 12 jobs) replayed at
