@@ -38,7 +38,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cluster::engine::{ClusterConfig, ClusterSession, ScalePreset, TuningCounters};
+use cluster::engine::{
+    AccrualCounters, ClusterConfig, ClusterSession, ScalePreset, TuningCounters,
+};
 use cluster::systems::SystemKind;
 use simcore::{SimTime, TopologyShape};
 
@@ -116,6 +118,7 @@ struct Cell {
     violation_rate: f64,
     fingerprint: u64,
     tuning: TuningCounters,
+    accrual: AccrualCounters,
 }
 
 impl Cell {
@@ -200,6 +203,7 @@ fn run_cell(sweep: &Sweep, shards: usize, workers: usize) -> Cell {
         violation_rate: result.overall_violation_rate(),
         fingerprint: result.fingerprint(),
         tuning: profile.tuning,
+        accrual: profile.accrual,
     }
 }
 
@@ -302,6 +306,7 @@ fn main() {
             // Exact counts: the same at every worker count of a shard
             // count (the memos split by lane, so not across shards).
             println!("{:>16}tuning {}", "", cell.tuning);
+            println!("{:>16}accrual {}", "", cell.accrual);
             // The grid-equivalence assertion: within one cluster size,
             // every (shards, workers) point must land on the identical
             // simulated outcome.

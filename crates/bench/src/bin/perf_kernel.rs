@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cluster::engine::{ClusterConfig, ClusterSession, TuningCounters};
+use cluster::engine::{AccrualCounters, ClusterConfig, ClusterSession, TuningCounters};
 use cluster::systems::SystemKind;
 use simcore::SimTime;
 
@@ -106,6 +106,8 @@ struct Measurement {
     wall_secs: f64,
     /// Exact tuning-work counts (the same on every sample).
     tuning: TuningCounters,
+    /// Exact SLO-accrual counts (the same on every sample).
+    accrual: AccrualCounters,
 }
 
 impl Measurement {
@@ -141,17 +143,20 @@ fn run_shape(
         t = (t + step_secs).min(horizon_secs);
         events += session.step_until(SimTime::from_secs(t));
     }
+    let wall_secs = start.elapsed().as_secs_f64();
+    let profile = session.phase_profile();
     Measurement {
         shape,
         events: events.max(1),
         sim_secs: session.now().as_secs(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        tuning: session.phase_profile().tuning,
+        wall_secs,
+        tuning: profile.tuning,
+        accrual: profile.accrual,
     }
 }
 
 /// `--check`: fingerprint each shape's simulated outcome against the
-/// golden file, and print each shape's tuning counters. Pure
+/// golden file, and print each shape's tuning and accrual counters. Pure
 /// correctness — no timing involved.
 fn run_check() {
     let mut actual = String::new();
@@ -163,11 +168,13 @@ fn run_check() {
             t = (t + step).min(horizon);
             session.step_until(SimTime::from_secs(t));
         }
-        let _ = writeln!(counters, "{shape} {}", session.phase_profile().tuning);
+        let profile = session.phase_profile();
+        let _ = writeln!(counters, "{shape} {}", profile.tuning);
+        let _ = writeln!(counters, "{shape} {}", profile.accrual);
         let fp = session.finish().fingerprint();
         let _ = writeln!(actual, "{shape} {fp:016x}");
     }
-    println!("tuning counters per shape:\n{counters}");
+    println!("tuning and accrual counters per shape:\n{counters}");
     if simcore::env::flag("MUDI_BLESS") {
         std::fs::write(FINGERPRINT_PATH, &actual).expect("write fingerprint golden");
         println!("perf_kernel --check: fingerprints recorded\n{actual}");
@@ -251,6 +258,7 @@ fn main() {
             m.sim_secs_per_wall_sec()
         );
         println!("{:>32} tuning {}", "", m.tuning);
+        println!("{:>32} accrual {}", "", m.accrual);
         let _ = writeln!(
             json,
             "    {{\"shape\": \"{}\", \"events\": {}, \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \"sim_secs_per_wall_sec\": {:.0}}}{}",

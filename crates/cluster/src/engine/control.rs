@@ -20,7 +20,7 @@
 
 use gpu_sim::{GpuDevice, ResidentId, SHADOW_SWITCH_SECS};
 use mudi::TuneTrigger;
-use simcore::{normal_cdf, SimDuration, SimEvent, SimTime};
+use simcore::{lognormal_exceedance, SimDuration, SimEvent, SimTime};
 use workloads::GroundTruth;
 
 use crate::job::{JobId, JobState};
@@ -169,9 +169,10 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
             0.0
         };
         // Through the per-device memo: bit-identical to the direct
-        // call, and a hit whenever the previous span already computed
-        // this configuration.
-        let p_violation = ctx.dstate[li].vp_cache.get(qps, batch, slo, mean, sigma);
+        // call, and a hit whenever the previous lookup (a span or a
+        // routed request) already computed these exact arguments.
+        let (p_violation, hit) = ctx.dstate[li].vp_cache.get(qps, batch, slo, mean, sigma);
+        ctx.lane.accrual.record(hit);
         ctx.dstate[li].last_pviol = p_violation;
         let requests = qps * dt;
         let m = ctx.dstate[li].acc.svc_entry(service);
@@ -719,8 +720,7 @@ pub fn itl_violation_probability(slo: f64, mean: f64, sigma: f64, util: f64) -> 
     let mut p = if slo <= 0.0 || mean <= 0.0 {
         1.0
     } else {
-        let z = (slo / mean).ln() / sigma.max(1e-6);
-        1.0 - normal_cdf(z)
+        lognormal_exceedance(slo, mean, sigma)
     };
     if util > 0.95 {
         p = p.max(((util - 0.95) * 2.5).min(1.0));
@@ -764,8 +764,7 @@ pub fn violation_probability(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f
         p += if budget <= 0.0 {
             1.0
         } else {
-            let z = (budget / mean).ln() / sigma.max(1e-6);
-            1.0 - normal_cdf(z)
+            lognormal_exceedance(budget, mean, sigma)
         };
     }
     let mut p = p / 3.0;

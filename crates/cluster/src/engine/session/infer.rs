@@ -379,7 +379,7 @@ fn classifier_candidate(
         let (colo_buf, colo_n) = slot.colo(dev);
         let colo = &colo_buf[..colo_n];
         let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
-        let p = st.dstate[d]
+        let (p, _) = st.dstate[d]
             .vp_cache
             .get(slot.qps, slot.batch, slo, mean, sigma);
         (p, mean, sigma)

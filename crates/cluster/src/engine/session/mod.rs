@@ -119,7 +119,7 @@ pub struct ServiceSlo {
 /// Wall-clock split of the stepping work, for scaling diagnostics:
 /// how much time was spent in the parallel lane phase versus the
 /// serial barrier-plus-global phase, the parallelism applied, and the
-/// exact tuning-work counts behind it.
+/// exact tuning and accrual work counts behind it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Seconds spent in the (potentially parallel) lane phase.
@@ -135,6 +135,8 @@ pub struct PhaseProfile {
     pub lanes: usize,
     /// Exact tuning-work counts.
     pub tuning: TuningCounters,
+    /// Exact SLO-accrual work counts.
+    pub accrual: AccrualCounters,
 }
 
 /// Exact counts of the tuning work so far. Each lane counts its own
@@ -184,6 +186,53 @@ impl std::fmt::Display for TuningCounters {
             100.0 * s.hit_rate(),
             s.refits,
             s.full
+        )
+    }
+}
+
+/// Exact counts of the classifier SLO accrual so far: how many spans
+/// asked for a [`super::violation_probability`] and how many of those
+/// the device's single-slot memo answered. Each lane counts its own
+/// devices' spans, both phases; [`ClusterSession::phase_profile`] sums
+/// them. At a fixed shard count every count is the same at every
+/// worker count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccrualCounters {
+    /// Accrual spans that needed a violation probability.
+    pub evaluations: u64,
+    /// Of those, the ones the device's memo answered; the rest called
+    /// [`super::violation_probability`].
+    pub cache_hits: u64,
+}
+
+impl AccrualCounters {
+    /// Counts one evaluation, a memo hit or not.
+    pub(crate) fn record(&mut self, hit: bool) {
+        self.evaluations += 1;
+        self.cache_hits += u64::from(hit);
+    }
+
+    /// Adds `other`'s counts.
+    pub(crate) fn add(&mut self, other: &AccrualCounters) {
+        self.evaluations += other.evaluations;
+        self.cache_hits += other.cache_hits;
+    }
+
+    /// The share of evaluations the memo answered (0 with none).
+    pub fn hit_rate(&self) -> f64 {
+        self.cache_hits as f64 / self.evaluations.max(1) as f64
+    }
+}
+
+impl std::fmt::Display for AccrualCounters {
+    /// One line: the evaluations and the memo hits (and hit rate).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "vp evaluations {} memo hits {} ({:.1}%)",
+            self.evaluations,
+            self.cache_hits,
+            100.0 * self.hit_rate()
         )
     }
 }
@@ -396,11 +445,11 @@ impl ClusterSession {
     }
 
     /// Wall-clock split between the parallel lane phase and the serial
-    /// commit/global phase accumulated so far, with the tuning counters
-    /// ([`TuningCounters`]). The utilization
-    /// sample's read fan-out and the placement candidate scan run
-    /// during the serial phase but parallelize over the same pool, so
-    /// their time counts as lane work here.
+    /// commit/global phase accumulated so far, with the tuning and
+    /// accrual counters ([`TuningCounters`], [`AccrualCounters`]). The
+    /// utilization sample's read fan-out and the placement candidate
+    /// scan run during the serial phase but parallelize over the same
+    /// pool, so their time counts as lane work here.
     pub fn phase_profile(&self) -> PhaseProfile {
         PhaseProfile {
             lane_secs: self.st.phase_lane_secs
@@ -414,6 +463,7 @@ impl ClusterSession {
             workers: self.st.workers,
             lanes: self.st.lanes.len(),
             tuning: self.st.tuning_counters(),
+            accrual: self.st.accrual_counters(),
         }
     }
 

@@ -48,7 +48,7 @@ use crate::systems::{build_system, Multiplexer};
 use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
-use super::session::TuningCounters;
+use super::session::{AccrualCounters, TuningCounters};
 use super::shard::{Envelope, EventLane, OutMsg, VpCache, AUTO_SHARD_MIN_DEVICES};
 
 /// Device-local engine events. Each concerns exactly one device and
@@ -351,6 +351,8 @@ pub(super) struct LaneBox {
     /// Tuning passes on this lane's devices, both phases, indexed by
     /// [`TuneTrigger`] discriminant.
     pub tune_passes: [u64; TuneTrigger::ALL.len()],
+    /// Classifier accrual spans on this lane's devices, both phases.
+    pub accrual: AccrualCounters,
 }
 
 /// The view a lane handler receives: the lane's own device slices
@@ -676,6 +678,7 @@ impl SimState {
                 scratch_tasks: Vec::new(),
                 memo,
                 tune_passes: [0; TuneTrigger::ALL.len()],
+                accrual: AccrualCounters::default(),
             });
         }
         let req_workers = if config.workers == 0 {
@@ -843,6 +846,15 @@ impl SimState {
             for (total, n) in c.passes.iter_mut().zip(lane.tune_passes) {
                 *total += n;
             }
+        }
+        c
+    }
+
+    /// The accrual counters summed over every lane.
+    pub fn accrual_counters(&self) -> AccrualCounters {
+        let mut c = AccrualCounters::default();
+        for lane in &self.lanes {
+            c.add(&lane.accrual);
         }
         c
     }

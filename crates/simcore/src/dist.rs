@@ -198,6 +198,63 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
+/// The `z` from which `1.0 - normal_cdf(z)` is exactly `+0.0` in f64.
+///
+/// With `x = z/√2 ≥ 6.505`, [`erf`]'s correction term is
+/// `q = poly(t)·t·exp(−x²)` with `t = 1/(1 + 0.3276·x) ≤ 0.32`. The
+/// positive A&S coefficients bound `poly(t)·t` below 0.15, and
+/// `exp(−x²) ≤ exp(−42.3) < 5e-19`, so `q < 1e-19`: more than 500×
+/// below `2⁻⁵⁴ ≈ 5.55e-17`, half an ulp under 1.0, which swamps the
+/// rounding of the few flops and of libm's `exp`. Hence `1.0 − q`
+/// rounds to 1.0, `0.5·(1.0 + 1.0)` is 1.0, and the tail `1.0 − 1.0`
+/// is `+0.0`. The last `z` with a nonzero tail on this `erf` is about
+/// 8.2454 (pinned by a test), so the threshold sits about one unit
+/// inside the exact region.
+pub(crate) const ZERO_TAIL_Z: f64 = 9.2;
+
+/// A lower bound on `r.ln()` from the float's exponent and mantissa
+/// alone (no libm call), or `-∞` unless `r` is finite and at least 1.
+///
+/// With `r = 2^e · m`, `m ∈ [1, 2)`: `ln m = 2·artanh(u) ≥ 2u` for
+/// `u = (m−1)/(m+1) ∈ [0, 1/3)`, so `e·ln 2 + 2(m−1)/(m+1) ≤ ln r`.
+/// Both terms are nonnegative and each takes at most a few roundings,
+/// so the relative margin of 1e-12 (plus an absolute 1e-12) keeps the
+/// bound below the rounded `r.ln()` as well, with room to spare.
+pub(crate) fn ln_lower_bound(r: f64) -> f64 {
+    if !(r >= 1.0 && r.is_finite()) {
+        return f64::NEG_INFINITY;
+    }
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = r.to_bits();
+    let e = ((bits >> 52) as i64 - 1023) as f64;
+    let m = f64::from_bits((bits & MANTISSA) | 1.0f64.to_bits());
+    let bound = e * std::f64::consts::LN_2 + 2.0 * (m - 1.0) / (m + 1.0);
+    bound * (1.0 - 1e-12) - 1e-12
+}
+
+/// The log-normal tail `P(L > budget)` for `L` of the given median and
+/// log-space spread: `1 − Φ(ln(budget/median) / max(σ, 1e-6))`.
+///
+/// When a libm-free lower bound on the logarithm proves `z` is at
+/// least 9.2, where the tail is exactly `+0.0`, that is returned
+/// without calling `ln`, `exp` or [`erf`]; otherwise the full
+/// expression runs. Either way the result is bit-identical to the full
+/// expression.
+pub fn lognormal_exceedance(budget: f64, median: f64, sigma: f64) -> f64 {
+    let ratio = budget / median;
+    let sigma = sigma.max(1e-6);
+    let full = || 1.0 - normal_cdf(ratio.ln() / sigma);
+    if ln_lower_bound(ratio) >= ZERO_TAIL_Z * sigma {
+        debug_assert_eq!(
+            full().to_bits(),
+            0.0f64.to_bits(),
+            "zero-tail shortcut at budget {budget} median {median} sigma {sigma}"
+        );
+        return 0.0;
+    }
+    full()
+}
+
 /// The error function, Abramowitz & Stegun 7.1.26.
 pub fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
@@ -340,6 +397,93 @@ mod tests {
         assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
         assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-3);
         assert!(normal_cdf(8.0) > 0.9999999);
+    }
+
+    #[test]
+    fn tail_is_exactly_zero_from_the_threshold() {
+        let zero = 0.0f64.to_bits();
+        // A dense grid from the threshold to 40, where `exp(-x²)`
+        // underflows to 0 and the tail is trivially 0 beyond.
+        let steps = ((40.0 - ZERO_TAIL_Z) / 1e-5) as u64;
+        for i in 0..=steps {
+            let z = ZERO_TAIL_Z + i as f64 * 1e-5;
+            assert_eq!((1.0 - normal_cdf(z)).to_bits(), zero, "z {z}");
+        }
+        // Every one of the first 10⁶ floats at and above it.
+        let mut z = ZERO_TAIL_Z;
+        for _ in 0..1_000_000 {
+            assert_eq!((1.0 - normal_cdf(z)).to_bits(), zero, "z {z}");
+            z = z.next_up();
+        }
+        assert_eq!((1.0 - normal_cdf(f64::INFINITY)).to_bits(), zero);
+    }
+
+    #[test]
+    fn last_nonzero_tail_lies_below_the_threshold() {
+        // Scan down from the threshold to 8.0 in 1e-6 steps for the
+        // last nonzero.
+        let last = (0..=((ZERO_TAIL_Z - 8.0) / 1e-6) as u64)
+            .rev()
+            .map(|i| 8.0 + i as f64 * 1e-6)
+            .find(|&z| 1.0 - normal_cdf(z) != 0.0)
+            .expect("the tail is nonzero at 8.0");
+        assert!((8.245..8.246).contains(&last), "last nonzero z {last}");
+        assert!(last + 0.9 < ZERO_TAIL_Z, "last nonzero z {last}");
+    }
+
+    #[test]
+    fn ln_lower_bound_never_exceeds_ln() {
+        let check = |r: f64| {
+            let lb = ln_lower_bound(r);
+            assert!(lb <= r.ln(), "r {r:e}: bound {lb} > ln {}", r.ln());
+            // Loose by at most ln 2 − 2/3 ≈ 0.0265, plus the margin.
+            assert!(r.ln() - lb < 0.03, "r {r:e}: bound {lb} ln {}", r.ln());
+        };
+        for e in 0..1024 {
+            let p = 2f64.powi(e);
+            check(p);
+            check(p.next_up());
+            if e > 0 {
+                check(p.next_down());
+            }
+        }
+        let mut rng = SimRng::seed(6);
+        for _ in 0..200_000 {
+            // Log-uniform over [1, 1e300], plus the region just above 1.
+            check(10f64.powf(rng.uniform(0.0, 300.0)));
+            check(1.0 + rng.uniform(0.0, 1e-6));
+        }
+        check(f64::MAX);
+        for r in [0.0, -1.0, 0.5, 1.0f64.next_down(), f64::NAN, f64::INFINITY] {
+            assert_eq!(ln_lower_bound(r), f64::NEG_INFINITY, "r {r}");
+        }
+    }
+
+    #[test]
+    fn lognormal_exceedance_is_the_full_expression() {
+        let full = |b: f64, m: f64, s: f64| 1.0 - normal_cdf((b / m).ln() / s.max(1e-6));
+        let mut rng = SimRng::seed(7);
+        for _ in 0..200_000 {
+            let (b, m) = (rng.uniform(1e-4, 2.0), rng.uniform(1e-4, 1.0));
+            let s = rng.uniform(0.0, 0.5);
+            assert_eq!(
+                lognormal_exceedance(b, m, s).to_bits(),
+                full(b, m, s).to_bits(),
+                "budget {b} median {m} sigma {s}"
+            );
+        }
+        let odd = [0.0, -0.0, -1.0, 1e-7, 5e-324, f64::NAN, f64::INFINITY];
+        for b in odd.into_iter().chain([0.1, 1.0]) {
+            for m in odd.into_iter().chain([0.01, 1.0]) {
+                for s in odd.into_iter().chain([0.08]) {
+                    assert_eq!(
+                        lognormal_exceedance(b, m, s).to_bits(),
+                        full(b, m, s).to_bits(),
+                        "budget {b} median {m} sigma {s}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

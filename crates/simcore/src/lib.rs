@@ -26,7 +26,9 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson};
+pub use dist::{
+    lognormal_exceedance, normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson,
+};
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{MulBuildHasher, MulHasher};
 pub use metrics::{

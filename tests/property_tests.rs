@@ -3,17 +3,142 @@
 
 use proptest::prelude::*;
 
-use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
+use cluster::engine::{
+    itl_violation_probability, violation_probability, ClusterConfig, ClusterSession, LiveFault,
+};
 use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
 use modeling::fit::piecewise::{fit_piecewise, PiecewiseLinear};
 use modeling::solver::{latency_budget, min_gpu_fraction};
 use resilience::{CorrelatedFaultConfig, FaultConfig, FaultDomain, FaultProfile, FaultSchedule};
-use simcore::{EventQueue, SimRng, SimTime, StreamingStats, Topology, TopologyShape};
+use simcore::{normal_cdf, EventQueue, SimRng, SimTime, StreamingStats, Topology, TopologyShape};
 use workloads::{ColoWorkload, GroundTruth, ServiceId, TaskId, Zoo};
 
 fn gt() -> GroundTruth {
     GroundTruth::new(Zoo::standard(), 99)
+}
+
+/// `violation_probability` as written before the zero-tail shortcut,
+/// kept verbatim: the oracle the engine's version must match bit for
+/// bit.
+fn violation_probability_oracle(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f64) -> f64 {
+    if qps <= 0.0 {
+        return 0.0;
+    }
+    let fill = batch as f64 / qps;
+    let mut p = 0.0;
+    for u in [1.0 / 6.0, 0.5, 5.0 / 6.0] {
+        let budget = slo - u * fill;
+        p += if budget <= 0.0 {
+            1.0
+        } else {
+            let z = (budget / mean).ln() / sigma.max(1e-6);
+            1.0 - normal_cdf(z)
+        };
+    }
+    let mut p = p / 3.0;
+    let util = mean / fill;
+    if util > 0.95 {
+        p = p.max(((util - 0.95) * 2.5).min(1.0));
+    }
+    p.clamp(0.0, 1.0)
+}
+
+/// `itl_violation_probability` as written before the zero-tail
+/// shortcut, kept verbatim as its oracle.
+fn itl_violation_probability_oracle(slo: f64, mean: f64, sigma: f64, util: f64) -> f64 {
+    let mut p = if slo <= 0.0 || mean <= 0.0 {
+        1.0
+    } else {
+        let z = (slo / mean).ln() / sigma.max(1e-6);
+        1.0 - normal_cdf(z)
+    };
+    if util > 0.95 {
+        p = p.max(((util - 0.95) * 2.5).min(1.0));
+    }
+    p.clamp(0.0, 1.0)
+}
+
+/// Asserts both SLO formulas equal their oracles bit for bit (the ITL
+/// one at `slo` against `mean`).
+fn assert_slo_math_matches(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f64, util: f64) {
+    assert_eq!(
+        violation_probability(qps, batch, slo, mean, sigma).to_bits(),
+        violation_probability_oracle(qps, batch, slo, mean, sigma).to_bits(),
+        "violation_probability({qps}, {batch}, {slo}, {mean}, {sigma})"
+    );
+    assert_eq!(
+        itl_violation_probability(slo, mean, sigma, util).to_bits(),
+        itl_violation_probability_oracle(slo, mean, sigma, util).to_bits(),
+        "itl_violation_probability({slo}, {mean}, {sigma}, {util})"
+    );
+}
+
+/// The SLO formulas on a hand grid of edge inputs: no demand, budgets
+/// at and below zero, degenerate latencies and spreads, the 95 %
+/// utilization ramp's edge, and `z` walked ulp by ulp across 8–10,
+/// where the tail turns exactly zero.
+#[test]
+fn slo_math_matches_the_full_formulas_on_edge_inputs() {
+    let odd = [0.0, -0.0, -0.01, 5e-324, f64::MIN_POSITIVE / 2.0, 1e-7];
+    let sigmas = [0.0, 1e-7, 0.08, f64::NAN, f64::INFINITY, -1.0];
+    for sigma in sigmas {
+        for &mean in odd.iter().chain(&[0.01, 0.2]) {
+            // qps 0 and negative; batch 16 at 100 qps fills in 0.16 s,
+            // so slo 0.08 puts the middle position's budget at exactly
+            // 0 and slo 0.02 drives two budgets negative.
+            for qps in [0.0, -5.0, 100.0, 1e6] {
+                for slo in [0.0, -0.1, 0.02, 0.08, 0.15, 5e-324] {
+                    for util in [0.0, 0.95, 0.95f64.next_up(), 2.0] {
+                        assert_slo_math_matches(qps, 16, slo, mean, sigma, util);
+                    }
+                }
+            }
+        }
+    }
+    // The ramp's edge in `violation_probability`: `mean / fill` walked
+    // ulp by ulp across 0.95.
+    let fill: f64 = 16.0 / 100.0;
+    let mut mean = (0.95 * fill).next_down().next_down().next_down();
+    for _ in 0..8 {
+        assert_slo_math_matches(100.0, 16, 0.15, mean, 0.08, mean / fill);
+        mean = mean.next_up();
+    }
+    // z = ln(slo / mean) / sigma walked across 8–10 in ulps of `slo`.
+    // At 1e6 qps and batch 1 the three budgets sit within 1e-6 of slo.
+    for sigma in [1e-7f64, 0.05, 0.3, 1.0] {
+        for i in 0..=200 {
+            let z0 = 8.0 + i as f64 * 0.01;
+            for mean in [1.0, 0.013] {
+                let mut slo = mean * (z0 * sigma.max(1e-6)).exp();
+                for _ in 0..64 {
+                    assert_slo_math_matches(1e6, 1, slo, mean, sigma, 0.5);
+                    slo = slo.next_up();
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The SLO formulas equal their oracles bit for bit on random
+    /// inputs: broad log-uniform draws (mostly deep in the zero tail)
+    /// and draws placed at `z` in [6, 12], around the shortcut's edge.
+    #[test]
+    fn slo_math_matches_the_full_formulas(seed in any::<u64>()) {
+        let mut rng = SimRng::seed(seed);
+        for _ in 0..2_000 {
+            let qps = 10f64.powf(rng.uniform(-1.0, 4.0));
+            let batch = rng.uniform_usize(1, 513) as u32;
+            let slo = 10f64.powf(rng.uniform(-3.0, 0.5));
+            let sigma = rng.uniform(0.0, 0.5);
+            let util = rng.uniform(0.0, 1.5);
+            let mean = 10f64.powf(rng.uniform(-4.0, 0.0));
+            assert_slo_math_matches(qps, batch, slo, mean, sigma, util);
+            let edge = slo / (rng.uniform(6.0, 12.0) * sigma.max(1e-6)).exp();
+            assert_slo_math_matches(qps, batch, slo, edge, sigma, util);
+        }
+    }
 }
 
 proptest! {

@@ -17,7 +17,7 @@
 
 use std::fmt::Write;
 
-use cluster::engine::{ClusterConfig, ClusterSession, LiveFault, TuningCounters};
+use cluster::engine::{AccrualCounters, ClusterConfig, ClusterSession, LiveFault, TuningCounters};
 use cluster::systems::SystemKind;
 use mudi::TuneTrigger;
 use resilience::{CorrelatedFaultConfig, FaultProfile};
@@ -181,11 +181,13 @@ fn scripted_session_is_identical_across_shard_worker_grid() {
     }
 }
 
-/// The scripted session's tuning counters after the script.
-fn script_counters(cfg: ClusterConfig) -> TuningCounters {
+/// The scripted session's tuning and accrual counters after the
+/// script.
+fn script_counters(cfg: ClusterConfig) -> (TuningCounters, AccrualCounters) {
     let mut s = ClusterSession::new_scaled(cfg, 0.01);
     drive_script(&mut s, direct);
-    s.phase_profile().tuning
+    let profile = s.phase_profile();
+    (profile.tuning, profile.accrual)
 }
 
 /// The tuning counters are exact: at a fixed shard count, every pass
@@ -194,7 +196,7 @@ fn script_counters(cfg: ClusterConfig) -> TuningCounters {
 /// the session memo only while nothing writes it.
 #[test]
 fn tuning_counters_are_identical_across_worker_counts() {
-    let base = script_counters(grid_config(4, 1));
+    let base = script_counters(grid_config(4, 1)).0;
     for trigger in [
         TuneTrigger::QpsChange,
         TuneTrigger::Failover,
@@ -212,7 +214,24 @@ fn tuning_counters_are_identical_across_worker_counts() {
     for workers in [2, 4] {
         assert_eq!(
             base,
-            script_counters(grid_config(4, workers)),
+            script_counters(grid_config(4, workers)).0,
+            "workers={workers} counted differently"
+        );
+    }
+}
+
+/// The accrual counters are exact too: each lane counts its own
+/// devices' spans in both phases, so at a fixed shard count the
+/// evaluations and memo hits are the same at 1, 2 and 4 workers.
+#[test]
+fn accrual_counters_are_identical_across_worker_counts() {
+    let base = script_counters(grid_config(4, 1)).1;
+    assert!(base.evaluations > 0 && base.cache_hits > 0, "{base}");
+    assert!(base.cache_hits < base.evaluations, "{base}");
+    for workers in [2, 4] {
+        assert_eq!(
+            base,
+            script_counters(grid_config(4, workers)).1,
             "workers={workers} counted differently"
         );
     }
