@@ -5,7 +5,7 @@
 //! inference batching size — to the Eq. 1 parameters
 //! `Y = [k1, k2, Δ0, l0]` (§4.1.2). Each of the four targets gets its
 //! own cross-validated model selection over the lightweight learner
-//! family (RF, SVR, kNN, ridge, MLP), and the model can be updated
+//! family (RF, SVR, kNN, ridge), and the model can be updated
 //! incrementally as latency samples from new co-locations arrive
 //! (§7.3, Fig. 12).
 

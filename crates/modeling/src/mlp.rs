@@ -1,14 +1,14 @@
 //! A small multi-layer perceptron regressor trained with Adam.
 //!
-//! Used two ways in the reproduction: as the "MLP fitting" baseline of
-//! Tab. 2 and as one of the Interference Modeler's candidate learners.
-//! The network is fully connected with tanh activations and a linear
-//! output; inputs and the target are standardized internally.
+//! The "MLP fitting" baseline of Tab. 2. The network is fully
+//! connected with tanh activations and a linear output; inputs and the
+//! target are standardized internally.
 //!
-//! Training is the Interference Modeler's hottest loop (every session
-//! boot cross-validates this learner), so its steady state allocates
-//! nothing: weights are stored flat, and activations, gradients and
-//! deltas live in scratch buffers allocated once per
+//! The Interference Modeler no longer cross-validates it: it cost most
+//! of the fit's CV CPU for a handful of wins (EXPERIMENTS.md, "Dropping
+//! MLP from the fit"). Training keeps its fast form: the steady state
+//! allocates nothing, weights are stored flat, and activations,
+//! gradients and deltas live in scratch buffers allocated once per
 //! [`MlpRegressor::train`]. Every sum still adds its terms in the order
 //! of the naive nested-`Vec` formulation, starting from `-0.0` as std's
 //! `Sum for f64` does, so the trained weights are bit-identical to it.

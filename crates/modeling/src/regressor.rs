@@ -10,7 +10,6 @@ use simcore::SimRng;
 use crate::forest::RandomForest;
 use crate::knn::KnnRegressor;
 use crate::linear::RidgeRegression;
-use crate::mlp::MlpRegressor;
 use crate::svr::SvrRegressor;
 
 /// A supervised regression dataset: one feature row per target value.
@@ -81,7 +80,9 @@ pub trait Regressor: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// The family of lightweight learners the Interference Modeler tries.
+/// The lightweight learners the Interference Modeler tries. Not MLP:
+/// it cost most of the fit's CV CPU for a handful of wins
+/// (EXPERIMENTS.md, "Dropping MLP from the fit").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RegressorKind {
     /// Random forest regression.
@@ -92,18 +93,15 @@ pub enum RegressorKind {
     Knn,
     /// Ridge linear regression.
     Ridge,
-    /// A small multi-layer perceptron.
-    Mlp,
 }
 
 impl RegressorKind {
-    /// All kinds, in the order candidates are tried.
-    pub const ALL: [RegressorKind; 5] = [
+    /// All kinds, in the order candidates are tried and CV ties broken.
+    pub const ALL: [RegressorKind; 4] = [
         RegressorKind::RandomForest,
         RegressorKind::Svr,
         RegressorKind::Knn,
         RegressorKind::Ridge,
-        RegressorKind::Mlp,
     ];
 
     /// Short name as displayed in Fig. 11.
@@ -113,17 +111,14 @@ impl RegressorKind {
             RegressorKind::Svr => "SVR",
             RegressorKind::Knn => "kNN",
             RegressorKind::Ridge => "Ridge",
-            RegressorKind::Mlp => "MLP",
         }
     }
 
     /// Trains this kind of model on the dataset.
     ///
     /// Returns `None` when the dataset is too small for the model class.
+    /// Whether a kind trains depends on the data alone, never on `rng`.
     pub fn train(self, data: &Dataset, rng: &mut SimRng) -> Option<Box<dyn Regressor>> {
-        if data.is_empty() {
-            return None;
-        }
         match self {
             RegressorKind::RandomForest => {
                 RandomForest::train(data, 40, 3, rng).map(|m| Box::new(m) as Box<dyn Regressor>)
@@ -137,8 +132,6 @@ impl RegressorKind {
             RegressorKind::Ridge => {
                 RidgeRegression::train(data, 1e-3).map(|m| Box::new(m) as Box<dyn Regressor>)
             }
-            RegressorKind::Mlp => MlpRegressor::train(data, &[16, 16], 120, 0.02, rng)
-                .map(|m| Box::new(m) as Box<dyn Regressor>),
         }
     }
 }

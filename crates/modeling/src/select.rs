@@ -33,10 +33,12 @@ impl std::fmt::Debug for SelectionReport {
 /// validation on mean absolute error.
 ///
 /// Only finite CV errors are ranked and reported: a NaN or infinite
-/// target can poison any learner's error. Falls back to leave-none-out
-/// training (no CV) when the dataset is smaller than `folds` or no
-/// error is finite; in that case the first trainable kind wins.
-/// Returns `None` when no candidate can be trained at all.
+/// target can poison any learner's error. Ties go to the first kind in
+/// [`RegressorKind::ALL`] order (`min_by` keeps the first minimum).
+/// Falls back to leave-none-out training (no CV) when the dataset is
+/// smaller than `folds` or no error is finite; then the first kind in
+/// `ALL` order that trains wins. Returns `None` when no candidate can
+/// be trained at all.
 pub fn select_best_model(
     data: &Dataset,
     folds: usize,
@@ -56,22 +58,16 @@ pub fn select_best_model(
         }
     }
 
-    let best_kind = cv_errors
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|&(k, _)| k)
-        .or_else(|| {
-            // Tiny dataset or no finite error: pick the first kind
-            // that trains.
-            RegressorKind::ALL
-                .into_iter()
-                .find(|k| k.train(data, &mut rng.fork("probe")).is_some())
-        })?;
-
-    let model = best_kind.train(data, &mut rng.fork("final"))?;
+    let (kind, model) = match cv_errors.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
+        Some(&(kind, _)) => (kind, kind.train(data, &mut rng.fork("final"))?),
+        // Tiny dataset or no finite error: the first kind that trains.
+        None => RegressorKind::ALL
+            .into_iter()
+            .find_map(|k| Some((k, k.train(data, &mut rng.fork("final"))?)))?,
+    };
     Some(SelectionReport {
         model,
-        kind: best_kind,
+        kind,
         cv_errors,
     })
 }
@@ -162,6 +158,20 @@ mod tests {
         d.targets.fill(f64::NAN);
         let report = select_best_model(&d, 4, &mut rng).expect("a kind still trains");
         assert!(report.cv_errors.is_empty(), "{:?}", report.cv_errors);
+    }
+
+    #[test]
+    fn cv_ties_go_to_the_first_kind() {
+        // A constant zero target, like BERT's and RoBERTa's Δ0 at seed
+        // 1: every learner fits it exactly, so the first kind wins.
+        let mut d = Dataset::new();
+        for i in 0..20 {
+            d.push(vec![i as f64, (i % 4) as f64], 0.0);
+        }
+        let report = select_best_model(&d, 4, &mut SimRng::seed(7)).unwrap();
+        let errors: Vec<f64> = report.cv_errors.iter().map(|&(_, e)| e).collect();
+        assert_eq!(errors, [0.0; RegressorKind::ALL.len()]);
+        assert_eq!(report.kind, RegressorKind::RandomForest);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! MLP training must not allocate per epoch.
 //!
-//! `MlpRegressor::train` is the Interference Modeler's hottest loop:
-//! every session boot cross-validates it on every (service, target).
-//! Its scratch — activations, weight and bias gradients, deltas and the
-//! Adam moments — is allocated once per call and reused for every
+//! `MlpRegressor::train` is Tab. 2's "MLP fitting" baseline. It was
+//! the Interference Modeler's hottest loop until the Modeler stopped
+//! cross-validating it (EXPERIMENTS.md, "Dropping MLP from the fit"),
+//! and it keeps its allocation-free form. Its scratch — activations,
+//! weight and bias gradients, deltas and the Adam moments — is
+//! allocated once per call and reused for every
 //! mini-batch, so the number of allocations a call makes does not
 //! depend on how many epochs it runs. This file pins that with a
 //! counting global allocator: the same fit at 60 and at 240 epochs
