@@ -19,6 +19,8 @@ fn main() -> Result<(), UnknownModel> {
     let svc = gt.zoo().require_service("GPT2")?;
     let train = gt.zoo().require_task("VGG16")?;
 
+    // Each panel's fits, by ascending batch.
+    let mut panels = Vec::new();
     for (label, colo) in [
         ("(a) solo-run", Vec::new()),
         (
@@ -47,6 +49,7 @@ fn main() -> Result<(), UnknownModel> {
         }
         print!("{}", table.render());
 
+        let mut fits = Vec::new();
         for &b in &batches {
             let pts: Vec<(f64, f64)> = (1..=9)
                 .map(|p| {
@@ -62,11 +65,30 @@ fn main() -> Result<(), UnknownModel> {
                 fit.k2,
                 (fit.k1 / fit.k2).abs()
             );
+            fits.push(fit);
         }
+        panels.push(fits);
     }
+    let knees_shift = panels
+        .iter()
+        .all(|fits| fits.windows(2).all(|w| w[1].x0 > w[0].x0));
+    let steepens = panels[0]
+        .iter()
+        .zip(&panels[1])
+        .all(|(solo, colo)| colo.k1.abs() > solo.k1.abs());
     println!(
-        "\nShape checks: knees shift right with batch size; co-location steepens k1 \
-         (compare (a) vs (b) slopes)."
+        "\nShape checks: knees {} with batch size; co-location {} k1 \
+         (compare (a) vs (b) slopes).",
+        if knees_shift {
+            "shift right"
+        } else {
+            "do not always shift right"
+        },
+        if steepens {
+            "steepens"
+        } else {
+            "does not steepen every batch's"
+        }
     );
     Ok(())
 }

@@ -37,6 +37,10 @@ fn main() {
     let elapsed = started.elapsed().as_secs_f64();
     let cell_walls: Vec<f64> = all.iter().map(|r| r.wall_clock_secs).collect();
 
+    let rates: Vec<Vec<f64>> = all
+        .chunks(multipliers.len())
+        .map(|chunk| chunk.iter().map(|r| r.overall_violation_rate()).collect())
+        .collect();
     let mut viol = Table::new(&["system", "1x", "2x", "3x", "4x"]);
     let mut ct = Table::new(&["system", "1x", "2x", "3x", "4x"]);
     for (chunk, &system) in all.chunks(multipliers.len()).zip(&systems) {
@@ -53,9 +57,34 @@ fn main() {
     print!("{}", viol.render());
     println!("\n(b) mean training CT vs load:");
     print!("{}", ct.render());
+    let falling: Vec<&str> = systems
+        .iter()
+        .zip(&rates)
+        .filter(|(_, row)| row.windows(2).any(|w| w[1] < w[0]))
+        .map(|(s, _)| s.name())
+        .collect();
+    let lowest: Vec<String> = multipliers
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let best = (0..systems.len()).min_by(|&a, &b| rates[a][i].total_cmp(&rates[b][i]));
+            format!("{m}x: {}", systems[best.expect("four systems")].name())
+        })
+        .collect();
+    let rise = |row: &Vec<f64>| row[row.len() - 1] - row[0];
+    let slowest = (0..systems.len())
+        .min_by(|&a, &b| rise(&rates[a]).total_cmp(&rise(&rates[b])))
+        .expect("four systems");
     println!(
-        "Shape checks: every system's violations rise with load; Mudi's row stays \
-         lowest and rises slowest."
+        "Shape checks: violations {} as load grows; lowest violations by load {};\n\
+         smallest rise from 1x to 4x: {} (paper: Mudi's row stays lowest and rises slowest).",
+        if falling.is_empty() {
+            "never fall for any system".to_string()
+        } else {
+            format!("fall somewhere for {}", falling.join(", "))
+        },
+        lowest.join(", "),
+        systems[slowest].name()
     );
     pool_summary("fan-out", &cell_walls, elapsed);
 }

@@ -63,9 +63,32 @@ fn main() {
         ]);
     }
     print!("{}", table.render());
+    let never: Vec<&str> = zoo
+        .services()
+        .iter()
+        .zip(&studies)
+        .filter(|(_, cs)| cs.swap_time_fraction == 0.0)
+        .map(|(svc, _)| svc.name)
+        .collect();
+    let (worst_svc, worst) = zoo
+        .services()
+        .iter()
+        .zip(&studies)
+        .max_by(|a, b| a.1.violation_rate.total_cmp(&b.1.violation_rate))
+        .expect("six services");
     println!(
-        "Shape checks: every service swaps for a nonzero fraction of the bursty window,\n\
-         no OOM ever occurs (the unified pool spills training pages to the host), and\n\
-         violations stay low while overcommitted."
+        "Shape checks: {} of the bursty window;\n\
+         the highest violation rate while overcommitted is {:.2}% ({}).",
+        if never.is_empty() {
+            "every service swaps for a nonzero fraction".to_string()
+        } else {
+            let verb = if never.len() == 1 { "swaps" } else { "swap" };
+            format!(
+                "{} never {verb}, the rest swap for a nonzero fraction",
+                never.join(", ")
+            )
+        },
+        worst.violation_rate * 100.0,
+        worst_svc.name
     );
 }

@@ -20,7 +20,7 @@
 
 use gpu_sim::{GpuDevice, ResidentId, SHADOW_SWITCH_SECS};
 use mudi::TuneTrigger;
-use simcore::{lognormal_exceedance, SimDuration, SimEvent, SimTime};
+use simcore::{lognormal_exceedance, lognormal_tail_is_zero, SimDuration, SimEvent, SimTime};
 use workloads::GroundTruth;
 
 use crate::job::{JobId, JobState};
@@ -168,11 +168,8 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
         } else {
             0.0
         };
-        // Through the per-device memo: bit-identical to the direct
-        // call, and a hit whenever the previous lookup (a span or a
-        // routed request) already computed these exact arguments.
-        let (p_violation, hit) = ctx.dstate[li].vp_cache.get(qps, batch, slo, mean, sigma);
-        ctx.lane.accrual.record(hit);
+        let p_violation = violation_probability(qps, batch, slo, mean, sigma);
+        ctx.lane.accrual.record();
         ctx.dstate[li].last_pviol = p_violation;
         let requests = qps * dt;
         let m = ctx.dstate[li].acc.svc_entry(service);
@@ -759,13 +756,20 @@ pub fn violation_probability(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f
     }
     let fill = batch as f64 / qps;
     let mut p = 0.0;
-    for u in [1.0 / 6.0, 0.5, 5.0 / 6.0] {
-        let budget = slo - u * fill;
-        p += if budget <= 0.0 {
-            1.0
-        } else {
-            lognormal_exceedance(budget, mean, sigma)
-        };
+    // The last position has the smallest budget. When its tail is
+    // provably zero, so are the other two, and `p` stays 0.0: the
+    // verdict holds only for a positive `mean`, and then it is
+    // monotone in the budget.
+    let smallest = slo - 5.0 / 6.0 * fill;
+    if !(smallest > 0.0 && lognormal_tail_is_zero(smallest, mean, sigma)) {
+        for u in [1.0 / 6.0, 0.5, 5.0 / 6.0] {
+            let budget = slo - u * fill;
+            p += if budget <= 0.0 {
+                1.0
+            } else {
+                lognormal_exceedance(budget, mean, sigma)
+            };
+        }
     }
     let mut p = p / 3.0;
     // Stability: sustained utilization near or above 1 grows the queue

@@ -9,7 +9,7 @@ use gpu_sim::GpuDevice;
 use simcore::{SimEvent, SimTime};
 use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
-use super::super::control::{itl_violation_probability, standby_score};
+use super::super::control::{itl_violation_probability, standby_score, violation_probability};
 use super::super::state::SimState;
 use super::{ClusterSession, SessionError};
 
@@ -218,7 +218,7 @@ impl ClusterSession {
         &mut self,
         service: ServiceId,
         kind: RouteKind,
-        score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
+        score: impl Fn(&SimState, usize, &Slot) -> Candidate,
     ) -> Result<(usize, Candidate), SessionError> {
         let key = 2 * service.0 + kind as usize;
         if let Some(hit) = self.routes.get(key).copied().flatten() {
@@ -240,17 +240,16 @@ impl ClusterSession {
     /// Scores every replica of `service` on its roster (see
     /// [`ClusterSession::route`]).
     fn scan(
-        &mut self,
+        &self,
         service: ServiceId,
-        mut score: impl FnMut(&mut SimState, usize, &Slot) -> Candidate,
+        score: impl Fn(&SimState, usize, &Slot) -> Candidate,
     ) -> Result<(usize, Candidate), SessionError> {
         let mut best: Option<(usize, Candidate)> = None;
-        for i in 0..self.st.roster.of(service).len() {
-            let d = self.st.roster.of(service)[i];
+        for &d in self.st.roster.of(service) {
             let Some(slot) = Slot::of(&self.st.devices[d], service) else {
                 continue;
             };
-            let c = score(&mut self.st, d, &slot);
+            let c = score(&self.st, d, &slot);
             if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
                 best = Some((d, c));
             }
@@ -361,12 +360,11 @@ impl Slot {
 }
 
 /// Scores a classifier slot: the batch-queue violation probability at
-/// the slot's configured batch. A primary goes through the device's
-/// `VpCache` (the memo accrual uses, which routing thereby pre-warms);
-/// a standby takes the score a promote freezes for the device it
-/// covers.
+/// the slot's configured batch. A primary computes it from its latency
+/// profile; a standby takes the score a promote freezes for the device
+/// it covers.
 fn classifier_candidate(
-    st: &mut SimState,
+    st: &SimState,
     d: usize,
     service: ServiceId,
     slo: f64,
@@ -379,9 +377,7 @@ fn classifier_candidate(
         let (colo_buf, colo_n) = slot.colo(dev);
         let colo = &colo_buf[..colo_n];
         let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
-        let (p, _) = st.dstate[d]
-            .vp_cache
-            .get(slot.qps, slot.batch, slo, mean, sigma);
+        let p = violation_probability(slot.qps, slot.batch, slo, mean, sigma);
         (p, mean, sigma)
     };
     let fill = if slot.qps > 0.0 {

@@ -191,49 +191,32 @@ impl std::fmt::Display for TuningCounters {
 }
 
 /// Exact counts of the classifier SLO accrual so far: how many spans
-/// asked for a [`super::violation_probability`] and how many of those
-/// the device's single-slot memo answered. Each lane counts its own
-/// devices' spans, both phases; [`ClusterSession::phase_profile`] sums
-/// them. At a fixed shard count every count is the same at every
+/// asked for a [`super::violation_probability`]. Each lane counts its
+/// own devices' spans, both phases; [`ClusterSession::phase_profile`]
+/// sums them. At a fixed shard count every count is the same at every
 /// worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccrualCounters {
     /// Accrual spans that needed a violation probability.
     pub evaluations: u64,
-    /// Of those, the ones the device's memo answered; the rest called
-    /// [`super::violation_probability`].
-    pub cache_hits: u64,
 }
 
 impl AccrualCounters {
-    /// Counts one evaluation, a memo hit or not.
-    pub(crate) fn record(&mut self, hit: bool) {
+    /// Counts one evaluation.
+    pub(crate) fn record(&mut self) {
         self.evaluations += 1;
-        self.cache_hits += u64::from(hit);
     }
 
     /// Adds `other`'s counts.
     pub(crate) fn add(&mut self, other: &AccrualCounters) {
         self.evaluations += other.evaluations;
-        self.cache_hits += other.cache_hits;
-    }
-
-    /// The share of evaluations the memo answered (0 with none).
-    pub fn hit_rate(&self) -> f64 {
-        self.cache_hits as f64 / self.evaluations.max(1) as f64
     }
 }
 
 impl std::fmt::Display for AccrualCounters {
-    /// One line: the evaluations and the memo hits (and hit rate).
+    /// One line: the evaluations.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "vp evaluations {} memo hits {} ({:.1}%)",
-            self.evaluations,
-            self.cache_hits,
-            100.0 * self.hit_rate()
-        )
+        write!(f, "vp evaluations {}", self.evaluations)
     }
 }
 

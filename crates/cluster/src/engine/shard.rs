@@ -46,7 +46,6 @@
 
 use simcore::{MergeKey, SimDuration, SimTime};
 
-use super::control::violation_probability;
 use super::state::LaneEvent;
 
 /// Auto-sharding floor: below this device count a single lane wins
@@ -273,50 +272,6 @@ pub(super) fn epoch_end_after(epoch_secs: f64, t: SimTime) -> SimTime {
         // f64 roundoff at extreme magnitudes: fall back to a plain
         // one-epoch advance so the window always makes progress.
         t + SimDuration::from_secs(e)
-    }
-}
-
-/// Single-slot memo for [`violation_probability`], keyed on the exact
-/// bit patterns of all five arguments. The function is pure, so a key
-/// hit is always safe to reuse and a miss just recomputes.
-///
-/// `qps` is in the key, so a span that ends at a QPS change never
-/// hits: the batch `perf_kernel` shapes, whose spans mostly end there,
-/// hit on under 0.01% of accrual evaluations. On `fleet` seed 1
-/// ([`super::AccrualCounters`]) 34.9% of the 13.5M accrual evaluations
-/// hit. About 60% of those hits follow a routed request that scored
-/// the device at the same arguments. The rest follow an earlier span
-/// with the same arguments, cut short by an event that left them
-/// alone, such as an SLO report (which accrues every device).
-#[derive(Clone, Copy, Debug, Default)]
-pub(super) struct VpCache {
-    key: Option<(u64, u32, u64, u64, u64)>,
-    p: f64,
-}
-
-impl VpCache {
-    fn key_of(qps: f64, batch: u32, slo: f64, mean: f64, sigma: f64) -> (u64, u32, u64, u64, u64) {
-        (
-            qps.to_bits(),
-            batch,
-            slo.to_bits(),
-            mean.to_bits(),
-            sigma.to_bits(),
-        )
-    }
-
-    /// The memoized probability, or a fresh computation (stored for
-    /// the next lookup), and whether the memo answered. Bit-identical
-    /// to calling [`violation_probability`] directly.
-    pub fn get(&mut self, qps: f64, batch: u32, slo: f64, mean: f64, sigma: f64) -> (f64, bool) {
-        let key = Self::key_of(qps, batch, slo, mean, sigma);
-        if self.key == Some(key) {
-            return (self.p, true);
-        }
-        let p = violation_probability(qps, batch, slo, mean, sigma);
-        self.key = Some(key);
-        self.p = p;
-        (p, false)
     }
 }
 
@@ -572,17 +527,5 @@ mod tests {
             epoch_end_after(60.0, SimTime::from_secs(86_401.0)),
             SimTime::from_secs(86_460.0)
         );
-    }
-
-    #[test]
-    fn vp_cache_is_bit_identical_to_the_direct_call() {
-        let mut c = VpCache::default();
-        let args = [(30.0, 16u32, 0.2, 0.05, 0.3), (45.0, 8, 0.1, 0.09, 0.2)];
-        for &(qps, batch, slo, mean, sigma) in &args {
-            let direct = violation_probability(qps, batch, slo, mean, sigma);
-            assert_eq!(c.get(qps, batch, slo, mean, sigma), (direct, false));
-            // Second lookup is the memo hit, same bits.
-            assert_eq!(c.get(qps, batch, slo, mean, sigma), (direct, true));
-        }
     }
 }

@@ -49,7 +49,7 @@ use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
 use super::session::{AccrualCounters, TuningCounters};
-use super::shard::{Envelope, EventLane, OutMsg, VpCache, AUTO_SHARD_MIN_DEVICES};
+use super::shard::{Envelope, EventLane, OutMsg, AUTO_SHARD_MIN_DEVICES};
 
 /// Device-local engine events. Each concerns exactly one device and
 /// touches only lane-local state, so it lives on the owning lane's
@@ -275,9 +275,6 @@ pub(super) struct DeviceState {
     /// Bumped per promote so a stale `StandbyPromote` event cannot
     /// activate a superseded hand-off.
     pub promote_token: u64,
-    /// Single-slot memo for this device's last violation-probability
-    /// computation.
-    pub vp_cache: VpCache,
     /// This device's GP-LCB retune substream, derived purely from
     /// `(seed, "retune", device)` — the hot-path replacement for the
     /// old order-sensitive global stream. Two devices retuning in any
@@ -603,7 +600,6 @@ impl SimState {
                 standby_slot: None,
                 pending_promote: None,
                 promote_token: 0,
-                vp_cache: VpCache::default(),
                 retune_rng: rng.fork_indexed("retune", d),
                 acc: DevAccum::new(),
             });

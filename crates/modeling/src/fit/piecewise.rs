@@ -72,22 +72,28 @@ impl PiecewiseLinear {
     /// this is the minimum GPU fraction meeting a latency budget.
     pub fn min_x_meeting(&self, target: f64, lo: f64, hi: f64) -> Option<f64> {
         assert!(lo <= hi, "empty interval");
-        // Candidate on the left segment.
+        // Candidate on the left segment, skipped when the cutoff lies
+        // left of `lo` (the segment misses the interval).
         if self.k1 < 0.0 {
-            let x = self.x0 + (target - self.y0) / self.k1;
-            let x = x.clamp(lo, hi.min(self.x0));
-            if x >= lo && self.eval(x) <= target + 1e-9 {
-                return Some(x);
+            let top = hi.min(self.x0);
+            if lo <= top {
+                let x = (self.x0 + (target - self.y0) / self.k1).clamp(lo, top);
+                if x >= lo && self.eval(x) <= target + 1e-9 {
+                    return Some(x);
+                }
             }
         } else if self.eval(lo) <= target {
             return Some(lo);
         }
-        // Candidate on the right segment.
+        // Candidate on the right segment, skipped when the cutoff lies
+        // right of `hi`.
         if self.k2 < 0.0 {
-            let x = self.x0 + (target - self.y0) / self.k2;
-            let x = x.clamp(lo.max(self.x0), hi);
-            if x <= hi && self.eval(x) <= target + 1e-9 {
-                return Some(x);
+            let bottom = lo.max(self.x0);
+            if bottom <= hi {
+                let x = (self.x0 + (target - self.y0) / self.k2).clamp(bottom, hi);
+                if x <= hi && self.eval(x) <= target + 1e-9 {
+                    return Some(x);
+                }
             }
         } else if self.x0 <= hi && self.eval(self.x0.max(lo)) <= target {
             return Some(self.x0.max(lo));
@@ -197,6 +203,22 @@ mod tests {
         let x = f.min_x_meeting(29.0, 0.1, 1.0).unwrap();
         assert!(x > f.x0);
         assert!(f.eval(x) <= 29.0 + 1e-9);
+    }
+
+    #[test]
+    fn min_x_meeting_with_cutoff_just_below_lo() {
+        let f = truth();
+        // The left segment misses [lo, hi]; the right one answers.
+        let x = f.min_x_meeting(29.0, f.x0.next_up(), 1.0).unwrap();
+        assert!((x - 0.7).abs() < 1e-9, "x {x}");
+    }
+
+    #[test]
+    fn min_x_meeting_with_cutoff_just_above_hi() {
+        let f = truth();
+        // The right segment misses [lo, hi], and the left one stays
+        // above the target: eval(hi) is just over y0 = 30.
+        assert_eq!(f.min_x_meeting(29.0, 0.1, f.x0.next_down()), None);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl Dataset {
             targets: indices.iter().map(|&i| self.targets[i]).collect(),
         }
     }
-
-    /// Appends all examples of `other`.
-    pub fn extend(&mut self, other: &Dataset) {
-        for (f, &t) in other.features.iter().zip(&other.targets) {
-            self.push(f.clone(), t);
-        }
-    }
 }
 
 /// A trained regression model.
@@ -311,13 +304,5 @@ mod tests {
         let mean0: f64 = z.iter().map(|r| r[0]).sum::<f64>() / 3.0;
         let mean1: f64 = z.iter().map(|r| r[1]).sum::<f64>() / 3.0;
         assert!(mean0.abs() < 1e-12 && mean1.abs() < 1e-12);
-    }
-
-    #[test]
-    fn dataset_extend() {
-        let mut a = toy_dataset();
-        let b = toy_dataset();
-        a.extend(&b);
-        assert_eq!(a.len(), 60);
     }
 }

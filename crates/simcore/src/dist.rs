@@ -220,6 +220,10 @@ pub(crate) const ZERO_TAIL_Z: f64 = 9.2;
 /// Both terms are nonnegative and each takes at most a few roundings,
 /// so the relative margin of 1e-12 (plus an absolute 1e-12) keeps the
 /// bound below the rounded `r.ln()` as well, with room to spare.
+///
+/// The bound never falls as `r` grows. Within a binade `(m−1)/(m+1)`
+/// rises with `m`, and every rounding step is monotone. At a power of
+/// two it jumps from under `e·ln 2 + 2/3` to `(e+1)·ln 2`.
 pub(crate) fn ln_lower_bound(r: f64) -> f64 {
     if !(r >= 1.0 && r.is_finite()) {
         return f64::NEG_INFINITY;
@@ -232,19 +236,25 @@ pub(crate) fn ln_lower_bound(r: f64) -> f64 {
     bound * (1.0 - 1e-12) - 1e-12
 }
 
+/// Whether a libm-free lower bound on the logarithm proves that
+/// [`lognormal_exceedance`]'s `z` is at least 9.2, where the tail is
+/// exactly `+0.0`. For a positive `median` the verdict is monotone in
+/// `budget`: if it holds at one budget, it holds at every larger one.
+pub fn lognormal_tail_is_zero(budget: f64, median: f64, sigma: f64) -> bool {
+    ln_lower_bound(budget / median) >= ZERO_TAIL_Z * sigma.max(1e-6)
+}
+
 /// The log-normal tail `P(L > budget)` for `L` of the given median and
 /// log-space spread: `1 − Φ(ln(budget/median) / max(σ, 1e-6))`.
 ///
-/// When a libm-free lower bound on the logarithm proves `z` is at
-/// least 9.2, where the tail is exactly `+0.0`, that is returned
-/// without calling `ln`, `exp` or [`erf`]; otherwise the full
-/// expression runs. Either way the result is bit-identical to the full
-/// expression.
+/// When [`lognormal_tail_is_zero`] holds, `+0.0` is returned without
+/// calling `ln`, `exp` or [`erf`]; otherwise the full expression runs.
+/// Either way the result is bit-identical to the full expression.
 pub fn lognormal_exceedance(budget: f64, median: f64, sigma: f64) -> f64 {
     let ratio = budget / median;
     let sigma = sigma.max(1e-6);
     let full = || 1.0 - normal_cdf(ratio.ln() / sigma);
-    if ln_lower_bound(ratio) >= ZERO_TAIL_Z * sigma {
+    if lognormal_tail_is_zero(budget, median, sigma) {
         debug_assert_eq!(
             full().to_bits(),
             0.0f64.to_bits(),
@@ -438,6 +448,11 @@ mod tests {
             assert!(lb <= r.ln(), "r {r:e}: bound {lb} > ln {}", r.ln());
             // Loose by at most ln 2 − 2/3 ≈ 0.0265, plus the margin.
             assert!(r.ln() - lb < 0.03, "r {r:e}: bound {lb} ln {}", r.ln());
+            // Never falls from one float to the next, which makes
+            // `lognormal_tail_is_zero` monotone in the budget.
+            if r < f64::MAX {
+                assert!(ln_lower_bound(r.next_up()) >= lb, "r {r:e}: bound falls");
+            }
         };
         for e in 0..1024 {
             let p = 2f64.powi(e);

@@ -27,7 +27,8 @@ pub mod topology;
 pub mod trace;
 
 pub use dist::{
-    lognormal_exceedance, normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson,
+    lognormal_exceedance, lognormal_tail_is_zero, normal_cdf, normal_quantile, Exponential,
+    LogNormal, Normal, Poisson,
 };
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{MulBuildHasher, MulHasher};

@@ -222,12 +222,11 @@ fn tuning_counters_are_identical_across_worker_counts() {
 
 /// The accrual counters are exact too: each lane counts its own
 /// devices' spans in both phases, so at a fixed shard count the
-/// evaluations and memo hits are the same at 1, 2 and 4 workers.
+/// evaluations are the same at 1, 2 and 4 workers.
 #[test]
 fn accrual_counters_are_identical_across_worker_counts() {
     let base = script_counters(grid_config(4, 1)).1;
-    assert!(base.evaluations > 0 && base.cache_hits > 0, "{base}");
-    assert!(base.cache_hits < base.evaluations, "{base}");
+    assert!(base.evaluations > 0, "{base}");
     for workers in [2, 4] {
         assert_eq!(
             base,
