@@ -50,11 +50,9 @@ fn main() -> Result<(), UnknownModel> {
             // short profiling run would measure — deliberately noisy.
             let sample_at = |frac: f64, rng: &mut SimRng| {
                 let colo = [ColoWorkload::training(task, (1.0f64 - frac).max(0.05))];
+                let noise = gt.phase_noise(svc, batch, frac, &colo);
                 (0..20)
-                    .map(|_| {
-                        gt.sample_inference_phases(svc, batch, frac, &colo, rng)
-                            .total()
-                    })
+                    .map(|_| noise.sample(rng).total())
                     .fold(0.0f64, f64::max)
             };
             let train_pts: Vec<(f64, f64)> = (0..n_samples)

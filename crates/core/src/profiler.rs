@@ -156,12 +156,11 @@ impl LatencyProfiler {
         let mut observations = 0usize;
         for &frac in &self.sample_fractions() {
             let colo = Self::colo_at(gt, &key.tasks, frac);
-            // P99 over the configured number of observations.
+            // P99 over the configured number of observations; the
+            // point's mean phases and noise are computed once.
+            let noise = gt.phase_noise(service, batch, frac, &colo);
             let mut samples: Vec<f64> = (0..self.config.observations_per_point)
-                .map(|_| {
-                    gt.sample_inference_phases(service, batch, frac, &colo, rng)
-                        .total()
-                })
+                .map(|_| noise.sample(rng).total())
                 .collect();
             observations += samples.len();
             samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));

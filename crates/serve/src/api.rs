@@ -79,7 +79,7 @@ impl App {
             return Response::error(503, "session unavailable");
         };
         s.step_until(self.clock.target_now());
-        match (req.method.as_str(), req.path.as_str()) {
+        match (req.method, req.path) {
             ("GET", "/healthz") => self.healthz(&s),
             ("POST", "/v1/infer") => self.infer(&mut s, req),
             ("POST", "/admin/services") => self.admin_services(&mut s, req),
@@ -400,8 +400,8 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
 /// diagnosable from the wire.
 fn resolve_service(s: &ClusterSession, field: Option<&Json>) -> Result<ServiceId, Response> {
     match field {
-        Some(Json::Num(_)) => {
-            let id = field.unwrap().as_usize().ok_or_else(|| {
+        Some(num @ Json::Num(_)) => {
+            let id = num.as_usize().ok_or_else(|| {
                 Response::error(400, "\"service\" id must be a non-negative integer")
             })?;
             let id = ServiceId(id);

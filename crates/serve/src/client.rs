@@ -46,18 +46,18 @@ pub fn request(
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.set_nodelay(true)?;
     let body = body.unwrap_or("");
-    let head = format!(
+    // Head and body in one write, so the request leaves as one segment.
+    let message = format!(
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
-         content-length: {}\r\n{}\r\n",
+         content-length: {}\r\n{}\r\n{body}",
         body.len(),
         if body.is_empty() {
-            String::new()
+            ""
         } else {
-            "content-type: application/json\r\n".to_string()
+            "content-type: application/json\r\n"
         }
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

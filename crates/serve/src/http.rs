@@ -4,9 +4,10 @@
 //! The parser is *incremental*: the connection loop appends whatever
 //! `read()` produced into a buffer and re-offers it; until the head and
 //! declared body have fully arrived the answer is
-//! [`ParseStatus::Partial`]. Limits are enforced as the bytes arrive —
-//! an oversized head is rejected (`431`) even if the terminator never
-//! shows up, so a peer cannot balloon the buffer.
+//! [`ParseStatus::Partial`]. A complete [`Request`] borrows from that
+//! buffer instead of copying out of it. Limits are enforced as the
+//! bytes arrive — an oversized head is rejected (`431`) even if the
+//! terminator never shows up, so a peer cannot balloon the buffer.
 //!
 //! Deliberately out of scope: chunked transfer encoding, multiple
 //! header folding, HTTP/2. The in-tree client and common CLI tools
@@ -19,39 +20,40 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Hard cap on a request body.
 pub const MAX_BODY_BYTES: usize = 256 * 1024;
 
-/// One parsed request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Request {
+/// One parsed request. Every field borrows from the buffer it was
+/// parsed out of, so parsing allocates nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Request<'a> {
     /// Uppercase method (`GET`, `POST`, …) as sent.
-    pub method: String,
+    pub method: &'a str,
     /// Path component of the target, percent-decoding not applied.
-    pub path: String,
+    pub path: &'a str,
     /// Raw query string (no leading `?`), empty if absent.
-    pub query: String,
-    /// Headers in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub query: &'a str,
+    /// The header lines, in arrival order.
+    pub headers: Headers<'a>,
     /// The body (exactly `Content-Length` bytes).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
     /// Whether the connection should stay open after the response.
     pub keep_alive: bool,
 }
 
-impl Request {
-    /// First header with this (lower-case) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+impl<'a> Request<'a> {
+    /// First header with this name (matched case-insensitively).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
         self.headers
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     /// The body as UTF-8 (`None` if it is not).
-    pub fn body_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.body).ok()
+    pub fn body_str(&self) -> Option<&'a str> {
+        std::str::from_utf8(self.body).ok()
     }
 
     /// First value of a query parameter (`a=1&b=2` form; no decoding).
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub fn query_param(&self, name: &str) -> Option<&'a str> {
         self.query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == name).then_some(v)
@@ -59,14 +61,30 @@ impl Request {
     }
 }
 
+/// A request's header block as received: `name: value` lines separated
+/// by CRLF. Names keep the case they were sent in; values are yielded
+/// trimmed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Headers<'a>(&'a str);
+
+impl<'a> Headers<'a> {
+    /// `(name, value)` pairs in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        self.0
+            .split("\r\n")
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name, value.trim()))
+    }
+}
+
 /// Result of offering the buffer to the parser.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParseStatus {
+pub enum ParseStatus<'a> {
     /// A full request; `consumed` bytes of the buffer belong to it.
     Complete {
-        /// The parsed request.
-        request: Box<Request>,
-        /// How many buffer bytes the request occupied (drain these).
+        /// The parsed request, borrowing from the offered buffer.
+        request: Request<'a>,
+        /// How many buffer bytes the request occupied (consume these).
         consumed: usize,
     },
     /// Valid so far, but incomplete — read more bytes.
@@ -80,13 +98,13 @@ pub enum ParseStatus {
     },
 }
 
-fn invalid(status: u16, reason: &'static str) -> ParseStatus {
+fn invalid(status: u16, reason: &'static str) -> ParseStatus<'static> {
     ParseStatus::Invalid { status, reason }
 }
 
 /// Offers `buf` (the bytes received so far on a connection) to the
 /// parser. See [`ParseStatus`].
-pub fn parse_request(buf: &[u8]) -> ParseStatus {
+pub fn parse_request(buf: &[u8]) -> ParseStatus<'_> {
     let Some(head_end) = find_head_end(buf) else {
         // No terminator yet: partial, unless the head already blew the
         // cap — then the terminator can never arrive in time.
@@ -102,8 +120,7 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
         Ok(h) => h,
         Err(_) => return invalid(400, "request head is not UTF-8"),
     };
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
+    let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
     let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -122,8 +139,12 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
         return invalid(400, "target must be origin-form");
     }
 
-    let mut headers = Vec::new();
-    for line in lines {
+    // One pass validates every header line and picks out the first
+    // value of each header the framing depends on.
+    let mut content_length = None;
+    let mut connection = None;
+    let mut chunked = false;
+    for line in header_block.split("\r\n") {
         if line.is_empty() {
             continue;
         }
@@ -133,20 +154,24 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
         if name.is_empty() || name.contains(' ') {
             return invalid(400, "malformed header name");
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length.get_or_insert(value.trim());
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection.get_or_insert(value.trim());
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = true;
+        }
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
+    let content_length = match content_length.map(str::parse::<usize>) {
         None => 0,
-        Some((_, v)) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return invalid(400, "bad Content-Length"),
-        },
+        Some(Ok(n)) => n,
+        Some(Err(_)) => return invalid(400, "bad Content-Length"),
     };
     if content_length > MAX_BODY_BYTES {
         return invalid(413, "body too large");
     }
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+    if chunked {
         return invalid(501, "chunked bodies not supported");
     }
     let body_start = head_end + 4;
@@ -154,31 +179,18 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
         return ParseStatus::Partial;
     }
 
-    let keep_alive = {
-        let conn = headers
-            .iter()
-            .find(|(k, _)| k == "connection")
-            .map(|(_, v)| v.to_ascii_lowercase());
-        match (version, conn.as_deref()) {
-            (_, Some("close")) => false,
-            ("HTTP/1.0", Some("keep-alive")) => true,
-            ("HTTP/1.0", _) => false,
-            _ => true,
-        }
-    };
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let has = |token: &str| connection.is_some_and(|v: &str| v.eq_ignore_ascii_case(token));
+    let keep_alive = !has("close") && (version == "HTTP/1.1" || has("keep-alive"));
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     ParseStatus::Complete {
-        request: Box::new(Request {
-            method: method.to_string(),
+        request: Request {
+            method,
             path,
             query,
-            headers,
-            body: buf[body_start..body_start + content_length].to_vec(),
+            headers: Headers(header_block),
+            body: &buf[body_start..body_start + content_length],
             keep_alive,
-        }),
+        },
         consumed: body_start + content_length,
     }
 }
@@ -218,24 +230,45 @@ impl Response {
         Response::json(status, body.render())
     }
 
-    /// Serializes status line, headers, and body. No `Date` header —
-    /// responses must be byte-identical across replays.
-    pub fn write_to(&self, w: &mut impl io::Write) -> io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
-            self.status,
-            reason_phrase(self.status),
-            self.content_type,
-            self.body.len()
-        );
+    /// Serializes status line, headers and body into `out` (cleared
+    /// first; a connection reuses one for its lifetime) and sends them
+    /// with a single `write_all`, so the response leaves as one segment
+    /// on a `TCP_NODELAY` socket. No `Date` header: responses must be
+    /// byte-identical across replays.
+    pub fn write_to(&self, w: &mut impl io::Write, out: &mut Vec<u8>) -> io::Result<()> {
+        out.clear();
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, usize::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(reason_phrase(self.status).as_bytes());
+        out.extend_from_slice(b"\r\ncontent-type: ");
+        out.extend_from_slice(self.content_type.as_bytes());
+        out.extend_from_slice(b"\r\ncontent-length: ");
+        push_decimal(out, self.body.len());
+        out.extend_from_slice(b"\r\n");
         if self.close {
-            head.push_str("connection: close\r\n");
+            out.extend_from_slice(b"connection: close\r\n");
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        w.write_all(out)?;
         w.flush()
     }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// The canonical reason phrase for the statuses this server emits.
@@ -259,9 +292,9 @@ pub fn reason_phrase(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
-    fn complete(buf: &[u8]) -> (Request, usize) {
+    fn complete(buf: &[u8]) -> (Request<'_>, usize) {
         match parse_request(buf) {
-            ParseStatus::Complete { request, consumed } => (*request, consumed),
+            ParseStatus::Complete { request, consumed } => (request, consumed),
             other => panic!("expected Complete, got {other:?}"),
         }
     }
@@ -354,15 +387,78 @@ mod tests {
     }
 
     #[test]
-    fn response_serialization_is_stable() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}".into())
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(
-            text,
-            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\r\n{\"ok\":true}"
+    fn headers_are_found_case_insensitively_in_arrival_order() {
+        let (req, _) = complete(
+            b"POST /x HTTP/1.1\r\nHost: a\r\nX-Tag:  one \r\nx-tag: two\r\nContent-Length: 0\r\n\r\n",
         );
+        assert_eq!(req.header("x-tag"), Some("one"));
+        assert_eq!(req.header("HOST"), Some("a"));
+        assert_eq!(req.header("missing"), None);
+        let all: Vec<_> = req.headers.iter().collect();
+        assert_eq!(
+            all,
+            [
+                ("Host", "a"),
+                ("X-Tag", "one"),
+                ("x-tag", "two"),
+                ("Content-Length", "0")
+            ]
+        );
+    }
+
+    /// A `Write` that records every call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_the_exact_bytes() {
+        let mut closing = Response::json(200, "{\"ok\":true}".into());
+        closing.close = true;
+        let cases = [
+            (
+                Response::json(200, "{\"ok\":true}".into()),
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                closing,
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: close\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                Response::error(404, "no such endpoint"),
+                "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 28\r\n\r\n{\"error\":\"no such endpoint\"}",
+            ),
+        ];
+        // One buffer across the responses, as a connection keeps it.
+        let mut buf = Vec::new();
+        for (response, expected) in cases {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w, &mut buf).unwrap();
+            assert_eq!(w.writes, 1, "{expected:?}");
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn decimal_rendering_matches_display() {
+        for n in [0, 7, 10, 99, 100, 65535, 262_144, usize::MAX] {
+            let mut out = Vec::new();
+            push_decimal(&mut out, n);
+            assert_eq!(String::from_utf8(out).unwrap(), n.to_string());
+        }
     }
 }

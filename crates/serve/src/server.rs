@@ -7,8 +7,14 @@
 //! [`App::handle`] (which serializes on the session mutex), writes the
 //! response, and loops while keep-alive holds. Read timeouts bound how
 //! long an idle or trickling peer can pin a thread.
+//!
+//! A connection owns two buffers for its whole life: the input buffer
+//! `read()` fills directly, and the output buffer each response is
+//! serialized into. A request that arrives in one segment costs one
+//! `read()`, a parse that borrows from the input buffer, and one
+//! `write()`.
 
-use std::io::Read as _;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,11 +22,21 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::api::App;
-use crate::http::{parse_request, ParseStatus, Response};
+use crate::http::{parse_request, ParseStatus, Request, Response};
 
 /// How long a connection may sit idle (or trickle a partial request)
 /// before the server gives up on it.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Initial size of a connection's input buffer. It doubles only when
+/// one incomplete request fills it; the parser's head and body caps
+/// bound how far.
+const INPUT_BYTES: usize = 4096;
+
+/// Consumed bytes at the front of the input buffer are reclaimed — the
+/// unconsumed rest moved to the front — once they pass this offset.
+/// Below it they stay, so a request costs no memory move.
+const COMPACT_AT: usize = 2048;
 
 /// A running server.
 pub struct Server {
@@ -106,33 +122,94 @@ fn accept_loop(listener: &TcpListener, app: &Arc<App>, shutdown: &Arc<AtomicBool
 pub fn serve_connection(mut stream: TcpStream, app: &Arc<App>) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
+    serve_stream(&mut stream, |request| app.handle(request));
+}
+
+/// The connection loop over any byte stream: parses each request out of
+/// the input buffer, answers it with `handle`, and loops while
+/// keep-alive holds. It returns at EOF, on a read or write error, after
+/// a response that closes the connection, and after answering a
+/// protocol violation. Generic so the property tests can drive it over
+/// an in-memory stream.
+pub fn serve_stream<S: Read + Write>(
+    stream: &mut S,
+    mut handle: impl FnMut(&Request<'_>) -> Response,
+) {
+    let mut input = Input::new();
+    let mut out = Vec::new();
     loop {
-        match parse_request(&buf) {
+        let (response, consumed) = match parse_request(input.pending()) {
             ParseStatus::Complete { request, consumed } => {
-                buf.drain(..consumed);
-                let mut response = app.handle(&request);
+                let mut response = handle(&request);
                 if !request.keep_alive {
                     response.close = true;
                 }
-                let close = response.close;
-                if response.write_to(&mut stream).is_err() || close {
-                    return;
-                }
+                (response, consumed)
             }
             ParseStatus::Invalid { status, reason } => {
-                let mut resp = Response::error(status, reason);
-                resp.close = true;
-                let _ = resp.write_to(&mut stream);
+                let mut response = Response::error(status, reason);
+                response.close = true;
+                let _ = response.write_to(stream, &mut out);
                 return;
             }
-            ParseStatus::Partial => {
-                match stream.read(&mut chunk) {
-                    Ok(0) | Err(_) => return, // EOF, timeout, or reset
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                }
-            }
+            ParseStatus::Partial => match input.fill(stream) {
+                Ok(0) | Err(_) => return, // EOF, timeout, or reset
+                Ok(_) => continue,
+            },
+        };
+        input.consume(consumed);
+        if response.write_to(stream, &mut out).is_err() || response.close {
+            return;
         }
+    }
+}
+
+/// A connection's input buffer: `buf[start..end]` holds the bytes read
+/// but not yet consumed by a parsed request.
+struct Input {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Input {
+    fn new() -> Self {
+        Input {
+            buf: vec![0; INPUT_BYTES],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The bytes read but not yet consumed.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Marks the first `n` pending bytes as consumed. The buffer is
+    /// compacted only when that empties it (a reset, no move) or the
+    /// offset passes [`COMPACT_AT`].
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start >= COMPACT_AT {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
+
+    /// One `read()` straight into the free tail. A buffer full to its
+    /// end is doubled first (below [`COMPACT_AT`] the consumed front is
+    /// too small to be worth reclaiming). `Ok(0)` is EOF.
+    fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 }

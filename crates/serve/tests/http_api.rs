@@ -58,17 +58,38 @@ const SCRIPT: &[(&str, &str, Option<&str>)] = &[
     ("GET", "/events?from=0", None),
 ];
 
+/// The script's replies: status, every response header in order, and
+/// the body.
 fn run_script(addr: SocketAddr) -> String {
     let mut transcript = String::new();
     for (method, path, body) in SCRIPT {
         let reply = request(addr, method, path, *body).expect("request");
-        transcript.push_str(&format!(
-            "### {method} {path} -> {}\n{}\n",
-            reply.status,
-            reply.body_str()
-        ));
+        transcript.push_str(&format!("### {method} {path} -> {}\n", reply.status));
+        for (name, value) in &reply.headers {
+            transcript.push_str(&format!("{name}: {value}\n"));
+        }
+        transcript.push_str(&format!("{}\n", reply.body_str()));
     }
     transcript
+}
+
+/// Compares the seed-7 transcript with its committed golden, so a
+/// change to the wire layer cannot alter a response byte unnoticed.
+/// Re-record an intentional change with
+/// `MUDI_BLESS=1 cargo test -p serve --test http_api`.
+fn check_transcript_golden(actual: &str) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/transcript_seed7.txt");
+    if simcore::env::flag("MUDI_BLESS") {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    assert!(
+        expected == actual,
+        "transcript drifted from its golden\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+    );
 }
 
 #[test]
@@ -83,6 +104,7 @@ fn scripted_transcripts_are_byte_identical_across_runs() {
         a == b,
         "transcripts diverged\n--- run A ---\n{a}\n--- run B ---\n{b}"
     );
+    check_transcript_golden(&a);
     // And the script actually exercised the interesting paths.
     assert!(a.contains("\"violation\""), "no inference outcomes: {a}");
     assert!(
@@ -245,12 +267,9 @@ fn poisoned_session_returns_503_and_pacer_survives() {
     assert!(app.session().is_poisoned());
 
     let healthz = Request {
-        method: "GET".to_string(),
-        path: "/healthz".to_string(),
-        query: String::new(),
-        headers: Vec::new(),
-        body: Vec::new(),
-        keep_alive: false,
+        method: "GET",
+        path: "/healthz",
+        ..Request::default()
     };
     let resp = app.handle(&healthz);
     assert_eq!(resp.status, 503);

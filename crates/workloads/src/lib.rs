@@ -29,7 +29,7 @@ pub mod zoo;
 
 pub use arch::{LayerKind, NetworkArchitecture};
 pub use arrivals::{BurstSchedule, FluctuatingQps, PhillyArrivals};
-pub use perf::{ColoKind, ColoWorkload, GroundTruth, InferencePhases};
+pub use perf::{ColoKind, ColoWorkload, GroundTruth, InferencePhases, PhaseNoise};
 pub use zoo::{
     Domain, GenerativeProfile, InferenceServiceSpec, Optimizer, ServiceId, SizeClass, TaskId,
     TrainingTaskSpec, UnknownModel, Zoo,
