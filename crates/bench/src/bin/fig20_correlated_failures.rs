@@ -23,7 +23,7 @@
 //! service — are accounted explicitly (windows, triggering domain,
 //! seconds), never silently folded into the violation rate.
 //!
-//! Deterministic for a fixed `MUDI_SEED`; topology via `MUDI_TOPOLOGY`.
+//! Deterministic for a fixed `MUDI_SEED`, over the default 4×2 topology.
 
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ use cluster::experiments::{correlated_failure_cells, end_to_end_many, FaultScope
 use cluster::report::{outage_table, ratio};
 use cluster::systems::SystemKind;
 use resilience::{CorrelatedFaultConfig, FaultConfig, FaultSchedule};
-use simcore::{SimRng, Topology, TopologyShape};
+use simcore::{SimRng, Topology};
 
 fn main() {
     banner(
@@ -52,7 +52,7 @@ fn main() {
 
     // Preview the shared schedule every system replays per scope.
     let (cfg0, _) = physical_config(SystemKind::Mudi);
-    let topo = Topology::new(TopologyShape::from_env(), cfg0.devices);
+    let topo = Topology::new(cfg0.topology, cfg0.devices);
     println!(
         "\ntopology: {} ({} devices, ~{} per node); injected mix at rate {:.0}x:",
         topo.shape(),

@@ -20,7 +20,7 @@
 //! byte-for-byte — the baseline every nonzero pool is compared against
 //! at the same fault rate and schedule.
 //!
-//! Deterministic for a fixed `MUDI_SEED`; topology via `MUDI_TOPOLOGY`.
+//! Deterministic for a fixed `MUDI_SEED`, over the default 4×2 topology.
 
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ use cluster::report::{ratio, standby_table};
 use cluster::systems::SystemKind;
 use gpu_sim::SHADOW_SWITCH_SECS;
 use resilience::{CorrelatedFaultConfig, FaultConfig, FaultSchedule, STANDBY_RESERVE_FRACTION};
-use simcore::{SimRng, Topology, TopologyShape};
+use simcore::{SimRng, Topology};
 
 fn main() {
     banner(
@@ -47,7 +47,7 @@ fn main() {
     // Preview the shared rack-correlated schedule every cell replays,
     // and the pool shape the nonzero cells provision.
     let (cfg0, _) = physical_config(SystemKind::Mudi);
-    let topo = Topology::new(TopologyShape::from_env(), cfg0.devices);
+    let topo = Topology::new(cfg0.topology, cfg0.devices);
     println!(
         "\ntopology: {} ({} devices, ~{} per node); standby reserve {:.0}% \
          per slot, promote latency {SHADOW_SWITCH_SECS}s (preloaded weights)",

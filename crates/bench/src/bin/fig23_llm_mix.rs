@@ -22,8 +22,8 @@
 //! reproducible; there are no wall-clock quantities here.
 //!
 //! `--smoke` sweeps a single load point on a short horizon and still
-//! writes the ledger — the CI shape (paired with `MUDI_THREADS=2` and
-//! `MUDI_SHARDS=4` so the sharded engine carries the LLM mix).
+//! writes the ledger — the CI shape. Every cell runs on 4 engine shards
+//! (one per rack), so the sharded engine carries the LLM mix.
 
 use std::fmt::Write as _;
 
@@ -65,6 +65,7 @@ fn run_cell(system: SystemKind, load: f64, horizon_secs: f64) -> Cell {
         .llm_services(true)
         .load_multiplier(load)
         .max_sim_secs(horizon_secs)
+        .shards(4)
         .build();
     let r = end_to_end(cfg, 0.01);
     Cell {

@@ -117,15 +117,7 @@ impl Admission {
 
     /// A job arrives: enqueue it and try to place the queue head.
     pub fn on_arrival(&self, st: &mut SimState, now: SimTime, job: JobId) {
-        let j = &st.jobs[job.0 as usize];
-        let est = st.shared.gt.zoo().task(j.task).gpu_hours * 3600.0 * st.iter_scale;
-        st.queue.push(mudi::policy::QueueItem {
-            arrival: now,
-            est_duration: SimDuration::from_secs(est),
-            priority: j.priority,
-            class: j.class,
-            payload: job,
-        });
+        st.queue.push(job);
         self.try_dispatch(st, now);
     }
 
@@ -186,7 +178,10 @@ impl Admission {
     }
 
     /// Drains the pending queue head-first while the system keeps
-    /// finding placements.
+    /// finding placements. The head is the job submitted earliest, ties
+    /// going to the lower queue index: first come, first served (the
+    /// paper's default, §6). A requeued job keeps its original
+    /// `submitted`, so it goes back to the front of later arrivals.
     pub fn try_dispatch(&self, st: &mut SimState, now: SimTime) {
         loop {
             if st.queue.is_empty() {
@@ -196,10 +191,14 @@ impl Admission {
             if candidates.is_empty() {
                 return;
             }
-            let Some(idx) = st.config.policy.next_index(&st.queue, &st.fair) else {
+            let Some((idx, &job_id)) = st
+                .queue
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, j)| (st.jobs[j.0 as usize].submitted, i))
+            else {
                 return;
             };
-            let job_id = st.queue[idx].payload;
             let task = st.jobs[job_id.0 as usize].task;
 
             // Placement is serial-phase work on one canonical replica

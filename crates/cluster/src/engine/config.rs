@@ -5,7 +5,6 @@
 //! [`ScalePreset`], so the shared defaults exist in exactly one place
 //! and the presets cannot drift apart.
 
-use mudi::policy::QueuePolicy;
 use resilience::FaultProfile;
 use simcore::TopologyShape;
 use workloads::BurstSchedule;
@@ -40,8 +39,6 @@ pub struct ClusterConfig {
     pub load_multiplier: f64,
     /// Optional burst schedule applied on top of the fluctuating QPS.
     pub burst: Option<BurstSchedule>,
-    /// Queue policy for pending training tasks.
-    pub policy: QueuePolicy,
     /// Mean dwell time of a QPS segment, seconds.
     pub qps_dwell_secs: f64,
     /// Base training-task arrival rate, tasks/second.
@@ -56,7 +53,7 @@ pub struct ClusterConfig {
     /// the paper's fault-free runs exactly.
     pub faults: Option<FaultProfile>,
     /// The rack/node hierarchy devices are laid out over. Defaults to
-    /// [`TopologyShape::from_env`] (`MUDI_TOPOLOGY=RxN`, else 4×2).
+    /// [`TopologyShape::default`] (4 racks × 2 nodes).
     /// Only consulted when faults are injected: correlated outages
     /// expand over it, and reliability-aware systems stripe same-
     /// service replicas across racks. Fault-free runs keep the paper's
@@ -67,8 +64,7 @@ pub struct ClusterConfig {
     /// partitions). `0` means auto: one shard for small clusters, up to
     /// `min(racks, workers)` once the cluster is large enough that
     /// sharding pays for itself. Any request is clamped to the rack
-    /// count; the `MUDI_SHARDS` environment variable overrides this
-    /// field. Results are bit-identical at every shard count.
+    /// count. Results are bit-identical at every shard count.
     pub shards: usize,
     /// Length of one stepping epoch window, simulated seconds: windows
     /// end at multiples of this, and each runs the lane phase, the
@@ -102,8 +98,8 @@ pub struct ClusterConfigBuilder {
 
 impl ClusterConfigBuilder {
     /// Starts from the given preset's scale parameters and the shared
-    /// defaults (1× load, no burst, FCFS queue, no faults, topology
-    /// from the environment).
+    /// defaults (1× load, no burst, no faults, the default 4×2
+    /// topology).
     pub fn new(preset: ScalePreset, system: SystemKind, seed: u64) -> Self {
         let (devices, jobs, qps_dwell_secs, arrival_rate, arrival_scale, util_sample_secs, days) =
             match preset {
@@ -119,14 +115,13 @@ impl ClusterConfigBuilder {
                 seed,
                 load_multiplier: 1.0,
                 burst: None,
-                policy: QueuePolicy::Fcfs,
                 qps_dwell_secs,
                 arrival_rate,
                 arrival_scale,
                 util_sample_secs,
                 max_sim_secs: days * 24.0 * 3600.0,
                 faults: None,
-                topology: TopologyShape::from_env(),
+                topology: TopologyShape::default(),
                 shards: 0,
                 shard_epoch_secs: 60.0,
                 workers: 0,
@@ -166,7 +161,7 @@ impl ClusterConfigBuilder {
     }
 
     /// Requests an explicit engine shard count (`0` = auto). The
-    /// engine clamps to the rack count; `MUDI_SHARDS` overrides.
+    /// engine clamps to the rack count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self

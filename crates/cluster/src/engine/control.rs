@@ -628,8 +628,6 @@ impl Control {
         let rid = ResidentId(job.0);
         st.devices[device].remove_training(t, rid);
         st.jobs[job.0 as usize].finish(t);
-        let est = t - st.jobs[job.0 as usize].submitted;
-        st.fair.record(st.jobs[job.0 as usize].class, est.as_secs());
         let cap = st.dstate[device].applied_share_cap(t);
         st.devices[device].rebalance_training_fractions(cap);
         self.refresh_memory_pause(st, t, device);
@@ -696,7 +694,7 @@ impl Control {
             let job = &mut st.jobs[rid.0 as usize];
             job.state = JobState::Queued;
             job.device = None;
-            st.push_queue_item(JobId(rid.0));
+            st.queue.push(JobId(rid.0));
         }
         st.dstate[d].training_paused = false;
         st.dstate[d].paused_since = None;

@@ -257,7 +257,7 @@ impl Faults {
             let job = &mut st.jobs[ji];
             job.state = JobState::Queued;
             job.device = None;
-            st.push_queue_item(JobId(proc.id.0));
+            st.queue.push(JobId(proc.id.0));
         }
 
         st.dstate[d].restarting.clear();

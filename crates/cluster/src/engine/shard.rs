@@ -16,7 +16,7 @@
 //! key, and applied serially. The key is partition-invariant (it names
 //! the *device* that produced the effect, never the shard), so the
 //! commit order — and every downstream accumulation and draw — is
-//! bit-identical across every `MUDI_SHARDS × MUDI_THREADS` point. The
+//! bit-identical across every (shards, workers) point. The
 //! worker count changes wall-clock time only.
 //!
 //! # Event routing

@@ -28,7 +28,6 @@ use gpu_sim::{
     DeviceId, GpuDevice, InferenceInstance, ResidentId, StandbyInstance, TrainingProcess,
 };
 use modeling::bo::{DecisionMemo, Memos};
-use mudi::policy::{FairState, QueueItem};
 use mudi::{CircuitBreaker, Monitor, RetuneGuard, TuneTrigger};
 use resilience::{
     CheckpointTracker, FaultSchedule, StandbyPolicy, DEGRADED_TRAINING_SHARE, RETUNE_DWELL_SECS,
@@ -118,7 +117,7 @@ pub(super) enum GlobalEvent {
 /// ([`ServiceFold`] / [`SimState::folded_fmetrics`]) whose
 /// shape depends only on the replica count — never on the shard or
 /// worker partition — so the folded sums are bit-identical across the
-/// whole `MUDI_SHARDS × MUDI_THREADS` grid.
+/// whole (shards, workers) grid.
 pub(super) struct DevAccum {
     /// Per-service metric partials this device accrued. A device
     /// touches at most a few services (its primary, a hosted standby,
@@ -445,8 +444,9 @@ pub(super) struct SimState {
     pub devices: Vec<GpuDevice>,
     pub dstate: Vec<DeviceState>,
     pub jobs: Vec<TrainingJob>,
-    pub queue: Vec<QueueItem<JobId>>,
-    pub fair: FairState,
+    /// Pending training jobs, in enqueue order. Admission takes the
+    /// earliest `submitted` first (FCFS, `Admission::try_dispatch`).
+    pub queue: Vec<JobId>,
     /// The global event queue (shared-state events only).
     pub events: EventQueue<GlobalEvent>,
     /// The execution lanes, along contiguous ascending device ranges.
@@ -633,19 +633,18 @@ impl SimState {
         }
         let roster = Roster::new(n_services, &dstate);
 
-        // Resolve the shard count: explicit request (env override
-        // first, then config) or auto — one lane until the cluster is
-        // large enough that the barrier pays, then up to one lane per
-        // worker, rack-clamped by the map itself.
-        let requested = simcore::env::parse::<usize>("MUDI_SHARDS").unwrap_or(config.shards);
-        let shards = if requested == 0 {
+        // Resolve the shard count: the config's explicit request, or
+        // auto — one lane until the cluster is large enough that the
+        // barrier pays, then up to one lane per worker, rack-clamped by
+        // the map itself.
+        let shards = if config.shards == 0 {
             if config.devices >= AUTO_SHARD_MIN_DEVICES {
                 simcore::max_workers().min(topo.shape().racks).max(1)
             } else {
                 1
             }
         } else {
-            requested
+            config.shards
         };
 
         // Build the lanes along the map's contiguous device ranges. The
@@ -713,7 +712,6 @@ impl SimState {
             dstate,
             jobs: Vec::new(),
             queue: Vec::new(),
-            fair: FairState::new(),
             events,
             lanes,
             lane_idx,
@@ -1026,20 +1024,6 @@ impl SimState {
             * self.config.load_multiplier
             * self.config.burst_multiplier(now)
             * self.shared.gt.zoo().service(service).request_rate_scale()
-    }
-
-    /// Re-enqueues a job into the pending queue from its current
-    /// recorded progress (requeue recovery and operator eviction).
-    pub fn push_queue_item(&mut self, job_id: JobId) {
-        let job = &self.jobs[job_id.0 as usize];
-        let est = self.shared.gt.zoo().task(job.task).gpu_hours * 3600.0 * self.iter_scale;
-        self.queue.push(QueueItem {
-            arrival: job.submitted,
-            est_duration: SimDuration::from_secs(est),
-            priority: job.priority,
-            class: job.class,
-            payload: job_id,
-        });
     }
 
     /// Restores a training process for a queued job from its

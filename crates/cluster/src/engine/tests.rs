@@ -669,11 +669,7 @@ fn sharded_session_trains_the_predictor_once() {
         cfg.devices = 16;
         cfg.shards = 8;
         let st = SimState::new(cfg);
-        // `MUDI_SHARDS` may override the requested count; any split
-        // must still share one fit.
-        if std::env::var_os("MUDI_SHARDS").is_none() {
-            assert_eq!(st.lanes.len(), 8, "{system:?}");
-        }
+        assert_eq!(st.lanes.len(), 8, "{system:?}");
         let first = lane_fit(&st.lanes[0]);
         for lane in &st.lanes {
             assert!(Arc::ptr_eq(first, lane_fit(lane)), "{system:?}");

@@ -41,10 +41,6 @@ pub struct TrainingJob {
     pub completed_iterations: f64,
     /// Total iterations required.
     pub total_iterations: u64,
-    /// Fairness class (tenant), for the fair-sharing policy.
-    pub class: usize,
-    /// Priority level, for the priority policy.
-    pub priority: u8,
     /// Times this job restarted after a crash or device failure.
     pub restarts: u32,
     /// Iterations redone because a fault rolled the job back to its
@@ -65,8 +61,6 @@ impl TrainingJob {
             device: None,
             completed_iterations: 0.0,
             total_iterations,
-            class: (id.0 % 8) as usize,
-            priority: 0,
             restarts: 0,
             lost_iterations: 0.0,
         }

@@ -20,7 +20,6 @@
 //! * **Guardrails** — [`guard`] (anti-thrashing dwell/cooldown on
 //!   fault-triggered retunes and the degraded-mode SLO circuit-breaker
 //!   used by the failure experiments).
-//! * **Scheduling policies** — [`policy`] (FCFS/SJF/fair/priority, §3).
 //! * **Mudi-more** — [`MudiConfig::more`] (multiplexing up to three
 //!   training tasks per GPU, §5.5); the device splits the training share
 //!   evenly in [`gpu_sim::GpuDevice::rebalance_training_fractions`].
@@ -31,7 +30,6 @@ pub mod config;
 pub mod guard;
 pub mod interference;
 pub mod monitor;
-pub mod policy;
 pub mod predictor;
 pub mod profiler;
 pub mod selector;

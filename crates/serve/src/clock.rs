@@ -77,14 +77,20 @@ impl ServeClock {
     }
 
     /// Advances a virtual clock by `delta` and returns the new target.
-    /// Fails on a wall clock — wall time cannot be skipped.
+    /// The counter saturates at `u64::MAX` microseconds, so the clock
+    /// never moves backward however large the advances. Fails on a
+    /// wall clock — wall time cannot be skipped.
     pub fn advance(&self, delta: SimDuration) -> Result<SimTime, WallClockImmutable> {
         match self {
             ServeClock::Wall { .. } => Err(WallClockImmutable),
             ServeClock::Virtual { micros } => {
+                // `as` saturates an out-of-range float at `u64::MAX`.
                 let add = (delta.as_secs().max(0.0) * 1e6).round() as u64;
-                let new = micros.fetch_add(add, Ordering::SeqCst) + add;
-                Ok(SimTime::from_secs(new as f64 / 1e6))
+                let step = |m: u64| m.saturating_add(add);
+                let old = micros
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |m| Some(step(m)))
+                    .unwrap_or_else(|m| m);
+                Ok(SimTime::from_secs(step(old) as f64 / 1e6))
             }
         }
     }

@@ -36,7 +36,10 @@ impl std::fmt::Display for JsonError {
     }
 }
 
-const MAX_DEPTH: usize = 32;
+/// The deepest nesting [`Json::parse`] accepts: the top-level value is
+/// at depth 0, and nothing (an object's keys included) may sit deeper
+/// than this.
+pub const MAX_DEPTH: usize = 32;
 
 impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.

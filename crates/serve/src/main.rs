@@ -31,6 +31,10 @@ use serve::{App, ServeClock, Server};
 fn main() {
     let addr = simcore::env::string_or("MUDI_SERVE_ADDR", "127.0.0.1:7878");
     let pace = simcore::env::parse_or::<f64>("MUDI_SERVE_PACE", 60.0);
+    if !pace.is_finite() {
+        eprintln!("MUDI_SERVE_PACE must be a finite number, got {pace}");
+        std::process::exit(2);
+    }
     let seed = simcore::env::parse_or::<u64>("MUDI_SERVE_SEED", 7);
     let preset = simcore::env::string_or("MUDI_SERVE_PRESET", "tiny");
 

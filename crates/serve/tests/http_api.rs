@@ -19,7 +19,11 @@ use serve::{App, ServeClock, Server};
 use simcore::SimEventKind;
 
 fn boot(seed: u64) -> (Server, SocketAddr, Arc<App>) {
-    let session = ClusterSession::new_scaled(ClusterConfig::tiny(SystemKind::Mudi, seed), 0.002);
+    boot_config(ClusterConfig::tiny(SystemKind::Mudi, seed))
+}
+
+fn boot_config(cfg: ClusterConfig) -> (Server, SocketAddr, Arc<App>) {
+    let session = ClusterSession::new_scaled(cfg, 0.002);
     let app = App::new(session, ServeClock::frozen());
     let server = Server::start(Arc::clone(&app), "127.0.0.1:0").expect("bind");
     let addr = server.addr();
@@ -78,18 +82,27 @@ fn run_script(addr: SocketAddr) -> String {
 /// Re-record an intentional change with
 /// `MUDI_BLESS=1 cargo test -p serve --test http_api`.
 fn check_transcript_golden(actual: &str) {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/transcript_seed7.txt");
     if simcore::env::flag("MUDI_BLESS") {
-        std::fs::write(&path, actual).expect("write golden");
+        std::fs::write(transcript_golden_path(), actual).expect("write golden");
         return;
     }
+    check_transcript_golden_at(actual, "");
+}
+
+/// Compares against the committed golden even under `MUDI_BLESS`, so a
+/// re-record still checks the other grid points against it.
+fn check_transcript_golden_at(actual: &str, point: &str) {
+    let path = transcript_golden_path();
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert!(
         expected == actual,
-        "transcript drifted from its golden\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+        "transcript drifted from its golden{point}\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
+}
+
+fn transcript_golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/transcript_seed7.txt")
 }
 
 #[test]
@@ -105,6 +118,15 @@ fn scripted_transcripts_are_byte_identical_across_runs() {
         "transcripts diverged\n--- run A ---\n{a}\n--- run B ---\n{b}"
     );
     check_transcript_golden(&a);
+    // The engine's partition is unobservable: a 4-shard session with
+    // lanes on 2 worker threads serves the same bytes.
+    let mut sharded = ClusterConfig::tiny(SystemKind::Mudi, 7);
+    sharded.shards = 4;
+    sharded.workers = 2;
+    let (server_s, addr_s, _app_s) = boot_config(sharded);
+    let s = run_script(addr_s);
+    server_s.stop();
+    check_transcript_golden_at(&s, " at shards=4 workers=2");
     // And the script actually exercised the interesting paths.
     assert!(a.contains("\"violation\""), "no inference outcomes: {a}");
     assert!(
@@ -282,6 +304,38 @@ fn poisoned_session_returns_503_and_pacer_survives() {
     let reply = request(addr, "GET", "/healthz", None).expect("request");
     assert_eq!(reply.status, 503, "{}", reply.body_str());
     server.stop();
+}
+
+/// Two huge `POST /admin/clock` advances saturate the virtual clock
+/// instead of overflowing it: the session stays healthy and simulated
+/// time never moves backward.
+#[test]
+fn huge_clock_advances_saturate() {
+    let session = ClusterSession::new_scaled(ClusterConfig::tiny(SystemKind::Mudi, 3), 0.002);
+    let app = App::new(session, ServeClock::frozen());
+    let post = |body: &'static str| Request {
+        method: "POST",
+        path: "/admin/clock",
+        body: body.as_bytes(),
+        ..Request::default()
+    };
+    let sim_time = |resp: &serve::http::Response| {
+        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        doc.get("sim_time_s").and_then(Json::as_f64).unwrap()
+    };
+    let first = app.handle(&post(r#"{"advance_s":1e300}"#));
+    assert_eq!(first.status, 200);
+    let t1 = sim_time(&first);
+    let second = app.handle(&post(r#"{"advance_s":1}"#));
+    assert_eq!(second.status, 200);
+    let healthz = app.handle(&Request {
+        method: "GET",
+        path: "/healthz",
+        ..Request::default()
+    });
+    assert_eq!(healthz.status, 200);
+    assert!(sim_time(&healthz) >= t1, "clock moved backward");
+    assert!(app.clock().target_now().as_secs() >= 1.8e13);
 }
 
 /// Boots a server over an LLM-mix cluster (physical preset so the

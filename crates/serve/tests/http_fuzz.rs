@@ -6,6 +6,8 @@
 //!   byte at a time included. Bodies up to a few KiB push the input
 //!   buffer through its compaction and growth paths.
 //! * No byte sequence panics `parse_request` or the connection loop.
+//! * No input panics `Json::parse`, and every generated `Json` value
+//!   renders to text that parses back to an equal value.
 //!
 //! CI runs this file with `PROPTEST_CASES=512`.
 
@@ -13,6 +15,7 @@ use std::io::{self, Read, Write};
 
 use proptest::prelude::*;
 use serve::http::{parse_request, ParseStatus, Request, Response};
+use serve::json::{Json, MAX_DEPTH};
 use serve::server::serve_stream;
 
 /// An owned copy of a parsed request, to compare across runs.
@@ -108,6 +111,72 @@ fn request_from(seed: u64) -> Owned {
         headers,
         body,
         keep_alive,
+    }
+}
+
+/// Characters a generated string draws from: every escape the writer
+/// emits, other control bytes, `/`, and 2-, 3- and 4-byte scalars.
+const STRING_CHARS: &str = "aZ0 \"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}éß漢€\u{fffd}🙂\u{10ffff}";
+
+fn string_from(s: &mut u64) -> String {
+    (0..mix(s) % 12)
+        .map(|_| match mix(s) % 4 {
+            // Any scalar value at all; surrogates fall back to 'x'.
+            0 => char::from_u32((mix(s) % 0x11_0000) as u32).unwrap_or('x'),
+            _ => {
+                let n = STRING_CHARS.chars().count() as u64;
+                STRING_CHARS.chars().nth((mix(s) % n) as usize).unwrap()
+            }
+        })
+        .collect()
+}
+
+/// A finite number: small integers, short fractions, or any finite
+/// bit pattern (subnormals and extremes included).
+fn number_from(s: &mut u64) -> f64 {
+    match mix(s) % 3 {
+        0 => (mix(s) % 2001) as f64 - 1000.0,
+        1 => (mix(s) % 100_000) as f64 / 64.0 - 700.0,
+        _ => loop {
+            let v = f64::from_bits(mix(s));
+            if v.is_finite() {
+                break v;
+            }
+        },
+    }
+}
+
+/// A `Json` value derived from `seed` whose deepest container chain
+/// reaches `spine` levels below `depth` (capped so the document stays
+/// within the parser's `MAX_DEPTH`), with a few small random siblings
+/// along the way.
+fn json_from(s: &mut u64, depth: usize, spine: usize) -> Json {
+    // A container at `MAX_DEPTH` could not hold even an object key.
+    let can_nest = depth < MAX_DEPTH;
+    if spine == 0 || !can_nest {
+        // A leaf, or (sometimes) a small bushy subtree.
+        return match mix(s) % 8 {
+            0 => Json::Null,
+            1 => Json::Bool(mix(s).is_multiple_of(2)),
+            2 | 3 => Json::Num(number_from(s)),
+            4 | 5 => Json::Str(string_from(s)),
+            _ if can_nest && depth < 28 => {
+                let spine = 1 + (mix(s) % 2) as usize;
+                json_from(s, depth, spine)
+            }
+            _ => Json::Arr(Vec::new()),
+        };
+    }
+    let len = 1 + (mix(s) % 3) as usize;
+    let on_spine = (mix(s) % len as u64) as usize;
+    let child = |s: &mut u64, i: usize| {
+        let next = if i == on_spine { spine - 1 } else { 0 };
+        json_from(s, depth + 1, next)
+    };
+    if mix(s).is_multiple_of(2) {
+        Json::Arr((0..len).map(|i| child(s, i)).collect())
+    } else {
+        Json::Obj((0..len).map(|i| (string_from(s), child(s, i))).collect())
     }
 }
 
@@ -234,6 +303,58 @@ proptest! {
             }
             let mut stream = Pieces::new(input, Vec::new());
             serve(&mut stream);
+        }
+    }
+
+    #[test]
+    fn json_values_round_trip_through_text(
+        seed in any::<u64>(),
+        spine in 0usize..MAX_DEPTH + 1,
+    ) {
+        let mut s = seed;
+        let value = json_from(&mut s, 0, spine);
+        let text = value.render();
+        let parsed = Json::parse(&text);
+        prop_assert!(parsed.is_ok(), "{:?} rejected: {:?}", text, parsed);
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(&parsed, &value);
+        prop_assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn arbitrary_input_never_panics_the_json_parser(
+        noise in prop::collection::vec(0u16..256, 0..400),
+        seed in any::<u64>(),
+        spine in 1usize..MAX_DEPTH + 4,
+        edits in prop::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        // A valid document with a few bytes overwritten — mostly with
+        // JSON's own punctuation — reaches deeper than pure noise.
+        let mut s = seed;
+        let mut mutated = json_from(&mut s, 0, spine).render().into_bytes();
+        for e in &edits {
+            if mutated.is_empty() {
+                break;
+            }
+            let at = (e % mutated.len() as u64) as usize;
+            let punct = b"{}[]\",:\\u0e-.tfn ";
+            mutated[at] = match (e >> 32) % 2 {
+                0 => punct[((e >> 40) % punct.len() as u64) as usize],
+                _ => (e >> 48) as u8,
+            };
+        }
+        // `spine` nested arrays: the innermost sits at depth
+        // `spine - 1`, so one level past the limit is refused.
+        let deep = "[".repeat(spine) + &"]".repeat(spine);
+        prop_assert_eq!(Json::parse(&deep).is_ok(), spine <= MAX_DEPTH + 1);
+        for input in [noise, mutated] {
+            let text = String::from_utf8_lossy(&input);
+            let _ = Json::parse(&text);
+            // Every prefix ending on a character boundary, too.
+            for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                let _ = Json::parse(&text[..end]);
+            }
         }
     }
 }

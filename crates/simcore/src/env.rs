@@ -6,9 +6,7 @@
 //! | variable             | helper        | meaning                                        |
 //! |----------------------|---------------|------------------------------------------------|
 //! | `MUDI_TRACE`         | [`flag`]      | enable tracing; `run_to_end` dumps to stderr   |
-//! | `MUDI_THREADS`       | [`parse`]     | worker-pool cap                                |
-//! | `MUDI_SHARDS`        | [`parse`]     | engine lane (shard) count; `0` = auto          |
-//! | `MUDI_TOPOLOGY`      | [`string`]    | rack/node shape, `RACKSxNODES`                 |
+//! | `MUDI_THREADS`       | [`parse`]     | worker-pool cap (never changes a number)       |
 //! | `MUDI_FULL_SCALE`    | [`flag`]      | paper-scale benches                            |
 //! | `MUDI_BLESS`         | [`flag`]      | re-record golden snapshots                     |
 //! | `MUDI_SEED`          | [`parse_or`]  | experiment seed                                |

@@ -175,7 +175,7 @@ impl SimRng {
 /// engine keys by **device**, the finest-grained logical shard, never
 /// by the (configuration-dependent) shard index — so the commit order,
 /// and hence every downstream draw and float accumulation, is identical
-/// at every `MUDI_SHARDS × MUDI_THREADS` point.
+/// at every (shards, workers) point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MergeKey {
     /// Emission time of the effect (nanosecond tick of

@@ -21,8 +21,7 @@ use std::fmt;
 ///
 /// The default is 4 racks × 2 nodes per rack (the smallest shape where
 /// both node- and rack-scoped faults hit strict subsets of the 12-GPU
-/// physical cluster). Override with the `MUDI_TOPOLOGY` environment
-/// variable in `RACKSxNODES` form, e.g. `MUDI_TOPOLOGY=8x4`.
+/// physical cluster). A run picks another shape through its config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TopologyShape {
     /// Number of racks in the cluster.
@@ -49,61 +48,6 @@ impl TopologyShape {
             racks,
             nodes_per_rack,
         }
-    }
-
-    /// The shape from `MUDI_TOPOLOGY` (`RACKSxNODES`, e.g. `4x2`), or
-    /// the default when the variable is unset.
-    ///
-    /// # Panics
-    ///
-    /// A *set but malformed* value panics with the specific parse
-    /// error rather than silently falling back to the default: a typo
-    /// in `MUDI_TOPOLOGY=0x4` must not quietly run a 4×2 cluster.
-    pub fn from_env() -> Self {
-        match crate::env::string("MUDI_TOPOLOGY") {
-            None => Self::default(),
-            Some(v) => Self::parse_strict(&v).unwrap_or_else(|e| panic!("MUDI_TOPOLOGY: {e}")),
-        }
-    }
-
-    /// Parses `RACKSxNODES` (case-insensitive separator), e.g. `8x4`.
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::parse_strict(s).ok()
-    }
-
-    /// Parses `RACKSxNODES`, reporting *why* a rejected input is
-    /// invalid: missing `x` separator, non-numeric dimensions, or a
-    /// zero dimension (`0x4`, `4x0`).
-    pub fn parse_strict(s: &str) -> Result<Self, String> {
-        let raw = s.trim();
-        let Some((r, n)) = raw.split_once(['x', 'X']) else {
-            return Err(format!(
-                "invalid topology {raw:?}: expected RACKSxNODES, e.g. 4x2"
-            ));
-        };
-        let racks: usize = r.trim().parse().map_err(|_| {
-            format!(
-                "invalid topology {raw:?}: rack count {:?} is not an integer",
-                r.trim()
-            )
-        })?;
-        let nodes: usize = n.trim().parse().map_err(|_| {
-            format!(
-                "invalid topology {raw:?}: nodes-per-rack {:?} is not an integer",
-                n.trim()
-            )
-        })?;
-        if racks == 0 {
-            return Err(format!(
-                "invalid topology {raw:?}: rack count must be at least 1"
-            ));
-        }
-        if nodes == 0 {
-            return Err(format!(
-                "invalid topology {raw:?}: nodes-per-rack must be at least 1"
-            ));
-        }
-        Ok(TopologyShape::new(racks, nodes))
     }
 
     /// Total node count across all racks.
@@ -199,54 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_rxn() {
-        assert_eq!(TopologyShape::parse("8x4"), Some(TopologyShape::new(8, 4)));
-        assert_eq!(
-            TopologyShape::parse(" 2X1 "),
-            Some(TopologyShape::new(2, 1))
-        );
-        assert_eq!(TopologyShape::parse("0x4"), None);
-        assert_eq!(TopologyShape::parse("4"), None);
-        assert_eq!(TopologyShape::parse("axb"), None);
-    }
-
-    #[test]
-    fn parse_strict_reports_why_inputs_are_rejected() {
-        let err = |s: &str| TopologyShape::parse_strict(s).unwrap_err();
-        assert!(
-            err("0x4").contains("rack count must be at least 1"),
-            "{}",
-            err("0x4")
-        );
-        assert!(
-            err("4x0").contains("nodes-per-rack must be at least 1"),
-            "{}",
-            err("4x0")
-        );
-        assert!(err("4").contains("expected RACKSxNODES"), "{}", err("4"));
-        assert!(err("garbage").contains("expected RACKSxNODES"));
-        assert!(
-            err("axb").contains("rack count \"a\" is not an integer"),
-            "{}",
-            err("axb")
-        );
-        assert!(
-            err("4xb").contains("nodes-per-rack \"b\" is not an integer"),
-            "{}",
-            err("4xb")
-        );
-        // Every message carries the offending input verbatim.
-        for bad in ["0x4", "4x0", "garbage", "axb"] {
-            assert!(err(bad).contains(&format!("{bad:?}")), "{}", err(bad));
-        }
-        // And well-formed inputs still parse.
-        assert_eq!(
-            TopologyShape::parse_strict("8x4"),
-            Ok(TopologyShape::new(8, 4))
-        );
-    }
-
-    #[test]
     fn twelve_devices_over_4x2() {
         // 8 nodes, ceil(12/8) = 2 devices per node.
         let t = Topology::new(TopologyShape::default(), 12);
@@ -317,8 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn display_round_trips() {
-        let s = TopologyShape::new(8, 4);
-        assert_eq!(TopologyShape::parse(&s.to_string()), Some(s));
+    fn display_is_racks_x_nodes() {
+        assert_eq!(TopologyShape::new(8, 4).to_string(), "8x4");
     }
 }

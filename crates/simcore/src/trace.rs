@@ -266,22 +266,20 @@ pub struct TracedEvent {
 pub struct TraceConfig {
     /// Master switch; everything below is ignored when false.
     pub enabled: bool,
-    /// Bounded ring capacity for recent events (oldest dropped first).
-    pub ring_capacity: usize,
     /// Retain *every* placement event unboundedly (the §5.4 optimality
     /// analysis replays the full placement log).
     pub keep_placements: bool,
 }
 
 impl TraceConfig {
-    /// The default ring size when tracing is enabled.
+    /// Capacity of the bounded ring of recent events (oldest dropped
+    /// first).
     pub const DEFAULT_RING: usize = 4096;
 
     /// Tracing off (the default): every emit is a no-op.
     pub fn disabled() -> Self {
         TraceConfig {
             enabled: false,
-            ring_capacity: 0,
             keep_placements: false,
         }
     }
@@ -290,7 +288,6 @@ impl TraceConfig {
     pub fn enabled() -> Self {
         TraceConfig {
             enabled: true,
-            ring_capacity: Self::DEFAULT_RING,
             keep_placements: false,
         }
     }
@@ -377,11 +374,7 @@ impl TraceBus {
             self.placements.push(traced);
             return;
         }
-        if self.cfg.ring_capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.cfg.ring_capacity {
+        if self.ring.len() == TraceConfig::DEFAULT_RING {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -580,31 +573,28 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_beyond_capacity() {
-        let mut bus = TraceBus::new(TraceConfig {
-            enabled: true,
-            ring_capacity: 4,
-            keep_placements: false,
-        });
-        for d in 0..10 {
+        let cap = TraceConfig::DEFAULT_RING;
+        let mut bus = TraceBus::new(TraceConfig::enabled());
+        for d in 0..cap + 6 {
             bus.emit(SimTime::from_secs(d as f64), ev_fault(d));
         }
-        assert_eq!(bus.recent().count(), 4);
+        assert_eq!(bus.recent().count(), cap);
         assert_eq!(bus.summary().dropped(), 6);
         // Counters keep the full total even though the ring is bounded.
-        assert_eq!(bus.summary().count(SimEventKind::FaultApplied), 10);
-        // The retained tail is the newest four.
+        assert_eq!(
+            bus.summary().count(SimEventKind::FaultApplied),
+            (cap + 6) as u64
+        );
+        // The retained tail is the newest `cap`.
         let first = bus.recent().next().unwrap();
         assert!((first.at.as_secs() - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn placement_retention_is_unbounded_and_ordered() {
-        let mut bus = TraceBus::new(TraceConfig {
-            enabled: true,
-            ring_capacity: 2,
-            keep_placements: true,
-        });
-        for i in 0..100 {
+        let mut bus = TraceBus::new(TraceConfig::with_placement_log());
+        let n = TraceConfig::DEFAULT_RING + 100;
+        for i in 0..n {
             bus.emit(
                 SimTime::from_secs(i as f64),
                 SimEvent::Placement {
@@ -614,10 +604,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(bus.placements().len(), 100);
+        assert_eq!(bus.placements().len(), n);
         assert!(matches!(
-            bus.placements()[99].event,
-            SimEvent::Placement { task: 99, .. }
+            bus.placements()[n - 1].event,
+            SimEvent::Placement { task, .. } if task == n - 1
         ));
         // Placements never displace ring events nor count as dropped.
         assert_eq!(bus.summary().dropped(), 0);
@@ -660,11 +650,8 @@ mod tests {
 
     #[test]
     fn events_since_resumes_a_tail() {
-        let mut bus = TraceBus::new(TraceConfig {
-            enabled: true,
-            ring_capacity: 4,
-            keep_placements: false,
-        });
+        let cap = TraceConfig::DEFAULT_RING;
+        let mut bus = TraceBus::new(TraceConfig::enabled());
         assert_eq!(bus.next_seq(), 0);
         for d in 0..3 {
             bus.emit(SimTime::from_secs(d as f64), ev_fault(d));
@@ -674,18 +661,19 @@ mod tests {
         assert_eq!(tail, vec![2]);
         assert_eq!(bus.missed_since(2), 0);
         // Overflow the ring: the oldest events become unobservable.
-        for d in 3..10 {
+        let n = cap + 6;
+        for d in 3..n {
             bus.emit(SimTime::from_secs(d as f64), ev_fault(d));
         }
-        assert_eq!(bus.next_seq(), 10);
+        assert_eq!(bus.next_seq(), n as u64);
         let tail: Vec<u64> = bus.events_since(0).map(|te| te.seq).collect();
-        assert_eq!(tail, vec![6, 7, 8, 9]);
+        assert_eq!(tail, (6..n as u64).collect::<Vec<_>>());
         assert_eq!(bus.missed_since(0), 6);
         assert_eq!(bus.missed_since(8), 0);
         // Sequence numbers survive into clones of retained events.
         let last = bus.recent().last().unwrap();
-        assert_eq!(last.seq, 9);
-        assert!((last.at.as_secs() - 9.0).abs() < 1e-12);
+        assert_eq!(last.seq, n as u64 - 1);
+        assert!((last.at.as_secs() - (n - 1) as f64).abs() < 1e-12);
     }
 
     #[test]

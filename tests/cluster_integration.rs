@@ -5,7 +5,6 @@
 use cluster::engine::{ClusterConfig, ClusterSession};
 use cluster::experiments::end_to_end;
 use cluster::systems::SystemKind;
-use mudi::policy::QueuePolicy;
 
 fn tiny(system: SystemKind, seed: u64, jobs: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::tiny(system, seed);
@@ -76,32 +75,6 @@ fn violations_never_exceed_requests() {
         );
         assert!(m.requests > 0.0, "service {svc:?} saw no traffic");
     }
-}
-
-/// Queue policies all drain and produce sensible orders; SJF should not
-/// increase mean waiting time relative to FCFS under contention.
-#[test]
-fn queue_policies_work_end_to_end() {
-    let mut results = Vec::new();
-    for policy in [
-        QueuePolicy::Fcfs,
-        QueuePolicy::Sjf,
-        QueuePolicy::Fair,
-        QueuePolicy::Priority,
-    ] {
-        let mut cfg = tiny(SystemKind::Mudi, 13, 18);
-        cfg.devices = 3; // Force queueing.
-        cfg.policy = policy;
-        let r = end_to_end(cfg, 0.004);
-        assert_eq!(r.jobs_completed, r.jobs_submitted, "{policy:?}");
-        results.push((policy, r.waiting.mean(), r.ct.mean()));
-    }
-    let fcfs_wait = results[0].1;
-    let sjf_wait = results[1].1;
-    assert!(
-        sjf_wait <= fcfs_wait * 1.25,
-        "SJF mean wait {sjf_wait} should not blow up vs FCFS {fcfs_wait}"
-    );
 }
 
 /// Memory safety across the run: Mudi swaps instead of pausing, so its

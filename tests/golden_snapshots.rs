@@ -12,6 +12,12 @@
 //! MUDI_BLESS=1 cargo test --test golden_snapshots
 //! ```
 //!
+//! Every engine golden is checked at each (shards, workers) point of
+//! [`GRID`]: the parallel-commit contract says the partition and the
+//! lane worker count are unobservable, so each point must reproduce the
+//! same file. A re-record writes the first point's rendering and checks
+//! the others against it.
+//!
 //! The rendered fields are pure IEEE-754 arithmetic plus libm calls
 //! (`exp`, `ln`, …); goldens are recorded on x86-64 Linux/glibc, the CI
 //! platform. A port to another libm may need a re-record.
@@ -34,12 +40,35 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// The (shards, workers) points every engine golden is checked at: the
+/// single-queue engine, then lanes on 2 and 4 worker threads. On the
+/// 4-rack default topology 8 shards clamp to 4.
+const GRID: [(usize, usize); 3] = [(1, 1), (4, 2), (8, 4)];
+
 fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
     if simcore::env::flag("MUDI_BLESS") {
-        std::fs::write(&path, actual).expect("write golden");
+        std::fs::write(golden_path(name), actual).expect("write golden");
         return;
     }
+    compare_golden(name, actual, "");
+}
+
+/// Renders the golden at every [`GRID`] point and checks each against
+/// the same file.
+fn check_golden_on_grid(name: &str, render: impl Fn(usize, usize) -> String) {
+    for (i, (shards, workers)) in GRID.into_iter().enumerate() {
+        let actual = render(shards, workers);
+        if i == 0 {
+            check_golden(name, &actual);
+        } else {
+            let point = format!(" at shards={shards} workers={workers}");
+            compare_golden(name, &actual, &point);
+        }
+    }
+}
+
+fn compare_golden(name: &str, actual: &str, point: &str) {
+    let path = golden_path(name);
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden {}: {e}; record with MUDI_BLESS=1",
@@ -48,7 +77,7 @@ fn check_golden(name: &str, actual: &str) {
     });
     assert!(
         expected == actual,
-        "{name} drifted from its golden snapshot.\n\
+        "{name} drifted from its golden snapshot{point}.\n\
          If the change is intentional, re-record with MUDI_BLESS=1.\n\
          --- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
@@ -70,20 +99,28 @@ fn render_series(xs: &[f64], results: &[ExperimentResult]) -> String {
     out
 }
 
-/// Tiny deterministic cell: full 12-device physical topology, few jobs,
-/// heavily scaled-down iterations — seconds to run, same code paths.
-fn snapshot_config(system: SystemKind, seed: u64) -> (ClusterConfig, f64) {
+/// Iteration scale of every snapshot run.
+const SCALE: f64 = 0.01;
+
+/// Tiny deterministic cell at one [`GRID`] point: full 12-device
+/// physical topology, few jobs, heavily scaled-down iterations
+/// ([`SCALE`]) — seconds to run, same code paths.
+fn snapshot_config(system: SystemKind, seed: u64, shards: usize, workers: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::physical(system, seed);
     cfg.jobs = 12;
-    (cfg, 0.01)
+    cfg.shards = shards;
+    cfg.workers = workers;
+    cfg
 }
 
 #[test]
 fn failure_sweep_matches_golden() {
-    let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
     let rates = [0.0, 100.0];
-    let results = run_cells(failure_cells(SystemKind::Mudi, 7, &rates, &base, scale));
-    check_golden("failure_sweep.txt", &render_series(&rates, &results));
+    check_golden_on_grid("failure_sweep.txt", |shards, workers| {
+        let base = snapshot_config(SystemKind::Mudi, 7, shards, workers);
+        let results = run_cells(failure_cells(SystemKind::Mudi, 7, &rates, &base, SCALE));
+        render_series(&rates, &results)
+    });
 }
 
 /// The fig. 20 shape: correlated blast radii over the default 4×2
@@ -91,23 +128,25 @@ fn failure_sweep_matches_golden() {
 /// reliability-aware selector inputs, and the total-outage accounting.
 #[test]
 fn correlated_failures_match_golden() {
-    let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
     let (scopes, rate) = ([FaultScope::Node, FaultScope::Rack], 200.0);
-    let results = run_cells(correlated_failure_cells(
-        SystemKind::Mudi,
-        7,
-        &scopes,
-        &[rate],
-        &base,
-        scale,
-    ));
-    assert_eq!(results.len(), scopes.len());
-    let mut out = String::new();
-    for (scope, r) in scopes.iter().zip(&results) {
-        let _ = writeln!(out, "== cell scope={} rate={rate:?} ==", scope.name());
-        out.push_str(&r.canonical_text());
-    }
-    check_golden("correlated_failures.txt", &out);
+    check_golden_on_grid("correlated_failures.txt", |shards, workers| {
+        let base = snapshot_config(SystemKind::Mudi, 7, shards, workers);
+        let results = run_cells(correlated_failure_cells(
+            SystemKind::Mudi,
+            7,
+            &scopes,
+            &[rate],
+            &base,
+            SCALE,
+        ));
+        assert_eq!(results.len(), scopes.len());
+        let mut out = String::new();
+        for (scope, r) in scopes.iter().zip(&results) {
+            let _ = writeln!(out, "== cell scope={} rate={rate:?} ==", scope.name());
+            out.push_str(&r.canonical_text());
+        }
+        out
+    });
 }
 
 /// The fig. 21 shape: warm-standby pool sizes against the pool-0
@@ -117,23 +156,25 @@ fn correlated_failures_match_golden() {
 /// rack-correlated path byte-for-byte.
 #[test]
 fn warm_standby_matches_golden() {
-    let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
     let (pools, rate) = ([0, 1], 200.0);
-    let results = run_cells(warm_standby_cells(
-        SystemKind::Mudi,
-        7,
-        &pools,
-        &[rate],
-        &base,
-        scale,
-    ));
-    assert_eq!(results.len(), pools.len());
-    let mut out = String::new();
-    for (pool, r) in pools.iter().zip(&results) {
-        let _ = writeln!(out, "== cell pool={pool} rate={rate:?} ==");
-        out.push_str(&r.canonical_text());
-    }
-    check_golden("warm_standby.txt", &out);
+    check_golden_on_grid("warm_standby.txt", |shards, workers| {
+        let base = snapshot_config(SystemKind::Mudi, 7, shards, workers);
+        let results = run_cells(warm_standby_cells(
+            SystemKind::Mudi,
+            7,
+            &pools,
+            &[rate],
+            &base,
+            SCALE,
+        ));
+        assert_eq!(results.len(), pools.len());
+        let mut out = String::new();
+        for (pool, r) in pools.iter().zip(&results) {
+            let _ = writeln!(out, "== cell pool={pool} rate={rate:?} ==");
+            out.push_str(&r.canonical_text());
+        }
+        out
+    });
 }
 
 /// A fixed scripted session — deploys, scales, live faults, routed
@@ -142,8 +183,12 @@ fn warm_standby_matches_golden() {
 /// replay the exact pre-refactor behavior, not just the batch drivers).
 #[test]
 fn session_script_matches_golden() {
-    let (cfg, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let mut s = ClusterSession::new_scaled(cfg, scale);
+    check_golden_on_grid("session_script.txt", session_script);
+}
+
+fn session_script(shards: usize, workers: usize) -> String {
+    let cfg = snapshot_config(SystemKind::Mudi, 7, shards, workers);
+    let mut s = ClusterSession::new_scaled(cfg, SCALE);
     let mut out = String::new();
 
     s.step_until(SimTime::from_secs(600.0));
@@ -209,8 +254,7 @@ fn session_script_matches_golden() {
     );
     let _ = writeln!(out, "fired={}", s.events_fired());
     out.push_str(&s.finish().canonical_text());
-
-    check_golden("session_script.txt", &out);
+    out
 }
 
 /// The LLM-mix shape: the physical cluster with the generative
@@ -224,10 +268,13 @@ fn session_script_matches_golden() {
 /// (classifier-only configs never construct generative services).
 #[test]
 fn llm_mix_session_matches_golden() {
-    let mut cfg = ClusterConfig::physical(SystemKind::Mudi, 7);
-    cfg.jobs = 12;
+    check_golden_on_grid("llm_mix_session.txt", llm_mix_session);
+}
+
+fn llm_mix_session(shards: usize, workers: usize) -> String {
+    let mut cfg = snapshot_config(SystemKind::Mudi, 7, shards, workers);
     cfg.llm_services = true;
-    let mut s = ClusterSession::new_scaled(cfg, 0.01);
+    let mut s = ClusterSession::new_scaled(cfg, SCALE);
     let mut out = String::new();
 
     s.step_until(SimTime::from_secs(900.0));
@@ -277,24 +324,23 @@ fn llm_mix_session_matches_golden() {
 
     let _ = writeln!(out, "fired={}", s.events_fired());
     out.push_str(&s.finish().canonical_text());
-    check_golden("llm_mix_session.txt", &out);
+    out
 }
 
 #[test]
 fn load_sensitivity_matches_golden() {
-    let (base, scale) = snapshot_config(SystemKind::Gslice, 7);
     let multipliers = [1.0, 4.0];
-    let results = run_cells(load_cells(
-        SystemKind::Gslice,
-        7,
-        &multipliers,
-        &base,
-        scale,
-    ));
-    check_golden(
-        "load_sensitivity.txt",
-        &render_series(&multipliers, &results),
-    );
+    check_golden_on_grid("load_sensitivity.txt", |shards, workers| {
+        let base = snapshot_config(SystemKind::Gslice, 7, shards, workers);
+        let results = run_cells(load_cells(
+            SystemKind::Gslice,
+            7,
+            &multipliers,
+            &base,
+            SCALE,
+        ));
+        render_series(&multipliers, &results)
+    });
 }
 
 /// Pins the Interference Modeler's fit bit for bit: every (service,

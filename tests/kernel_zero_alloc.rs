@@ -173,30 +173,15 @@ fn steady_state_stepping_allocates_nothing() {
             events > 0,
             "{shape}: measured window fired no events (warm-up fired {warm_events})"
         );
-        // These shapes resolve to one lane / one worker by default and
-        // must then be strictly allocation-free. When env overrides
-        // (`MUDI_SHARDS` / `MUDI_THREADS`, as in the CI grid re-runs)
-        // force the parallel lane phase, each epoch window's fork-join
-        // performs bounded setup — the same O(epoch windows), never
-        // O(events), contract `sharded_stepping_allocation_contract`
-        // pins below.
-        let profile = session.phase_profile();
-        if profile.workers > 1 && profile.lanes > 1 {
-            let epochs = ((horizon - warm) / 60.0).ceil() as usize + 8;
-            let bound = epochs * 64;
-            assert!(
-                delta <= bound,
-                "{shape}: parallel stepping allocated {delta} times over \
-                 {events} events ({epochs} epochs x budget 64 = {bound}); \
-                 allocations must scale with epochs, not events"
-            );
-        } else {
-            assert_eq!(
-                delta, 0,
-                "{shape}: warm steady-state stepping allocated {delta} times \
-                 over {events} events (set MUDI_ALLOC_TRACE=1 for backtraces)"
-            );
-        }
+        // These shapes resolve to one lane, so no lane phase ever fans
+        // out: stepping must be strictly allocation-free. The sharded
+        // budget is `sharded_stepping_allocation_contract`'s, below.
+        assert_eq!(session.phase_profile().lanes, 1, "{shape}");
+        assert_eq!(
+            delta, 0,
+            "{shape}: warm steady-state stepping allocated {delta} times \
+             over {events} events (set MUDI_ALLOC_TRACE=1 for backtraces)"
+        );
     }
 }
 

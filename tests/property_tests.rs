@@ -544,15 +544,20 @@ proptest! {
     /// blast that kills every replica of one service books the blast
     /// window's demand exactly once. With a pool, the standby serves
     /// what the pool-0 run drops — so `dropped + standby_served` must
-    /// equal the pool-0 run's `dropped` on the identical schedule.
+    /// equal the pool-0 run's `dropped` on the identical schedule, at
+    /// any engine shard count.
     #[test]
-    fn standby_coverage_conserves_blast_traffic(seed in 0u64..100_000) {
+    fn standby_coverage_conserves_blast_traffic(
+        seed in 0u64..100_000,
+        shards in prop::sample::select(vec![1usize, 2, 4]),
+    ) {
         use resilience::{FaultEvent, FaultKind, FaultProfile, StandbyPolicy};
         use simcore::SimDuration;
         let n = Zoo::standard().services().len();
         let run = |pool: usize| {
             let mut cfg = ClusterConfig::tiny(SystemKind::Random, seed);
             cfg.devices = n + 1; // Flat layout: service 0 on devices 0 and n.
+            cfg.shards = shards;
             let mut profile = FaultProfile::scaled(1.0);
             profile.recovery.standby = StandbyPolicy::warm(pool);
             cfg.faults = Some(profile);
@@ -742,8 +747,7 @@ proptest! {
     /// on bit-identical reports and a bit-identical final result. The
     /// sharded engine partitions the event population by rack but
     /// commits in canonical `(time, seq)` order, so the shard count
-    /// must be unobservable in every output. (Under `MUDI_SHARDS` both
-    /// sides resolve to the same override and the test still holds.)
+    /// must be unobservable in every output.
     #[test]
     fn session_sequences_are_shard_count_invariant(
         seed in 0u64..1_000_000,
@@ -791,8 +795,7 @@ proptest! {
     /// fault sequence against a mixed classifier+generative cluster
     /// produces bit-identical per-token verdicts and a bit-identical
     /// final fingerprint when replayed — and the shard count (1 vs 4)
-    /// is unobservable in both. (Under `MUDI_SHARDS` both sides
-    /// resolve to the same override and the test still holds.)
+    /// is unobservable in both.
     #[test]
     fn llm_mix_sessions_replay_shard_invariant(
         seed in 0u64..1_000_000,

@@ -9,11 +9,6 @@
 //! and must be insensitive to *where* the driver yields: stepping to
 //! one far horizon and stepping in small increments that land mid
 //! epoch-window must produce the same canonical rendering.
-//!
-//! Note: `MUDI_SHARDS` / `MUDI_THREADS` override `config.shards` /
-//! `config.workers`; under those overrides every cell resolves to the
-//! same point and the comparisons hold trivially. The unsuffixed CI
-//! test job runs without the overrides.
 
 use std::fmt::Write;
 

@@ -11,10 +11,6 @@
 //! counts on the golden-snapshot config, a faulted config (exercising
 //! the cross-shard reroute message path), and a wider 8-rack topology
 //! where 8 shards are actually distinct.
-//!
-//! Note: `MUDI_SHARDS` overrides `config.shards`; under that override
-//! every run here resolves to the same count and the comparisons hold
-//! trivially. The unsuffixed CI test job runs without the override.
 
 use cluster::engine::ClusterConfig;
 use cluster::experiments::end_to_end;
