@@ -33,7 +33,8 @@
 //! cells against the committed ledger and fails on a >20% regression
 //! in either steps/sec or `parallel_speedup` (mirroring
 //! `perf_kernel --gate`; `MUDI_BENCH_NO_GATE=1` bypasses on a noisy
-//! runner).
+//! runner). Any other argument exits with status 2 and a usage line
+//! before any work.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -261,9 +262,9 @@ fn run_gate(reference: &[((usize, usize, usize), f64, f64)], fresh: &[Cell]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate = args.iter().any(|a| a == "--gate");
+    let flags = bench::flags_or_exit("fig22_scale", &["--smoke", "--gate"]);
+    let smoke = flags.contains(&"--smoke");
+    let gate = flags.contains(&"--gate");
     let reference = if gate {
         std::fs::read_to_string(LEDGER_PATH)
             .map(|t| parse_ledger(&t))

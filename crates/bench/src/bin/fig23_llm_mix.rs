@@ -22,8 +22,10 @@
 //! reproducible; there are no wall-clock quantities here.
 //!
 //! `--smoke` sweeps a single load point on a short horizon and still
-//! writes the ledger — the CI shape. Every cell runs on 4 engine shards
-//! (one per rack), so the sharded engine carries the LLM mix.
+//! writes the ledger — the CI shape. Any other argument exits with
+//! status 2 and a usage line before any work. Every cell runs on 4
+//! engine shards (one per rack), so the sharded engine carries the LLM
+//! mix.
 
 use std::fmt::Write as _;
 
@@ -80,7 +82,7 @@ fn run_cell(system: SystemKind, load: f64, horizon_secs: f64) -> Cell {
 }
 
 fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
+    let smoke = bench::flags_or_exit("fig23_llm_mix", &["--smoke"]).contains(&"--smoke");
     const DAY: f64 = 24.0 * 3600.0;
     let (loads, horizon): (&[f64], f64) = if smoke {
         (&[1.5], 0.5 * DAY)

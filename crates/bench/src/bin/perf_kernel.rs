@@ -29,6 +29,9 @@
 //!   ledger before overwriting it and fails on a >20 % steps/sec
 //!   regression on any shape. `MUDI_BENCH_NO_GATE=1` disables the
 //!   failure for noisy runners.
+//!
+//! Any other argument exits with status 2 and a usage line before any
+//! work, so a stray `--help` never overwrites the ledger.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -225,12 +228,12 @@ fn run_gate(reference: &[(String, f64)], fresh: &[Measurement]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
+    let flags = bench::flags_or_exit("perf_kernel", &["--check", "--gate"]);
+    if flags.contains(&"--check") {
         run_check();
         return;
     }
-    let gate = args.iter().any(|a| a == "--gate");
+    let gate = flags.contains(&"--gate");
     let reference = if gate {
         parse_ledger(&std::fs::read_to_string(LEDGER_PATH).unwrap_or_default())
     } else {

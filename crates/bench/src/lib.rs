@@ -87,6 +87,29 @@ pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) {
     println!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})");
 }
 
+/// Checks a ledger binary's arguments against its documented `flags`:
+/// the flags given, in order, or the first argument that is not one.
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    flags: &[&'static str],
+) -> Result<Vec<&'static str>, String> {
+    args.into_iter()
+        .map(|a| flags.iter().copied().find(|&f| f == a).ok_or(a))
+        .collect()
+}
+
+/// The process arguments through [`parse_flags`]. Anything else, `--help`
+/// included, prints a usage line to stderr and exits with status 2
+/// before the binary does any work or writes its ledger.
+pub fn flags_or_exit(bin: &str, flags: &[&'static str]) -> Vec<&'static str> {
+    parse_flags(std::env::args().skip(1), flags).unwrap_or_else(|bad| {
+        let usage: Vec<String> = flags.iter().map(|f| format!("[{f}]")).collect();
+        eprintln!("{bin}: unknown argument {bad:?}");
+        eprintln!("usage: {bin} {}", usage.join(" "));
+        std::process::exit(2)
+    })
+}
+
 /// A bench gate fails a fresh figure that falls below this fraction of
 /// its committed ledger value (a >20% regression).
 pub const GATE_FLOOR: f64 = 0.80;
@@ -213,6 +236,18 @@ mod tests {
             std::hint::black_box(start);
         }
         assert!(thread_cpu_s() > t0);
+    }
+
+    #[test]
+    fn flag_parser_accepts_only_documented_flags() {
+        let parse =
+            |args: &[&str]| parse_flags(args.iter().map(|a| a.to_string()), &["--smoke", "--gate"]);
+        assert_eq!(parse(&[]), Ok(vec![]));
+        assert_eq!(parse(&["--gate", "--smoke"]), Ok(vec!["--gate", "--smoke"]));
+        assert_eq!(parse(&["--smoke", "--help"]), Err("--help".to_string()));
+        assert_eq!(parse(&["smoke"]), Err("smoke".to_string()));
+        assert_eq!(parse(&["--smoke=1"]), Err("--smoke=1".to_string()));
+        assert_eq!(parse(&[""]), Err(String::new()));
     }
 
     #[test]

@@ -104,34 +104,42 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
             m.violations += served * dt * pviol;
             acc.standby_served_requests += served * dt;
         }
-        ctx.devices[li].record_utilization(ctx.gt, now);
+        ctx.devices[li].record_utilization(ctx.gt, now, None);
         return;
     }
     let dev = &ctx.devices[li];
     let Some(inf) = dev.inference() else {
         return;
     };
-    let (service, batch, frac, qps) = (inf.service, inf.batch, inf.gpu_fraction, inf.qps);
-    let (colo_buf, colo_n) = dev.colo_for_inference_buf();
-    let colo = &colo_buf[..colo_n];
+    let (service, batch, configured, qps) = (inf.service, inf.batch, inf.gpu_fraction, inf.qps);
     let slo = ctx.gt.zoo().service(service).slo_secs();
     // Degraded devices deliver only `pf` of their effective compute:
     // the same model query at a proportionally smaller GPU share.
     let pf = dev.perf_factor();
-    let frac = (frac * pf).max(0.01);
+    let frac = (configured * pf).max(0.01);
+    let generative = ctx.gt.zoo().service(service).generative;
+    // The running continuous batch of a generative replica is the
+    // steady-state fixed point of arrivals against the batch-dependent
+    // iteration latency; the tuned batch acts as the admission cap. A
+    // classifier runs its configured batch.
+    let (bsz, (mean, sigma, p99)) = dev.with_inference_colo(|colo| {
+        let bsz = match generative {
+            Some(_) => ctx.gt.steady_decode_batch(service, batch, frac, qps, colo),
+            None => batch,
+        };
+        (bsz, dev.latency_profile(ctx.gt, service, bsz, frac, colo))
+    });
+    // When this span's key is the configured one (a healthy device,
+    // and a generative loop running at its cap), the utilization
+    // record below reads the same profile: hand it the mean.
+    let configured_mean = (bsz == batch && frac.to_bits() == configured.to_bits()).then_some(mean);
+    ctx.dstate[li].last_p99 = Some(p99);
 
     // --- SLO violations. ---
-    let generative = ctx.gt.zoo().service(service).generative;
     if let Some(gp) = generative {
-        // Generative decode accrual. The running continuous batch is
-        // the steady-state fixed point of arrivals against the
-        // batch-dependent iteration latency; the tuned batch acts as
-        // the admission cap. Per-token (ITL) and TTFT targets then
+        // Generative decode accrual. Per-token (ITL) and TTFT targets
         // accrue in closed form exactly like classifier SLOs: for a
         // generative spec `slo` *is* the p99 inter-token target.
-        let bsz = ctx.gt.steady_decode_batch(service, batch, frac, qps, colo);
-        let (mean, sigma, p99) = dev.latency_profile(ctx.gt, service, bsz, frac, colo);
-        ctx.dstate[li].last_p99 = Some(p99);
         // One iteration emits one token per resident sequence, so
         // the loop's token service rate is `bsz / mean`.
         let tok_rate = qps * gp.decode_tokens_mean;
@@ -161,8 +169,6 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
         m.itl_violations += tokens * p_itl;
         m.p99_stats.record(p99);
     } else {
-        let (mean, sigma, p99) = dev.latency_profile(ctx.gt, service, batch, frac, colo);
-        ctx.dstate[li].last_p99 = Some(p99);
         ctx.dstate[li].last_util = if qps > 0.0 {
             mean / (batch as f64 / qps)
         } else {
@@ -258,7 +264,7 @@ pub(super) fn accrue(ctx: &mut LaneCtx, now: SimTime, d: usize) {
     }
 
     // Utilization integrators see the (constant) current state.
-    ctx.devices[li].record_utilization(ctx.gt, now);
+    ctx.devices[li].record_utilization(ctx.gt, now, configured_mean);
 }
 
 /// A replica's QPS segment rolls over and the Monitor (§5.3.2) decides

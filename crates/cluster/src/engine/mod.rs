@@ -52,7 +52,7 @@ mod tests;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ScalePreset};
 pub use control::{itl_violation_probability, violation_probability};
 pub use session::{
-    AccrualCounters, ClusterSession, GenInferOutcome, InferOutcome, LiveFault, ScaleOutcome,
-    ServiceSlo, SessionError, TokenVerdict, TuningCounters,
+    AccrualCounters, ClusterSession, GenInferOutcome, InferOutcome, LiveFault, RouteCounters,
+    ScaleOutcome, ServiceSlo, SessionError, TokenVerdict, TuningCounters,
 };
 pub use state::{striped_service_assignment, PlacementLog};

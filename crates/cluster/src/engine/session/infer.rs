@@ -4,14 +4,13 @@
 //! stream, so individually routed requests never perturb the kernel's
 //! own substreams.
 
-use gpu_sim::device::COLO_VIEW_MAX;
 use gpu_sim::GpuDevice;
 use simcore::{SimEvent, SimTime};
 use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
 use super::super::control::{itl_violation_probability, standby_score, violation_probability};
 use super::super::state::SimState;
-use super::{ClusterSession, SessionError};
+use super::{ClusterSession, RouteCounters, SessionError};
 
 /// The outcome of one routed inference request.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,16 +84,15 @@ impl ClusterSession {
     /// lowest predicted violation probability — the same
     /// interference-aware latency model the §5.2 selector scores
     /// placements with — breaking ties by predicted mean latency, then
-    /// device index. The sampled latency is the batch-fill wait plus a
-    /// log-normal batch-latency draw from the ground-truth model at the
-    /// replica's current configuration.
+    /// device index. A replica that provably cannot win is not scored,
+    /// which leaves the choice unchanged. The sampled latency is the
+    /// batch-fill wait plus a log-normal batch-latency draw from the
+    /// ground-truth model at the replica's current configuration.
     pub fn infer(&mut self, service: ServiceId) -> Result<InferOutcome, SessionError> {
         self.check_service(service)?;
         let now = self.now;
         let slo = self.st.shared.gt.zoo().service(service).slo_secs();
-        let (device, best) = self.route(service, RouteKind::Classifier, |st, d, slot| {
-            classifier_candidate(st, d, service, slo, slot)
-        })?;
+        let (device, best) = self.route(service, Scorer::Classifier { slo })?;
         let Candidate {
             mean,
             sigma,
@@ -145,9 +143,7 @@ impl ClusterSession {
         };
         let itl_slo = spec.slo_secs();
         let now = self.now;
-        let (device, best) = self.route(service, RouteKind::Generative, |st, d, slot| {
-            generative_candidate(st, d, service, gp, itl_slo, slot)
-        })?;
+        let (device, best) = self.route(service, Scorer::Generative { gp, itl_slo })?;
         let Candidate {
             mean,
             sigma,
@@ -207,29 +203,30 @@ impl ClusterSession {
             });
     }
 
-    /// The replica selector shared by both request kinds: scores every
-    /// up device that serves `service` (its primary replica, or an
-    /// active standby covering it) and keeps the lowest
-    /// `(p_violation, mean)`, breaking exact ties by device index.
-    /// The choice is kept in the session's route cache until the
-    /// next call that can change device state, so repeated requests
-    /// between two steps score the replicas once.
+    /// The replica selector shared by both request kinds: the choice
+    /// of [`ClusterSession::scan`], kept in the session's route cache
+    /// until the next call that can change device state, so repeated
+    /// requests between two steps scan the replicas once. Each scan
+    /// counts in [`RouteCounters`]; a cache hit does not.
     fn route(
         &mut self,
         service: ServiceId,
-        kind: RouteKind,
-        score: impl Fn(&SimState, usize, &Slot) -> Candidate,
+        scorer: Scorer,
     ) -> Result<(usize, Candidate), SessionError> {
-        let key = 2 * service.0 + kind as usize;
+        let key = 2 * service.0 + scorer.kind();
         if let Some(hit) = self.routes.get(key).copied().flatten() {
             debug_assert!(
-                same_route(hit, self.scan(service, score)?),
+                self.scan(service, scorer)
+                    .0
+                    .is_some_and(|fresh| same_route(hit, fresh)),
                 "stale route for service {}: a device-state change did not clear the route cache",
                 service.0
             );
             return Ok(hit);
         }
-        let best = self.scan(service, score)?;
+        let (best, counts) = self.scan(service, scorer);
+        self.route_counters.add(&counts);
+        let best = best.ok_or(SessionError::NoReplica(service))?;
         if self.routes.len() <= key {
             self.routes.resize(key + 1, None);
         }
@@ -237,34 +234,91 @@ impl ClusterSession {
         Ok(best)
     }
 
-    /// Scores every replica of `service` on its roster (see
-    /// [`ClusterSession::route`]).
+    /// Walks `service`'s roster in order, over every up device that
+    /// serves it (its primary replica, or an active standby covering
+    /// it), and keeps the first replica with the smallest `(p, mean)`
+    /// under a strict `<`: the lowest violation probability, ties
+    /// broken by mean latency, then by roster order.
+    ///
+    /// The walk skips the violation probability of a replica that
+    /// cannot win. `p` lies in `[0, 1]`, so once the running best has
+    /// `p == 0.0` a candidate wins only with a strictly smaller mean.
+    /// A classifier primary reads its mean from the device's profile
+    /// memo and stops there when the mean is `>=` the best's; a NaN
+    /// mean compares false and gets the full score. A standby keeps its
+    /// frozen score and a generative replica its full score (its mean
+    /// is taken at the steady decode batch), so neither is skipped. The
+    /// choice is therefore the one a full scan makes, bit for bit.
+    /// Returns the choice (`None` when no replica is up) and the scan's
+    /// work counts.
     fn scan(
         &self,
         service: ServiceId,
-        score: impl Fn(&SimState, usize, &Slot) -> Candidate,
-    ) -> Result<(usize, Candidate), SessionError> {
+        scorer: Scorer,
+    ) -> (Option<(usize, Candidate)>, RouteCounters) {
         let mut best: Option<(usize, Candidate)> = None;
+        let mut counts = RouteCounters {
+            scans: 1,
+            ..RouteCounters::default()
+        };
         for &d in self.st.roster.of(service) {
             let Some(slot) = Slot::of(&self.st.devices[d], service) else {
                 continue;
             };
-            let c = score(&self.st, d, &slot);
+            counts.visited += 1;
+            let beat = best.filter(|(_, b)| b.p == 0.0).map(|(_, b)| b.mean);
+            let Some(c) = scorer.score(&self.st, d, service, &slot, beat) else {
+                continue;
+            };
+            counts.scored += 1;
             if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
                 best = Some((d, c));
             }
         }
-        best.ok_or(SessionError::NoReplica(service))
+        (best, counts)
     }
 }
 
-/// Which scorer a routing decision came from: a generative service
-/// can be addressed by either request kind, and the two score its
-/// replicas differently.
+/// How a routing decision scores a replica: a generative service can
+/// be addressed by either request kind, and the two score its replicas
+/// differently.
 #[derive(Clone, Copy)]
-enum RouteKind {
-    Classifier,
-    Generative,
+enum Scorer {
+    /// The batch-queue violation probability against the SLO.
+    Classifier { slo: f64 },
+    /// The inter-token violation probability at the steady decode
+    /// batch.
+    Generative { gp: GenerativeProfile, itl_slo: f64 },
+}
+
+impl Scorer {
+    /// The scorer's slot in the route cache key.
+    fn kind(self) -> usize {
+        match self {
+            Scorer::Classifier { .. } => 0,
+            Scorer::Generative { .. } => 1,
+        }
+    }
+
+    /// Scores `service`'s slot on device `d`. `beat` is the mean a
+    /// candidate must undercut to win, when the running best has
+    /// `p == 0.0` (see [`ClusterSession::scan`]); a classifier primary
+    /// that cannot is skipped (`None`).
+    fn score(
+        self,
+        st: &SimState,
+        d: usize,
+        service: ServiceId,
+        slot: &Slot,
+        beat: Option<f64>,
+    ) -> Option<Candidate> {
+        match self {
+            Scorer::Classifier { slo } => classifier_candidate(st, d, service, slo, slot, beat),
+            Scorer::Generative { gp, itl_slo } => {
+                Some(generative_candidate(st, d, service, gp, itl_slo, slot))
+            }
+        }
+    }
 }
 
 /// Whether two routing decisions agree bit for bit.
@@ -330,12 +384,13 @@ impl Slot {
         })
     }
 
-    /// The workloads colocated with this slot on `dev`.
-    fn colo(&self, dev: &GpuDevice) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
+    /// Calls `f` with the workloads colocated with this slot on `dev`.
+    fn with_colo<R>(&self, dev: &GpuDevice, f: impl FnOnce(&[ColoWorkload]) -> R) -> R {
         if self.standby {
-            dev.colo_for_standby_buf()
+            let (buf, n) = dev.colo_for_standby_buf();
+            f(&buf[..n])
         } else {
-            dev.colo_for_inference_buf()
+            dev.with_inference_colo(f)
         }
     }
 
@@ -361,7 +416,8 @@ impl Slot {
 
 /// Scores a classifier slot: the batch-queue violation probability at
 /// the slot's configured batch. A primary computes it from its latency
-/// profile; a standby takes the score a promote freezes for the device
+/// profile, unless its mean does not undercut `beat` and so cannot win
+/// (`None`); a standby takes the score a promote freezes for the device
 /// it covers.
 fn classifier_candidate(
     st: &SimState,
@@ -369,14 +425,18 @@ fn classifier_candidate(
     service: ServiceId,
     slo: f64,
     slot: &Slot,
-) -> Candidate {
+    beat: Option<f64>,
+) -> Option<Candidate> {
     let dev = &st.devices[d];
     let (p, mean, sigma) = if slot.standby {
         standby_score(&st.shared.gt, dev).expect("active standby")
     } else {
-        let (colo_buf, colo_n) = slot.colo(dev);
-        let colo = &colo_buf[..colo_n];
-        let (mean, sigma) = slot.profile(dev, &st.shared.gt, service, slot.batch, colo);
+        let (mean, sigma) = slot.with_colo(dev, |colo| {
+            slot.profile(dev, &st.shared.gt, service, slot.batch, colo)
+        });
+        if beat.is_some_and(|b| mean >= b) {
+            return None;
+        }
         let p = violation_probability(slot.qps, slot.batch, slo, mean, sigma);
         (p, mean, sigma)
     };
@@ -385,13 +445,13 @@ fn classifier_candidate(
     } else {
         0.0
     };
-    Candidate {
+    Some(Candidate {
         p,
         mean,
         sigma,
         fill,
         via_standby: slot.standby,
-    }
+    })
 }
 
 /// Scores a generative slot: the inter-token violation probability at
@@ -405,10 +465,10 @@ fn generative_candidate(
     slot: &Slot,
 ) -> Candidate {
     let (gt, dev) = (&st.shared.gt, &st.devices[d]);
-    let (colo_buf, colo_n) = slot.colo(dev);
-    let colo = &colo_buf[..colo_n];
-    let bsz = gt.steady_decode_batch(service, slot.batch, slot.frac, slot.qps, colo);
-    let (mean, sigma) = slot.profile(dev, gt, service, bsz, colo);
+    let (bsz, (mean, sigma)) = slot.with_colo(dev, |colo| {
+        let bsz = gt.steady_decode_batch(service, slot.batch, slot.frac, slot.qps, colo);
+        (bsz, slot.profile(dev, gt, service, bsz, colo))
+    });
     let tok_rate = slot.qps * gp.decode_tokens_mean;
     let util = if tok_rate > 0.0 {
         mean * tok_rate / bsz as f64
@@ -421,5 +481,305 @@ fn generative_candidate(
         sigma,
         fill: 0.0,
         via_standby: slot.standby,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{ClusterConfig, LiveFault, ScalePreset};
+    use crate::systems::SystemKind;
+    use resilience::{FaultProfile, StandbyPolicy};
+    use simcore::{SimDuration, SimRng};
+
+    /// How many routing decisions met each regime the prune must get
+    /// right.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    struct Regimes {
+        /// Scans that skipped at least one replica's score.
+        pruned: u64,
+        /// Scans where a classifier primary took the lead from a best
+        /// with `p > 0` on `p` alone, its mean no smaller: a prune that
+        /// ignored the best's `p` would have skipped it.
+        won_on_p: u64,
+        /// Scans that visited an active standby.
+        standby: u64,
+        /// Scans that visited a degraded device.
+        degraded: u64,
+    }
+
+    impl Regimes {
+        fn add(&mut self, other: Regimes) {
+            self.pruned += other.pruned;
+            self.won_on_p += other.won_on_p;
+            self.standby += other.standby;
+            self.degraded += other.degraded;
+        }
+    }
+
+    /// The scan as first written: every replica fully scored in roster
+    /// order, the first smallest `(p, mean)` kept. Also says which
+    /// regimes the scan met (the `pruned` count is left to the caller).
+    fn unpruned_scan(
+        s: &ClusterSession,
+        service: ServiceId,
+        scorer: Scorer,
+    ) -> (Option<(usize, Candidate)>, Regimes) {
+        let mut best: Option<(usize, Candidate)> = None;
+        let (mut won_on_p, mut standby, mut degraded) = (false, false, false);
+        for &d in s.st.roster.of(service) {
+            let dev = &s.st.devices[d];
+            let Some(slot) = Slot::of(dev, service) else {
+                continue;
+            };
+            let c = scorer
+                .score(&s.st, d, service, &slot, None)
+                .expect("an unbounded score");
+            standby |= slot.standby;
+            degraded |= dev.perf_factor() < 1.0;
+            if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
+                let prunable = matches!(scorer, Scorer::Classifier { .. }) && !slot.standby;
+                won_on_p |= prunable && best.is_some_and(|(_, b)| b.p > 0.0 && c.mean >= b.mean);
+                best = Some((d, c));
+            }
+        }
+        let met = Regimes {
+            pruned: 0,
+            won_on_p: u64::from(won_on_p),
+            standby: u64::from(standby),
+            degraded: u64::from(degraded),
+        };
+        (best, met)
+    }
+
+    /// Routes every service with the classifier scorer, and every
+    /// generative one with the token scorer too, through
+    /// [`ClusterSession::route`] with a cold cache, checks each choice
+    /// against [`unpruned_scan`] bit for bit, and tallies the regimes.
+    fn route_all_against_the_oracle(s: &mut ClusterSession, regimes: &mut Regimes, at: &str) {
+        let services: Vec<_> = s.zoo().services().to_vec();
+        for spec in &services {
+            let slo = spec.slo_secs();
+            let token = spec
+                .generative
+                .map(|gp| Scorer::Generative { gp, itl_slo: slo });
+            for scorer in std::iter::once(Scorer::Classifier { slo }).chain(token) {
+                let (want, met) = unpruned_scan(s, spec.id, scorer);
+                let scored = s.route_counters.scored;
+                let visited = s.route_counters.visited;
+                s.routes.clear();
+                let got = s.route(spec.id, scorer).ok();
+                let pruned =
+                    (s.route_counters.visited - visited) - (s.route_counters.scored - scored);
+                assert!(
+                    got.is_some() == want.is_some()
+                        && got.zip(want).is_none_or(|(g, w)| same_route(g, w)),
+                    "{at}: service {} scorer {}: pruned {:?} vs unpruned {:?}",
+                    spec.id.0,
+                    scorer.kind(),
+                    got.map(|(d, c)| (d, c.p, c.mean)),
+                    want.map(|(d, c)| (d, c.p, c.mean)),
+                );
+                regimes.add(Regimes {
+                    pruned: u64::from(pruned > 0),
+                    ..met
+                });
+            }
+        }
+    }
+
+    /// One random live operation.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Step(f64),
+        Fail(usize, f64),
+        Slowdown(usize, f64),
+        /// Fails every up primary of a service: the first comes back
+        /// after a minute, the rest stay down, so the last one's traffic
+        /// moves to a promoted standby that then serves beside the
+        /// repaired primary.
+        Blackout(usize),
+        /// Gives every up primary of a service the first one's batch and
+        /// GPU share, and the `k`-th in roster order the load that puts
+        /// its utilization at `util + k * step`: replicas with equal
+        /// means (those without co-located work) whose scores differ,
+        /// saturated so that `p > 0`.
+        Saturate(usize, f64, f64),
+    }
+
+    fn random_op(rng: &mut SimRng, devices: usize, services: usize) -> Op {
+        match rng.uniform_usize(0, 9) {
+            0..=2 => Op::Step(rng.uniform(30.0, 400.0)),
+            3 | 4 => Op::Fail(rng.uniform_usize(0, devices), rng.uniform(60.0, 3000.0)),
+            5 | 6 => Op::Slowdown(rng.uniform_usize(0, devices), rng.uniform(0.2, 0.9)),
+            7 => Op::Blackout(rng.uniform_usize(0, services)),
+            _ => Op::Saturate(
+                rng.uniform_usize(0, services),
+                rng.uniform(0.9, 1.3),
+                rng.uniform(-0.05, 0.05),
+            ),
+        }
+    }
+
+    fn apply(s: &mut ClusterSession, op: Op) {
+        match op {
+            Op::Step(secs) => {
+                s.step_until(s.now() + SimDuration::from_secs(secs));
+            }
+            Op::Fail(d, repair_secs) => {
+                // A device that is already down rejects the fault.
+                let _ = s.inject_fault(d, LiveFault::DeviceFailure { repair_secs });
+            }
+            Op::Slowdown(d, factor) => {
+                let _ = s.inject_fault(
+                    d,
+                    LiveFault::Slowdown {
+                        factor,
+                        duration_secs: 900.0,
+                    },
+                );
+            }
+            Op::Blackout(svc) => {
+                let up: Vec<usize> = s.st.up_primaries(ServiceId(svc)).collect();
+                for (i, d) in up.into_iter().enumerate() {
+                    let repair_secs = if i == 0 { 60.0 } else { 5000.0 };
+                    s.inject_fault(d, LiveFault::DeviceFailure { repair_secs })
+                        .expect("an up device takes the fault");
+                }
+                s.step_until(s.now() + SimDuration::from_secs(90.0));
+            }
+            Op::Saturate(svc, util, step) => {
+                let svc = ServiceId(svc);
+                let (st, now) = s.state_mut();
+                let primaries: Vec<usize> = st.up_primaries(svc).collect();
+                let Some(inf) = primaries.first().and_then(|&d| st.devices[d].inference()) else {
+                    return;
+                };
+                let (batch, fraction) = (inf.batch, inf.gpu_fraction);
+                let gt = &st.shared.gt;
+                for (k, &d) in primaries.iter().enumerate() {
+                    let dev = &mut st.devices[d];
+                    dev.set_inference_batch(gt, now, batch);
+                    dev.set_inference_fraction(fraction);
+                    let slot = Slot::of(dev, svc).expect("an up primary");
+                    let mean =
+                        slot.with_colo(dev, |colo| slot.profile(dev, gt, svc, batch, colo).0);
+                    let qps = (util + k as f64 * step) * batch as f64 / mean;
+                    dev.set_inference_qps(gt, now, qps.max(0.0));
+                }
+            }
+        }
+    }
+
+    /// Draw `case` of the oracle property: a random session (seed,
+    /// size, co-located training, load, warm standbys under faults) and
+    /// a random sequence of live operations, replayed at (shards,
+    /// workers) = (1, 1) and (4, 2). After every operation each service
+    /// is routed with each scorer and checked against the unpruned
+    /// scan. Returns the regimes the draw met.
+    fn oracle_case(case: u32) -> Regimes {
+        let mut draw = proptest::TestRng::for_case("route_oracle", case);
+        let seed = draw.next_u64();
+        let devices = 24 + draw.below(25) as usize;
+        let jobs = draw.below(40) as usize;
+        // Up to 6x the base load, where saturated replicas score p > 0.
+        let load = 1.0 + 5.0 * draw.next_f64();
+        let mut rng = SimRng::seed(draw.next_u64());
+        let ops: Vec<Op> = (0..8).map(|_| random_op(&mut rng, devices, 8)).collect();
+        let mut regimes = None;
+        for (shards, workers) in [(1, 1), (4, 2)] {
+            let mut faults = FaultProfile::scaled(20.0);
+            faults.recovery.standby = StandbyPolicy::warm(1);
+            let cfg = ClusterConfig::builder(ScalePreset::Tiny, SystemKind::Mudi, seed)
+                .devices(devices)
+                .jobs(jobs)
+                .load_multiplier(load)
+                .llm_services(true)
+                .shards(shards)
+                .workers(workers)
+                .shard_epoch_secs(30.0)
+                .build()
+                .with_faults(faults);
+            let mut s = ClusterSession::new_scaled(cfg, 0.002);
+            s.step_until(SimTime::from_secs(120.0));
+            let at = |i: usize| format!("case {case} at ({shards}, {workers}) after op {i}");
+            let mut met = Regimes::default();
+            route_all_against_the_oracle(&mut s, &mut met, &at(0));
+            for (i, &op) in ops.iter().enumerate() {
+                apply(&mut s, op);
+                route_all_against_the_oracle(&mut s, &mut met, &at(i + 1));
+            }
+            let first = *regimes.get_or_insert(met);
+            assert_eq!(
+                met, first,
+                "case {case}: the regimes differ across the grid"
+            );
+        }
+        regimes.expect("two grid points")
+    }
+
+    /// The pruned scan picks the same replica with the same candidate
+    /// bits as the unpruned scan, for both request kinds, on random
+    /// sessions.
+    #[test]
+    fn pruned_route_matches_the_unpruned_scan() {
+        for case in 0..proptest::cases_or(6) {
+            oracle_case(case);
+        }
+    }
+
+    /// The routing counters on a fixed script: each request the route
+    /// cache cannot answer scans once, a repeat between two steps scans
+    /// nothing, and the counts are the same at every grid point.
+    #[test]
+    fn route_counters_pin_a_fixed_script() {
+        for (shards, workers) in [(1, 1), (4, 2)] {
+            let cfg = ClusterConfig::builder(ScalePreset::Tiny, SystemKind::Mudi, 11)
+                .devices(32)
+                .jobs(12)
+                .llm_services(true)
+                .shards(shards)
+                .workers(workers)
+                .shard_epoch_secs(30.0)
+                .build();
+            let mut s = ClusterSession::new_scaled(cfg, 0.002);
+            let services: Vec<_> = s.zoo().services().to_vec();
+            for horizon in [600.0, 900.0] {
+                s.step_until(SimTime::from_secs(horizon));
+                for spec in &services {
+                    for _ in 0..2 {
+                        s.infer(spec.id).expect("a replica");
+                        if spec.is_generative() {
+                            s.infer_tokens(spec.id, 4).expect("a replica");
+                        }
+                    }
+                }
+            }
+            // Two horizons, eight services and two generative ones: 20
+            // scans of four replicas each.
+            assert_eq!(
+                s.phase_profile().routing,
+                RouteCounters {
+                    scans: 20,
+                    visited: 80,
+                    scored: 59,
+                },
+                "at ({shards}, {workers})"
+            );
+        }
+    }
+
+    /// The oracle's first draws reach every regime the prune has to get
+    /// right, whatever `PROPTEST_CASES` says.
+    #[test]
+    fn oracle_draws_reach_every_regime() {
+        let mut total = Regimes::default();
+        for case in 0..4 {
+            total.add(oracle_case(case));
+        }
+        assert!(total.pruned > 0, "{total:?}");
+        assert!(total.won_on_p > 0, "{total:?}");
+        assert!(total.standby > 0, "{total:?}");
+        assert!(total.degraded > 0, "{total:?}");
     }
 }

@@ -119,7 +119,7 @@ pub struct ServiceSlo {
 /// Wall-clock split of the stepping work, for scaling diagnostics:
 /// how much time was spent in the parallel lane phase versus the
 /// serial barrier-plus-global phase, the parallelism applied, and the
-/// exact tuning and accrual work counts behind it.
+/// exact tuning, accrual and routing work counts behind it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Seconds spent in the (potentially parallel) lane phase.
@@ -137,6 +137,8 @@ pub struct PhaseProfile {
     pub tuning: TuningCounters,
     /// Exact SLO-accrual work counts.
     pub accrual: AccrualCounters,
+    /// Exact request-routing work counts.
+    pub routing: RouteCounters,
 }
 
 /// Exact counts of the tuning work so far. Each lane counts its own
@@ -220,6 +222,51 @@ impl std::fmt::Display for AccrualCounters {
     }
 }
 
+/// Exact counts of the request path's routing work so far. A routed
+/// request the route cache answers scans nothing; every other one scans
+/// its service's roster once. A scan visits each up replica (primary or
+/// active standby) and fully scores those that can still win
+/// (`ClusterSession::scan`), so `visited - scored` replicas were pruned.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteCounters {
+    /// Roster scans: routed requests the route cache did not answer.
+    pub scans: u64,
+    /// Replicas those scans visited.
+    pub visited: u64,
+    /// Visited replicas that were fully scored.
+    pub scored: u64,
+}
+
+impl RouteCounters {
+    /// Visited replicas whose score was skipped because they could not
+    /// win.
+    pub fn pruned(&self) -> u64 {
+        self.visited - self.scored
+    }
+
+    /// Adds `other`'s counts.
+    pub(crate) fn add(&mut self, other: &RouteCounters) {
+        self.scans += other.scans;
+        self.visited += other.visited;
+        self.scored += other.scored;
+    }
+}
+
+impl std::fmt::Display for RouteCounters {
+    /// One line: the scans, then the replicas visited, scored and
+    /// pruned.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "route scans {} visited {} scored {} pruned {}",
+            self.scans,
+            self.visited,
+            self.scored,
+            self.pruned()
+        )
+    }
+}
+
 /// A live, incrementally stepped cluster: the engine state plus a
 /// session clock that only moves when the caller advances it.
 pub struct ClusterSession {
@@ -240,6 +287,8 @@ pub struct ClusterSession {
     /// function of that state, so a cached choice is the one a fresh
     /// scan would make.
     routes: Vec<Option<(usize, Candidate)>>,
+    /// Routing work so far.
+    route_counters: RouteCounters,
     /// Last training-job completion (for the makespan).
     last_finish: SimTime,
     wall_start: Instant,
@@ -287,6 +336,7 @@ impl ClusterSession {
             infer_rng,
             api: vec![(0, 0); n_services],
             routes: Vec::new(),
+            route_counters: RouteCounters::default(),
             last_finish: SimTime::ZERO,
             wall_start,
         }
@@ -428,8 +478,9 @@ impl ClusterSession {
     }
 
     /// Wall-clock split between the parallel lane phase and the serial
-    /// commit/global phase accumulated so far, with the tuning and
-    /// accrual counters ([`TuningCounters`], [`AccrualCounters`]). The
+    /// commit/global phase accumulated so far, with the tuning, accrual
+    /// and routing counters ([`TuningCounters`], [`AccrualCounters`],
+    /// [`RouteCounters`]). The
     /// utilization sample's read fan-out and the placement candidate
     /// scan run during the serial phase but parallelize over the same
     /// pool, so their time counts as lane work here.
@@ -447,6 +498,7 @@ impl ClusterSession {
             lanes: self.st.lanes.len(),
             tuning: self.st.tuning_counters(),
             accrual: self.st.accrual_counters(),
+            routing: self.route_counters,
         }
     }
 

@@ -365,10 +365,12 @@ pub fn bursty_case_study(
 
         let inf = dev.inference().expect("replica");
         let (batch, frac) = (inf.batch, inf.gpu_fraction);
-        let (colo_buf, colo_n) = dev.colo_for_inference_buf();
-        let colo = &colo_buf[..colo_n];
-        let mean = gt.inference_latency(svc.id, batch, frac, colo);
-        let sigma = gt.effective_sigma(svc.id, batch, frac, colo);
+        let (mean, sigma) = dev.with_inference_colo(|colo| {
+            (
+                gt.inference_latency(svc.id, batch, frac, colo),
+                gt.effective_sigma(svc.id, batch, frac, colo),
+            )
+        });
         let p = violation_probability(qps, batch, svc.slo_secs(), mean, sigma);
         violations += p * qps;
         requests += qps;

@@ -470,21 +470,27 @@ impl GpuDevice {
         share
     }
 
-    /// The co-location set as seen by the inference instance (all
-    /// resident trainings and an active standby), into a fixed stack
-    /// buffer as `(buffer, len)`.
-    pub fn colo_for_inference_buf(&self) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
+    /// Calls `f` with the co-location set as seen by the inference
+    /// instance: all resident trainings and an active standby, in that
+    /// order. A replica that runs alone (no training, no active
+    /// standby; nearly every device of a large serving fleet) gets an
+    /// empty slice, and no view is built or copied.
+    pub fn with_inference_colo<R>(&self, f: impl FnOnce(&[ColoWorkload]) -> R) -> R {
+        let standby = self.standby.as_ref().filter(|s| s.is_active());
+        if self.trainings.is_empty() && standby.is_none() {
+            return f(&[]);
+        }
         let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_VIEW_MAX];
         let mut n = 0;
         for t in &self.trainings {
             buf[n] = ColoWorkload::training(t.task, t.gpu_fraction);
             n += 1;
         }
-        if let Some(s) = self.standby.as_ref().filter(|s| s.is_active()) {
+        if let Some(s) = standby {
             buf[n] = ColoWorkload::inference(s.service, s.batch, s.reserve_fraction);
             n += 1;
         }
-        (buf, n)
+        f(&buf[..n])
     }
 
     /// The co-location set as seen by an *active* standby (the primary
@@ -532,14 +538,24 @@ impl GpuDevice {
     /// busy; the inference partition is busy for the fraction of time
     /// its batches are executing (`qps · latency / batch`, capped).
     pub fn sm_utilization(&self, gt: &GroundTruth) -> f64 {
+        self.sm_utilization_given(gt, None)
+    }
+
+    /// [`GpuDevice::sm_utilization`], with the primary's mean latency
+    /// at its configured key taken from `inference_mean` when the
+    /// caller already read it, and looked up otherwise.
+    fn sm_utilization_given(&self, gt: &GroundTruth, inference_mean: Option<f64>) -> f64 {
         let mut util = 0.0;
         for t in &self.trainings {
             util += t.gpu_fraction * 0.95;
         }
         if let Some(inf) = &self.inference {
-            let (colo, cn) = self.colo_for_inference_buf();
-            let (latency, _, _) =
-                self.latency_profile(gt, inf.service, inf.batch, inf.gpu_fraction, &colo[..cn]);
+            let latency = inference_mean.unwrap_or_else(|| {
+                self.with_inference_colo(|colo| {
+                    self.latency_profile(gt, inf.service, inf.batch, inf.gpu_fraction, colo)
+                        .0
+                })
+            });
             let busy = if inf.qps > 0.0 {
                 (inf.qps * latency / inf.batch as f64).min(1.0)
             } else {
@@ -563,8 +579,18 @@ impl GpuDevice {
     }
 
     /// Records utilization samples at `now` into the integrators.
-    pub fn record_utilization(&mut self, gt: &GroundTruth, now: SimTime) {
-        let sm = self.sm_utilization(gt);
+    ///
+    /// `inference_mean` is the primary's mean latency at its configured
+    /// key, `latency_profile(service, batch, gpu_fraction, inference
+    /// view).0`, when the caller has just read it (accrual on a healthy
+    /// device does); `None` looks it up. Either gives the same bits.
+    pub fn record_utilization(
+        &mut self,
+        gt: &GroundTruth,
+        now: SimTime,
+        inference_mean: Option<f64>,
+    ) {
+        let sm = self.sm_utilization_given(gt, inference_mean);
         let mem = self.memory.utilization();
         self.sm_util.set(now, sm);
         self.mem_util.set(now, mem);
@@ -653,7 +679,7 @@ mod tests {
             TrainingProcess::new(ResidentId(2), TaskId(4), 0.3, 100),
         )
         .unwrap();
-        assert_eq!(d.colo_for_inference_buf().1, 2);
+        assert_eq!(d.with_inference_colo(<[_]>::len), 2);
         // Inference + the *other* training.
         assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
     }
@@ -736,18 +762,49 @@ mod tests {
     fn utilization_integrates_over_time() {
         let g = gt();
         let mut d = GpuDevice::new(DeviceId(0), 40.0);
-        d.record_utilization(&g, t(0.0));
+        d.record_utilization(&g, t(0.0), None);
         d.add_training(
             &g,
             t(10.0),
             TrainingProcess::new(ResidentId(1), TaskId(0), 1.0, 100),
         )
         .unwrap();
-        d.record_utilization(&g, t(10.0));
+        d.record_utilization(&g, t(10.0), None);
         d.finish(t(20.0));
         // 10 s idle + 10 s at 0.95 => mean 0.475.
         assert!((d.mean_sm_utilization() - 0.475).abs() < 1e-9);
         assert!(d.mean_mem_utilization() > 0.0);
+    }
+
+    #[test]
+    fn a_known_inference_mean_records_the_looked_up_bits() {
+        let g = gt();
+        let inst = InferenceInstance::new(ServiceId(1), 16, 0.4, 300.0);
+        let mut looked_up = GpuDevice::new(DeviceId(0), 40.0);
+        looked_up.deploy_inference(&g, t(0.0), inst.clone());
+        // A replica that runs alone sees an empty co-location view.
+        assert_eq!(looked_up.with_inference_colo(<[_]>::len), 0);
+        looked_up
+            .add_training(
+                &g,
+                t(1.0),
+                TrainingProcess::new(ResidentId(1), TaskId(2), 0.3, 100),
+            )
+            .unwrap();
+        let mut given = looked_up.clone();
+        let mean = given.with_inference_colo(|colo| {
+            given
+                .latency_profile(&g, inst.service, inst.batch, inst.gpu_fraction, colo)
+                .0
+        });
+        looked_up.record_utilization(&g, t(2.0), None);
+        given.record_utilization(&g, t(2.0), Some(mean));
+        looked_up.finish(t(20.0));
+        given.finish(t(20.0));
+        assert_eq!(
+            looked_up.mean_sm_utilization().to_bits(),
+            given.mean_sm_utilization().to_bits()
+        );
     }
 
     #[test]
@@ -852,13 +909,17 @@ mod tests {
         let share = d.rebalance_training_fractions(1.0);
         assert!((share - (1.0 - 0.6 - 0.1)).abs() < 1e-12);
         // An idle standby is invisible to the interference sets.
-        assert_eq!(d.colo_for_inference_buf().1, 1);
+        assert_eq!(d.with_inference_colo(<[_]>::len), 1);
         let parked = d.memory().total_demand_gb();
 
         d.promote_standby(&g, t(2.0), 150.0);
         assert!(d.standby().unwrap().is_active());
         assert!(d.memory().total_demand_gb() >= parked);
-        assert_eq!(d.colo_for_inference_buf().1, 2, "active standby co-runs");
+        assert_eq!(
+            d.with_inference_colo(<[_]>::len),
+            2,
+            "active standby co-runs"
+        );
         assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
         assert!(d.sm_utilization(&g) <= 1.0);
 
