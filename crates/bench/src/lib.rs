@@ -1,90 +1,138 @@
-//! Shared helpers for the per-figure regeneration binaries.
+//! The paper's figures and the shared helpers of the bench binaries.
 //!
-//! Every table and figure in the paper has a binary under `src/bin/`
-//! (see DESIGN.md for the index). Binaries default to **reduced scale**
-//! so they finish in seconds; set `MUDI_FULL_SCALE=1` to run the
-//! paper-scale experiments (12-GPU/300-task physical, 1000-GPU/
-//! 5000-task simulated).
+//! Every table and figure in the paper is a function in [`fig`] (see
+//! DESIGN.md for the index), which the `figures` binary prints and
+//! `cargo test` checks against a golden. A figure runs at
+//! [`Scale::Reduced`] so it finishes in seconds, or at [`Scale::Full`],
+//! the paper's scale (12-GPU/300-task physical, 1000-GPU/5000-task
+//! simulated). `perf_kernel`, `fig22_scale` and `fig23_llm_mix` are
+//! separate binaries that keep ledgers; the ledger helpers are here too.
+
+use std::time::Instant;
 
 use cluster::engine::ClusterConfig;
+use cluster::experiments::end_to_end_many;
+use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
 
-/// Whether full paper-scale runs were requested.
-pub fn full_scale() -> bool {
-    simcore::env::flag("MUDI_FULL_SCALE")
+pub mod fig;
+
+/// How large a figure's runs are.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Scaled-down runs that finish in seconds; the default.
+    Reduced,
+    /// The paper's scale (`MUDI_FULL_SCALE=1`).
+    Full,
 }
 
-/// The experiment seed (override with `MUDI_SEED`).
-pub fn seed() -> u64 {
-    simcore::env::parse_or("MUDI_SEED", 42)
-}
-
-/// Physical-cluster configuration at the chosen scale, plus the
-/// iteration scale to run with.
-pub fn physical_config(system: SystemKind) -> (ClusterConfig, f64) {
-    if full_scale() {
-        (ClusterConfig::physical(system, seed()), 1.0)
+/// The scale and seed a run asks for: [`Scale::Full`] if
+/// `MUDI_FULL_SCALE` is set, else [`Scale::Reduced`]; `MUDI_SEED`, else
+/// 42. The figures' goldens are recorded at these defaults.
+pub fn scale_and_seed_from_env() -> (Scale, u64) {
+    let scale = if simcore::env::flag("MUDI_FULL_SCALE") {
+        Scale::Full
     } else {
-        let mut cfg = ClusterConfig::physical(system, seed());
-        cfg.jobs = 60;
-        (cfg, 0.01)
-    }
+        Scale::Reduced
+    };
+    (scale, simcore::env::parse_or("MUDI_SEED", 42))
 }
 
-/// Simulated-cluster configuration at the chosen scale.
-pub fn simulated_config(system: SystemKind) -> (ClusterConfig, f64) {
-    if full_scale() {
-        (ClusterConfig::simulated(system, seed()), 1.0)
-    } else {
-        let mut cfg = ClusterConfig::simulated(system, seed());
-        cfg.devices = 60;
-        cfg.jobs = 240;
-        cfg.arrival_scale = 10.0;
-        (cfg, 0.01)
-    }
+/// The paper's two evaluation clusters (§7.1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cluster {
+    Physical,
+    Simulated,
 }
 
-/// Handles the shared `--trace` CLI flag every regeneration binary
-/// accepts: equivalent to running with `MUDI_TRACE=1`. Each engine run
-/// then records structured [`simcore::SimEvent`]s and dumps the
-/// per-run summary and event tail to **stderr** — stdout (and the
-/// goldens diffed against it) stays byte-identical.
-pub fn apply_trace_flag() {
-    if std::env::args().any(|a| a == "--trace") {
-        std::env::set_var("MUDI_TRACE", "1");
-    }
-}
-
-/// Prints a labelled trace summary to stderr if the run recorded any
-/// events (no-op on the disabled bus, so callers can pass it through
-/// unconditionally).
-pub fn trace_report(label: &str, trace: &simcore::TraceSummary) {
-    if !trace.is_empty() {
-        eprint!("[{label}] {trace}");
-    }
-}
-
-/// Prints the standard banner for a regeneration binary, and applies
-/// the shared `--trace` flag (see [`apply_trace_flag`]).
-pub fn banner(id: &str, paper_claim: &str) {
-    apply_trace_flag();
-    println!("==============================================================");
-    println!("{id}");
-    println!("Paper: {paper_claim}");
-    println!(
-        "Scale: {}",
-        if full_scale() {
-            "FULL (paper scale)"
-        } else {
-            "reduced (set MUDI_FULL_SCALE=1 for paper scale)"
+impl Cluster {
+    pub fn name(self) -> &'static str {
+        match self {
+            Cluster::Physical => "physical",
+            Cluster::Simulated => "simulated",
         }
-    );
-    println!("==============================================================");
+    }
+
+    /// This cluster's configuration at `scale`, plus the iteration
+    /// scale to run with.
+    pub fn config(self, system: SystemKind, scale: Scale, seed: u64) -> (ClusterConfig, f64) {
+        let mut cfg = match self {
+            Cluster::Physical => ClusterConfig::physical(system, seed),
+            Cluster::Simulated => ClusterConfig::simulated(system, seed),
+        };
+        if scale == Scale::Full {
+            return (cfg, 1.0);
+        }
+        match self {
+            Cluster::Physical => cfg.jobs = 60,
+            Cluster::Simulated => {
+                cfg.devices = 60;
+                cfg.jobs = 240;
+                cfg.arrival_scale = 10.0;
+            }
+        }
+        (cfg, 0.01)
+    }
+
+    /// The systems Fig. 8 and 9 compare: the three baselines and Mudi,
+    /// plus Optimal on the simulated cluster.
+    pub fn systems(self) -> Vec<SystemKind> {
+        let mut systems = vec![
+            SystemKind::Gslice,
+            SystemKind::Gpulets,
+            SystemKind::MuxFlow,
+            SystemKind::Mudi,
+        ];
+        if self == Cluster::Simulated {
+            systems.push(SystemKind::Optimal);
+        }
+        systems
+    }
+
+    /// Runs each system on this cluster through [`run_cells`], in order.
+    pub fn run(self, systems: &[SystemKind], scale: Scale, seed: u64) -> Vec<ExperimentResult> {
+        let cells = systems.iter().map(|&s| self.config(s, scale, seed));
+        run_cells(cells.collect())
+    }
 }
 
-/// Formats a `measured vs paper` comparison line.
-pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) {
-    println!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})");
+/// The standard banner a figure's text starts with.
+pub fn banner(id: &str, paper_claim: &str, scale: Scale) -> String {
+    let rule = "==============================================================";
+    let scale = match scale {
+        Scale::Full => "FULL (paper scale)",
+        Scale::Reduced => "reduced (set MUDI_FULL_SCALE=1 for paper scale)",
+    };
+    format!("{rule}\n{id}\nPaper: {paper_claim}\nScale: {scale}\n{rule}\n")
+}
+
+/// A `measured vs paper` comparison line.
+pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) -> String {
+    format!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})\n")
+}
+
+/// Runs independent experiment cells through the worker pool
+/// ([`end_to_end_many`] at [`simcore::max_workers`]), in cell order, and
+/// prints the fan-out accounting to stderr: per-cell compute summed vs
+/// elapsed, the effective speedup, and the critical-path bound (elapsed
+/// never drops below the longest cell). The effective figure means
+/// something only when workers ≤ physical cores.
+pub fn run_cells(cells: Vec<(ClusterConfig, f64)>) -> Vec<ExperimentResult> {
+    let started = Instant::now();
+    let workers = simcore::max_workers();
+    let all = end_to_end_many(cells, workers);
+    let elapsed = started.elapsed().as_secs_f64();
+    let sum: f64 = all.iter().map(|r| r.wall_clock_secs).sum();
+    let longest = all.iter().map(|r| r.wall_clock_secs).fold(0.0f64, f64::max);
+    let speedup = if elapsed > 0.0 { sum / elapsed } else { 1.0 };
+    let bound = if longest > 0.0 { sum / longest } else { 1.0 };
+    eprintln!(
+        "\nfan-out: {} cells, {sum:.2}s cell compute (longest {longest:.2}s) in \
+         {elapsed:.2}s elapsed ({speedup:.2}x effective, {workers} worker(s); \
+         critical-path speedup bound {bound:.2}x)",
+        all.len(),
+    );
+    all
 }
 
 /// Checks a ledger binary's arguments against its documented `flags`:
@@ -99,15 +147,20 @@ pub fn parse_flags(
 }
 
 /// The process arguments through [`parse_flags`]. Anything else, `--help`
-/// included, prints a usage line to stderr and exits with status 2
-/// before the binary does any work or writes its ledger.
+/// included, exits through [`usage_exit`] before the binary does any
+/// work or writes its ledger.
 pub fn flags_or_exit(bin: &str, flags: &[&'static str]) -> Vec<&'static str> {
     parse_flags(std::env::args().skip(1), flags).unwrap_or_else(|bad| {
         let usage: Vec<String> = flags.iter().map(|f| format!("[{f}]")).collect();
-        eprintln!("{bin}: unknown argument {bad:?}");
-        eprintln!("usage: {bin} {}", usage.join(" "));
-        std::process::exit(2)
+        usage_exit(bin, &format!("unknown argument {bad:?}"), &usage.join(" "))
     })
+}
+
+/// Prints `error` and a usage line to stderr and exits with status 2.
+pub fn usage_exit(bin: &str, error: &str, usage: &str) -> ! {
+    eprintln!("{bin}: {error}");
+    eprintln!("usage: {bin} {usage}");
+    std::process::exit(2)
 }
 
 /// A bench gate fails a fresh figure that falls below this fraction of
@@ -186,33 +239,6 @@ pub fn thread_cpu_s() -> f64 {
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
-/// Prints the fan-out accounting for a pooled sweep: per-cell compute
-/// summed vs wall-clock elapsed, the effective speedup, and the
-/// critical-path bound (elapsed can never drop below the longest cell,
-/// however many cores are available). The effective figure is only
-/// meaningful when workers ≤ physical cores — under time-sharing each
-/// preempted cell's wall clock inflates, so sum/elapsed overstates.
-///
-/// Goes to **stderr**: stdout carries only simulation-determined tables
-/// and must stay bit-identical for a fixed seed, whatever the host.
-pub fn pool_summary(label: &str, cell_wall_secs: &[f64], elapsed_secs: f64) {
-    let sum: f64 = cell_wall_secs.iter().sum();
-    let longest = cell_wall_secs.iter().cloned().fold(0.0f64, f64::max);
-    let speedup = if elapsed_secs > 0.0 {
-        sum / elapsed_secs
-    } else {
-        1.0
-    };
-    let bound = if longest > 0.0 { sum / longest } else { 1.0 };
-    eprintln!(
-        "\n{label}: {} cells, {sum:.2}s cell compute (longest {longest:.2}s) in \
-         {elapsed_secs:.2}s elapsed ({speedup:.2}x effective, {} worker(s); \
-         critical-path speedup bound {bound:.2}x)",
-        cell_wall_secs.len(),
-        simcore::pool::max_workers(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,10 +247,20 @@ mod tests {
     fn scale_selection_defaults_to_reduced() {
         // Unless the env var is set in the test environment.
         if std::env::var("MUDI_FULL_SCALE").is_err() {
-            assert!(!full_scale());
-            let (cfg, scale) = physical_config(SystemKind::Random);
-            assert!(cfg.jobs < 300);
-            assert!(scale < 1.0);
+            assert_eq!(scale_and_seed_from_env().0, Scale::Reduced);
+        }
+        let (cfg, iters) = Cluster::Physical.config(SystemKind::Mudi, Scale::Reduced, 42);
+        assert!(cfg.jobs < 300 && iters < 1.0);
+        let (cfg, iters) = Cluster::Simulated.config(SystemKind::Mudi, Scale::Reduced, 42);
+        assert!(cfg.devices < 1000 && iters < 1.0);
+        let (cfg, iters) = Cluster::Physical.config(SystemKind::Mudi, Scale::Full, 42);
+        assert_eq!((cfg.jobs, iters), (300, 1.0));
+    }
+
+    #[test]
+    fn seed_default() {
+        if std::env::var("MUDI_SEED").is_err() {
+            assert_eq!(scale_and_seed_from_env().1, 42);
         }
     }
 
@@ -265,12 +301,5 @@ mod tests {
         assert!(!regressed(80.0, 100.0));
         assert!(regressed(79.9, 100.0));
         assert!(!regressed(120.0, 100.0));
-    }
-
-    #[test]
-    fn seed_default() {
-        if std::env::var("MUDI_SEED").is_err() {
-            assert_eq!(seed(), 42);
-        }
     }
 }

@@ -4,7 +4,7 @@
 //! loop) for one figure/table. Engine sweeps are cell builders
 //! (`*_cells`) whose cells run through the one pooled runner,
 //! [`end_to_end_many`]; callers zip the results with their own sweep
-//! keys. The `bench` crate's binaries print the series.
+//! keys. The `bench` crate's figures print the series.
 
 use std::collections::HashMap;
 
@@ -21,24 +21,15 @@ use crate::systems::{build_system, DeviceView, Multiplexer, Optimal, SystemKind}
 /// Runs one end-to-end experiment. `wall_clock_secs` covers the whole
 /// cell — engine construction (ground-truth fitting) plus the event
 /// loop — so pooled fan-outs account their per-cell cost correctly.
+/// With `MUDI_TRACE=1` the run dumps its trace summary to stderr
+/// ([`ClusterSession::run_to_end`]).
 pub fn end_to_end(config: ClusterConfig, iteration_scale: f64) -> ExperimentResult {
-    end_to_end_traced(config, iteration_scale).0
-}
-
-/// [`end_to_end`] additionally returning the run's trace-bus summary
-/// (all zeros unless tracing is on — `MUDI_TRACE=1` or an injected
-/// [`simcore::TraceConfig`]).
-pub fn end_to_end_traced(
-    config: ClusterConfig,
-    iteration_scale: f64,
-) -> (ExperimentResult, simcore::TraceSummary) {
     let started = std::time::Instant::now();
     let mut session = ClusterSession::new_scaled(config, iteration_scale);
     session.run_to_end();
-    let trace = session.trace_summary();
     let mut result = session.finish();
     result.wall_clock_secs = started.elapsed().as_secs_f64();
-    (result, trace)
+    result
 }
 
 /// Runs many independent experiment cells through the scoped worker

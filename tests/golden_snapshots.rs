@@ -18,6 +18,10 @@
 //! same file. A re-record writes the first point's rendering and checks
 //! the others against it.
 //!
+//! Every figure in `bench::fig::ALL` is also pinned here: its text at
+//! reduced scale and seed 42 must match `tests/golden/figures/<id>.txt`,
+//! re-recorded the same way.
+//!
 //! The rendered fields are pure IEEE-754 arithmetic plus libm calls
 //! (`exp`, `ln`, …); goldens are recorded on x86-64 Linux/glibc, the CI
 //! platform. A port to another libm may need a re-record.
@@ -386,4 +390,31 @@ fn predictor_fit_matches_golden() {
         }
     }
     check_golden("predictor_fit.txt", &out);
+}
+
+/// Every figure at reduced scale and seed 42, against its golden. The
+/// golden directory holds exactly one file per figure id.
+#[test]
+fn figures_match_golden() {
+    use bench::{fig, Scale};
+
+    let ids: Vec<&str> = fig::ALL.iter().map(|f| f.id).collect();
+    let texts =
+        simcore::pool::scoped_map(fig::ALL.iter().collect(), |f| (f.run)(Scale::Reduced, 42));
+    for (id, text) in ids.iter().zip(&texts) {
+        check_golden(&format!("figures/{id}.txt"), text);
+    }
+    let mut files: Vec<String> = std::fs::read_dir(golden_path("figures"))
+        .expect("figure goldens")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> = ids.iter().map(|id| format!("{id}.txt")).collect();
+    expected.sort();
+    assert_eq!(files, expected, "figure goldens and bench::fig::ALL differ");
 }
