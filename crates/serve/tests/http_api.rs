@@ -62,11 +62,13 @@ const SCRIPT: &[(&str, &str, Option<&str>)] = &[
     ("GET", "/events?from=0", None),
 ];
 
+const SEED7_GOLDEN: &str = "transcript_seed7.txt";
+
 /// The script's replies: status, every response header in order, and
 /// the body.
-fn run_script(addr: SocketAddr) -> String {
+fn run_script(addr: SocketAddr, script: &[(&str, &str, Option<&str>)]) -> String {
     let mut transcript = String::new();
-    for (method, path, body) in SCRIPT {
+    for (method, path, body) in script {
         let reply = request(addr, method, path, *body).expect("request");
         transcript.push_str(&format!("### {method} {path} -> {}\n", reply.status));
         for (name, value) in &reply.headers {
@@ -77,22 +79,22 @@ fn run_script(addr: SocketAddr) -> String {
     transcript
 }
 
-/// Compares the seed-7 transcript with its committed golden, so a
-/// change to the wire layer cannot alter a response byte unnoticed.
-/// Re-record an intentional change with
-/// `MUDI_BLESS=1 cargo test -p serve --test http_api`.
-fn check_transcript_golden(actual: &str) {
+/// Compares a transcript with its committed golden, so a change to the
+/// wire layer cannot alter a response byte unnoticed. Re-record an
+/// intentional change with `MUDI_BLESS=1 cargo test -p serve --test
+/// http_api`.
+fn check_transcript_golden(actual: &str, golden: &str) {
     if simcore::env::flag("MUDI_BLESS") {
-        std::fs::write(transcript_golden_path(), actual).expect("write golden");
+        std::fs::write(transcript_golden_path(golden), actual).expect("write golden");
         return;
     }
-    check_transcript_golden_at(actual, "");
+    check_transcript_golden_at(actual, golden, "");
 }
 
 /// Compares against the committed golden even under `MUDI_BLESS`, so a
 /// re-record still checks the other grid points against it.
-fn check_transcript_golden_at(actual: &str, point: &str) {
-    let path = transcript_golden_path();
+fn check_transcript_golden_at(actual: &str, golden: &str, point: &str) {
+    let path = transcript_golden_path(golden);
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert!(
@@ -101,32 +103,34 @@ fn check_transcript_golden_at(actual: &str, point: &str) {
     );
 }
 
-fn transcript_golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/transcript_seed7.txt")
+fn transcript_golden_path(golden: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden)
 }
 
 #[test]
 fn scripted_transcripts_are_byte_identical_across_runs() {
     let (server_a, addr_a, _app_a) = boot(7);
-    let a = run_script(addr_a);
+    let a = run_script(addr_a, SCRIPT);
     server_a.stop();
     let (server_b, addr_b, _app_b) = boot(7);
-    let b = run_script(addr_b);
+    let b = run_script(addr_b, SCRIPT);
     server_b.stop();
     assert!(
         a == b,
         "transcripts diverged\n--- run A ---\n{a}\n--- run B ---\n{b}"
     );
-    check_transcript_golden(&a);
+    check_transcript_golden(&a, SEED7_GOLDEN);
     // The engine's partition is unobservable: a 4-shard session with
     // lanes on 2 worker threads serves the same bytes.
     let mut sharded = ClusterConfig::tiny(SystemKind::Mudi, 7);
     sharded.shards = 4;
     sharded.workers = 2;
     let (server_s, addr_s, _app_s) = boot_config(sharded);
-    let s = run_script(addr_s);
+    let s = run_script(addr_s, SCRIPT);
     server_s.stop();
-    check_transcript_golden_at(&s, " at shards=4 workers=2");
+    check_transcript_golden_at(&s, SEED7_GOLDEN, " at shards=4 workers=2");
     // And the script actually exercised the interesting paths.
     assert!(a.contains("\"violation\""), "no inference outcomes: {a}");
     assert!(
@@ -137,9 +141,95 @@ fn scripted_transcripts_are_byte_identical_across_runs() {
 
     // A different seed gives a different cluster — transcripts differ.
     let (server_c, addr_c, _app_c) = boot(8);
-    let c = run_script(addr_c);
+    let c = run_script(addr_c, SCRIPT);
     server_c.stop();
     assert_ne!(a, c, "seed must matter");
+}
+
+/// Every other response shape, against an LLM-enabled session: a
+/// generative `tokens` reply, a deploy, and each error body the route
+/// table writes (400 bad JSON, non-object body, bad field, session
+/// rejection; 404 unknown route, device and model, with the catalogue;
+/// 405; 409 deploy onto a down device; 503 with no live replica).
+const SHAPES_SCRIPT: &[(&str, &str, Option<&str>)] = &[
+    ("GET", "/healthz", None),
+    ("POST", "/admin/clock", Some(r#"{"advance_s":900}"#)),
+    (
+        "POST",
+        "/v1/infer",
+        Some(r#"{"service":"Llama-7B","tokens":6}"#),
+    ),
+    ("POST", "/v1/infer", Some(r#"{"service":"resnet50"}"#)),
+    (
+        "POST",
+        "/admin/services",
+        Some(r#"{"action":"deploy","device":2,"service":1}"#),
+    ),
+    (
+        "POST",
+        "/admin/faults",
+        Some(r#"{"device":4,"kind":"device-failure","repair_s":600}"#),
+    ),
+    (
+        "POST",
+        "/admin/services",
+        Some(r#"{"action":"deploy","device":4,"service":0}"#),
+    ),
+    (
+        "POST",
+        "/admin/services",
+        Some(r#"{"action":"scale","service":1,"target":0}"#),
+    ),
+    ("POST", "/v1/infer", Some(r#"{"service":1}"#)),
+    ("POST", "/v1/infer", Some("not json")),
+    ("POST", "/v1/infer", Some("[1]")),
+    ("POST", "/v1/infer", Some(r#"{"service":2.5}"#)),
+    (
+        "POST",
+        "/v1/infer",
+        Some(r#"{"service":"Llama-7B","tokens":0}"#),
+    ),
+    (
+        "POST",
+        "/v1/infer",
+        Some(r#"{"service":"ResNet50","tokens":4}"#),
+    ),
+    (
+        "POST",
+        "/v1/infer",
+        Some(r#"{"service":"Llama\"70B\u00e9\n\u0001"}"#),
+    ),
+    ("POST", "/v1/infer", Some(r#"{"service":99}"#)),
+    (
+        "POST",
+        "/admin/faults",
+        Some(r#"{"device":99,"kind":"mps-restart"}"#),
+    ),
+    (
+        "POST",
+        "/admin/faults",
+        Some(r#"{"device":1,"kind":"slowdown","factor":1e999}"#),
+    ),
+    ("POST", "/admin/clock", Some(r#"{"advance_s":-1}"#)),
+    ("GET", "/nope", None),
+    ("DELETE", "/admin/slo", None),
+    ("POST", "/admin/clock", Some(r#"{"advance_s":300}"#)),
+    ("GET", "/admin/slo", None),
+    ("GET", "/events?from=0", None),
+];
+
+#[test]
+fn every_response_shape_matches_its_golden() {
+    let (server, addr, _app) = boot_llm(7);
+    let t = run_script(addr, SHAPES_SCRIPT);
+    server.stop();
+    check_transcript_golden(&t, "transcript_shapes_seed7.txt");
+    for status in [200, 400, 404, 405, 409, 503] {
+        assert!(t.contains(&format!("-> {status}\n")), "no {status} reply");
+    }
+    assert!(t.contains("\"available\":["), "no catalogue listing");
+    assert!(t.contains("\"ttft_ms\":"), "no tokens reply");
+    assert!(t.contains("event: "), "no events in tail");
 }
 
 #[test]
