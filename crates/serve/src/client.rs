@@ -93,8 +93,10 @@ fn parse_reply(raw: &[u8]) -> std::io::Result<HttpReply> {
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
     {
-        Some(len) if body_start + len <= raw.len() => raw[body_start..body_start + len].to_vec(),
-        Some(_) => return Err(bad("truncated body")),
+        Some(len) => match body_start.checked_add(len) {
+            Some(end) if end <= raw.len() => raw[body_start..end].to_vec(),
+            _ => return Err(bad("truncated body")),
+        },
         None => raw[body_start..].to_vec(),
     };
     Ok(HttpReply {
@@ -122,5 +124,10 @@ mod tests {
     fn rejects_truncated_replies() {
         assert!(parse_reply(b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nab").is_err());
         assert!(parse_reply(b"garbage").is_err());
+        // A length that overflows the body offset is refused, not a
+        // panic (debug) or a wrapped slice bound (release).
+        let hostile =
+            parse_reply(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nab");
+        assert_eq!(hostile.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
     }
 }

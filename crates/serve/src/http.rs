@@ -226,8 +226,10 @@ impl Response {
 
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, message: &str) -> Self {
-        let body = crate::json::obj(vec![("error", crate::json::Json::Str(message.to_string()))]);
-        Response::json(status, body.render())
+        let body = crate::json::object(12 + message.len(), |w| {
+            w.key("error").str(message);
+        });
+        Response::json(status, body)
     }
 
     /// Serializes status line, headers and body into `out` (cleared

@@ -1,11 +1,14 @@
-//! Minimal JSON: a value tree, a strict parser for request bodies, and
-//! a deterministic writer for responses.
+//! Minimal JSON: a value tree and a strict parser for request bodies,
+//! and a streaming writer for responses.
 //!
 //! The workspace builds with no registry access, so this is a
-//! hand-rolled subset sized for the control plane's needs: objects keep
-//! insertion order (responses render byte-identically run to run),
-//! numbers round-trip through `f64`, and the parser enforces depth and
-//! size limits instead of trusting the peer.
+//! hand-rolled subset sized for the control plane's needs: the writer
+//! emits fields in call order (responses are byte-identical run to
+//! run), numbers round-trip through `f64`, and the parser enforces
+//! depth and size limits instead of trusting the peer. Responses never
+//! build a [`Json`] tree: [`object`] writes a body field by field into
+//! one buffer, and [`Json::render`] drives the same [`JsonWriter`], so
+//! every number and string has exactly one formatter.
 
 use std::fmt::Write as _;
 
@@ -57,39 +60,8 @@ impl Json {
     /// Renders compactly (no whitespace), keys in insertion order.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        JsonWriter::new(&mut out).value(self);
         out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => write_num(out, *v),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     /// Object field lookup (`None` on non-objects too).
@@ -320,9 +292,136 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-/// Builds an object from `(key, value)` pairs (insertion order kept).
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Writes compact JSON straight into a `String`, placing the commas
+/// itself: a response body is written field by field, with no value
+/// tree and no `String` per key.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// The next key or value follows a sibling, so a comma goes first.
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Starts an object field. Keys are static identifiers, written
+    /// as they are; the field's value is the next thing written.
+    pub fn key(&mut self, key: &'static str) -> &mut Self {
+        debug_assert!(!key.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\'));
+        self.sep();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// A number (`null` when not finite).
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        self.sep();
+        write_num(self.out, v);
+        self
+    }
+
+    /// An escaped string.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        write_str(self.out, s);
+        self
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Opens an object.
+    pub fn open_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Opens an array.
+    pub fn open_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost object.
+    pub fn close_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Closes the innermost array.
+    pub fn close_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.sep();
+        self.out.push(bracket);
+        self.comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// A whole value tree; object keys are escaped.
+    pub fn value(&mut self, v: &Json) -> &mut Self {
+        match v {
+            Json::Null => {
+                self.sep();
+                self.out.push_str("null");
+                self
+            }
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(v) => self.num(*v),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.open_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.close_arr()
+            }
+            Json::Obj(pairs) => {
+                self.open_obj();
+                for (k, v) in pairs {
+                    self.str(k);
+                    self.out.push(':');
+                    self.comma = false;
+                    self.value(v);
+                }
+                self.close_obj()
+            }
+        }
+    }
+}
+
+/// One JSON object, the whole body of a response, written by `fields`
+/// into a buffer of `capacity` bytes (the only allocation when the
+/// estimate holds).
+pub fn object(capacity: usize, fields: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    let mut w = JsonWriter::new(&mut out);
+    w.open_obj();
+    fields(&mut w);
+    w.close_obj();
+    out
 }
 
 #[cfg(test)]
@@ -388,9 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn renders_deterministically() {
-        let v = obj(vec![("z", Json::Num(1.0)), ("a", Json::Str("s".into()))]);
-        assert_eq!(v.render(), r#"{"z":1,"a":"s"}"#);
-        assert_eq!(v.render(), Json::parse(&v.render()).unwrap().render());
+    fn writer_places_commas_and_keeps_call_order() {
+        let body = object(0, |w| {
+            w.key("z").num(1.0);
+            w.key("a").open_arr().str("s").open_obj().close_obj();
+            w.num(-0.5).open_arr().close_arr().close_arr();
+            w.key("t").bool(true);
+        });
+        assert_eq!(body, r#"{"z":1,"a":["s",{},-0.5,[]],"t":true}"#);
+        assert_eq!(Json::parse(&body).unwrap().render(), body);
     }
 }

@@ -32,34 +32,36 @@ pub struct Gauges {
     pub events_fired: u64,
 }
 
+/// One `# HELP` / `# TYPE` / sample triple; the value prints through
+/// `Display` (shortest round trip).
+fn series(out: &mut String, kind: &str, name: &str, help: &str, value: f64) {
+    out.extend(["# HELP ", name, " ", help, "\n# TYPE ", name]);
+    out.extend([" ", kind, "\n", name, " "]);
+    let _ = write!(out, "{value}");
+    out.push('\n');
+}
+
 fn counter(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
+    series(out, "counter", name, help, value);
 }
 
 fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
+    series(out, "gauge", name, help, value);
 }
 
-/// Renders the full exposition page.
+/// Renders the full exposition page into one buffer sized for it.
 pub fn render(summary: &TraceSummary, faults: &FaultMetrics, gauges: &Gauges) -> String {
-    let mut out = String::new();
-
-    let _ = writeln!(
-        out,
-        "# HELP mudi_trace_events_total Structured events emitted on the trace bus, by kind."
+    let mut out = String::with_capacity(4096);
+    out.push_str(
+        "# HELP mudi_trace_events_total Structured events emitted on the trace bus, by kind.\n\
+         # TYPE mudi_trace_events_total counter\n",
     );
-    let _ = writeln!(out, "# TYPE mudi_trace_events_total counter");
     for kind in SimEventKind::ALL {
-        let _ = writeln!(
-            out,
-            "mudi_trace_events_total{{kind=\"{}\"}} {}",
-            kind.name(),
-            summary.count(kind)
-        );
+        out.push_str("mudi_trace_events_total{kind=\"");
+        out.push_str(kind.name());
+        out.push_str("\"} ");
+        let _ = write!(out, "{}", summary.count(kind));
+        out.push('\n');
     }
     counter(
         &mut out,

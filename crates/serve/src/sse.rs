@@ -14,26 +14,27 @@ use std::fmt::Write as _;
 
 use simcore::TracedEvent;
 
+use crate::json::JsonWriter;
+
 /// Frames a tail of trace events. `missed` is how many events with
 /// `seq >= from` the ring has already dropped.
 pub fn render_tail(events: &[TracedEvent], missed: u64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, ": missed={missed}");
-    out.push('\n');
+    let mut out = String::with_capacity(16 + 192 * events.len());
+    let _ = write!(out, ": missed={missed}\n\n");
+    let mut detail = String::new();
     for te in events {
-        let _ = writeln!(out, "id: {}", te.seq);
-        let _ = writeln!(out, "event: {}", te.event.kind().name());
+        let _ = write!(out, "id: {}\nevent: ", te.seq);
+        out.push_str(te.event.kind().name());
+        out.push_str("\ndata: ");
         // `data:` carries a small JSON object; the event payload is the
         // kernel's own Debug form, which is stable per-build and easy
         // to grep.
-        let detail = crate::json::Json::Str(format!("{:?}", te.event)).render();
-        let _ = writeln!(
-            out,
-            "data: {{\"at_s\":{},\"detail\":{}}}",
-            te.at.as_secs(),
-            detail
-        );
-        out.push('\n');
+        detail.clear();
+        let _ = write!(detail, "{:?}", te.event);
+        let mut w = JsonWriter::new(&mut out);
+        w.open_obj().key("at_s").num(te.at.as_secs());
+        w.key("detail").str(&detail).close_obj();
+        out.push_str("\n\n");
     }
     out
 }

@@ -6,17 +6,26 @@
 //!   byte at a time included. Bodies up to a few KiB push the input
 //!   buffer through its compaction and growth paths.
 //! * No byte sequence panics `parse_request` or the connection loop.
-//! * No input panics `Json::parse`, and every generated `Json` value
-//!   renders to text that parses back to an equal value.
+//! * No input panics `Json::parse`.
+//! * What the response writer writes parses back to the values it was
+//!   given, under the number and string rules responses rely on.
+//! * No request — any method, path, query and body — panics
+//!   `App::handle` on a live session; every status is one the route
+//!   table emits, every JSON body parses, and `/healthz` still answers
+//!   200 afterwards.
 //!
 //! CI runs this file with `PROPTEST_CASES=512`.
 
 use std::io::{self, Read, Write};
+use std::sync::{Arc, OnceLock};
 
+use cluster::engine::{ClusterConfig, ClusterSession, ScalePreset};
+use cluster::systems::SystemKind;
 use proptest::prelude::*;
 use serve::http::{parse_request, ParseStatus, Request, Response};
-use serve::json::{Json, MAX_DEPTH};
+use serve::json::{object, Json, MAX_DEPTH};
 use serve::server::serve_stream;
+use serve::{App, ServeClock};
 
 /// An owned copy of a parsed request, to compare across runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -180,6 +189,264 @@ fn json_from(s: &mut u64, depth: usize, spine: usize) -> Json {
     }
 }
 
+/// Any `f64` a response might carry: the finite draws of
+/// [`number_from`], or one of the values the writer special-cases.
+fn any_number(s: &mut u64) -> f64 {
+    const EDGES: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_994.0,
+        1e300,
+        5e-324,
+        0.1,
+    ];
+    match mix(s) % 4 {
+        0 => EDGES[(mix(s) % EDGES.len() as u64) as usize],
+        _ => number_from(s),
+    }
+}
+
+/// The text a number must print as: `null` when not finite, an integer
+/// (no fraction, `-0.0` as `0`) below 2^53, otherwise Rust's
+/// shortest-round-trip `Display`.
+fn number_text(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
+    }
+}
+
+/// The text a string must print as: quotes, backslashes and control
+/// characters escaped, everything else (non-ASCII included) verbatim.
+fn string_text(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Every route the table serves, by method.
+const ROUTES: [(&str, &str); 8] = [
+    ("GET", "/healthz"),
+    ("POST", "/v1/infer"),
+    ("POST", "/admin/services"),
+    ("POST", "/admin/faults"),
+    ("POST", "/admin/clock"),
+    ("GET", "/admin/slo"),
+    ("GET", "/metrics"),
+    ("GET", "/events"),
+];
+
+/// One live session shared by every case, so requests land on a
+/// cluster that earlier cases have already advanced, scaled and
+/// faulted: the physical preset with the LLM services, on a virtual
+/// clock.
+fn live_app() -> &'static App {
+    static APP: OnceLock<Arc<App>> = OnceLock::new();
+    APP.get_or_init(|| {
+        let config = ClusterConfig::builder(ScalePreset::Physical, SystemKind::Mudi, 31)
+            .jobs(12)
+            .llm_services(true)
+            .build();
+        App::new(
+            ClusterSession::new_scaled(config, 0.002),
+            ServeClock::frozen(),
+        )
+    })
+}
+
+/// The body fields each POST route reads.
+const FIELDS: [(&str, &[&str]); 4] = [
+    ("/v1/infer", &["service", "tokens"]),
+    (
+        "/admin/services",
+        &["action", "service", "device", "target"],
+    ),
+    (
+        "/admin/faults",
+        &["device", "kind", "repair_s", "factor", "duration_s", "salt"],
+    ),
+    ("/admin/clock", &["advance_s"]),
+];
+
+/// A value the handler reading `key` would accept (an unknown model
+/// name aside), so requests get past validation into the session.
+fn plausible(s: &mut u64, key: &str) -> String {
+    let pick = |s: &mut u64, options: &[&str]| {
+        string_text(options[(mix(s) % options.len() as u64) as usize])
+    };
+    match key {
+        "service" if mix(s).is_multiple_of(2) => {
+            pick(s, &["Llama-7B", "OPT-13B", "resnet50", "GPT2", "Llama-70B"])
+        }
+        "service" | "device" => (mix(s) % 14).to_string(),
+        "tokens" => (mix(s) % 64).to_string(),
+        "target" => (mix(s) % 4).to_string(),
+        "action" => pick(s, &["deploy", "scale"]),
+        "kind" => pick(
+            s,
+            &["device-failure", "slowdown", "process-crash", "mps-restart"],
+        ),
+        "factor" => format!("{}", (mix(s) % 100) as f64 / 100.0),
+        _ => (mix(s) % 3600).to_string(),
+    }
+}
+
+/// A value no handler should accept as it stands.
+fn hostile(s: &mut u64) -> String {
+    const ODD: [&str; 10] = [
+        "1e999",
+        "-1e999",
+        "-1",
+        "0.5",
+        "1e20",
+        "4294967296",
+        "null",
+        "true",
+        "\"\"",
+        "[]",
+    ];
+    match mix(s) % 3 {
+        0 => ODD[(mix(s) % ODD.len() as u64) as usize].to_string(),
+        1 => string_text(&string_from(s)),
+        _ => {
+            let spine = (mix(s) % 3) as usize;
+            json_from(s, 1, spine).render()
+        }
+    }
+}
+
+/// A request body: usually an object over the fields the route reads
+/// (any route's, for one that reads none), each present two times in
+/// three and hostile one time in eight; otherwise a random document,
+/// raw noise, or nothing.
+fn body_from(s: &mut u64, path: &str) -> Vec<u8> {
+    match mix(s) % 8 {
+        0 => Vec::new(),
+        1 => {
+            let spine = (mix(s) % 4) as usize;
+            json_from(s, 0, spine).render().into_bytes()
+        }
+        2 => (0..mix(s) % 64).map(|_| (mix(s) % 256) as u8).collect(),
+        _ => {
+            let any = FIELDS[(mix(s) % FIELDS.len() as u64) as usize];
+            let (_, keys) = FIELDS.iter().find(|(p, _)| *p == path).unwrap_or(&any);
+            let mut fields = Vec::new();
+            for key in keys.iter() {
+                if mix(s).is_multiple_of(3) {
+                    continue;
+                }
+                let value = if mix(s).is_multiple_of(8) {
+                    hostile(s)
+                } else {
+                    plausible(s, key)
+                };
+                fields.push(format!("\"{key}\":{value}"));
+            }
+            format!("{{{}}}", fields.join(",")).into_bytes()
+        }
+    }
+}
+
+/// Sends one request derived from `seed` through `App::handle` and
+/// checks the response against the route table.
+fn handle_one(app: &App, seed: u64) {
+    let mut s = seed;
+    let (method, path) = match mix(&mut s) % 4 {
+        0 => {
+            let methods = ["GET", "POST", "PUT", "DELETE", "get", ""];
+            let paths = [
+                "/",
+                "/nope",
+                "/admin",
+                "/healthz/",
+                "/v1/infer/x",
+                "/Metrics",
+            ];
+            (
+                methods[(mix(&mut s) % methods.len() as u64) as usize],
+                paths[(mix(&mut s) % paths.len() as u64) as usize],
+            )
+        }
+        _ => ROUTES[(mix(&mut s) % ROUTES.len() as u64) as usize],
+    };
+    // Mostly the route's own method; sometimes the wrong one.
+    let method = if mix(&mut s).is_multiple_of(8) {
+        ["GET", "POST", "PATCH"][(mix(&mut s) % 3) as usize]
+    } else {
+        method
+    };
+    let query = match mix(&mut s) % 6 {
+        0 => format!("from={}", mix(&mut s) % 5000),
+        1 => [
+            "from=-1",
+            "from=x",
+            "from=18446744073709551616",
+            "from",
+            "&&=",
+            "from=1&from=2",
+        ][(mix(&mut s) % 6) as usize]
+            .to_string(),
+        _ => String::new(),
+    };
+    let body = body_from(&mut s, path);
+    let req = Request {
+        method,
+        path,
+        query: &query,
+        body: &body,
+        ..Request::default()
+    };
+    let resp = app.handle(&req);
+    let what = || {
+        format!(
+            "{method} {path}?{query} {:?}",
+            String::from_utf8_lossy(&body)
+        )
+    };
+    assert!(
+        [200, 400, 404, 405, 409, 503].contains(&resp.status),
+        "status {} for {}",
+        resp.status,
+        what()
+    );
+    if !ROUTES.iter().any(|&(_, p)| p == path) {
+        assert_eq!(resp.status, 404, "unrouted {}", what());
+    } else if !ROUTES.contains(&(method, path)) {
+        assert_eq!(resp.status, 405, "wrong method {}", what());
+    }
+    let text = std::str::from_utf8(&resp.body).expect("UTF-8 body");
+    match resp.content_type {
+        "application/json" => {
+            let parsed = Json::parse(text);
+            assert!(parsed.is_ok(), "{} answered {text:?}: {parsed:?}", what());
+        }
+        "text/event-stream" => {
+            for data in text.lines().filter_map(|l| l.strip_prefix("data: ")) {
+                assert!(Json::parse(data).is_ok(), "bad event data {data:?}");
+            }
+        }
+        _ => assert_eq!(path, "/metrics"),
+    }
+}
+
 /// A stream whose reads end at the given offsets, and which records
 /// what is written to it.
 struct Pieces {
@@ -307,18 +574,53 @@ proptest! {
     }
 
     #[test]
-    fn json_values_round_trip_through_text(
+    fn written_values_parse_back_under_the_response_rules(
         seed in any::<u64>(),
-        spine in 0usize..MAX_DEPTH + 1,
+        spine in 0usize..MAX_DEPTH,
     ) {
         let mut s = seed;
-        let value = json_from(&mut s, 0, spine);
-        let text = value.render();
-        let parsed = Json::parse(&text);
-        prop_assert!(parsed.is_ok(), "{:?} rejected: {:?}", text, parsed);
+        let tree = json_from(&mut s, 1, spine);
+        let (num, text) = (any_number(&mut s), string_from(&mut s));
+        let body = object(0, |w| {
+            w.key("tree").value(&tree);
+            w.key("num").num(num);
+            w.key("str").str(&text);
+            w.key("list").open_arr().num(num).str(&text).close_arr();
+        });
+        let parsed = Json::parse(&body);
+        prop_assert!(parsed.is_ok(), "{:?} rejected: {:?}", body, parsed);
         let parsed = parsed.unwrap();
-        prop_assert_eq!(&parsed, &value);
-        prop_assert_eq!(parsed.render(), text);
+        prop_assert_eq!(parsed.get("tree"), Some(&tree));
+        prop_assert_eq!(tree.render(), Json::parse(&tree.render()).unwrap().render());
+        let (num_text, str_text) = (number_text(num), string_text(&text));
+        prop_assert!(
+            body.ends_with(&format!(
+                ",\"num\":{num_text},\"str\":{str_text},\"list\":[{num_text},{str_text}]}}"
+            )),
+            "{:?} broke the rules for {:?} / {:?}",
+            body,
+            num,
+            text
+        );
+        let expect = if num.is_finite() { Json::Num(num) } else { Json::Null };
+        prop_assert_eq!(parsed.get("num"), Some(&expect));
+        prop_assert_eq!(parsed.get("str"), Some(&Json::Str(text.clone())));
+    }
+
+    #[test]
+    fn no_request_panics_a_live_session(
+        seeds in prop::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let app = live_app();
+        for seed in seeds {
+            handle_one(app, seed);
+        }
+        let healthz = app.handle(&Request {
+            method: "GET",
+            path: "/healthz",
+            ..Request::default()
+        });
+        prop_assert_eq!(healthz.status, 200);
     }
 
     #[test]
