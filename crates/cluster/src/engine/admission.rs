@@ -235,12 +235,12 @@ impl Admission {
             Control.accrue(st, td, device);
             // Requeued jobs resume from their checkpointed progress.
             let proc = st.restored_process(job_id);
-            st.devices[device]
-                .add_training(&st.shared.gt, td, proc)
+            let (dev, gt) = st.device_mut(device);
+            dev.add_training(gt, td, proc)
                 .expect("candidate had a free slot");
             st.jobs[job_id.0 as usize].start(td, device);
             let cap = st.dstate[device].applied_share_cap(td);
-            st.devices[device].rebalance_training_fractions(cap);
+            st.device_mut(device).0.rebalance_training_fractions(cap);
             Control.refresh_memory_pause(st, td, device);
             Control.reconfigure(st, td, device, TuneTrigger::NewTraining);
         }

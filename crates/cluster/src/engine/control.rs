@@ -18,6 +18,7 @@
 //! wrappers that build the lane view for the target device and drain
 //! its outbox immediately.
 
+use gpu_sim::device::MAX_TRAININGS_PER_GPU;
 use gpu_sim::{GpuDevice, ResidentId, SHADOW_SWITCH_SECS};
 use mudi::TuneTrigger;
 use simcore::{lognormal_exceedance, lognormal_tail_is_zero, SimDuration, SimEvent, SimTime};
@@ -386,6 +387,7 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
     let mut tasks = std::mem::take(&mut ctx.lane.scratch_tasks);
     let measured_p99 = observed_p99(ctx, d);
     let dev = &ctx.devices[li];
+    let key_before = retune_key(dev);
     let inf = dev.inference().expect("replica deployed");
     tasks.extend(dev.trainings().iter().map(|t| t.task));
     let view = DeviceView {
@@ -471,6 +473,11 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
     // the device is post-failure degraded.
     let cap = ctx.dstate[li].applied_share_cap(now);
     ctx.devices[li].rebalance_training_fractions(cap);
+    // Most retunes keep the primary's profile key; only one that moved
+    // it marks the route hint stale.
+    if retune_key(&ctx.devices[li]) != key_before {
+        ctx.invalidate_route(d);
+    }
 
     // Pause bookkeeping: SLO infeasibility (any system) or memory
     // overflow (systems without Mudi's Memory Manager). A paused
@@ -488,6 +495,17 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
     }
     ctx.dstate[li].monitor.mark_tuned(qps);
     reschedule_completions(ctx, now, d);
+}
+
+/// The parts of a primary's profile key a retune writes: its batch,
+/// its GPU share and the co-located training shares (as bits).
+fn retune_key(dev: &GpuDevice) -> (Option<(u32, u64)>, [u64; MAX_TRAININGS_PER_GPU]) {
+    let mut shares = [0; MAX_TRAININGS_PER_GPU];
+    for (bits, t) in shares.iter_mut().zip(dev.trainings()) {
+        *bits = t.gpu_fraction.to_bits();
+    }
+    let primary = dev.inference().map(|i| (i.batch, i.gpu_fraction.to_bits()));
+    (primary, shares)
 }
 
 /// For systems without unified-memory swapping, training cannot run
@@ -632,10 +650,10 @@ impl Control {
             return None;
         }
         let rid = ResidentId(job.0);
-        st.devices[device].remove_training(t, rid);
+        st.device_mut(device).0.remove_training(t, rid);
         st.jobs[job.0 as usize].finish(t);
         let cap = st.dstate[device].applied_share_cap(t);
-        st.devices[device].rebalance_training_fractions(cap);
+        st.device_mut(device).0.rebalance_training_fractions(cap);
         self.refresh_memory_pause(st, t, device);
         self.reconfigure(st, t, device, TuneTrigger::TrainingDone);
         Admission.try_dispatch(st, now);
@@ -696,7 +714,7 @@ impl Control {
             jobs: ids.len(),
         });
         for rid in ids {
-            st.devices[d].remove_training(now, rid);
+            st.device_mut(d).0.remove_training(now, rid);
             let job = &mut st.jobs[rid.0 as usize];
             job.state = JobState::Queued;
             job.device = None;

@@ -64,6 +64,7 @@ pub(super) fn on_slowdown_end(ctx: &mut LaneCtx, now: SimTime, d: usize, token: 
     }
     control::accrue(ctx, now, d);
     ctx.devices[li].clear_degraded();
+    ctx.invalidate_route(d);
     reconfigure_guarded(ctx, now, d, TuneTrigger::DeviceFault);
     control::reschedule_completions(ctx, now, d);
 }
@@ -141,7 +142,7 @@ impl Faults {
         st.fmetrics.device_failures += 1;
         st.fmetrics.device_down_secs += repair.as_secs();
 
-        let (inf, procs) = st.devices[d].fail(td);
+        let (inf, procs) = st.device_mut(d).0.fail(td);
         let inf = inf.expect("replica deployed");
         // Split the replica's demand into its own (`base`) and carried
         // failover traffic; only the base fails over onward — carried
@@ -276,7 +277,7 @@ impl Faults {
     pub fn on_device_repair(&self, st: &mut SimState, now: SimTime, d: usize) {
         let td = st.dev_time(d, now);
         Control.accrue(st, td, d); // Final span of the outage (drop accounting).
-        st.devices[d].repair();
+        st.device_mut(d).0.repair();
         st.trace
             .emit_with(td, || SimEvent::DeviceRepaired { device: d });
 
@@ -291,7 +292,8 @@ impl Faults {
             if st.devices[h].is_up() {
                 let th = st.dev_time(h, now);
                 Control.accrue(st, th, h);
-                st.devices[h].demote_standby(&st.shared.gt, th);
+                let (dev, gt) = st.device_mut(h);
+                dev.demote_standby(gt, th);
                 st.trace.emit_with(th, || SimEvent::StandbyDemoted {
                     host: h,
                     covered: d,
@@ -333,15 +335,17 @@ impl Faults {
             .expect("replica stashed at failure");
         let base = st.demand(d, st.dstate[d].service, now);
         inst.qps = base + st.dstate[d].extra_qps;
-        st.devices[d].deploy_inference(&st.shared.gt, td, inst);
+        let (dev, gt) = st.device_mut(d);
+        dev.deploy_inference(gt, td, inst);
 
         // Re-seed the pool: a repaired device that held a standby slot
         // rejoins with a fresh idle standby.
         if st.standby.is_enabled() {
             if let Some(svc) = st.dstate[d].standby_slot {
                 if st.devices[d].standby().is_none() {
-                    st.devices[d].seed_standby(
-                        &st.shared.gt,
+                    let (dev, gt) = st.device_mut(d);
+                    dev.seed_standby(
+                        gt,
                         td,
                         StandbyInstance::new(svc, 16, STANDBY_RESERVE_FRACTION),
                     );
@@ -352,12 +356,12 @@ impl Faults {
 
         if !st.devices[d].trainings().is_empty() {
             let cap = st.dstate[d].applied_share_cap(td);
-            st.devices[d].rebalance_training_fractions(cap);
+            st.device_mut(d).0.rebalance_training_fractions(cap);
         }
 
         // Post-repair burn-in: degraded clocks + training share shed.
         let hold = SimDuration::from_secs(DEGRADED_HOLD_SECS);
-        st.devices[d].set_degraded(POST_REPAIR_FACTOR);
+        st.device_mut(d).0.set_degraded(POST_REPAIR_FACTOR);
         st.dstate[d].degrade_token += 1;
         let token = st.dstate[d].degrade_token;
         st.schedule_lane(now + hold, LaneEvent::SlowdownEnd { device: d, token });
@@ -396,7 +400,8 @@ impl Faults {
         Control.accrue(st, tt, target);
         let th = st.dev_time(host, now);
         Control.accrue(st, th, host);
-        st.devices[host].promote_standby(&st.shared.gt, th, qps);
+        let (dev, gt) = st.device_mut(host);
+        dev.promote_standby(gt, th, qps);
         st.trace.emit_with(th, || SimEvent::StandbyPromoted {
             host,
             covered: target,
@@ -425,7 +430,7 @@ impl Faults {
         let td = st.dev_time(d, now);
         Control.accrue(st, td, d);
         st.fmetrics.slowdowns += 1;
-        st.devices[d].set_degraded(factor.clamp(0.05, 1.0));
+        st.device_mut(d).0.set_degraded(factor.clamp(0.05, 1.0));
         st.dstate[d].degrade_token += 1;
         let token = st.dstate[d].degrade_token;
         st.schedule_lane(now + duration, LaneEvent::SlowdownEnd { device: d, token });

@@ -41,6 +41,7 @@ mod config;
 mod control;
 mod faults;
 mod roster;
+mod route_hint;
 mod session;
 mod shard;
 mod state;

@@ -14,6 +14,7 @@ use resilience::FaultDomain;
 use simcore::SimTime;
 use workloads::ServiceId;
 
+use super::route_hint::RouteHint;
 use super::state::{DeviceState, SimState};
 
 /// Per service, the ascending devices assigned to it (each at most
@@ -40,8 +41,10 @@ impl Roster {
 impl SimState {
     /// Re-pins device `d` to serve `to`: after construction the only
     /// writer of [`DeviceState::service`]. The device stays on the old
-    /// service's list when its standby slot covers that service.
+    /// service's list when its standby slot covers that service. Marks
+    /// the device's [`RouteHint`] stale.
     pub fn repin(&mut self, d: usize, to: ServiceId) {
+        self.route_hints[d] = RouteHint::STALE;
         let from = std::mem::replace(&mut self.dstate[d].service, to);
         if self.dstate[d].standby_slot != Some(from) {
             let list = &mut self.roster.0[from.0];

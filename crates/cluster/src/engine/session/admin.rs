@@ -115,11 +115,8 @@ impl ClusterSession {
         let now = self.now;
         Control.accrue(&mut self.st, now, device);
         let qps = self.st.demand(device, service, now);
-        self.st.devices[device].deploy_inference(
-            &self.st.shared.gt,
-            now,
-            InferenceInstance::new(service, 16, 0.6, qps),
-        );
+        let (dev, gt) = self.st.device_mut(device);
+        dev.deploy_inference(gt, now, InferenceInstance::new(service, 16, 0.6, qps));
         self.st.repin(device, service);
         self.st.dstate[device]
             .monitor

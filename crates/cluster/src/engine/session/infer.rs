@@ -9,6 +9,7 @@ use simcore::{SimEvent, SimTime};
 use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
 use super::super::control::{itl_violation_probability, standby_score, violation_probability};
+use super::super::route_hint::RouteHint;
 use super::super::state::SimState;
 use super::{ClusterSession, RouteCounters, SessionError};
 
@@ -243,33 +244,60 @@ impl ClusterSession {
     /// The walk skips the violation probability of a replica that
     /// cannot win. `p` lies in `[0, 1]`, so once the running best has
     /// `p == 0.0` a candidate wins only with a strictly smaller mean.
-    /// A classifier primary reads its mean from the device's profile
-    /// memo and stops there when the mean is `>=` the best's; a NaN
-    /// mean compares false and gets the full score. A standby keeps its
-    /// frozen score and a generative replica its full score (its mean
-    /// is taken at the steady decode batch), so neither is skipped. The
-    /// choice is therefore the one a full scan makes, bit for bit.
-    /// Returns the choice (`None` when no replica is up) and the scan's
-    /// work counts.
+    /// A classifier primary whose [`RouteHint`] is fresh for the
+    /// service and whose mean is `>=` the best's is skipped from the
+    /// table alone, without reading its device. Any other classifier
+    /// primary reads its mean from the device's profile memo, refreshes
+    /// its hint, and stops there when the mean is `>=` the best's; a
+    /// NaN mean compares false and gets the full score. A standby keeps
+    /// its frozen score and a generative replica its full score (its
+    /// mean is taken at the steady decode batch), so neither is skipped
+    /// nor hinted. The choice is therefore the one a full scan makes,
+    /// bit for bit. Returns the choice (`None` when no replica is up)
+    /// and the scan's work counts.
     fn scan(
-        &self,
+        &mut self,
         service: ServiceId,
         scorer: Scorer,
     ) -> (Option<(usize, Candidate)>, RouteCounters) {
+        let classifier = matches!(scorer, Scorer::Classifier { .. });
         let mut best: Option<(usize, Candidate)> = None;
         let mut counts = RouteCounters {
             scans: 1,
             ..RouteCounters::default()
         };
         for &d in self.st.roster.of(service) {
+            let beat = best.filter(|(_, b)| b.p == 0.0).map(|(_, b)| b.mean);
+            if let (true, Some(b)) = (classifier, beat) {
+                if let Some(mean) = self.st.route_hints[d].mean_for(service) {
+                    if mean >= b {
+                        debug_assert!(
+                            primary_mean(&self.st, d, service)
+                                .is_some_and(|m| m.to_bits() == mean.to_bits()),
+                            "stale route hint on device {d} for service {}: a write that \
+                             changed its profile key did not mark it",
+                            service.0
+                        );
+                        counts.visited += 1;
+                        counts.hinted += 1;
+                        continue;
+                    }
+                }
+            }
             let Some(slot) = Slot::of(&self.st.devices[d], service) else {
                 continue;
             };
             counts.visited += 1;
-            let beat = best.filter(|(_, b)| b.p == 0.0).map(|(_, b)| b.mean);
-            let Some(c) = scorer.score(&self.st, d, service, &slot, beat) else {
-                continue;
+            let c = match scorer.score(&self.st, d, service, &slot, beat) {
+                Score::Full(c) => c,
+                Score::Pruned { mean } => {
+                    self.st.route_hints[d] = RouteHint::fresh(service, mean);
+                    continue;
+                }
             };
+            if classifier && !slot.standby {
+                self.st.route_hints[d] = RouteHint::fresh(service, c.mean);
+            }
             counts.scored += 1;
             if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
                 best = Some((d, c));
@@ -303,7 +331,7 @@ impl Scorer {
     /// Scores `service`'s slot on device `d`. `beat` is the mean a
     /// candidate must undercut to win, when the running best has
     /// `p == 0.0` (see [`ClusterSession::scan`]); a classifier primary
-    /// that cannot is skipped (`None`).
+    /// that cannot is pruned.
     fn score(
         self,
         st: &SimState,
@@ -311,14 +339,24 @@ impl Scorer {
         service: ServiceId,
         slot: &Slot,
         beat: Option<f64>,
-    ) -> Option<Candidate> {
+    ) -> Score {
         match self {
             Scorer::Classifier { slo } => classifier_candidate(st, d, service, slo, slot, beat),
             Scorer::Generative { gp, itl_slo } => {
-                Some(generative_candidate(st, d, service, gp, itl_slo, slot))
+                Score::Full(generative_candidate(st, d, service, gp, itl_slo, slot))
             }
         }
     }
+}
+
+/// A replica's score, or the mean that ruled it out.
+enum Score {
+    Full(Candidate),
+    /// A classifier primary whose profile mean does not undercut the
+    /// running best's.
+    Pruned {
+        mean: f64,
+    },
 }
 
 /// Whether two routing decisions agree bit for bit.
@@ -414,11 +452,23 @@ impl Slot {
     }
 }
 
+/// The profile mean of `service`'s primary on `d` at the device's
+/// current key, read from the device: what a fresh [`RouteHint`] must
+/// hold. `None` when `d` is down or its primary serves another service.
+fn primary_mean(st: &SimState, d: usize, service: ServiceId) -> Option<f64> {
+    let dev = &st.devices[d];
+    let slot = Slot::of(dev, service).filter(|s| !s.standby)?;
+    Some(slot.with_colo(dev, |colo| {
+        slot.profile(dev, &st.shared.gt, service, slot.batch, colo)
+            .0
+    }))
+}
+
 /// Scores a classifier slot: the batch-queue violation probability at
 /// the slot's configured batch. A primary computes it from its latency
 /// profile, unless its mean does not undercut `beat` and so cannot win
-/// (`None`); a standby takes the score a promote freezes for the device
-/// it covers.
+/// ([`Score::Pruned`]); a standby takes the score a promote freezes for
+/// the device it covers.
 fn classifier_candidate(
     st: &SimState,
     d: usize,
@@ -426,7 +476,7 @@ fn classifier_candidate(
     slo: f64,
     slot: &Slot,
     beat: Option<f64>,
-) -> Option<Candidate> {
+) -> Score {
     let dev = &st.devices[d];
     let (p, mean, sigma) = if slot.standby {
         standby_score(&st.shared.gt, dev).expect("active standby")
@@ -435,7 +485,7 @@ fn classifier_candidate(
             slot.profile(dev, &st.shared.gt, service, slot.batch, colo)
         });
         if beat.is_some_and(|b| mean >= b) {
-            return None;
+            return Score::Pruned { mean };
         }
         let p = violation_probability(slot.qps, slot.batch, slo, mean, sigma);
         (p, mean, sigma)
@@ -445,7 +495,7 @@ fn classifier_candidate(
     } else {
         0.0
     };
-    Some(Candidate {
+    Score::Full(Candidate {
         p,
         mean,
         sigma,
@@ -486,8 +536,10 @@ fn generative_candidate(
 
 #[cfg(test)]
 mod tests {
+    use super::super::super::control::Control;
     use super::*;
     use crate::engine::{ClusterConfig, LiveFault, ScalePreset};
+    use crate::job::JobId;
     use crate::systems::SystemKind;
     use resilience::{FaultProfile, StandbyPolicy};
     use simcore::{SimDuration, SimRng};
@@ -506,6 +558,10 @@ mod tests {
         standby: u64,
         /// Scans that visited a degraded device.
         degraded: u64,
+        /// Scans that skipped a replica on a fresh routing-table entry.
+        hinted: u64,
+        /// Scans that refreshed a stale routing-table entry.
+        refreshed: u64,
     }
 
     impl Regimes {
@@ -514,6 +570,8 @@ mod tests {
             self.won_on_p += other.won_on_p;
             self.standby += other.standby;
             self.degraded += other.degraded;
+            self.hinted += other.hinted;
+            self.refreshed += other.refreshed;
         }
     }
 
@@ -532,9 +590,9 @@ mod tests {
             let Some(slot) = Slot::of(dev, service) else {
                 continue;
             };
-            let c = scorer
-                .score(&s.st, d, service, &slot, None)
-                .expect("an unbounded score");
+            let Score::Full(c) = scorer.score(&s.st, d, service, &slot, None) else {
+                unreachable!("an unbounded score prunes nothing");
+            };
             standby |= slot.standby;
             degraded |= dev.perf_factor() < 1.0;
             if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
@@ -544,10 +602,10 @@ mod tests {
             }
         }
         let met = Regimes {
-            pruned: 0,
             won_on_p: u64::from(won_on_p),
             standby: u64::from(standby),
             degraded: u64::from(degraded),
+            ..Regimes::default()
         };
         (best, met)
     }
@@ -556,6 +614,9 @@ mod tests {
     /// generative one with the token scorer too, through
     /// [`ClusterSession::route`] with a cold cache, checks each choice
     /// against [`unpruned_scan`] bit for bit, and tallies the regimes.
+    /// The routing table carries over from the previous call, so a scan
+    /// meets both entries left fresh since then and entries the
+    /// operations in between marked stale.
     fn route_all_against_the_oracle(s: &mut ClusterSession, regimes: &mut Regimes, at: &str) {
         let services: Vec<_> = s.zoo().services().to_vec();
         for spec in &services {
@@ -565,12 +626,20 @@ mod tests {
                 .map(|gp| Scorer::Generative { gp, itl_slo: slo });
             for scorer in std::iter::once(Scorer::Classifier { slo }).chain(token) {
                 let (want, met) = unpruned_scan(s, spec.id, scorer);
-                let scored = s.route_counters.scored;
-                let visited = s.route_counters.visited;
+                let before = s.route_counters;
+                let roster = s.st.roster.of(spec.id);
+                let stale: Vec<usize> = roster
+                    .iter()
+                    .copied()
+                    .filter(|&d| s.st.route_hints[d].mean_for(spec.id).is_none())
+                    .collect();
                 s.routes.clear();
                 let got = s.route(spec.id, scorer).ok();
-                let pruned =
-                    (s.route_counters.visited - visited) - (s.route_counters.scored - scored);
+                let after = s.route_counters;
+                let pruned = (after.visited - before.visited) - (after.scored - before.scored);
+                let refreshed = stale
+                    .iter()
+                    .any(|&d| s.st.route_hints[d].mean_for(spec.id).is_some());
                 assert!(
                     got.is_some() == want.is_some()
                         && got.zip(want).is_none_or(|(g, w)| same_route(g, w)),
@@ -582,6 +651,8 @@ mod tests {
                 );
                 regimes.add(Regimes {
                     pruned: u64::from(pruned > 0),
+                    hinted: u64::from(after.hinted > before.hinted),
+                    refreshed: u64::from(refreshed),
                     ..met
                 });
             }
@@ -605,6 +676,15 @@ mod tests {
         /// means (those without co-located work) whose scores differ,
         /// saturated so that `p > 0`.
         Saturate(usize, f64, f64),
+        /// Scales a service to a replica count, repinning devices.
+        Scale(usize, usize),
+        /// Evicts the training of the `k`-th device (mod their count)
+        /// that holds some back to the queue, which places it again.
+        Evict(usize),
+        /// Completes the first training job of the `k`-th device (mod
+        /// their count) that holds some, which frees its slot and
+        /// places the next queued job.
+        Complete(usize),
     }
 
     fn random_op(rng: &mut SimRng, devices: usize, services: usize) -> Op {
@@ -619,6 +699,25 @@ mod tests {
                 rng.uniform(-0.05, 0.05),
             ),
         }
+    }
+
+    /// One random operation that moves replicas or training: the
+    /// routing-table invalidations no fault or step is sure to reach.
+    fn churn_op(rng: &mut SimRng, devices: usize, services: usize) -> Op {
+        match rng.uniform_usize(0, 4) {
+            0 => Op::Scale(rng.uniform_usize(0, services), rng.uniform_usize(1, 9)),
+            1 => Op::Evict(rng.uniform_usize(0, devices)),
+            2 => Op::Complete(rng.uniform_usize(0, devices)),
+            _ => Op::Step(rng.uniform(30.0, 400.0)),
+        }
+    }
+
+    /// The `k`-th device (mod their count) that holds training.
+    fn training_device(st: &SimState, k: usize) -> Option<usize> {
+        let held: Vec<usize> = (0..st.devices.len())
+            .filter(|&d| !st.devices[d].trainings().is_empty())
+            .collect();
+        (!held.is_empty()).then(|| held[k % held.len()])
     }
 
     fn apply(s: &mut ClusterSession, op: Op) {
@@ -656,9 +755,8 @@ mod tests {
                     return;
                 };
                 let (batch, fraction) = (inf.batch, inf.gpu_fraction);
-                let gt = &st.shared.gt;
                 for (k, &d) in primaries.iter().enumerate() {
-                    let dev = &mut st.devices[d];
+                    let (dev, gt) = st.device_mut(d);
                     dev.set_inference_batch(gt, now, batch);
                     dev.set_inference_fraction(fraction);
                     let slot = Slot::of(dev, svc).expect("an up primary");
@@ -668,13 +766,38 @@ mod tests {
                     dev.set_inference_qps(gt, now, qps.max(0.0));
                 }
             }
+            Op::Scale(svc, target) => {
+                s.scale_service(ServiceId(svc), target)
+                    .expect("a known service");
+            }
+            Op::Evict(k) => {
+                let (st, now) = s.state_mut();
+                let Some(d) = training_device(st, k) else {
+                    return;
+                };
+                let t = st.dev_time(d, now);
+                Control.evict_trainings(st, t, d);
+            }
+            Op::Complete(k) => {
+                let (st, now) = s.state_mut();
+                let Some(d) = training_device(st, k) else {
+                    return;
+                };
+                let rid = st.devices[d].trainings()[0].id;
+                let job = &mut st.jobs[rid.0 as usize];
+                job.completed_iterations = job.total_iterations as f64;
+                let epoch = st.dstate[d].epoch;
+                Control
+                    .on_completion(st, now, JobId(rid.0), epoch)
+                    .expect("the job finishes");
+            }
         }
     }
 
     /// Draw `case` of the oracle property: a random session (seed,
-    /// size, co-located training, load, warm standbys under faults) and
-    /// a random sequence of live operations, replayed at (shards,
-    /// workers) = (1, 1) and (4, 2). After every operation each service
+    /// size, co-located training, load, warm standbys under faults), 8
+    /// random live operations and then 4 that move replicas or
+    /// training, replayed at (shards, workers) = (1, 1) and (4, 2). After every operation each service
     /// is routed with each scorer and checked against the unpruned
     /// scan. Returns the regimes the draw met.
     fn oracle_case(case: u32) -> Regimes {
@@ -685,7 +808,8 @@ mod tests {
         // Up to 6x the base load, where saturated replicas score p > 0.
         let load = 1.0 + 5.0 * draw.next_f64();
         let mut rng = SimRng::seed(draw.next_u64());
-        let ops: Vec<Op> = (0..8).map(|_| random_op(&mut rng, devices, 8)).collect();
+        let mut ops: Vec<Op> = (0..8).map(|_| random_op(&mut rng, devices, 8)).collect();
+        ops.extend((0..4).map(|_| churn_op(&mut rng, devices, 8)));
         let mut regimes = None;
         for (shards, workers) in [(1, 1), (4, 2)] {
             let mut faults = FaultProfile::scaled(20.0);
@@ -756,12 +880,15 @@ mod tests {
                 }
             }
             // Two horizons, eight services and two generative ones: 20
-            // scans of four replicas each.
+            // scans of four replicas each. The second horizon's
+            // classifier scans answer 6 visits from the routing table
+            // the first horizon's left fresh.
             assert_eq!(
                 s.phase_profile().routing,
                 RouteCounters {
                     scans: 20,
                     visited: 80,
+                    hinted: 6,
                     scored: 59,
                 },
                 "at ({shards}, {workers})"
@@ -781,5 +908,7 @@ mod tests {
         assert!(total.won_on_p > 0, "{total:?}");
         assert!(total.standby > 0, "{total:?}");
         assert!(total.degraded > 0, "{total:?}");
+        assert!(total.hinted > 0, "{total:?}");
+        assert!(total.refreshed > 0, "{total:?}");
     }
 }

@@ -226,13 +226,17 @@ impl std::fmt::Display for AccrualCounters {
 /// request the route cache answers scans nothing; every other one scans
 /// its service's roster once. A scan visits each up replica (primary or
 /// active standby) and fully scores those that can still win
-/// (`ClusterSession::scan`), so `visited - scored` replicas were pruned.
+/// (`ClusterSession::scan`), so `visited - scored` replicas were pruned;
+/// `hinted` of those were pruned from the routing table without reading
+/// their device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteCounters {
     /// Roster scans: routed requests the route cache did not answer.
     pub scans: u64,
     /// Replicas those scans visited.
     pub visited: u64,
+    /// Visited replicas answered from the routing table alone.
+    pub hinted: u64,
     /// Visited replicas that were fully scored.
     pub scored: u64,
 }
@@ -248,19 +252,21 @@ impl RouteCounters {
     pub(crate) fn add(&mut self, other: &RouteCounters) {
         self.scans += other.scans;
         self.visited += other.visited;
+        self.hinted += other.hinted;
         self.scored += other.scored;
     }
 }
 
 impl std::fmt::Display for RouteCounters {
-    /// One line: the scans, then the replicas visited, scored and
-    /// pruned.
+    /// One line: the scans, then the replicas visited, answered from
+    /// the routing table, scored and pruned.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "route scans {} visited {} scored {} pruned {}",
+            "route scans {} visited {} hinted {} scored {} pruned {}",
             self.scans,
             self.visited,
+            self.hinted,
             self.scored,
             self.pruned()
         )

@@ -47,6 +47,7 @@ use crate::systems::{build_system, Multiplexer};
 use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
+use super::route_hint::RouteHint;
 use super::session::{AccrualCounters, TuningCounters};
 use super::shard::{Envelope, EventLane, OutMsg, AUTO_SHARD_MIN_DEVICES};
 
@@ -359,6 +360,8 @@ pub(super) struct LaneCtx<'a> {
     pub base: usize,
     pub devices: &'a mut [GpuDevice],
     pub dstate: &'a mut [DeviceState],
+    /// The lane's slice of [`SimState::route_hints`].
+    pub route_hints: &'a mut [RouteHint],
     pub lane: &'a mut LaneBox,
     pub gt: &'a GroundTruth,
     pub config: &'a ClusterConfig,
@@ -443,6 +446,9 @@ pub(super) struct SimState {
     pub shared: SharedState,
     pub devices: Vec<GpuDevice>,
     pub dstate: Vec<DeviceState>,
+    /// The request path's routing table, indexed like `devices` and
+    /// sized once here (see [`RouteHint`]).
+    pub route_hints: Vec<RouteHint>,
     pub jobs: Vec<TrainingJob>,
     /// Pending training jobs, in enqueue order. Admission takes the
     /// earliest `submitted` first (FCFS, `Admission::try_dispatch`).
@@ -708,6 +714,7 @@ impl SimState {
                 rng,
             },
             config,
+            route_hints: vec![RouteHint::STALE; devices.len()],
             devices,
             dstate,
             jobs: Vec::new(),
@@ -814,7 +821,8 @@ impl SimState {
         f(&mut LaneCtx {
             base: range.start,
             devices: &mut self.devices[range.clone()],
-            dstate: &mut self.dstate[range],
+            dstate: &mut self.dstate[range.clone()],
+            route_hints: &mut self.route_hints[range],
             lane,
             gt: &self.shared.gt,
             config: &self.config,
@@ -907,7 +915,8 @@ impl SimState {
                 if self.devices[host].is_up() {
                     let t = self.dev_time(host, at);
                     Control.accrue(self, t, host);
-                    self.devices[host].promote_standby(&self.shared.gt, t, qps);
+                    let (dev, gt) = self.device_mut(host);
+                    dev.promote_standby(gt, t, qps);
                     // The emitter (key actor) is the covered device:
                     // refresh its frozen served-traffic violation
                     // probability from the host's live profile.

@@ -135,16 +135,19 @@ impl Stepper {
         let (gt, config, jobs, ckpt) = (&st.shared.gt, &st.config, &st.jobs[..], &st.ckpt[..]);
         let session_memo = &st.session_memo;
         let (mut devices, mut dstate) = (&mut st.devices[..], &mut st.dstate[..]);
+        let mut hints = &mut st.route_hints[..];
         let lanes = st.lanes.iter_mut().map(|lane| {
             // Lanes own contiguous ascending ranges: peel each one off.
             let len = lane.range.len();
             let (dev, dev_rest) = std::mem::take(&mut devices).split_at_mut(len);
             let (ds, ds_rest) = std::mem::take(&mut dstate).split_at_mut(len);
-            (devices, dstate) = (dev_rest, ds_rest);
+            let (rh, rh_rest) = std::mem::take(&mut hints).split_at_mut(len);
+            (devices, dstate, hints) = (dev_rest, ds_rest, rh_rest);
             LaneCtx {
                 base: lane.range.start,
                 devices: dev,
                 dstate: ds,
+                route_hints: rh,
                 lane,
                 gt,
                 config,

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use simcore::SimRng;
+use simcore::{MulBuildHasher, SimRng};
 use workloads::{GroundTruth, ServiceId, TaskId};
 
 use crate::config::MudiConfig;
@@ -172,7 +172,9 @@ impl DeviceSelector {
     ) -> Option<PlacementDecision> {
         let mut best: Option<(usize, f64)> = None;
         let mut evaluated = 0usize;
-        let mut base_memo: HashMap<(ServiceId, &[TaskId]), Option<f64>> = HashMap::new();
+        // Looked up, never iterated: the hasher cannot reorder anything.
+        let mut base_memo: HashMap<(ServiceId, &[TaskId]), Option<f64>, MulBuildHasher> =
+            HashMap::default();
         let incoming_mem = gt.training_memory_gb(incoming);
         for c in candidates {
             if c.existing_tasks.len() >= self.config.max_trainings_per_gpu {

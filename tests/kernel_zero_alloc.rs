@@ -29,9 +29,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cluster::engine::{ClusterConfig, ClusterSession};
+use cluster::engine::{ClusterConfig, ClusterSession, ScalePreset};
 use cluster::systems::SystemKind;
-use simcore::SimTime;
+use resilience::{FaultProfile, StandbyPolicy};
+use simcore::{SimTime, TopologyShape};
+use workloads::ServiceId;
 
 struct CountingAlloc;
 
@@ -244,6 +246,83 @@ fn sharded_stepping_allocation_contract() {
              allocations must scale with epochs, not events"
         );
     }
+}
+
+/// The request path's allocation contract: once a fleet-like session
+/// (rack-sharded lanes, baseline faults with a warm-standby pool, epoch
+/// windows) is warm, classifier `infer` calls allocate nothing. The
+/// routing table is sized when the session is built, and a replica scan
+/// only reads and refreshes it. The warm-up routes every service once so
+/// the route cache reaches its size; stepping between the measured
+/// calls is not measured (the sharded contract above covers it).
+#[test]
+fn warm_classifier_infer_allocates_nothing() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    TRACE_ON.store(
+        std::env::var_os("MUDI_ALLOC_TRACE").is_some_and(|v| v == "1"),
+        Ordering::SeqCst,
+    );
+
+    const WINDOW: f64 = 60.0;
+    let mut config = ClusterConfig::builder(ScalePreset::Simulated, SystemKind::Mudi, 7)
+        .devices(512)
+        .jobs(32)
+        .topology(TopologyShape::new(4, 4))
+        .shards(4)
+        .workers(1)
+        .shard_epoch_secs(WINDOW)
+        .max_sim_secs(DAY)
+        .build();
+    let mut faults = FaultProfile::scaled(1.0);
+    faults.recovery.standby = StandbyPolicy::warm(1);
+    config.faults = Some(faults);
+    let mut session = ClusterSession::new_scaled(config, 0.01);
+    let classifiers: Vec<ServiceId> = session
+        .zoo()
+        .services()
+        .iter()
+        .filter(|s| !s.is_generative())
+        .map(|s| s.id)
+        .collect();
+
+    let mut t = 0.0;
+    let mut window = |session: &mut ClusterSession| {
+        t += WINDOW;
+        session.step_until(SimTime::from_secs(t));
+    };
+    for _ in 0..10 {
+        window(&mut session);
+        for &s in &classifiers {
+            let _ = session.infer(s);
+        }
+    }
+    let (mut calls, mut delta) = (0, 0);
+    for _ in 0..60 {
+        window(&mut session);
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        // The first call per service scans its roster; the repeats hit
+        // the route cache.
+        for &s in &classifiers {
+            for _ in 0..3 {
+                let _ = session.infer(s);
+                calls += 1;
+            }
+        }
+        delta += ALLOCATIONS.load(Ordering::SeqCst) - before;
+        ARMED.store(false, Ordering::SeqCst);
+    }
+
+    let routing = session.phase_profile().routing;
+    assert!(
+        routing.hinted > 0,
+        "no visit was answered from the routing table: {routing}"
+    );
+    assert_eq!(
+        delta, 0,
+        "{calls} warm classifier infer calls allocated {delta} times \
+         (set MUDI_ALLOC_TRACE=1 for backtraces)"
+    );
 }
 
 /// Dense-id regression guard: the kernel's dense service table must
