@@ -38,6 +38,7 @@ pub mod fig18_overheads;
 pub mod fig19_failures;
 pub mod fig20_correlated_failures;
 pub mod fig21_warm_standby;
+pub mod fig23_llm_mix;
 pub mod sec54_optimality;
 pub mod tab02_fitting_error;
 pub mod tab04_swap_fraction;
@@ -73,6 +74,7 @@ pub const ALL: &[Figure] = &[
     fig!(fig19_failures),
     fig!(fig20_correlated_failures),
     fig!(fig21_warm_standby),
+    fig!(fig23_llm_mix),
     fig!(sec54_optimality),
     fig!(tab02_fitting_error),
     fig!(tab04_swap_fraction),

@@ -5,8 +5,8 @@
 //! `cargo test` checks against a golden. A figure runs at
 //! [`Scale::Reduced`] so it finishes in seconds, or at [`Scale::Full`],
 //! the paper's scale (12-GPU/300-task physical, 1000-GPU/5000-task
-//! simulated). `perf_kernel`, `fig22_scale` and `fig23_llm_mix` are
-//! separate binaries that keep ledgers; the ledger helpers are here too.
+//! simulated). The kernel performance ledger is [`ledger`], which the
+//! `ledger` binary measures.
 
 use std::time::Instant;
 
@@ -16,6 +16,7 @@ use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
 
 pub mod fig;
+pub mod ledger;
 
 /// How large a figure's runs are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,7 +136,7 @@ pub fn run_cells(cells: Vec<(ClusterConfig, f64)>) -> Vec<ExperimentResult> {
     all
 }
 
-/// Checks a ledger binary's arguments against its documented `flags`:
+/// Checks a binary's arguments against its documented `flags`:
 /// the flags given, in order, or the first argument that is not one.
 pub fn parse_flags(
     args: impl IntoIterator<Item = String>,
@@ -161,58 +162,6 @@ pub fn usage_exit(bin: &str, error: &str, usage: &str) -> ! {
     eprintln!("{bin}: {error}");
     eprintln!("usage: {bin} {usage}");
     std::process::exit(2)
-}
-
-/// A bench gate fails a fresh figure that falls below this fraction of
-/// its committed ledger value (a >20% regression).
-pub const GATE_FLOOR: f64 = 0.80;
-
-/// Whether `now` regressed by more than the gate allows against the
-/// committed `was`.
-pub fn regressed(now: f64, was: f64) -> bool {
-    now < was * GATE_FLOOR
-}
-
-/// The number after `"key": ` on one line of a bench ledger. The
-/// ledgers are written by their own binaries, one record per line, so
-/// the format is fixed; `None` (a missing or malformed field) just
-/// disables the gate for that record.
-pub fn ledger_number(line: &str, key: &str) -> Option<f64> {
-    line.split(&format!("\"{key}\": "))
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next())
-        .and_then(|s| s.trim().parse::<f64>().ok())
-}
-
-/// The string after `"key": "` on one line of a bench ledger (see
-/// [`ledger_number`]).
-pub fn ledger_string<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split(&format!("\"{key}\": \""))
-        .nth(1)
-        .and_then(|s| s.split('"').next())
-}
-
-/// Prints a bench gate's verdict over its regression `failures`, one
-/// line each. An empty list passes. Otherwise the gate fails with exit
-/// code 1, unless `MUDI_BENCH_NO_GATE=1` asks to report and continue
-/// (a noisy runner). `gate` names the gate, `subject` what each ledger
-/// record is (a shape, a cell) and `metric` what regressed.
-pub fn gate_verdict(gate: &str, subject: &str, metric: &str, failures: &[String]) {
-    if failures.is_empty() {
-        println!("{gate}: no {subject} regressed >20% from the committed ledger");
-    } else if simcore::env::flag("MUDI_BENCH_NO_GATE") {
-        println!("{gate}: regressions ignored (MUDI_BENCH_NO_GATE=1):");
-        for f in failures {
-            println!("  {f}");
-        }
-    } else {
-        eprintln!("{gate}: {metric} regressed >20% from the committed ledger:");
-        for f in failures {
-            eprintln!("  {f}");
-        }
-        eprintln!("(set MUDI_BENCH_NO_GATE=1 to bypass on a noisy runner)");
-        std::process::exit(1);
-    }
 }
 
 /// CPU seconds the calling thread has used so far. A host timing, so
@@ -284,22 +233,5 @@ mod tests {
         assert_eq!(parse(&["smoke"]), Err("smoke".to_string()));
         assert_eq!(parse(&["--smoke=1"]), Err("--smoke=1".to_string()));
         assert_eq!(parse(&[""]), Err(String::new()));
-    }
-
-    #[test]
-    fn ledger_fields_parse_one_record() {
-        let line = r#"  {"shape": "tiny-faulty", "devices": 1000, "steps_per_sec": 1234.5},"#;
-        assert_eq!(ledger_string(line, "shape"), Some("tiny-faulty"));
-        assert_eq!(ledger_number(line, "devices"), Some(1000.0));
-        assert_eq!(ledger_number(line, "steps_per_sec"), Some(1234.5));
-        assert_eq!(ledger_number(line, "shape"), None);
-        assert_eq!(ledger_number(line, "workers"), None);
-    }
-
-    #[test]
-    fn gate_floor_is_a_twenty_percent_drop() {
-        assert!(!regressed(80.0, 100.0));
-        assert!(regressed(79.9, 100.0));
-        assert!(!regressed(120.0, 100.0));
     }
 }

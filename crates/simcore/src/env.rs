@@ -11,8 +11,6 @@
 //! | `MUDI_BLESS`         | [`flag`]      | re-record golden snapshots                     |
 //! | `MUDI_SEED`          | [`parse_or`]  | experiment seed                                |
 //! | `MUDI_BENCH_NO_GATE` | [`flag`]      | bench gates report regressions, do not fail    |
-//! | `MUDI_PERF_SAMPLES`  | [`parse_or`]  | `perf_kernel` samples per shape (default 3)    |
-//! | `MUDI_FIG22_DEVICES` | [`parse`]     | run only the `fig22_scale` sweep of this size  |
 //! | `MUDI_SERVE_ADDR`    | [`string_or`] | control-plane listen address                   |
 //! | `MUDI_SERVE_PACE`    | [`parse_or`]  | sim-seconds per wall-second (`0` = frozen)     |
 //! | `MUDI_SERVE_SEED`    | [`parse_or`]  | `mudi-serve` simulation seed (default 7)       |

@@ -20,7 +20,8 @@
 //!
 //! Every figure in `bench::fig::ALL` is also pinned here: its text at
 //! reduced scale and seed 42 must match `tests/golden/figures/<id>.txt`,
-//! re-recorded the same way.
+//! re-recorded the same way. So are the fingerprints and counters of the
+//! `bench::ledger` rows that run in seconds.
 //!
 //! The rendered fields are pure IEEE-754 arithmetic plus libm calls
 //! (`exp`, `ln`, …); goldens are recorded on x86-64 Linux/glibc, the CI
@@ -417,4 +418,23 @@ fn figures_match_golden() {
     let mut expected: Vec<String> = ids.iter().map(|id| format!("{id}.txt")).collect();
     expected.sort();
     assert_eq!(files, expected, "figure goldens and bench::fig::ALL differ");
+}
+
+/// The ledger's kernel shapes and 1k-device cells, run once each: every
+/// row's fingerprint and tuning and accrual counters against
+/// `tests/golden/ledger.txt`, after the grid check (so a re-record cannot
+/// bless a divergence). The 10k and 100k cells keep their recorded
+/// lines here; every `ledger` run checks them.
+#[test]
+fn ledger_rows_match_golden() {
+    use bench::ledger;
+
+    let rows: Vec<ledger::Row> = ledger::table()
+        .into_iter()
+        .filter(|spec| !spec.grid.starts_with("scale-") || spec.grid == "scale-1k")
+        .map(|spec| ledger::measure(&ledger::Spec { samples: 1, ..spec }))
+        .collect();
+    ledger::assert_grid(&rows);
+    let recorded = std::fs::read_to_string(golden_path("ledger.txt")).unwrap_or_default();
+    check_golden("ledger.txt", &ledger::golden_text(&recorded, &rows));
 }

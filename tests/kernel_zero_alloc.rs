@@ -6,7 +6,7 @@
 //! inside the engine state. The payoff this file proves: once a
 //! session is *warm*, stepping it — QPS segment changes, accruals,
 //! tuner reconfigurations, training completions — performs **zero**
-//! heap allocations, across the committed `perf_kernel` shapes. That
+//! heap allocations, across the one-lane kernel shapes of the ledger. That
 //! includes the LLM-mix shape: generative decode accrual is analytic
 //! (steady-state running batch, closed-form ITL tail), so the
 //! token-SLO path adds no per-event allocations either.
@@ -94,44 +94,26 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 const DAY: f64 = 24.0 * 3600.0;
 
-/// The same shapes `perf_kernel` pins, restated here because the
-/// bench binary is not a library: (name, config, warm-up horizon,
-/// measure horizon, step increment).
-fn shapes() -> Vec<(&'static str, ClusterConfig, f64, f64, f64)> {
-    vec![
-        (
-            "batch-tiny-mudi-5day",
-            ClusterConfig::tiny(SystemKind::Mudi, 7),
-            2.0 * DAY,
-            5.0 * DAY,
-            3.0 * DAY,
-        ),
-        (
-            "batch-physical-mudi-5day",
-            ClusterConfig::physical(SystemKind::Mudi, 7),
-            2.0 * DAY,
-            5.0 * DAY,
-            3.0 * DAY,
-        ),
-        (
-            "session-tiny-1day-5min-steps",
-            ClusterConfig::tiny(SystemKind::Mudi, 7),
-            0.25 * DAY,
-            DAY,
-            300.0,
-        ),
-        (
-            "llm-mix-physical-mudi-5day",
-            {
-                let mut c = ClusterConfig::physical(SystemKind::Mudi, 7);
-                c.llm_services = true;
-                c
-            },
-            2.0 * DAY,
-            5.0 * DAY,
-            3.0 * DAY,
-        ),
-    ]
+/// The one-lane kernel shapes of `bench::ledger`'s table, with this
+/// file's warm-up horizon and step increment for each: (name, config,
+/// warm-up horizon, measure horizon, step increment). The ledger steps
+/// its batch shapes in one increment, which would leave no warm window.
+fn shapes() -> Vec<(String, ClusterConfig, f64, f64, f64)> {
+    let shapes: Vec<_> = bench::ledger::table()
+        .into_iter()
+        .filter_map(|spec| {
+            let (warm, step) = match spec.name.as_str() {
+                "batch-tiny-mudi-5day"
+                | "batch-physical-mudi-5day"
+                | "llm-mix-physical-mudi-5day" => (2.0 * DAY, 3.0 * DAY),
+                "session-tiny-1day-5min-steps" => (0.25 * DAY, 300.0),
+                _ => return None,
+            };
+            Some((spec.name, spec.config, warm, spec.horizon_secs, step))
+        })
+        .collect();
+    assert_eq!(shapes.len(), 4, "a one-lane shape left the ledger table");
+    shapes
 }
 
 fn step_to(session: &mut ClusterSession, from: f64, to: f64, step: f64) -> u64 {
