@@ -473,10 +473,12 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
     // the device is post-failure degraded.
     let cap = ctx.dstate[li].applied_share_cap(now);
     ctx.devices[li].rebalance_training_fractions(cap);
-    // Most retunes keep the primary's profile key; only one that moved
-    // it marks the route hint stale.
-    if retune_key(&ctx.devices[li]) != key_before {
-        ctx.invalidate_route(d);
+    // A retune that moved the primary's profile key, or that finds its
+    // route hint stale, writes the hint fresh, so the request path
+    // reads this device from the table until its next key-changing
+    // write. One that kept the key keeps a fresh hint as it is.
+    if retune_key(&ctx.devices[li]) != key_before || ctx.route_hints[li].is_stale() {
+        ctx.refresh_route(d);
     }
 
     // Pause bookkeeping: SLO infeasibility (any system) or memory

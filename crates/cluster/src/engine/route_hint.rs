@@ -4,11 +4,12 @@
 //! (`ClusterSession::scan`) can rule out a replica that cannot win by
 //! reading 16 bytes instead of its device record.
 //!
-//! The table is filled lazily: the scan refreshes an entry from the mean
-//! it reads off a device, and every write that can change what an entry
-//! stands for marks it stale. Those writes are
-//! - a retune that moves the batch, the GPU share or a training share
-//!   (`control::reconfigure`, through [`LaneCtx::invalidate_route`]);
+//! The retune keeps the table current, and the scan only reads it. A
+//! retune that moves its primary's profile key, or that finds the
+//! device's entry stale, writes a fresh entry
+//! ([`LaneCtx::refresh_route`]). Every other write that can change what
+//! an entry stands for marks it stale until the device's next retune.
+//! Those writes are
 //! - training placement, completion and eviction, and every training
 //!   re-split outside a retune;
 //! - slowdown start and end and the post-repair burn-in;
@@ -17,9 +18,10 @@
 //!   refresh included;
 //! - the session's `deploy_replica` and [`SimState::repin`].
 //!
-//! All but the retune and the slowdown end go through
-//! [`SimState::device_mut`]. QPS is not part of the key: a QPS change
-//! writes nothing.
+//! All but the slowdown end go through [`SimState::device_mut`]; the
+//! slowdown end, a lane handler, calls [`LaneCtx::invalidate_route`].
+//! QPS is not part of the key: a QPS change writes nothing. A stale
+//! entry costs the scan one device read, never a wrong choice.
 
 use gpu_sim::GpuDevice;
 use workloads::{GroundTruth, ServiceId};
@@ -33,9 +35,9 @@ use super::state::{LaneCtx, SimState};
 /// replica that cannot win without reading its [`GpuDevice`].
 ///
 /// Invariant: a fresh entry equals the profile mean at the device's
-/// current key (service, batch, effective share, co-location view).
-/// Only the scan writes a fresh entry; the module docs list the writes
-/// that mark one stale.
+/// current key (service, batch, effective share, co-location view). A
+/// retune leaves its up primary's entry fresh; a serial write marks it
+/// stale until the next retune (the module docs list those writes).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(super) struct RouteHint {
     mean: f64,
@@ -53,18 +55,40 @@ impl RouteHint {
         service: usize::MAX,
     };
 
-    /// A fresh entry: the device's up primary serves `service` with
-    /// profile mean `mean`.
-    pub fn fresh(service: ServiceId, mean: f64) -> Self {
-        RouteHint {
-            mean,
-            service: service.0,
-        }
-    }
-
     /// The mean when the entry is fresh for `service`.
     pub fn mean_for(self, service: ServiceId) -> Option<f64> {
         (self.service == service.0).then_some(self.mean)
+    }
+
+    /// The service and mean of a fresh entry.
+    #[cfg(test)]
+    pub fn entry(self) -> Option<(ServiceId, f64)> {
+        (!self.is_stale()).then_some((ServiceId(self.service), self.mean))
+    }
+
+    /// Whether the entry answers nothing.
+    pub fn is_stale(self) -> bool {
+        self.service == RouteHint::STALE.service
+    }
+
+    /// `dev`'s entry at its current key: its up primary's profile mean
+    /// through the device memo, at the configured batch, the effective
+    /// share `(gpu_fraction × perf_factor).max(0.01)` and the inference
+    /// co-location view; stale when the device is down or has no
+    /// primary.
+    fn of(dev: &GpuDevice, gt: &GroundTruth) -> RouteHint {
+        let Some(inf) = dev.inference().filter(|_| dev.is_up()) else {
+            return RouteHint::STALE;
+        };
+        let frac = (inf.gpu_fraction * dev.perf_factor()).max(0.01);
+        let mean = dev.with_inference_colo(|colo| {
+            dev.latency_profile(gt, inf.service, inf.batch, frac, colo)
+                .0
+        });
+        RouteHint {
+            mean,
+            service: inf.service.0,
+        }
     }
 }
 
@@ -84,5 +108,11 @@ impl LaneCtx<'_> {
     /// changed its primary's profile key.
     pub fn invalidate_route(&mut self, d: usize) {
         self.route_hints[d - self.base] = RouteHint::STALE;
+    }
+
+    /// Writes device `d`'s [`RouteHint`] fresh from its current key.
+    pub fn refresh_route(&mut self, d: usize) {
+        let li = d - self.base;
+        self.route_hints[li] = RouteHint::of(&self.devices[li], self.gt);
     }
 }

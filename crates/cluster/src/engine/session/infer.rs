@@ -9,7 +9,6 @@ use simcore::{SimEvent, SimTime};
 use workloads::{ColoWorkload, GenerativeProfile, GroundTruth, ServiceId};
 
 use super::super::control::{itl_violation_probability, standby_score, violation_probability};
-use super::super::route_hint::RouteHint;
 use super::super::state::SimState;
 use super::{ClusterSession, RouteCounters, SessionError};
 
@@ -207,8 +206,9 @@ impl ClusterSession {
     /// The replica selector shared by both request kinds: the choice
     /// of [`ClusterSession::scan`], kept in the session's route cache
     /// until the next call that can change device state, so repeated
-    /// requests between two steps scan the replicas once. Each scan
-    /// counts in [`RouteCounters`]; a cache hit does not.
+    /// requests between two steps scan the replicas once. Each scan and
+    /// each cache hit counts in [`RouteCounters`]; the debug rescan on a
+    /// hit does not.
     fn route(
         &mut self,
         service: ServiceId,
@@ -223,6 +223,7 @@ impl ClusterSession {
                 "stale route for service {}: a device-state change did not clear the route cache",
                 service.0
             );
+            self.route_counters.cached += 1;
             return Ok(hit);
         }
         let (best, counts) = self.scan(service, scorer);
@@ -244,19 +245,21 @@ impl ClusterSession {
     /// The walk skips the violation probability of a replica that
     /// cannot win. `p` lies in `[0, 1]`, so once the running best has
     /// `p == 0.0` a candidate wins only with a strictly smaller mean.
-    /// A classifier primary whose [`RouteHint`] is fresh for the
+    /// A classifier primary whose
+    /// [`RouteHint`](super::super::route_hint::RouteHint) is fresh for the
     /// service and whose mean is `>=` the best's is skipped from the
     /// table alone, without reading its device. Any other classifier
-    /// primary reads its mean from the device's profile memo, refreshes
-    /// its hint, and stops there when the mean is `>=` the best's; a
-    /// NaN mean compares false and gets the full score. A standby keeps
-    /// its frozen score and a generative replica its full score (its
-    /// mean is taken at the steady decode batch), so neither is skipped
-    /// nor hinted. The choice is therefore the one a full scan makes,
-    /// bit for bit. Returns the choice (`None` when no replica is up)
-    /// and the scan's work counts.
+    /// primary (a stale entry among them) reads its mean from the
+    /// device's profile memo and stops there when the mean is `>=` the
+    /// best's; a NaN mean compares false and gets the full score. A
+    /// standby keeps its frozen score and a generative replica its full
+    /// score (its mean is taken at the steady decode batch), so neither
+    /// is skipped. The scan only reads the table: the retune keeps it
+    /// fresh. The choice is therefore the one a full scan makes, bit for
+    /// bit. Returns the choice (`None` when no replica is up) and the
+    /// scan's work counts.
     fn scan(
-        &mut self,
+        &self,
         service: ServiceId,
         scorer: Scorer,
     ) -> (Option<(usize, Candidate)>, RouteCounters) {
@@ -288,16 +291,9 @@ impl ClusterSession {
                 continue;
             };
             counts.visited += 1;
-            let c = match scorer.score(&self.st, d, service, &slot, beat) {
-                Score::Full(c) => c,
-                Score::Pruned { mean } => {
-                    self.st.route_hints[d] = RouteHint::fresh(service, mean);
-                    continue;
-                }
+            let Score::Full(c) = scorer.score(&self.st, d, service, &slot, beat) else {
+                continue;
             };
-            if classifier && !slot.standby {
-                self.st.route_hints[d] = RouteHint::fresh(service, c.mean);
-            }
             counts.scored += 1;
             if best.is_none_or(|(_, b)| (c.p, c.mean) < (b.p, b.mean)) {
                 best = Some((d, c));
@@ -349,14 +345,12 @@ impl Scorer {
     }
 }
 
-/// A replica's score, or the mean that ruled it out.
+/// A replica's score, or that it cannot win.
 enum Score {
     Full(Candidate),
     /// A classifier primary whose profile mean does not undercut the
     /// running best's.
-    Pruned {
-        mean: f64,
-    },
+    Pruned,
 }
 
 /// Whether two routing decisions agree bit for bit.
@@ -453,7 +447,7 @@ impl Slot {
 }
 
 /// The profile mean of `service`'s primary on `d` at the device's
-/// current key, read from the device: what a fresh [`RouteHint`] must
+/// current key, read from the device: what a fresh `RouteHint` must
 /// hold. `None` when `d` is down or its primary serves another service.
 fn primary_mean(st: &SimState, d: usize, service: ServiceId) -> Option<f64> {
     let dev = &st.devices[d];
@@ -485,7 +479,7 @@ fn classifier_candidate(
             slot.profile(dev, &st.shared.gt, service, slot.batch, colo)
         });
         if beat.is_some_and(|b| mean >= b) {
-            return Score::Pruned { mean };
+            return Score::Pruned;
         }
         let p = violation_probability(slot.qps, slot.batch, slo, mean, sigma);
         (p, mean, sigma)
@@ -541,6 +535,7 @@ mod tests {
     use crate::engine::{ClusterConfig, LiveFault, ScalePreset};
     use crate::job::JobId;
     use crate::systems::SystemKind;
+    use mudi::TuneTrigger;
     use resilience::{FaultProfile, StandbyPolicy};
     use simcore::{SimDuration, SimRng};
 
@@ -560,8 +555,9 @@ mod tests {
         degraded: u64,
         /// Scans that skipped a replica on a fresh routing-table entry.
         hinted: u64,
-        /// Scans that refreshed a stale routing-table entry.
-        refreshed: u64,
+        /// Classifier scans that met a stale routing-table entry of an
+        /// up primary, and so read that device.
+        stale: u64,
     }
 
     impl Regimes {
@@ -571,7 +567,7 @@ mod tests {
             self.standby += other.standby;
             self.degraded += other.degraded;
             self.hinted += other.hinted;
-            self.refreshed += other.refreshed;
+            self.stale += other.stale;
         }
     }
 
@@ -615,8 +611,8 @@ mod tests {
     /// [`ClusterSession::route`] with a cold cache, checks each choice
     /// against [`unpruned_scan`] bit for bit, and tallies the regimes.
     /// The routing table carries over from the previous call, so a scan
-    /// meets both entries left fresh since then and entries the
-    /// operations in between marked stale.
+    /// meets both entries the retunes in between left fresh and entries
+    /// the other operations marked stale.
     fn route_all_against_the_oracle(s: &mut ClusterSession, regimes: &mut Regimes, at: &str) {
         let services: Vec<_> = s.zoo().services().to_vec();
         for spec in &services {
@@ -627,19 +623,15 @@ mod tests {
             for scorer in std::iter::once(Scorer::Classifier { slo }).chain(token) {
                 let (want, met) = unpruned_scan(s, spec.id, scorer);
                 let before = s.route_counters;
-                let roster = s.st.roster.of(spec.id);
-                let stale: Vec<usize> = roster
-                    .iter()
-                    .copied()
-                    .filter(|&d| s.st.route_hints[d].mean_for(spec.id).is_none())
-                    .collect();
+                let stale = matches!(scorer, Scorer::Classifier { .. })
+                    && s.st.roster.of(spec.id).iter().any(|&d| {
+                        s.st.route_hints[d].is_stale()
+                            && Slot::of(&s.st.devices[d], spec.id).is_some_and(|slot| !slot.standby)
+                    });
                 s.routes.clear();
                 let got = s.route(spec.id, scorer).ok();
                 let after = s.route_counters;
                 let pruned = (after.visited - before.visited) - (after.scored - before.scored);
-                let refreshed = stale
-                    .iter()
-                    .any(|&d| s.st.route_hints[d].mean_for(spec.id).is_some());
                 assert!(
                     got.is_some() == want.is_some()
                         && got.zip(want).is_none_or(|(g, w)| same_route(g, w)),
@@ -652,7 +644,7 @@ mod tests {
                 regimes.add(Regimes {
                     pruned: u64::from(pruned > 0),
                     hinted: u64::from(after.hinted > before.hinted),
-                    refreshed: u64::from(refreshed),
+                    stale: u64::from(stale),
                     ..met
                 });
             }
@@ -794,30 +786,45 @@ mod tests {
         }
     }
 
-    /// Draw `case` of the oracle property: a random session (seed,
-    /// size, co-located training, load, warm standbys under faults), 8
-    /// random live operations and then 4 that move replicas or
-    /// training, replayed at (shards, workers) = (1, 1) and (4, 2). After every operation each service
-    /// is routed with each scorer and checked against the unpruned
-    /// scan. Returns the regimes the draw met.
-    fn oracle_case(case: u32) -> Regimes {
-        let mut draw = proptest::TestRng::for_case("route_oracle", case);
-        let seed = draw.next_u64();
-        let devices = 24 + draw.below(25) as usize;
-        let jobs = draw.below(40) as usize;
-        // Up to 6x the base load, where saturated replicas score p > 0.
-        let load = 1.0 + 5.0 * draw.next_f64();
-        let mut rng = SimRng::seed(draw.next_u64());
-        let mut ops: Vec<Op> = (0..8).map(|_| random_op(&mut rng, devices, 8)).collect();
-        ops.extend((0..4).map(|_| churn_op(&mut rng, devices, 8)));
-        let mut regimes = None;
-        for (shards, workers) in [(1, 1), (4, 2)] {
+    /// A random session (seed, size, co-located training, load, warm
+    /// standbys under faults) and 8 random live operations, then 4 that
+    /// move replicas or training: draw `case` of the property `name`.
+    struct CaseDraw {
+        seed: u64,
+        devices: usize,
+        jobs: usize,
+        load: f64,
+        ops: Vec<Op>,
+    }
+
+    impl CaseDraw {
+        fn new(name: &str, case: u32) -> Self {
+            let mut draw = proptest::TestRng::for_case(name, case);
+            let seed = draw.next_u64();
+            let devices = 24 + draw.below(25) as usize;
+            let jobs = draw.below(40) as usize;
+            // Up to 6x the base load, where saturated replicas score p > 0.
+            let load = 1.0 + 5.0 * draw.next_f64();
+            let mut rng = SimRng::seed(draw.next_u64());
+            let mut ops: Vec<Op> = (0..8).map(|_| random_op(&mut rng, devices, 8)).collect();
+            ops.extend((0..4).map(|_| churn_op(&mut rng, devices, 8)));
+            CaseDraw {
+                seed,
+                devices,
+                jobs,
+                load,
+                ops,
+            }
+        }
+
+        /// The drawn session at `(shards, workers)`, stepped to 120 s.
+        fn session(&self, shards: usize, workers: usize) -> ClusterSession {
             let mut faults = FaultProfile::scaled(20.0);
             faults.recovery.standby = StandbyPolicy::warm(1);
-            let cfg = ClusterConfig::builder(ScalePreset::Tiny, SystemKind::Mudi, seed)
-                .devices(devices)
-                .jobs(jobs)
-                .load_multiplier(load)
+            let cfg = ClusterConfig::builder(ScalePreset::Tiny, SystemKind::Mudi, self.seed)
+                .devices(self.devices)
+                .jobs(self.jobs)
+                .load_multiplier(self.load)
                 .llm_services(true)
                 .shards(shards)
                 .workers(workers)
@@ -826,10 +833,23 @@ mod tests {
                 .with_faults(faults);
             let mut s = ClusterSession::new_scaled(cfg, 0.002);
             s.step_until(SimTime::from_secs(120.0));
+            s
+        }
+    }
+
+    /// Draw `case` of the oracle property, replayed at (shards,
+    /// workers) = (1, 1) and (4, 2). Before and after every operation
+    /// each service is routed with each scorer and checked against the
+    /// unpruned scan. Returns the regimes the draw met.
+    fn oracle_case(case: u32) -> Regimes {
+        let draw = CaseDraw::new("route_oracle", case);
+        let mut regimes = None;
+        for (shards, workers) in [(1, 1), (4, 2)] {
+            let mut s = draw.session(shards, workers);
             let at = |i: usize| format!("case {case} at ({shards}, {workers}) after op {i}");
             let mut met = Regimes::default();
             route_all_against_the_oracle(&mut s, &mut met, &at(0));
-            for (i, &op) in ops.iter().enumerate() {
+            for (i, &op) in draw.ops.iter().enumerate() {
                 apply(&mut s, op);
                 route_all_against_the_oracle(&mut s, &mut met, &at(i + 1));
             }
@@ -880,15 +900,16 @@ mod tests {
                 }
             }
             // Two horizons, eight services and two generative ones: 20
-            // scans of four replicas each. The second horizon's
-            // classifier scans answer 6 visits from the routing table
-            // the first horizon's left fresh.
+            // scans of four replicas each, and 20 repeats the route
+            // cache answers. The classifier scans answer 21 visits from
+            // the routing table the retunes left fresh.
             assert_eq!(
                 s.phase_profile().routing,
                 RouteCounters {
                     scans: 20,
+                    cached: 20,
                     visited: 80,
-                    hinted: 6,
+                    hinted: 21,
                     scored: 59,
                 },
                 "at ({shards}, {workers})"
@@ -909,6 +930,108 @@ mod tests {
         assert!(total.standby > 0, "{total:?}");
         assert!(total.degraded > 0, "{total:?}");
         assert!(total.hinted > 0, "{total:?}");
-        assert!(total.refreshed > 0, "{total:?}");
+        assert!(total.stale > 0, "{total:?}");
+    }
+
+    /// The routing table as `(service, mean bits)` per device, `None`
+    /// where stale, after asserting that every fresh entry bit-equals
+    /// its primary's mean read from the device.
+    fn checked_table(s: &ClusterSession, at: &str) -> Vec<Option<(usize, u64)>> {
+        (0..s.st.devices.len())
+            .map(|d| {
+                let entry = s.st.route_hints[d].entry();
+                if let Some((service, mean)) = entry {
+                    assert_eq!(
+                        primary_mean(&s.st, d, service).map(f64::to_bits),
+                        Some(mean.to_bits()),
+                        "{at}: device {d}'s fresh entry for service {}",
+                        service.0
+                    );
+                }
+                entry.map(|(service, mean)| (service.0, mean.to_bits()))
+            })
+            .collect()
+    }
+
+    /// On random sessions, after every operation of the oracle's kinds,
+    /// each fresh routing-table entry equals its device's primary mean
+    /// bit for bit, and the whole table is the same at (1, 1) and
+    /// (4, 2).
+    #[test]
+    fn route_table_matches_its_devices() {
+        for case in 0..proptest::cases_or(6) {
+            let draw = CaseDraw::new("route_table", case);
+            let mut tables = Vec::new();
+            for (shards, workers) in [(1, 1), (4, 2)] {
+                let mut s = draw.session(shards, workers);
+                let at = |i: usize| format!("case {case} at ({shards}, {workers}) after op {i}");
+                let mut table = vec![checked_table(&s, &at(0))];
+                for (i, &op) in draw.ops.iter().enumerate() {
+                    apply(&mut s, op);
+                    table.push(checked_table(&s, &at(i + 1)));
+                }
+                assert!(
+                    table.iter().flatten().any(Option::is_some),
+                    "case {case}: no entry was ever fresh"
+                );
+                tables.push(table);
+            }
+            assert!(
+                tables[0] == tables[1],
+                "case {case}: the table differs across the grid"
+            );
+        }
+    }
+
+    /// A retune that moves its primary's key leaves the device's entry
+    /// fresh at the new key. A serial write then marks it stale, and a
+    /// routed request leaves it so, until the device's next retune.
+    #[test]
+    fn retune_leaves_its_route_entry_fresh() {
+        let cfg = ClusterConfig::builder(ScalePreset::Tiny, SystemKind::Mudi, 11)
+            .devices(32)
+            .jobs(12)
+            .shard_epoch_secs(30.0)
+            .build();
+        let mut s = ClusterSession::new_scaled(cfg, 0.002);
+        s.step_until(SimTime::from_secs(600.0));
+        let (st, now) = s.state_mut();
+        // Triple a primary's QPS, which marks nothing, and retune it,
+        // until a retune moves the batch or the GPU share.
+        let key = |st: &SimState, d: usize| {
+            st.devices[d]
+                .inference()
+                .map(|i| (i.batch, i.gpu_fraction.to_bits()))
+        };
+        let d = (0..st.devices.len())
+            .find(|&d| {
+                if !st.devices[d].is_up() || st.devices[d].inference().is_none() {
+                    return false;
+                }
+                let before = key(st, d);
+                let t = st.dev_time(d, now);
+                let qps = 3.0 * st.devices[d].inference().expect("a primary").qps;
+                st.devices[d].set_inference_qps(&st.shared.gt, t, qps);
+                Control.reconfigure(st, t, d, TuneTrigger::QpsChange);
+                key(st, d) != before
+            })
+            .expect("a retune that moves its key");
+        let service = st.devices[d].inference().expect("a primary").service;
+        let fresh = |st: &SimState| {
+            let mean = st.route_hints[d].mean_for(service)?;
+            let want = primary_mean(st, d, service)?;
+            Some(mean.to_bits() == want.to_bits())
+        };
+        assert_eq!(fresh(st), Some(true), "after the key-moving retune");
+
+        st.device_mut(d);
+        assert!(st.route_hints[d].is_stale(), "after a serial write");
+        s.infer(service).expect("a replica");
+        assert!(s.st.route_hints[d].is_stale(), "after a routed request");
+
+        let (st, now) = s.state_mut();
+        let t = st.dev_time(d, now);
+        Control.reconfigure(st, t, d, TuneTrigger::QpsChange);
+        assert_eq!(fresh(st), Some(true), "after the next retune");
     }
 }

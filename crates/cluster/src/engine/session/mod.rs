@@ -223,8 +223,8 @@ impl std::fmt::Display for AccrualCounters {
 }
 
 /// Exact counts of the request path's routing work so far. A routed
-/// request the route cache answers scans nothing; every other one scans
-/// its service's roster once. A scan visits each up replica (primary or
+/// request the route cache answers (`cached`) scans nothing; every other
+/// one scans its service's roster once. A scan visits each up replica (primary or
 /// active standby) and fully scores those that can still win
 /// (`ClusterSession::scan`), so `visited - scored` replicas were pruned;
 /// `hinted` of those were pruned from the routing table without reading
@@ -233,6 +233,8 @@ impl std::fmt::Display for AccrualCounters {
 pub struct RouteCounters {
     /// Roster scans: routed requests the route cache did not answer.
     pub scans: u64,
+    /// Routed requests the route cache answered.
+    pub cached: u64,
     /// Replicas those scans visited.
     pub visited: u64,
     /// Visited replicas answered from the routing table alone.
@@ -251,6 +253,7 @@ impl RouteCounters {
     /// Adds `other`'s counts.
     pub(crate) fn add(&mut self, other: &RouteCounters) {
         self.scans += other.scans;
+        self.cached += other.cached;
         self.visited += other.visited;
         self.hinted += other.hinted;
         self.scored += other.scored;
@@ -258,13 +261,14 @@ impl RouteCounters {
 }
 
 impl std::fmt::Display for RouteCounters {
-    /// One line: the scans, then the replicas visited, answered from
-    /// the routing table, scored and pruned.
+    /// One line: the scans and the cache hits, then the replicas
+    /// visited, answered from the routing table, scored and pruned.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "route scans {} visited {} hinted {} scored {} pruned {}",
+            "route scans {} cached {} visited {} hinted {} scored {} pruned {}",
             self.scans,
+            self.cached,
             self.visited,
             self.hinted,
             self.scored,

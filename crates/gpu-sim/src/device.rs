@@ -98,8 +98,7 @@ fn profile_cached(
             return (e.mean, e.sigma, e.p99);
         }
     }
-    let mean = gt.inference_latency(service, batch, frac, colo);
-    let sigma = gt.effective_sigma(service, batch, frac, colo);
+    let (mean, sigma) = gt.inference_profile(service, batch, frac, colo);
     let p99 = mean * (2.326 * sigma).exp();
     if let Some(key) = InfProfileKey::new(service, batch, frac, colo) {
         cache.set(Some(InfProfile {
