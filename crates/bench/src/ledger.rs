@@ -21,11 +21,11 @@
 //!
 //! Every row's result fingerprint and its exact tuning and accrual
 //! counters are pinned in `tests/golden/ledger.txt`. Rows of one grid
-//! replay one run, so they must land on one fingerprint
-//! ([`assert_grid`]). The `ledger` binary measures every row, checks it
-//! against the golden, and with `--gate` compares it against the
-//! committed `BENCH_ledger.json` ([`gate`]); `cargo test` checks the
-//! kernel shapes and the 1k cells.
+//! replay one run, so they must land on one fingerprint and count the
+//! same work ([`assert_grid`]). The `ledger` binary measures every row,
+//! checks it against the golden, and with `--gate` compares it against
+//! the committed `BENCH_ledger.json` ([`gate`]); `cargo test` checks
+//! the kernel shapes and the 1k cells.
 
 use std::fmt::{self, Write as _};
 use std::time::Instant;
@@ -310,8 +310,9 @@ fn p99(samples: &mut [f64]) -> f64 {
     samples[idx.clamp(1, samples.len()) - 1]
 }
 
-/// Asserts that the rows of each grid share one fingerprint: the
-/// partition and the worker count are unobservable. A golden
+/// Asserts that the rows of each grid share one fingerprint and one
+/// set of tuning and accrual counters: the partition and the worker
+/// count are unobservable, and so is the work they count. A golden
 /// re-record checks this first, so it cannot record a divergence.
 pub fn assert_grid(rows: &[Row]) {
     for row in rows {
@@ -319,10 +320,13 @@ pub fn assert_grid(rows: &[Row]) {
             .iter()
             .find(|r| r.grid == row.grid)
             .expect("row itself");
+        let key = |r: &Row| (format!("{:016x}", r.fingerprint), r.tuning, r.accrual);
         assert_eq!(
-            row.fingerprint, first.fingerprint,
-            "{} diverged from {}: fingerprint {:016x} vs {:016x}",
-            row.name, first.name, row.fingerprint, first.fingerprint
+            key(row),
+            key(first),
+            "{} diverged from {}",
+            row.name,
+            first.name
         );
     }
 }

@@ -372,8 +372,8 @@ pub(super) fn observed_p99(ctx: &LaneCtx, d: usize) -> Option<f64> {
 /// The tuner runs on the lane's own system replica and draws from the
 /// device's `retune_rng` substream — the draws depend only on
 /// `(seed, device, draw index)`, never on cross-device ordering. Its
-/// proposals go through the session memo and the lane's own
-/// ([`super::state::SessionMemo::with_lane`]), and the pass is counted
+/// proposals go through the session memo
+/// ([`super::state::SessionMemo::memos`]), and the pass is counted
 /// under `trigger` on the lane.
 pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: TuneTrigger) {
     let li = d - ctx.base;
@@ -403,7 +403,7 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
     };
     let qps = inf.qps;
     let old_fraction = inf.gpu_fraction;
-    let memos = ctx.session_memo.with_lane(&mut ctx.lane.memo);
+    let memos = ctx.session_memo.memos(&mut ctx.lane.search);
     let mut decision: ConfigDecision =
         ctx.lane
             .system

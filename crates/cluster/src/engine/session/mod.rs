@@ -142,16 +142,15 @@ pub struct PhaseProfile {
 }
 
 /// Exact counts of the tuning work so far. Each lane counts its own
-/// devices' passes and its memo's searches, and the session memo counts
+/// devices' passes and lane-phase searches, and the session memo counts
 /// the serial phase's searches; [`ClusterSession::phase_profile`] sums
-/// them. At a fixed shard count every count is the same at every worker
-/// count.
+/// them. Every count is the same at every shard and worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TuningCounters {
     /// Tuning passes (`Multiplexer::configure` calls) per trigger,
     /// indexed by [`TuneTrigger`] discriminant.
     pub passes: [u64; TuneTrigger::ALL.len()],
-    /// GP-LCB search traffic over every proposal memo.
+    /// GP-LCB search traffic through the session memo, both phases.
     pub search: SearchCounts,
 }
 

@@ -27,7 +27,7 @@
 use gpu_sim::{
     DeviceId, GpuDevice, InferenceInstance, ResidentId, StandbyInstance, TrainingProcess,
 };
-use modeling::bo::{DecisionMemo, Memos};
+use modeling::bo::{DecisionMemo, Memos, SearchCounts};
 use mudi::{CircuitBreaker, Monitor, RetuneGuard, TuneTrigger};
 use resilience::{
     CheckpointTracker, FaultSchedule, StandbyPolicy, DEGRADED_TRAINING_SHARE, RETUNE_DWELL_SECS,
@@ -343,8 +343,9 @@ pub(super) struct LaneBox {
     /// Pooled backing storage for the [`crate::systems::DeviceView`]
     /// task list built on every reconfigure.
     pub scratch_tasks: Vec<workloads::TaskId>,
-    /// The GP-LCB proposal memo of this lane's lane-phase retunes.
-    pub memo: DecisionMemo,
+    /// The search traffic of this lane's lane-phase retunes, which only
+    /// read the session memo.
+    pub search: SearchCounts,
     /// Tuning passes on this lane's devices, both phases, indexed by
     /// [`TuneTrigger`] discriminant.
     pub tune_passes: [u64; TuneTrigger::ALL.len()],
@@ -376,25 +377,25 @@ pub(super) struct LaneCtx<'a> {
 }
 
 /// How a lane handler reaches the session's proposal memo. No lock is
-/// taken either way, and which memos a retune reads and records into
-/// depends only on its phase and lane, never on the worker count.
+/// taken either way, and whether a retune records into the memo depends
+/// only on its phase, never on the shard or worker count.
 pub(super) enum SessionMemo<'a> {
     /// The serial phase: every retune reads and records into it.
     Lent(&'a mut DecisionMemo),
     /// The lane phase, in which nothing writes the session memo: a
-    /// retune reads it and records into the lane's own
-    /// [`LaneBox::memo`].
+    /// retune only reads it.
     Shared(&'a DecisionMemo),
 }
 
 impl SessionMemo<'_> {
-    /// The memos of a retune on a lane whose own memo is `lane`.
-    pub fn with_lane<'b>(&'b mut self, lane: &'b mut DecisionMemo) -> Memos<'b> {
+    /// The memo of a retune, whose traffic a lane-phase retune counts in
+    /// `search` (its lane's [`LaneBox::search`]).
+    pub fn memos<'b>(&'b mut self, search: &'b mut SearchCounts) -> Memos<'b> {
         match self {
-            SessionMemo::Lent(memo) => Memos::from(&mut **memo),
-            SessionMemo::Shared(memo) => Memos {
-                own: lane,
-                shared: Some(*memo),
+            SessionMemo::Lent(memo) => Memos::Record(memo),
+            SessionMemo::Shared(memo) => Memos::Read {
+                memo,
+                counts: search,
             },
         }
     }
@@ -423,20 +424,12 @@ impl LaneCtx<'_> {
     }
 }
 
-/// Proposal-memo slots per device a memo serves, before the bounds.
+/// Session-memo slots per device, before the bounds.
 const MEMO_SLOTS_PER_DEVICE: usize = 16;
-/// Slot bounds of a lane's memo: 64–256 KiB.
-const LANE_MEMO_SLOTS: (usize, usize) = (1 << 12, 1 << 14);
-/// Slot bounds of the session memo: 64 KiB–2 MiB. It serves every
-/// serial-phase retune, among them a failure's survivor fan-out over
-/// the whole service, so it gets the larger cap.
-const SESSION_MEMO_SLOTS: (usize, usize) = (1 << 12, 1 << 17);
-
-/// A proposal memo sized for `devices` devices within `(min, max)`
-/// slots (16 bytes each), allocated once here.
-fn decision_memo(devices: usize, (min, max): (usize, usize)) -> DecisionMemo {
-    DecisionMemo::with_slots((devices * MEMO_SLOTS_PER_DEVICE).clamp(min, max))
-}
+/// Slot bounds of the session memo (16 bytes a slot): 64 KiB–2 MiB. It
+/// serves every retune of the run, among them a failure's survivor
+/// fan-out over the whole service.
+const MEMO_SLOTS: (usize, usize) = (1 << 12, 1 << 17);
 
 /// Everything a run mutates, shared by every stage through an explicit
 /// `&mut SimState` parameter.
@@ -665,7 +658,6 @@ impl SimState {
         let mut lanes = Vec::with_capacity(map.shards());
         for s in 0..map.shards() {
             let range = map.device_range(s);
-            let memo = decision_memo(range.len(), LANE_MEMO_SLOTS);
             lanes.push(LaneBox {
                 system: system.replica(),
                 events: EventLane::new(range.start, range.len()),
@@ -677,7 +669,7 @@ impl SimState {
                 scratch_advance: Vec::new(),
                 scratch_schedule: Vec::new(),
                 scratch_tasks: Vec::new(),
-                memo,
+                search: SearchCounts::default(),
                 tune_passes: [0; TuneTrigger::ALL.len()],
                 accrual: AccrualCounters::default(),
             });
@@ -705,7 +697,9 @@ impl SimState {
         ];
         let util_samples = (config.max_sim_secs / config.util_sample_secs.max(1.0)) as usize;
         let util_series = Vec::with_capacity(util_samples.saturating_add(2).min(1 << 18));
-        let session_memo = decision_memo(config.devices, SESSION_MEMO_SLOTS);
+        let (min, max) = MEMO_SLOTS;
+        let session_memo =
+            DecisionMemo::with_slots((config.devices * MEMO_SLOTS_PER_DEVICE).clamp(min, max));
 
         SimState {
             shared: SharedState {
@@ -844,7 +838,7 @@ impl SimState {
             ..TuningCounters::default()
         };
         for lane in &self.lanes {
-            c.search.add(&lane.memo.counts());
+            c.search.add(&lane.search);
             for (total, n) in c.passes.iter_mut().zip(lane.tune_passes) {
                 *total += n;
             }

@@ -180,9 +180,9 @@ pub trait Multiplexer: Send {
 
     /// (Re)configures a device on a trigger (placement, QPS change,
     /// SLO risk). A system that runs the GP-LCB Tuner reads its
-    /// proposals from `memos` and records new ones there; the engine
-    /// owns the memos (one per lane, one for the serial phase) and
-    /// lends the right ones.
+    /// proposals from `memos` and records new ones there unless it only
+    /// reads; the engine owns the one session memo and lends it to
+    /// record in the serial phase and to read in the lane phase.
     fn configure(
         &mut self,
         gt: &GroundTruth,

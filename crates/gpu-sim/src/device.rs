@@ -130,22 +130,33 @@ pub enum DeviceHealth {
     Down,
 }
 
+/// A warm standby parked on its host, with its own latency-profile
+/// memo (so primary and standby lookups never evict each other).
+#[derive(Clone, Debug)]
+struct HostedStandby {
+    instance: StandbyInstance,
+    profile: Cell<Option<InfProfile>>,
+}
+
 /// A simulated GPU.
 #[derive(Clone, Debug)]
 pub struct GpuDevice {
     id: DeviceId,
     memory: MemoryManager,
     inference: Option<InferenceInstance>,
-    standby: Option<StandbyInstance>,
+    /// Boxed: few devices ever host a standby, so the rest carry only
+    /// the pointer.
+    standby: Option<Box<HostedStandby>>,
     trainings: Vec<TrainingProcess>,
     health: DeviceHealth,
     sm_util: UtilizationIntegrator,
     mem_util: UtilizationIntegrator,
     /// Latency-profile memo for the primary inference instance.
     inf_profile: Cell<Option<InfProfile>>,
-    /// Latency-profile memo for an active standby.
-    standby_profile: Cell<Option<InfProfile>>,
 }
+
+// The device table is walked on every window; keep its record small.
+const _: () = assert!(std::mem::size_of::<GpuDevice>() == 496);
 
 impl GpuDevice {
     /// Creates an empty device.
@@ -164,7 +175,6 @@ impl GpuDevice {
             sm_util,
             mem_util,
             inf_profile: Cell::new(None),
-            standby_profile: Cell::new(None),
         }
     }
 
@@ -184,8 +194,8 @@ impl GpuDevice {
         profile_cached(&self.inf_profile, gt, service, batch, frac, colo)
     }
 
-    /// [`GpuDevice::latency_profile`] through the standby's own memo
-    /// slot (so primary and standby lookups never evict each other).
+    /// [`GpuDevice::latency_profile`] through the hosted standby's own
+    /// memo slot; uncached on a device that hosts none.
     pub fn standby_latency_profile(
         &self,
         gt: &GroundTruth,
@@ -194,7 +204,9 @@ impl GpuDevice {
         frac: f64,
         colo: &[ColoWorkload],
     ) -> (f64, f64, f64) {
-        profile_cached(&self.standby_profile, gt, service, batch, frac, colo)
+        let fresh = Cell::new(None);
+        let cache = self.standby.as_ref().map_or(&fresh, |h| &h.profile);
+        profile_cached(cache, gt, service, batch, frac, colo)
     }
 
     /// Device id.
@@ -275,12 +287,12 @@ impl GpuDevice {
 
     /// The parked warm-standby shadow instance, if any.
     pub fn standby(&self) -> Option<&StandbyInstance> {
-        self.standby.as_ref()
+        self.standby.as_ref().map(|h| &h.instance)
     }
 
     /// GPU% currently reserved by the standby (0 when none is parked).
     pub fn standby_reserve(&self) -> f64 {
-        self.standby.as_ref().map_or(0.0, |s| s.reserve_fraction)
+        self.standby().map_or(0.0, |s| s.reserve_fraction)
     }
 
     /// Parks a warm-standby shadow instance on the device, pinning its
@@ -299,7 +311,10 @@ impl GpuDevice {
         assert!(self.is_up(), "cannot seed a standby on a down device");
         assert!(self.standby.is_none(), "device already hosts a standby");
         let demand = gt.inference_memory_gb(instance.service, instance.batch, 0.0);
-        self.standby = Some(instance);
+        self.standby = Some(Box::new(HostedStandby {
+            instance,
+            profile: Cell::new(None),
+        }));
         self.memory.set_standby_demand(now, demand)
     }
 
@@ -313,10 +328,7 @@ impl GpuDevice {
     /// Panics if no standby is parked.
     pub fn promote_standby(&mut self, gt: &GroundTruth, now: SimTime, qps: f64) -> SimDuration {
         assert!(qps >= 0.0);
-        let s = self.standby.as_mut().expect("no standby to promote");
-        s.qps = qps;
-        let demand = gt.inference_memory_gb(s.service, s.batch, s.qps);
-        self.memory.set_standby_demand(now, demand)
+        self.set_standby_qps(gt, now, qps)
     }
 
     /// Returns an active standby to the idle pool (the covered replica
@@ -327,9 +339,15 @@ impl GpuDevice {
     ///
     /// Panics if no standby is parked.
     pub fn demote_standby(&mut self, gt: &GroundTruth, now: SimTime) -> SimDuration {
-        let s = self.standby.as_mut().expect("no standby to demote");
-        s.qps = 0.0;
-        let demand = gt.inference_memory_gb(s.service, s.batch, 0.0);
+        self.set_standby_qps(gt, now, 0.0)
+    }
+
+    /// Sets the parked standby's traffic and, from it, its memory
+    /// demand; returns the swap transfer time.
+    fn set_standby_qps(&mut self, gt: &GroundTruth, now: SimTime, qps: f64) -> SimDuration {
+        let s = &mut self.standby.as_mut().expect("no standby parked").instance;
+        s.qps = qps;
+        let demand = gt.inference_memory_gb(s.service, s.batch, qps);
         self.memory.set_standby_demand(now, demand)
     }
 
@@ -475,7 +493,7 @@ impl GpuDevice {
     /// standby; nearly every device of a large serving fleet) gets an
     /// empty slice, and no view is built or copied.
     pub fn with_inference_colo<R>(&self, f: impl FnOnce(&[ColoWorkload]) -> R) -> R {
-        let standby = self.standby.as_ref().filter(|s| s.is_active());
+        let standby = self.standby().filter(|s| s.is_active());
         if self.trainings.is_empty() && standby.is_none() {
             return f(&[]);
         }
@@ -526,7 +544,7 @@ impl GpuDevice {
                 n += 1;
             }
         }
-        if let Some(s) = self.standby.as_ref().filter(|s| s.is_active()) {
+        if let Some(s) = self.standby().filter(|s| s.is_active()) {
             buf[n] = ColoWorkload::inference(s.service, s.batch, s.reserve_fraction);
             n += 1;
         }
@@ -562,7 +580,7 @@ impl GpuDevice {
             };
             util += inf.gpu_fraction * busy;
         }
-        if let Some(s) = self.standby.as_ref().filter(|s| s.is_active()) {
+        if let Some(s) = self.standby().filter(|s| s.is_active()) {
             let (colo, cn) = self.colo_for_standby_buf();
             let (latency, _, _) = self.standby_latency_profile(
                 gt,
@@ -884,12 +902,18 @@ mod tests {
     #[test]
     fn standby_lifecycle_reserves_and_releases() {
         let g = gt();
+        // The active standby's profile and the reserve, as bits.
+        let bits = |d: &GpuDevice| {
+            let s = d.standby().expect("hosted");
+            let (colo, n) = d.colo_for_standby_buf();
+            let (service, batch, frac) = (s.service, s.batch, s.reserve_fraction);
+            let (mean, sigma, p99) =
+                d.standby_latency_profile(&g, service, batch, frac, &colo[..n]);
+            [mean, sigma, p99, d.standby_reserve()].map(f64::to_bits)
+        };
+        let primary = InferenceInstance::new(ServiceId(0), 16, 0.6, 200.0);
         let mut d = GpuDevice::new(DeviceId(0), 40.0);
-        d.deploy_inference(
-            &g,
-            t(0.0),
-            InferenceInstance::new(ServiceId(0), 16, 0.6, 200.0),
-        );
+        d.deploy_inference(&g, t(0.0), primary.clone());
         d.add_training(
             &g,
             t(0.0),
@@ -921,6 +945,7 @@ mod tests {
         );
         assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
         assert!(d.sm_utilization(&g) <= 1.0);
+        let first = bits(&d);
 
         d.demote_standby(&g, t(3.0));
         assert!(!d.standby().unwrap().is_active());
@@ -931,6 +956,21 @@ mod tests {
         assert!(d.standby().is_none());
         assert_eq!(d.standby_reserve(), 0.0);
         assert_eq!(d.memory().total_demand_gb(), 0.0);
+
+        // Re-seeded, it profiles like a fresh device's standby: on the
+        // miss, then on the memo hit.
+        let host = |d: &mut GpuDevice| {
+            d.deploy_inference(&g, t(5.0), primary.clone());
+            d.seed_standby(&g, t(5.0), StandbyInstance::new(ServiceId(2), 16, 0.2));
+            d.promote_standby(&g, t(5.0), 150.0);
+        };
+        d.repair();
+        host(&mut d);
+        let mut fresh = GpuDevice::new(DeviceId(1), 40.0);
+        host(&mut fresh);
+        let want = bits(&fresh);
+        assert_ne!(want, first);
+        assert_eq!([bits(&d), bits(&d)], [want, want]);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::gp::{GaussianProcess, GpScratch};
 
 mod memo;
 
+use memo::Proposal;
 pub use memo::{DecisionMemo, Memos, SearchCounts};
-use memo::{Proposal, ROOT};
 
 /// Reusable buffers for [`GpLcbTuner::run_with`]: the candidate masks,
 /// the observation log, the GP surrogate with its prediction scratch,
@@ -148,17 +148,16 @@ impl GpLcbTuner {
         )
     }
 
-    /// [`GpLcbTuner::run`] through a caller-owned [`BoWorkspace`] and
-    /// proposal memos ([`Memos`]; a `&mut DecisionMemo` converts) —
+    /// [`GpLcbTuner::run`] through a caller-owned [`BoWorkspace`] and a
+    /// proposal memo ([`Memos`]; a `&mut DecisionMemo` converts) —
     /// identical search (same RNG draws, same proposals), but repeated
     /// runs reuse the workspace buffers instead of allocating, and skip
-    /// the proposal work the memos already hold.
+    /// the proposal work the memo already holds.
     ///
-    /// The search steps the memos' tries after every evaluation. At a
+    /// The search steps the memo's trie after every evaluation. At a
     /// proposal point it reads the decision stored for its exact probe
-    /// history, in the shared memo first; on a miss in both it fits the
-    /// GP, scores the candidates and records the decision it computed
-    /// in its own memo.
+    /// history; on a miss it fits the GP, scores the candidates and,
+    /// unless it only reads the memo, records the decision it computed.
     pub fn run_with<'m>(
         &self,
         ws: &mut BoWorkspace,
@@ -180,11 +179,8 @@ impl GpLcbTuner {
         let mut evals = 0usize;
         let mut best: Option<(f64, f64)> = None;
         let mut converged = false;
-        let Memos { own: memo, shared } = memos.into();
-        let mut node = memo.start(&self.candidates, self.gamma, self.noise);
-        let mut shared = shared
-            .filter(|m| m.serves(&self.candidates, self.gamma, self.noise))
-            .map(|m| (m, ROOT));
+        let mut memos = memos.into();
+        let mut node = memos.start(&self.candidates, self.gamma, self.noise);
 
         // Seed with two quasi-random distinct candidates for a usable GP.
         let first = rng.uniform_usize(0, len);
@@ -199,18 +195,17 @@ impl GpLcbTuner {
             let idx = match ws.to_try.pop() {
                 Some(i) => i,
                 None => {
-                    memo.counts.proposals += 1;
-                    let stored = shared.and_then(|(m, nd)| m.decision(nd));
-                    let proposal = match stored.or_else(|| node.and_then(|nd| memo.decision(nd))) {
+                    memos.counts().proposals += 1;
+                    let proposal = match node.and_then(|nd| memos.decision(nd)) {
                         Some(p) => {
-                            memo.counts.hits += 1;
+                            memos.counts().hits += 1;
                             p
                         }
                         None => {
                             let incumbent = best.map(|(_, y)| y);
-                            let p = self.propose(ws, n, incumbent, &mut memo.counts.refits);
+                            let p = self.propose(ws, n, incumbent, &mut memos.counts().refits);
                             if let Some(nd) = node {
-                                memo.record(nd, p);
+                                memos.record(nd, p);
                             }
                             p
                         }
@@ -242,8 +237,7 @@ impl GpLcbTuner {
                 }
                 None => ws.feasible[idx] = false,
             }
-            node = node.and_then(|nd| memo.step(nd, idx, outcome));
-            shared = shared.and_then(|(m, nd)| Some((m, m.find(nd, idx, outcome)?)));
+            node = node.and_then(|nd| memos.step(nd, idx, outcome));
         }
 
         best.map(|(x, y)| BoResult {
@@ -596,8 +590,8 @@ mod tests {
 
         /// Runs that share one memo, warmed by the runs before them,
         /// propose exactly what refitting on every proposal does — both
-        /// runs that record into it and runs that only read it beside a
-        /// memo of their own. The objectives draw from four levels (0.0
+        /// runs that record into it and runs that only read it, counting
+        /// their traffic apart. The objectives draw from four levels (0.0
         /// among them, whose bits equal an infeasible probe's) and a
         /// few infeasibility masks, so histories repeat, and the memo
         /// sizes run from none through a few slots that fill mid-run to
@@ -613,7 +607,7 @@ mod tests {
             let tuner = GpLcbTuner::new(raw.iter().map(|&c| c as f64).collect(), max_iters);
             let mut ws = BoWorkspace::default();
             let mut memo = DecisionMemo::with_slots(slots);
-            let mut reader = DecisionMemo::with_slots(slots / 4);
+            let mut read = SearchCounts::default();
             for &run in &runs {
                 let (seed, variant) = (run % 6, run >> 8 & 3);
                 let objective = quantized(&tuner, mask, variant);
@@ -621,7 +615,7 @@ mod tests {
                 let memos = if run >> 16 & 1 == 0 {
                     Memos::from(&mut memo)
                 } else {
-                    Memos { own: &mut reader, shared: Some(&memo) }
+                    Memos::Read { memo: &memo, counts: &mut read }
                 };
                 let mut evaluated = Vec::new();
                 let got = tuner.run_with(&mut ws, memos, &mut SimRng::seed(seed), |b| {
@@ -631,11 +625,10 @@ mod tests {
                 proptest::prop_assert_eq!((got, evaluated), want);
             }
             let counts = memo.counts();
-            proptest::prop_assert_eq!(
-                counts.searches + reader.counts().searches,
-                runs.len() as u64
-            );
+            proptest::prop_assert_eq!(counts.searches + read.searches, runs.len() as u64);
             proptest::prop_assert!(counts.hits <= counts.proposals);
+            proptest::prop_assert!(read.hits <= read.proposals);
+            proptest::prop_assert_eq!(read.full, 0);
             proptest::prop_assert!(2 * memo.len() <= memo.slots());
         }
     }
@@ -675,38 +668,38 @@ mod tests {
     }
 
     #[test]
-    fn shared_memo_answers_searches_it_does_not_record() {
+    fn read_only_search_answers_from_a_memo_it_leaves_unchanged() {
         let tuner = GpLcbTuner::new(batch_candidates(), 25);
         let objective = |b: f64| (b >= 32.0).then(|| (b.log2() - 7.0).powi(2) + 0.5);
         let mut ws = BoWorkspace::default();
         let mut filled = DecisionMemo::with_slots(256);
         let want = tuner.run_with(&mut ws, &mut filled, &mut SimRng::seed(8), objective);
         let (len, counts) = (filled.len(), filled.counts());
-        // No slots of its own: every proposal is answered by the shared
-        // memo, which stays as it was.
-        let mut own = DecisionMemo::default();
-        let memos = Memos {
-            own: &mut own,
-            shared: Some(&filled),
+        // A read-only run leaves the memo as it was and counts its
+        // traffic in the caller's counts.
+        let read_only = |t: &GpLcbTuner, ws: &mut BoWorkspace| {
+            let mut read = SearchCounts::default();
+            let memos = Memos::Read {
+                memo: &filled,
+                counts: &mut read,
+            };
+            (t.run_with(ws, memos, &mut SimRng::seed(8), objective), read)
         };
-        let got = tuner.run_with(&mut ws, memos, &mut SimRng::seed(8), objective);
+        // Every proposal is answered by the memo.
+        let (got, read) = read_only(&tuner, &mut ws);
         assert_eq!(got, want);
-        assert_eq!((filled.len(), filled.counts()), (len, counts));
-        let read = own.counts();
-        assert_eq!(read.proposals, counts.proposals);
-        assert_eq!(
-            (read.hits, read.refits, read.full),
-            (counts.proposals, 0, 1)
-        );
-        // A shared memo filled for another tuner is ignored.
+        let p = counts.proposals;
+        let all = |r: SearchCounts| (r.searches, r.proposals, r.hits, r.refits, r.full);
+        assert_eq!(all(read), (1, p, p, 0, 0));
+        assert!(p > 0);
+        // A memo filled for another tuner is ignored: every proposal is
+        // computed, and a full memo is never counted.
         let other = GpLcbTuner::new(vec![8.0, 16.0, 32.0, 64.0, 128.0, 256.0], 25);
-        let mut own = DecisionMemo::default();
-        let memos = Memos {
-            own: &mut own,
-            shared: Some(&filled),
-        };
-        other.run_with(&mut ws, memos, &mut SimRng::seed(8), objective);
-        assert_eq!(own.counts().hits, 0);
+        let (got, read) = read_only(&other, &mut ws);
+        assert_eq!(got, other.run(&mut SimRng::seed(8), objective));
+        assert_eq!((read.searches, read.hits, read.full), (1, 0, 0));
+        assert!(read.refits > 0, "{read:?}");
+        assert_eq!((filled.len(), filled.counts()), (len, counts));
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!   (candidate bits, γ, noise) and clears itself when a search from
 //!   another tuner starts.
 //!
-//! A search may also read a second memo it does not write ([`Memos`]):
-//! a memo filled by one phase of a run answers the searches of another
-//! phase without a lock, since nothing writes it meanwhile.
+//! A search may also only read a memo ([`Memos::Read`]): a memo filled
+//! by one phase of a run answers the searches of another phase without
+//! a lock, since nothing writes it meanwhile.
 
 /// Counts of the search traffic through one [`DecisionMemo`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,28 +79,124 @@ pub(super) enum Proposal {
     Stop,
 }
 
-/// The proposal memos one search uses: it records into `own`, and
-/// reads `shared` too — a memo that something else fills and that this
-/// search only reads. A decision found in either is the one the search
-/// would compute; the search counts its traffic in `own`.
+/// The proposal memo one search uses, and how. A decision found in it
+/// is the one the search would compute.
 #[derive(Debug)]
-pub struct Memos<'a> {
-    /// The memo the search reads, records into and counts in.
-    pub own: &'a mut DecisionMemo,
-    /// A memo the search only reads; ignored if filled for another
-    /// tuner.
-    pub shared: Option<&'a DecisionMemo>,
+pub enum Memos<'a> {
+    /// The search reads the memo, records the decisions it computes
+    /// into it, and counts its traffic in it.
+    Record(&'a mut DecisionMemo),
+    /// The search only reads `memo` (ignored if filled for another
+    /// tuner) and counts its traffic in `counts`. It records nothing,
+    /// so it never counts a full memo.
+    Read {
+        memo: &'a DecisionMemo,
+        counts: &'a mut SearchCounts,
+    },
 }
 
 impl<'a> From<&'a mut DecisionMemo> for Memos<'a> {
-    /// One memo, nothing shared.
-    fn from(own: &'a mut DecisionMemo) -> Self {
-        Memos { own, shared: None }
+    /// A search that records into `memo`.
+    fn from(memo: &'a mut DecisionMemo) -> Self {
+        Memos::Record(memo)
+    }
+}
+
+impl Memos<'_> {
+    /// Starts a search by the tuner over `candidates` with `gamma` and
+    /// `noise`: the root node, or `None` when the memo cannot serve it
+    /// (no slots, too many candidates, or, read only, filled for another
+    /// tuner). A recording search clears a memo filled for another tuner.
+    pub(super) fn start(&mut self, candidates: &[f64], gamma: f64, noise: f64) -> Option<u32> {
+        self.counts().searches += 1;
+        let memo = match self {
+            Memos::Record(memo) => memo,
+            Memos::Read { memo, .. } => {
+                return memo.serves(candidates, gamma, noise).then_some(ROOT)
+            }
+        };
+        if memo.slots.is_empty() || candidates.len() > MAX_CANDIDATES {
+            memo.counts.full += 1;
+            return None;
+        }
+        if !memo.serves(candidates, gamma, noise) {
+            if memo.len > 0 {
+                memo.slots.fill([0; 2]);
+                memo.len = 0;
+            }
+            memo.tuner.clear();
+            memo.tuner.extend(
+                candidates
+                    .iter()
+                    .chain(&[gamma, noise])
+                    .map(|x| x.to_bits()),
+            );
+        }
+        Some(ROOT)
+    }
+
+    /// The counts the search's traffic goes to.
+    pub(super) fn counts(&mut self) -> &mut SearchCounts {
+        match self {
+            Memos::Record(memo) => &mut memo.counts,
+            Memos::Read { counts, .. } => counts,
+        }
+    }
+
+    /// The decision stored at `node`, if one was recorded ([`ROOT`]
+    /// lies past every table, so it has none).
+    pub(super) fn decision(&self, node: u32) -> Option<Proposal> {
+        let memo = match self {
+            Memos::Record(memo) => &**memo,
+            Memos::Read { memo, .. } => memo,
+        };
+        match memo.slots.get(node as usize)?[1] >> 48 {
+            0 => None,
+            1 => Some(Proposal::Stop),
+            d => Some(Proposal::Probe(d as usize - 2)),
+        }
+    }
+
+    /// Records the decision computed at `node`; a read-only search
+    /// records nothing.
+    pub(super) fn record(&mut self, node: u32, proposal: Proposal) {
+        let Memos::Record(memo) = self else { return };
+        let d = match proposal {
+            Proposal::Stop => 1,
+            Proposal::Probe(i) => i as u64 + 2,
+        };
+        if let Some([_, meta]) = memo.slots.get_mut(node as usize) {
+            *meta = (*meta & KEY_MASK) | d << 48;
+        }
+    }
+
+    /// The node reached from `parent` by probing candidate `index` with
+    /// `outcome`. A recording search inserts it if new, or gets `None`
+    /// when the table is half full and goes on without the memo; a
+    /// read-only search gets `None` if it is not stored.
+    pub(super) fn step(&mut self, parent: u32, index: usize, outcome: Option<f64>) -> Option<u32> {
+        let node = node(parent, index, outcome);
+        let slot = match self {
+            Memos::Read { memo, .. } => memo.locate(node).ok(),
+            Memos::Record(memo) => match memo.locate(node) {
+                Ok(i) => Some(i),
+                Err(_) if 2 * (memo.len + 1) > memo.slots.len() => {
+                    memo.counts.full += 1;
+                    None
+                }
+                Err(i) => {
+                    memo.slots[i] = node;
+                    memo.len += 1;
+                    Some(i)
+                }
+            },
+        };
+        slot.map(|i| i as u32)
     }
 }
 
 /// The root node: the empty history.
-pub(super) const ROOT: u32 = u32::MAX;
+const ROOT: u32 = u32::MAX;
 /// The largest candidate set a memo serves: a probe tag
 /// `(index << 1 | infeasible) + 1` must fit in 16 bits.
 const MAX_CANDIDATES: usize = (u16::MAX as usize - 1) / 2;
@@ -134,7 +230,7 @@ pub struct DecisionMemo {
     /// The tuner the memo was filled for: the candidates' bits, then
     /// γ's and the noise's.
     tuner: Vec<u64>,
-    pub(super) counts: SearchCounts,
+    counts: SearchCounts,
 }
 
 impl std::fmt::Debug for DecisionMemo {
@@ -183,66 +279,12 @@ impl DecisionMemo {
         self.counts
     }
 
-    /// Starts a search by the tuner over `candidates` with `gamma` and
-    /// `noise`: clears the memo if it was filled for another tuner and
-    /// returns the root node, or `None` when the memo cannot serve this
-    /// search (no slots, or too many candidates).
-    pub(super) fn start(&mut self, candidates: &[f64], gamma: f64, noise: f64) -> Option<u32> {
-        self.counts.searches += 1;
-        if self.slots.is_empty() || candidates.len() > MAX_CANDIDATES {
-            self.counts.full += 1;
-            return None;
-        }
-        if !self.serves(candidates, gamma, noise) {
-            if self.len > 0 {
-                self.slots.fill([0; 2]);
-                self.len = 0;
-            }
-            self.tuner.clear();
-            self.tuner.extend(
-                candidates
-                    .iter()
-                    .chain(&[gamma, noise])
-                    .map(|x| x.to_bits()),
-            );
-        }
-        Some(ROOT)
-    }
-
     /// Whether the memo has slots and was filled for the tuner over
     /// `candidates` with `gamma` and `noise`.
-    pub(super) fn serves(&self, candidates: &[f64], gamma: f64, noise: f64) -> bool {
+    fn serves(&self, candidates: &[f64], gamma: f64, noise: f64) -> bool {
         let tail = [gamma, noise];
         let words = candidates.iter().chain(&tail).map(|x| x.to_bits());
         !self.slots.is_empty() && self.tuner.iter().copied().eq(words)
-    }
-
-    /// The node reached from `parent` by probing candidate `index` with
-    /// `outcome` (`None` = infeasible), inserted if new. `None` when the
-    /// node is new and the table is half full: the search then goes on
-    /// without the memo.
-    pub(super) fn step(&mut self, parent: u32, index: usize, outcome: Option<f64>) -> Option<u32> {
-        let node = node(parent, index, outcome);
-        match self.locate(node) {
-            Ok(i) => Some(i as u32),
-            Err(_) if 2 * (self.len + 1) > self.slots.len() => {
-                self.counts.full += 1;
-                None
-            }
-            Err(i) => {
-                self.slots[i] = node;
-                self.len += 1;
-                Some(i as u32)
-            }
-        }
-    }
-
-    /// The stored node reached from `parent` by probing candidate
-    /// `index` with `outcome`, if any; never inserts.
-    pub(super) fn find(&self, parent: u32, index: usize, outcome: Option<f64>) -> Option<u32> {
-        self.locate(node(parent, index, outcome))
-            .ok()
-            .map(|i| i as u32)
     }
 
     /// The slot holding `node`'s key (`Ok`), or the empty slot it would
@@ -261,31 +303,6 @@ impl DecisionMemo {
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// The decision stored at `node`, if one was recorded.
-    pub(super) fn decision(&self, node: u32) -> Option<Proposal> {
-        if node == ROOT {
-            return None;
-        }
-        match self.slots[node as usize][1] >> 48 {
-            0 => None,
-            1 => Some(Proposal::Stop),
-            d => Some(Proposal::Probe(d as usize - 2)),
-        }
-    }
-
-    /// Records the decision computed at `node`.
-    pub(super) fn record(&mut self, node: u32, proposal: Proposal) {
-        if node == ROOT {
-            return;
-        }
-        let d = match proposal {
-            Proposal::Stop => 1,
-            Proposal::Probe(i) => i as u64 + 2,
-        };
-        let meta = &mut self.slots[node as usize][1];
-        *meta = (*meta & KEY_MASK) | d << 48;
     }
 }
 

@@ -185,13 +185,13 @@ fn script_counters(cfg: ClusterConfig) -> (TuningCounters, AccrualCounters) {
     (profile.tuning, profile.accrual)
 }
 
-/// The tuning counters are exact: at a fixed shard count, every pass
-/// count and every memo count is the same at 1, 2 and 4 workers. Each
-/// lane counts its own passes and searches, and lane-phase retunes read
-/// the session memo only while nothing writes it.
+/// The tuning counters are exact: every pass count and every memo count
+/// is the same at every shard and worker count. Each lane counts its own
+/// passes and lane-phase searches, and lane-phase retunes only read the
+/// session memo, which the serial phase alone records into.
 #[test]
-fn tuning_counters_are_identical_across_worker_counts() {
-    let base = script_counters(grid_config(4, 1)).0;
+fn tuning_counters_are_identical_across_shard_worker_grid() {
+    let base = script_counters(grid_config(1, 1)).0;
     for trigger in [
         TuneTrigger::QpsChange,
         TuneTrigger::Failover,
@@ -206,11 +206,11 @@ fn tuning_counters_are_identical_across_worker_counts() {
     let search = base.search;
     assert_eq!(search.searches, base.total_passes(), "{base}");
     assert!(search.hits > 0 && search.refits > 0, "{base}");
-    for workers in [2, 4] {
+    for (shards, workers) in [(2, 1), (4, 1), (4, 2), (4, 4)] {
         assert_eq!(
             base,
-            script_counters(grid_config(4, workers)).0,
-            "workers={workers} counted differently"
+            script_counters(grid_config(shards, workers)).0,
+            "shards={shards} workers={workers} counted differently"
         );
     }
 }
