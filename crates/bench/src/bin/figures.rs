@@ -7,9 +7,10 @@
 //!
 //! `MUDI_FULL_SCALE=1` runs at the paper's scale and `MUDI_SEED=<n>`
 //! changes the seed (42). `--trace` records each engine run's events
-//! and dumps its trace summary to stderr, as `MUDI_TRACE=1` does.
+//! and dumps its trace summary to stderr, as `MUDI_TRACE=1` does. Each
+//! figure's text is followed by the table of the paper claims it judges.
 
-use bench::{fig, scale_and_seed_from_env, usage_exit};
+use bench::{claim, fig, scale_and_seed_from_env, usage_exit};
 
 fn main() {
     let (figures, trace) = fig::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -22,6 +23,13 @@ fn main() {
     }
     let (scale, seed) = scale_and_seed_from_env();
     for figure in figures {
-        print!("{}", (figure.run)(scale, seed));
+        let report = (figure.run)(scale, seed);
+        print!("{}", report.text);
+        if !report.claims.is_empty() {
+            print!(
+                "\n{}",
+                claim::table(report.claims.iter().map(|c| (figure.id, c)))
+            );
+        }
     }
 }

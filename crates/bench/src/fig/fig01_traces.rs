@@ -8,14 +8,10 @@
 use cluster::report::Table;
 use workloads::traces::{fig1a_qps_trace, fig1b_service_utilization};
 
-use crate::{banner, compare, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 1 — inference-trace analysis (Alibaba-like)",
-        "QPS in [30k, 60k] with inflection points; service GPU util max < 52%, mean < 37%",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let mut out = banner("Fig. 1 — inference-trace analysis (Alibaba-like)", scale);
 
     // (a) QPS trace summary.
     let trace = fig1a_qps_trace(seed, 5000);
@@ -36,8 +32,6 @@ pub fn run(scale: Scale, seed: u64) -> String {
     for (t, q) in trace.iter().take(10) {
         out += &format!("    t={t:>8.0}s  qps={q:>8.0}\n");
     }
-    out += &compare("min QPS", min, 30_000.0, "");
-    out += &compare("max QPS", max, 60_000.0, "");
 
     // (b) Per-service utilization summaries.
     let services = fig1b_service_utilization(seed, 20);
@@ -55,7 +49,11 @@ pub fn run(scale: Scale, seed: u64) -> String {
     out.push_str(&table.render());
     let worst_max = services.iter().map(|s| s.max).fold(0.0, f64::max);
     let mean_mean = services.iter().map(|s| s.mean).sum::<f64>() / services.len() as f64;
-    out += &compare("max utilization across services", worst_max, 52.0, "%");
-    out += &compare("mean SM utilization", mean_mean, 37.0, "%");
-    out
+    let claims = vec![
+        Claim::within("min QPS", min, 30_000.0, ""),
+        Claim::within("max QPS", max, 60_000.0, ""),
+        Claim::at_most("max utilization across services", worst_max, 52.0, "%"),
+        Claim::at_most("mean SM utilization", mean_mean, 37.0, "%"),
+    ];
+    Report { text: out, claims }
 }

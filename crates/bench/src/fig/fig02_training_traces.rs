@@ -7,12 +7,11 @@
 use cluster::report::Table;
 use workloads::traces::{fig2_summary, fig2a_training_utilization, TraceCluster};
 
-use crate::{banner, compare, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
+pub fn run(scale: Scale, seed: u64) -> Report {
     let mut out = banner(
         "Fig. 2 — training-cluster traces (PAI/Seren/Kalos-like)",
-        "~30% of time near-zero GPU util; PAI < 50% util for ~85% of time; max delay > 1000 min",
         scale,
     );
     let clusters = [TraceCluster::Pai, TraceCluster::Seren, TraceCluster::Kalos];
@@ -38,10 +37,11 @@ pub fn run(scale: Scale, seed: u64) -> String {
 
     let pai = fig2_summary(TraceCluster::Pai, seed);
     let (zero, half) = (pai.frac_near_zero_util, pai.frac_below_half_util);
-    out += &compare("PAI near-zero-util fraction", zero * 100.0, 30.0, "%");
-    out += &compare("PAI below-50%-util fraction", half * 100.0, 85.0, "%");
-    let delay = "PAI max queueing delay (the paper's value is a lower bound)";
-    out += &compare(delay, pai.max_delay_mins, 1000.0, " min");
+    let claims = vec![
+        Claim::within("PAI near-zero-util fraction", zero * 100.0, 30.0, "%"),
+        Claim::within("PAI below-50%-util fraction", half * 100.0, 85.0, "%"),
+        Claim::at_least("PAI max queueing delay", pai.max_delay_mins, 1000.0, " min"),
+    ];
 
     // CDF curve excerpt for plotting (PAI utilization).
     out.push_str("\nPAI GPU-utilization CDF (x = util fraction, y = CDF):\n");
@@ -49,5 +49,5 @@ pub fn run(scale: Scale, seed: u64) -> String {
     for (x, y) in cdf.curve(10) {
         out += &format!("  {x:>5.2}  {y:>5.3}\n");
     }
-    out
+    Report { text: out, claims }
 }

@@ -10,43 +10,48 @@
 use cluster::report::Table;
 use workloads::{ColoWorkload, GroundTruth, Zoo};
 
-use crate::{banner, compare, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
+pub fn run(scale: Scale, seed: u64) -> Report {
     let mut out = banner(
         "Fig. 3 — interference from co-located *inference* services",
-        "GPT2 E2E 3.19x (tokenize 3.07x, inference 3.92x); ResNet50 E2E 2.40x (preproc 4.93x, xfer 1.9x, inference 2.5x)",
         scale,
     );
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
+    let paper = [[3.19, 3.07, 1.9, 3.92], [2.40, 4.93, 1.9, 2.5]];
+    let corunners = ("other inference services", "co-located svc");
+    let claims = panels(&mut out, corunners, &inference_slowdowns(&gt), paper);
+    Report { text: out, claims }
+}
+
+/// The targets of Figs. 3 and 4.
+pub(crate) const TARGETS: [&str; 2] = ["GPT2", "ResNet50"];
+
+/// Per target, each co-runner and its mean slowdown per phase
+/// [preproc, transfer, compute, E2E].
+pub(crate) type Slowdowns<'a> = [Vec<(&'a str, [f64; 4])>; 2];
+
+/// Fig. 3's slowdowns: each target next to each other inference service.
+pub(crate) fn inference_slowdowns(gt: &GroundTruth) -> Slowdowns<'_> {
     let services = gt.zoo().services();
     let names: Vec<&str> = services.iter().map(|s| s.name).collect();
     let colo = |i: usize, batch, share| ColoWorkload::inference(services[i].id, batch, share);
-    let paper = [[3.19, 3.07, 1.9, 3.92], [2.40, 4.93, 1.9, 2.5]];
-    let corunners = ("other inference services", "co-located svc", &names[..]);
-    out += &panels(&gt, corunners, colo, paper);
-    out
+    slowdowns(gt, &names, colo)
 }
 
-/// Figs. 3 and 4: GPT2's and ResNet50's mean slowdown per phase next to
-/// each co-runner in `names` other than themselves, over batches 16–256
+/// Figs. 3 and 4: each [`TARGETS`] service's mean slowdown per phase next
+/// to each co-runner in `names` other than itself, over batches 16–256
 /// and GPU shares 10–90 %. `colo(i, batch, share)` places co-runner `i`
-/// on the rest of the GPU (at least 5 %). Each target's table is headed
-/// by `what` and `header`, and its means over co-runners are compared
-/// with `paper`'s [E2E, CPU phase, transfer, compute] for that target.
-pub(crate) fn panels(
+/// on the rest of the GPU (at least 5 %).
+pub(crate) fn slowdowns<'a>(
     gt: &GroundTruth,
-    (what, header, names): (&str, &str, &[&str]),
+    names: &[&'a str],
     colo: impl Fn(usize, u32, f64) -> ColoWorkload,
-    paper: [[f64; 4]; 2],
-) -> String {
-    let mut out = String::new();
+) -> Slowdowns<'a> {
     let batches = [16u32, 32, 64, 128, 256];
-    for (target_name, paper) in ["GPT2", "ResNet50"].into_iter().zip(paper) {
+    TARGETS.map(|target_name| {
         let target = gt.zoo().require_service(target_name).expect("zoo model").id;
-        let mut table = Table::new(&[header, "preproc", "transfer", "compute", "E2E"]);
-        let mut sums = [0.0f64; 4];
-        let mut n = 0.0;
+        let mut rows = Vec::new();
         for (i, &name) in names.iter().enumerate().filter(|&(_, &c)| c != target_name) {
             let mut ratios = [0.0f64; 4];
             for &b in &batches {
@@ -61,22 +66,52 @@ pub(crate) fn panels(
                     ratios[3] += shared.total() / solo.total();
                 }
             }
-            let r = ratios.map(|x| x / (batches.len() * 9) as f64);
+            rows.push((name, ratios.map(|x| x / (batches.len() * 9) as f64)));
+        }
+        rows
+    })
+}
+
+/// One target's slowdowns per phase, averaged over its co-runners.
+pub(crate) fn means(rows: &[(&str, [f64; 4])]) -> [f64; 4] {
+    let mut sums = [0.0f64; 4];
+    for (_, r) in rows {
+        for (s, v) in sums.iter_mut().zip(r) {
+            *s += v;
+        }
+    }
+    sums.map(|s| s / rows.len() as f64)
+}
+
+/// Figs. 3 and 4: renders each target's `slowdowns` as a table headed by
+/// `what` and `header`, and claims its means against `paper`'s
+/// [E2E, CPU phase, transfer, compute] for that target.
+pub(crate) fn panels(
+    out: &mut String,
+    (what, header): (&str, &str),
+    slowdowns: &Slowdowns,
+    paper: [[f64; 4]; 2],
+) -> Vec<Claim> {
+    let mut claims = Vec::new();
+    for ((target_name, rows), paper) in TARGETS.iter().zip(slowdowns).zip(paper) {
+        let mut table = Table::new(&[header, "preproc", "transfer", "compute", "E2E"]);
+        for (name, r) in rows {
             let mut row = vec![name.to_string()];
             row.extend(r.iter().map(|x| format!("{x:.2}x")));
             table.row(row);
-            for (s, v) in sums.iter_mut().zip(&r) {
-                *s += v;
-            }
-            n += 1.0;
         }
-        out += &format!("\n--- {target_name} multiplexed with {what} ---\n");
+        *out += &format!("\n--- {target_name} multiplexed with {what} ---\n");
         out.push_str(&table.render());
-        let [pre, xfer, comp, e2e] = sums.map(|s| s / n);
-        out += &compare("mean E2E interference", e2e, paper[0], "x");
-        out += &compare("mean CPU-phase interference", pre, paper[1], "x");
-        out += &compare("mean transfer interference", xfer, paper[2], "x");
-        out += &compare("mean compute interference", comp, paper[3], "x");
+        let [pre, xfer, comp, e2e] = means(rows);
+        for (phase, measured, paper) in [
+            ("E2E", e2e, paper[0]),
+            ("CPU-phase", pre, paper[1]),
+            ("transfer", xfer, paper[2]),
+            ("compute", comp, paper[3]),
+        ] {
+            let name = format!("{target_name} mean {phase} interference");
+            claims.push(Claim::ratio(name, measured, paper));
+        }
     }
-    out
+    claims
 }

@@ -9,13 +9,12 @@
 
 use workloads::{ColoWorkload, GroundTruth, Zoo};
 
-use super::fig03_inf_inf_interference::panels;
-use crate::{banner, Scale};
+use super::fig03_inf_inf_interference::{inference_slowdowns, means, panels, slowdowns, TARGETS};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
+pub fn run(scale: Scale, seed: u64) -> Report {
     let mut out = banner(
         "Fig. 4 — interference from co-located *training* tasks",
-        "GPT2 E2E 1.67x (tokenize 2.49x, inference 1.4x); ResNet50 E2E 1.21x (preproc 1.15x, xfer 1.16x, inference 1.23x)",
         scale,
     );
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
@@ -23,15 +22,20 @@ pub fn run(scale: Scale, seed: u64) -> String {
     let names: Vec<&str> = tasks.iter().map(|t| t.name).collect();
     let colo = |i: usize, _, share| ColoWorkload::training(tasks[i].id, share);
     let paper = [[1.67, 2.49, 1.16, 1.4], [1.21, 1.15, 1.16, 1.23]];
-    out += &panels(
-        &gt,
-        ("training tasks", "co-located task", &names),
-        colo,
+    let training = slowdowns(&gt, &names, colo);
+    let mut claims = panels(
+        &mut out,
+        ("training tasks", "co-located task"),
+        &training,
         paper,
     );
-    out.push_str(
-        "\nTakeaway check: training co-location must interfere far less than \
-         inference co-location (compare with fig03_inf_inf_interference).\n",
-    );
-    out
+    // The §2.2.1 takeaway: training interferes far less than inference.
+    let inference = inference_slowdowns(&gt);
+    for (target, (train, inf)) in TARGETS.iter().zip(training.iter().zip(&inference)) {
+        let (train, inf) = (means(train)[3], means(inf)[3]);
+        let name = format!("{target} E2E interference below Fig. 3's");
+        let shown = format!("{train:.3}x vs {inf:.3}x");
+        claims.push(Claim::ordering(name, shown, "below", train < inf));
+    }
+    Report { text: out, claims }
 }

@@ -2,21 +2,18 @@
 //! co-location (key idea I1).
 //!
 //! Prints the latency series per batching size (solo and co-located
-//! with a training task at batch 256) plus the fitted knee, and checks
-//! the piece-wise linearity (two straight segments, steep then flat).
+//! with a training task at batch 256) plus the fitted knee, and claims
+//! the paper's shape: knees shift right with batch size, and co-location
+//! steepens the first slope.
 
 use cluster::report::Table;
 use modeling::fit::piecewise::fit_piecewise;
 use workloads::{ColoWorkload, GroundTruth, Zoo};
 
-use crate::{banner, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 5 — piece-wise linear latency curves (GPT2)",
-        "Latency vs GPU% has a knee; slopes steepen under co-location; knee shifts with batch size",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let mut out = banner("Fig. 5 — piece-wise linear latency curves (GPT2)", scale);
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
     let svc = gt.zoo().require_service("GPT2").expect("zoo model");
     let train = gt.zoo().require_task("VGG16").expect("zoo model");
@@ -71,26 +68,13 @@ pub fn run(scale: Scale, seed: u64) -> String {
         }
         panels.push(fits);
     }
-    let knees_shift = panels
-        .iter()
-        .all(|fits| fits.windows(2).all(|w| w[1].x0 > w[0].x0));
-    let steepens = panels[0]
-        .iter()
-        .zip(&panels[1])
-        .all(|(solo, colo)| colo.k1.abs() > solo.k1.abs());
-    out += &format!(
-        "\nShape checks: knees {} with batch size; co-location {} k1 \
-         (compare (a) vs (b) slopes).\n",
-        if knees_shift {
-            "shift right"
-        } else {
-            "do not always shift right"
-        },
-        if steepens {
-            "steepens"
-        } else {
-            "does not steepen every batch's"
-        }
-    );
-    out
+    let steps: Vec<_> = panels.iter().flat_map(|fits| fits.windows(2)).collect();
+    let shifts = steps.iter().filter(|w| w[1].x0 > w[0].x0).count();
+    let pairs = panels[0].iter().zip(&panels[1]);
+    let steeper = pairs.filter(|(solo, colo)| colo.k1.abs() > solo.k1.abs());
+    let claims = vec![
+        Claim::every("knee moves right with batch", shifts, steps.len()),
+        Claim::every("co-location steepens k1", steeper.count(), panels[0].len()),
+    ];
+    Report { text: out, claims }
 }

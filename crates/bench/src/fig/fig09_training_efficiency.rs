@@ -7,26 +7,23 @@
 use cluster::report::{dur, Table};
 use cluster::systems::SystemKind;
 
-use crate::{banner, compare, Cluster, Scale};
+use crate::{banner, Claim, Cluster, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 9 — Training efficiency (CT / WaitingT / makespan)",
-        "Mudi cuts CT up to 2.27x (GSLICE), 1.49x (gpulets), 1.48x (MuxFlow); within 5% of Optimal",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let title = "Fig. 9 — Training efficiency (CT / WaitingT / makespan)";
+    let mut out = banner(title, scale);
+    let mut claims = Vec::new();
     for (cluster, panel) in [(Cluster::Physical, 'a'), (Cluster::Simulated, 'b')] {
         out += &format!("\n--- {} cluster (Fig. 9{panel}) ---\n", cluster.name());
         let mut table = Table::new(&[
             "system",
             "mean CT",
-            "p90 CT",
+            "max CT",
             "mean WaitingT",
             "makespan",
             "jobs done",
         ]);
-        let mut mudi_ct = 0.0;
-        let mut ratios: Vec<(String, f64)> = Vec::new();
+        let mut cts = Vec::new();
         let systems = cluster.systems();
         let results = cluster.run(&systems, scale, seed);
         for (system, r) in systems.into_iter().zip(results) {
@@ -38,25 +35,26 @@ pub fn run(scale: Scale, seed: u64) -> String {
                 dur(r.makespan_secs),
                 format!("{}/{}", r.jobs_completed, r.jobs_submitted),
             ]);
-            if system == SystemKind::Mudi {
-                mudi_ct = r.ct.mean();
-            } else {
-                ratios.push((system.name().to_string(), r.ct.mean()));
-            }
+            cts.push((system, r.ct.mean()));
         }
         out.push_str(&table.render());
-        if mudi_ct > 0.0 {
-            for (name, ct) in ratios {
-                let paper = match name.as_str() {
-                    "GSLICE" => 2.27,
-                    "gpulets" => 1.49,
-                    "MuxFlow" => 1.48,
-                    _ => 1.0,
-                };
-                let metric = format!("{name} CT / Mudi CT");
-                out += &compare(&metric, ct / mudi_ct, paper, "x");
-            }
+        let name = |claim: &str| format!("{claim}, {}", cluster.name());
+        let is_mudi = |m: &&(SystemKind, f64)| m.0 == SystemKind::Mudi;
+        let mudi = cts.iter().find(is_mudi).expect("Mudi runs").1;
+        let optimal = name("Mudi CT / Optimal CT");
+        for &(system, ct) in &cts {
+            let ratio = name(&format!("{} CT / Mudi CT", system.name()));
+            claims.push(match system {
+                SystemKind::Gslice => Claim::ratio(ratio, ct / mudi, 2.27),
+                SystemKind::Gpulets => Claim::ratio(ratio, ct / mudi, 1.49),
+                SystemKind::MuxFlow => Claim::ratio(ratio, ct / mudi, 1.48),
+                SystemKind::Optimal => Claim::at_most(optimal.clone(), mudi / ct, 1.05, "x"),
+                _ => continue,
+            });
         }
+        let rivals = cts.iter().filter(|m| m.0 != SystemKind::Optimal);
+        let rows = rivals.map(|&(s, ct)| (s.name(), ct));
+        claims.push(Claim::lowest(name("lowest mean CT"), "Mudi", rows));
     }
-    out
+    Report { text: out, claims }
 }

@@ -11,14 +11,11 @@ use mudi::{InterferenceModeler, LatencyProfiler, MudiConfig, ProfileDatabase};
 use simcore::SimRng;
 use workloads::{ColoWorkload, GroundTruth, Zoo};
 
-use crate::{banner, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 12 — E2E prediction error vs per-service sample count",
-        "error falls from up to 0.6 (30 samples) to below 0.16 (90 samples)",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let title = "Fig. 12 — E2E prediction error vs per-service sample count";
+    let mut out = banner(title, scale);
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
     let config = MudiConfig::default();
     let profiler = LatencyProfiler::new(config.clone());
@@ -105,20 +102,12 @@ pub fn run(scale: Scale, seed: u64) -> String {
     }
     out.push_str(&table.render());
     let falls = means.windows(2).filter(|w| w[1].1 < w[0].1).count();
-    let (first, last) = (means[0], means[means.len() - 1]);
-    out += &format!(
-        "Shape check: mean error falls on {falls} of {} sample-count steps, and at {} \
-         samples/service ({:.3})\nit is {} its value at {} ({:.3}) (paper: 0.6 -> <0.16).\n",
-        means.len() - 1,
-        last.0,
-        last.1,
-        if last.1 < first.1 {
-            "below"
-        } else {
-            "not below"
-        },
-        first.0,
-        first.1
-    );
-    out
+    let (first, last) = (means[0].1, means[means.len() - 1].1);
+    let shown = format!("{last:.3} vs {first:.3}");
+    let claims = vec![
+        Claim::every("mean error falls with samples", falls, means.len() - 1),
+        Claim::ordering("mean error ends lower", shown, "lower", last < first),
+        Claim::at_most("mean error at the most samples", last, 0.16, ""),
+    ];
+    Report { text: out, claims }
 }

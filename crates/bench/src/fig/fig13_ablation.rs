@@ -11,14 +11,12 @@
 use cluster::report::{pct, Table};
 use cluster::systems::SystemKind;
 
-use crate::{banner, compare, Cluster, Scale};
+use crate::{banner, Claim, Cluster, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 13 — ablations: cluster-level only vs device-level only",
-        "cluster-only: violations 1.65x/2.43x of full Mudi; device-only: ~1.1x of full Mudi",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let title = "Fig. 13 — ablations: cluster-level only vs device-level only";
+    let mut out = banner(title, scale);
+    let mut claims = Vec::new();
     let variants = [
         SystemKind::Mudi,
         SystemKind::MudiClusterOnly,
@@ -42,15 +40,14 @@ pub fn run(scale: Scale, seed: u64) -> String {
         }
         out.push_str(&table.render());
         let (full, cluster_only, device_only) = (rates[0], rates[1], rates[2]);
-        if full.0 > 0.0 {
-            let (c, d) = (cluster_only.0 / full.0, device_only.0 / full.0);
-            out += &compare("cluster-only violations / full Mudi", c, paper, "x");
-            out += &compare("device-only violations / full Mudi", d, 1.1, "x");
-        }
-        if full.1 > 0.0 {
-            let gain = cluster_only.1 / full.1;
-            out += &compare("full-Mudi CT gain over cluster-only", gain, 1.33, "x");
-        }
+        let (c, d) = (cluster_only.0 / full.0, device_only.0 / full.0);
+        let gain = cluster_only.1 / full.1;
+        let name = |claim: &str| format!("{claim}, {}", cluster.name());
+        claims.extend([
+            Claim::ratio(name("cluster-only / Mudi violations"), c, paper),
+            Claim::ratio(name("device-only / Mudi violations"), d, 1.1),
+            Claim::ratio(name("Mudi CT gain over cluster-only"), gain, 1.33),
+        ]);
     }
-    out
+    Report { text: out, claims }
 }

@@ -7,26 +7,18 @@
 
 use cluster::experiments::max_throughput;
 use cluster::report::Table;
-use cluster::systems::SystemKind;
 use workloads::Zoo;
 
-use crate::{banner, Scale};
+use crate::{banner, Claim, Cluster, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
+pub fn run(scale: Scale, seed: u64) -> Report {
     let mut out = banner(
         "Fig. 14 — max sustainable QPS per service (SLO held, >=10% GPU for training)",
-        "Mudi +78%/+103%/+67%/+89%/+85%/+73% over baselines",
         scale,
     );
     let zoo = Zoo::standard();
-    let systems = [
-        SystemKind::Gslice,
-        SystemKind::Gpulets,
-        SystemKind::MuxFlow,
-        SystemKind::Mudi,
-    ];
     let mut results = Vec::new();
-    for system in systems {
+    for system in Cluster::Physical.systems() {
         results.push((system, max_throughput(system, seed, simcore::max_workers())));
     }
 
@@ -45,8 +37,8 @@ pub fn run(scale: Scale, seed: u64) -> String {
 
     // Gains of Mudi over the best baseline, per service.
     let mudi = &results.last().expect("mudi last").1;
-    out.push_str("\nMudi gain over the best baseline (paper gains in parentheses):\n");
     let paper_gains = [78.0, 103.0, 67.0, 89.0, 85.0, 73.0];
+    let mut claims = Vec::new();
     for (i, svc) in zoo.services().iter().enumerate() {
         let best_baseline = results[..3]
             .iter()
@@ -57,10 +49,8 @@ pub fn run(scale: Scale, seed: u64) -> String {
         } else {
             f64::INFINITY
         };
-        out += &format!(
-            "  {:<10} +{gain:.0}%  (paper: +{:.0}%)\n",
-            svc.name, paper_gains[i]
-        );
+        let name = format!("{} max QPS gain over best baseline", svc.name);
+        claims.push(Claim::within(name, gain, paper_gains[i], "%"));
     }
-    out
+    Report { text: out, claims }
 }

@@ -6,22 +6,12 @@
 
 use cluster::experiments::load_cells;
 use cluster::report::{pct, Table};
-use cluster::systems::SystemKind;
 
-use crate::{banner, run_cells, Cluster, Scale};
+use crate::{banner, run_cells, Claim, Cluster, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 15 — heavy-load sensitivity (1x-4x QPS)",
-        "Mudi: lowest violations, slowest escalation; sub-linear CT growth vs linear for baselines",
-        scale,
-    );
-    let systems = [
-        SystemKind::Gslice,
-        SystemKind::Gpulets,
-        SystemKind::MuxFlow,
-        SystemKind::Mudi,
-    ];
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let mut out = banner("Fig. 15 — heavy-load sensitivity (1x-4x QPS)", scale);
+    let systems = Cluster::Physical.systems();
     let multipliers = [1.0, 2.0, 3.0, 4.0];
 
     // All 16 (system × multiplier) cells fan out through one pool call.
@@ -54,34 +44,17 @@ pub fn run(scale: Scale, seed: u64) -> String {
     out.push_str(&viol.render());
     out.push_str("\n(b) mean training CT vs load:\n");
     out.push_str(&ct.render());
-    let falling: Vec<&str> = systems
-        .iter()
-        .zip(&rates)
-        .filter(|(_, row)| row.windows(2).any(|w| w[1] < w[0]))
-        .map(|(s, _)| s.name())
-        .collect();
-    let lowest: Vec<String> = multipliers
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let best = (0..systems.len()).min_by(|&a, &b| rates[a][i].total_cmp(&rates[b][i]));
-            format!("{m}x: {}", systems[best.expect("four systems")].name())
-        })
-        .collect();
-    let rise = |row: &Vec<f64>| row[row.len() - 1] - row[0];
-    let slowest = (0..systems.len())
-        .min_by(|&a, &b| rise(&rates[a]).total_cmp(&rise(&rates[b])))
-        .expect("four systems");
-    out += &format!(
-        "Shape checks: violations {} as load grows; lowest violations by load {};\n\
-         smallest rise from 1x to 4x: {} (paper: Mudi's row stays lowest and rises slowest).\n",
-        if falling.is_empty() {
-            "never fall for any system".to_string()
-        } else {
-            format!("fall somewhere for {}", falling.join(", "))
-        },
-        lowest.join(", "),
-        systems[slowest].name()
-    );
-    out
+    let rows = || systems.iter().map(|s| s.name()).zip(&rates);
+    let rising = rows().filter(|(_, row)| row.windows(2).all(|w| w[1] >= w[0]));
+    let rise = rows().map(|(s, row)| (s, row[row.len() - 1] - row[0]));
+    let mut claims = vec![
+        Claim::every("violations rise with load", rising.count(), systems.len()),
+        Claim::lowest("slowest violation rise, 1x to 4x", "Mudi", rise),
+    ];
+    for (i, m) in multipliers.iter().enumerate() {
+        let at = rows().map(|(s, row)| (s, row[i]));
+        let name = format!("lowest violations at {m}x");
+        claims.push(Claim::lowest(name, "Mudi", at));
+    }
+    Report { text: out, claims }
 }

@@ -6,19 +6,15 @@
 //! during the burst and reclaimed afterwards; the average swap transfer
 //! is ~23.31 ms.
 
-use cluster::experiments::bursty_case_study;
+use cluster::experiments::{bursty_case_study, CaseStudyPoint};
 use cluster::report::Table;
 use cluster::systems::SystemKind;
 use workloads::BurstSchedule;
 
-use crate::{banner, compare, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Fig. 16 — bursty-QPS case study (ResNet50 + YOLOv5)",
-        "3x burst at 100s: batch/GPU% adapt, violations ~0.71%, memory swaps out and back",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let mut out = banner("Fig. 16 — bursty-QPS case study (ResNet50 + YOLOv5)", scale);
     let cs = bursty_case_study(
         SystemKind::Mudi,
         "ResNet50",
@@ -41,9 +37,6 @@ pub fn run(scale: Scale, seed: u64) -> String {
     }
     out.push_str(&table.render());
 
-    let (viol, swap) = (cs.violation_rate, cs.mean_swap_transfer_secs);
-    out += &compare("overall violation rate", viol * 100.0, 0.71, "%");
-    out += &compare("mean swap transfer", swap * 1e3, 23.31, "ms");
     out += &format!(
         "  time fraction with memory swapped: {:.1}%\n",
         cs.swap_time_fraction * 100.0
@@ -54,14 +47,20 @@ pub fn run(scale: Scale, seed: u64) -> String {
     let before = &cs.points[90];
     let during = &cs.points[150];
     let after = &cs.points[280];
-    out += &format!(
-        "\nAdaptation: before (b={}, {:.0}%) -> during burst (b={}, {:.0}%) -> after (b={}, {:.0}%)\n",
-        before.batch,
-        before.gpu_fraction * 100.0,
-        during.batch,
-        during.gpu_fraction * 100.0,
-        after.batch,
-        after.gpu_fraction * 100.0
-    );
-    out
+    let config = |p: &CaseStudyPoint| format!("b={}, {:.0}%", p.batch, p.gpu_fraction * 100.0);
+    let (b, d, a) = (config(before), config(during), config(after));
+    out += &format!("\nAdaptation: before ({b}) -> during burst ({d}) -> after ({a})\n");
+    let retune = format!("{b} -> {d}");
+    let retuned = (before.batch, before.gpu_fraction) != (during.batch, during.gpu_fraction);
+    let (out_gb, back_gb) = (during.swapped_gb, after.swapped_gb);
+    let swaps = format!("{out_gb:.1} GB, then {back_gb:.1} GB");
+    let swapped = out_gb > 0.0 && back_gb <= 0.0;
+    let (viol, swap_ms) = (cs.violation_rate * 100.0, cs.mean_swap_transfer_secs * 1e3);
+    let claims = vec![
+        Claim::within("overall violation rate", viol, 0.71, "%"),
+        Claim::within("mean swap transfer", swap_ms, 23.31, "ms"),
+        Claim::ordering("retuned at the burst", retune, "changed", retuned),
+        Claim::ordering("memory swapped out and back", swaps, "> 0, then 0", swapped),
+    ];
+    Report { text: out, claims }
 }

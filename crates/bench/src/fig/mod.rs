@@ -1,21 +1,22 @@
 //! The paper's tables and figures, one module each.
 //!
 //! A figure is a pure function of its [`Scale`] and seed: `run` returns
-//! the figure's text. The only environment it sees is the worker cap
-//! (`MUDI_THREADS`) of its pooled runs, which the text does not depend
-//! on. Host timings, which differ from run to run, go to stderr. The
-//! `figures` binary prints figures by id, and `tests/golden_snapshots.rs`
-//! checks every one in [`ALL`] at reduced scale against
-//! `tests/golden/figures/<id>.txt`.
+//! a [`Report`], the figure's text and the paper claims it judges. The
+//! only environment it sees is the worker cap (`MUDI_THREADS`) of its
+//! pooled runs, which the report does not depend on. Host timings, which
+//! differ from run to run, go to stderr. The `figures` binary prints
+//! figures by id, and `tests/golden_snapshots.rs` checks every one in
+//! [`ALL`] at reduced scale against `tests/golden/figures/<id>.txt` and
+//! all their claims against `tests/golden/paper_claims.txt`.
 
-use crate::{parse_flags, Scale};
+use crate::{parse_flags, Report, Scale};
 
 /// One entry of [`ALL`].
 pub struct Figure {
     /// The figure's id, also its module's name.
     pub id: &'static str,
-    /// Renders the figure at a scale and seed.
-    pub run: fn(Scale, u64) -> String,
+    /// Renders the figure and judges its claims at a scale and seed.
+    pub run: fn(Scale, u64) -> Report,
 }
 
 pub mod fig01_traces;

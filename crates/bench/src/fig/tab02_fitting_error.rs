@@ -15,14 +15,11 @@ use modeling::regressor::{Dataset, Regressor};
 use simcore::SimRng;
 use workloads::{ColoWorkload, GroundTruth, Zoo};
 
-use crate::{banner, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Tab. 2 — fitting error vs number of training samples",
-        "piece-wise: 10.03/6.41/4.27/3.91/3.78; polynomial: 9.81..5.53; MLP: ~7 flat",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let title = "Tab. 2 — fitting error vs number of training samples";
+    let mut out = banner(title, scale);
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
     let mut rng = SimRng::seed(seed);
 
@@ -104,19 +101,13 @@ pub fn run(scale: Scale, seed: u64) -> String {
     }
     out.push_str(&table.render());
     let pw = &rows[2].1;
-    let winners: Vec<String> = (0..5)
-        .map(|i| {
-            let best = rows.iter().min_by(|a, b| a.1[i].total_cmp(&b.1[i]));
-            format!("{}: {}", i + 5, best.expect("three rows").0)
-        })
-        .collect();
-    out += &format!(
-        "Shape checks: lowest error by samples {}; piece-wise error at 9 samples ({:.2}) \
-         is {} its error at 5 ({:.2}); errors are in percent.\n",
-        winners.join(", "),
-        pw[4],
-        if pw[4] < pw[0] { "below" } else { "not below" },
-        pw[0]
-    );
-    out
+    let (shown, fell) = (format!("{:.2}% vs {:.2}%", pw[4], pw[0]), pw[4] < pw[0]);
+    let ends_lower = Claim::ordering("piece-wise error ends lower", shown, "lower", fell);
+    let mut claims = vec![ends_lower];
+    for i in 0..5 {
+        let at = rows.iter().map(|(name, errs)| (name.as_str(), errs[i]));
+        let name = format!("lowest fitting error at {} samples", i + 5);
+        claims.push(Claim::lowest(name, "Piece-wise linear", at));
+    }
+    Report { text: out, claims }
 }

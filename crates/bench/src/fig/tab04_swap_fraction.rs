@@ -10,14 +10,11 @@ use cluster::systems::SystemKind;
 use simcore::{SimDuration, SimTime};
 use workloads::{BurstSchedule, Zoo};
 
-use crate::{banner, Scale};
+use crate::{banner, Claim, Report, Scale};
 
-pub fn run(scale: Scale, seed: u64) -> String {
-    let mut out = banner(
-        "Tab. 4 — time fraction with memory swapping under bursty QPS",
-        "ResNet50 16.08% / Inception 19.82% / GPT2 28.40% / BERT 15.53% / RoBERTa 27.30% / YOLOS 33.43%",
-        scale,
-    );
+pub fn run(scale: Scale, seed: u64) -> Report {
+    let title = "Tab. 4 — time fraction with memory swapping under bursty QPS";
+    let mut out = banner(title, scale);
     let zoo = Zoo::standard();
     // A recurring burst pattern: 3x load one-third of the time.
     let burst = BurstSchedule::new(
@@ -33,7 +30,6 @@ pub fn run(scale: Scale, seed: u64) -> String {
     let mut table = Table::new(&[
         "service",
         "swap time fraction",
-        "paper",
         "mean transfer",
         "violations",
     ]);
@@ -55,43 +51,22 @@ pub fn run(scale: Scale, seed: u64) -> String {
         })
         .collect();
     let studies = bursty_case_study_many(specs);
+    let mut claims = Vec::new();
     for (i, (svc, cs)) in zoo.services().iter().zip(&studies).enumerate() {
+        let (name, swap) = (format!("{} swap fraction", svc.name), cs.swap_time_fraction);
+        claims.push(Claim::within(name, swap * 100.0, paper[i], "%"));
         table.row(vec![
             svc.name.to_string(),
             format!("{:.1}%", cs.swap_time_fraction * 100.0),
-            format!("{:.2}%", paper[i]),
             format!("{:.1}ms", cs.mean_swap_transfer_secs * 1e3),
             format!("{:.2}%", cs.violation_rate * 100.0),
         ]);
     }
     out.push_str(&table.render());
-    let never: Vec<&str> = zoo
-        .services()
+    let swapping = studies
         .iter()
-        .zip(&studies)
-        .filter(|(_, cs)| cs.swap_time_fraction == 0.0)
-        .map(|(svc, _)| svc.name)
-        .collect();
-    let (worst_svc, worst) = zoo
-        .services()
-        .iter()
-        .zip(&studies)
-        .max_by(|a, b| a.1.violation_rate.total_cmp(&b.1.violation_rate))
-        .expect("six services");
-    out += &format!(
-        "Shape checks: {} of the bursty window;\n\
-         the highest violation rate while overcommitted is {:.2}% ({}).\n",
-        if never.is_empty() {
-            "every service swaps for a nonzero fraction".to_string()
-        } else {
-            let verb = if never.len() == 1 { "swaps" } else { "swap" };
-            format!(
-                "{} never {verb}, the rest swap for a nonzero fraction",
-                never.join(", ")
-            )
-        },
-        worst.violation_rate * 100.0,
-        worst_svc.name
-    );
-    out
+        .filter(|cs| cs.swap_time_fraction > 0.0)
+        .count();
+    claims.push(Claim::every("services that swap", swapping, studies.len()));
+    Report { text: out, claims }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every table and figure in the paper is a function in [`fig`] (see
 //! DESIGN.md for the index), which the `figures` binary prints and
-//! `cargo test` checks against a golden. A figure runs at
+//! `cargo test` checks against a golden. Each returns a [`Report`]: its
+//! text and the paper [`Claim`]s it judges. A figure runs at
 //! [`Scale::Reduced`] so it finishes in seconds, or at [`Scale::Full`],
 //! the paper's scale (12-GPU/300-task physical, 1000-GPU/5000-task
 //! simulated). The kernel performance ledger is [`ledger`], which the
@@ -15,8 +16,11 @@ use cluster::experiments::end_to_end_many;
 use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
 
+pub mod claim;
 pub mod fig;
 pub mod ledger;
+
+pub use claim::{Claim, Report};
 
 /// How large a figure's runs are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,8 +79,8 @@ impl Cluster {
         (cfg, 0.01)
     }
 
-    /// The systems Fig. 8 and 9 compare: the three baselines and Mudi,
-    /// plus Optimal on the simulated cluster.
+    /// The systems the end-to-end figures compare: the three baselines
+    /// and Mudi, plus Optimal on the simulated cluster.
     pub fn systems(self) -> Vec<SystemKind> {
         let mut systems = vec![
             SystemKind::Gslice,
@@ -98,18 +102,13 @@ impl Cluster {
 }
 
 /// The standard banner a figure's text starts with.
-pub fn banner(id: &str, paper_claim: &str, scale: Scale) -> String {
+pub fn banner(title: &str, scale: Scale) -> String {
     let rule = "==============================================================";
     let scale = match scale {
         Scale::Full => "FULL (paper scale)",
         Scale::Reduced => "reduced (set MUDI_FULL_SCALE=1 for paper scale)",
     };
-    format!("{rule}\n{id}\nPaper: {paper_claim}\nScale: {scale}\n{rule}\n")
-}
-
-/// A `measured vs paper` comparison line.
-pub fn compare(metric: &str, measured: f64, paper: f64, unit: &str) -> String {
-    format!("  {metric}: measured {measured:.3}{unit}  (paper: {paper:.3}{unit})\n")
+    format!("{rule}\n{title}\nScale: {scale}\n{rule}\n")
 }
 
 /// Runs independent experiment cells through the worker pool

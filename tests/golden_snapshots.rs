@@ -20,8 +20,10 @@
 //!
 //! Every figure in `bench::fig::ALL` is also pinned here: its text at
 //! reduced scale and seed 42 must match `tests/golden/figures/<id>.txt`,
-//! re-recorded the same way. So are the fingerprints and counters of the
-//! `bench::ledger` rows that run in seconds.
+//! and all their paper claims `tests/golden/paper_claims.txt` and the
+//! block EXPERIMENTS.md embeds, re-recorded the same way. So are the
+//! fingerprints and counters of the `bench::ledger` rows that run in
+//! seconds.
 //!
 //! The rendered fields are pure IEEE-754 arithmetic plus libm calls
 //! (`exp`, `ln`, …); goldens are recorded on x86-64 Linux/glibc, the CI
@@ -393,18 +395,32 @@ fn predictor_fit_matches_golden() {
     check_golden("predictor_fit.txt", &out);
 }
 
-/// Every figure at reduced scale and seed 42, against its golden. The
-/// golden directory holds exactly one file per figure id.
+/// Every figure at reduced scale and seed 42, against its golden, and
+/// all their claims against `paper_claims.txt`, which EXPERIMENTS.md
+/// embeds. The golden directory holds exactly one file per figure id,
+/// and no figure judges two claims of one name.
 #[test]
 fn figures_match_golden() {
-    use bench::{fig, Scale};
+    use bench::{claim, fig, Scale};
 
     let ids: Vec<&str> = fig::ALL.iter().map(|f| f.id).collect();
-    let texts =
+    let reports =
         simcore::pool::scoped_map(fig::ALL.iter().collect(), |f| (f.run)(Scale::Reduced, 42));
-    for (id, text) in ids.iter().zip(&texts) {
-        check_golden(&format!("figures/{id}.txt"), text);
+    for (id, report) in ids.iter().zip(&reports) {
+        check_golden(&format!("figures/{id}.txt"), &report.text);
+        let mut names: Vec<&str> = report.claims.iter().map(|c| c.name.as_str()).collect();
+        names.sort_unstable();
+        let repeated = names.windows(2).find(|w| w[0] == w[1]);
+        assert!(repeated.is_none(), "{id} repeats the claim {repeated:?}");
     }
+    let claims = ids
+        .iter()
+        .zip(&reports)
+        .flat_map(|(&id, report)| report.claims.iter().map(move |c| (id, c)));
+    let claims = claim::table(claims);
+    check_golden("paper_claims.txt", &claims);
+    check_claims_block(&claims);
+
     let mut files: Vec<String> = std::fs::read_dir(golden_path("figures"))
         .expect("figure goldens")
         .map(|e| {
@@ -418,6 +434,35 @@ fn figures_match_golden() {
     let mut expected: Vec<String> = ids.iter().map(|id| format!("{id}.txt")).collect();
     expected.sort();
     assert_eq!(files, expected, "figure goldens and bench::fig::ALL differ");
+}
+
+/// EXPERIMENTS.md's text between its paper-claims markers must be the
+/// claims table; a re-record rewrites it.
+fn check_claims_block(claims: &str) {
+    const BEGIN: &str = "<!-- paper-claims:begin -->\n";
+    const END: &str = "<!-- paper-claims:end -->";
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
+    let start = doc
+        .find(BEGIN)
+        .expect("EXPERIMENTS.md has the begin marker")
+        + BEGIN.len();
+    let end = start
+        + doc[start..]
+            .find(END)
+            .expect("EXPERIMENTS.md has the end marker");
+    if simcore::env::flag("MUDI_BLESS") {
+        let blessed = format!("{}{claims}{}", &doc[..start], &doc[end..]);
+        std::fs::write(&path, blessed).expect("write EXPERIMENTS.md");
+        return;
+    }
+    assert!(
+        doc[start..end] == *claims,
+        "EXPERIMENTS.md's paper-claims block differs from the figures' claims.\n\
+         If the change is intentional, re-record with MUDI_BLESS=1.\n\
+         --- EXPERIMENTS.md ---\n{}\n--- claims ---\n{claims}",
+        &doc[start..end]
+    );
 }
 
 /// The ledger's kernel shapes and 1k-device cells, run once each: every
