@@ -352,7 +352,9 @@ fn load_sensitivity_matches_golden() {
 
 /// Pins the Interference Modeler's fit bit for bit: every (service,
 /// target, learner) 4-fold cross-validation MAE as `f64::to_bits` hex,
-/// plus the learner selection keeps. Each zoo is profiled and fitted on
+/// plus the learner selection keeps, and on its own line a digest of
+/// that kept model's predictions over its training rows — the model a
+/// session actually predicts with. Each zoo is profiled and fitted on
 /// the inputs a seed-1 Mudi session boots from, so any change to a
 /// learner's arithmetic — even one that leaves the simulated cluster
 /// unchanged — fails here.
@@ -389,10 +391,29 @@ fn predictor_fit_matches_golden() {
                     }
                 }
                 let _ = writeln!(out, " best={}", report.kind.name());
+                let data = modeler
+                    .training_data(service, target)
+                    .expect("trained target");
+                let predictions = data.features.iter().map(|row| report.model.predict(row));
+                let _ = writeln!(
+                    out,
+                    "{name} {} final={:016x}",
+                    target.name(),
+                    bits_digest(predictions)
+                );
             }
         }
     }
     check_golden("predictor_fit.txt", &out);
+}
+
+/// FNV-1a over the values' `f64::to_bits`, little-endian.
+fn bits_digest(values: impl Iterator<Item = f64>) -> u64 {
+    values
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// Every figure at reduced scale and seed 42, against its golden, and
