@@ -120,7 +120,21 @@ pub struct LatencyProfiler {
 
 impl LatencyProfiler {
     /// Creates a profiler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.observations_per_point` is zero (a point has
+    /// no P99) or `config.profile_fractions` is empty (no GPU% to
+    /// probe).
     pub fn new(config: MudiConfig) -> Self {
+        assert!(
+            config.observations_per_point > 0,
+            "MudiConfig::observations_per_point must be positive"
+        );
+        assert!(
+            !config.profile_fractions.is_empty(),
+            "MudiConfig::profile_fractions must not be empty"
+        );
         LatencyProfiler { config }
     }
 
@@ -163,9 +177,11 @@ impl LatencyProfiler {
                 .map(|_| noise.sample(rng).total())
                 .collect();
             observations += samples.len();
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
             let p99_idx = ((samples.len() as f64 * 0.99).ceil() as usize).min(samples.len()) - 1;
-            points.push((frac, samples[p99_idx]));
+            let (_, &mut p99, _) = samples.select_nth_unstable_by(p99_idx, |a, b| {
+                a.partial_cmp(b).expect("finite latencies")
+            });
+            points.push((frac, p99));
         }
         let curve = fit_piecewise(&points)?;
         let merged_arch = Self::merged_arch(gt, &key.tasks);
@@ -265,6 +281,24 @@ mod tests {
         assert_eq!(f.len(), 6);
         assert!((f[0] - 0.1).abs() < 1e-12);
         assert!((f[5] - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "observations_per_point")]
+    fn zero_observations_per_point_is_rejected() {
+        LatencyProfiler::new(MudiConfig {
+            observations_per_point: 0,
+            ..MudiConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "profile_fractions")]
+    fn empty_profile_fractions_are_rejected() {
+        LatencyProfiler::new(MudiConfig {
+            profile_fractions: Vec::new(),
+            ..MudiConfig::default()
+        });
     }
 
     #[test]
