@@ -418,7 +418,8 @@ pub(super) fn reconfigure(ctx: &mut LaneCtx, now: SimTime, d: usize, trigger: Tu
             now,
             d,
             OutMsg::Bo {
-                iters: decision.bo_iterations,
+                iters: u8::try_from(decision.bo_iterations)
+                    .expect("the tuner caps a pass at 255 iterations"),
             },
         );
     }

@@ -36,6 +36,7 @@
 //! it (a run to the end then dumps a summary to stderr), or inject a
 //! [`simcore::TraceConfig`] via [`ClusterSession::set_trace_config`].
 
+mod accum;
 mod admission;
 mod config;
 mod control;

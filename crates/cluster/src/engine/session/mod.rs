@@ -45,11 +45,12 @@ use workloads::{GroundTruth, ServiceId, TaskId};
 
 use crate::metrics::{ExperimentResult, FaultMetrics};
 
+use super::accum::ServiceFold;
 use super::admission::Admission;
 use super::config::ClusterConfig;
 use super::control::Control;
 use super::shard::epoch_end_after;
-use super::state::{PlacementLog, ServiceFold, SimState};
+use super::state::{PlacementLog, SimState};
 use super::stepper::Stepper;
 
 /// Why a live operation was rejected.

@@ -108,7 +108,7 @@ pub(super) enum OutMsg {
     /// ledger bookkeeping).
     Bo {
         /// Acquisition iterations of this retune.
-        iters: usize,
+        iters: u8,
     },
     /// Trace only: a retune moved the partition (emitted as
     /// `SimEvent::RetuneApplied` for the key's device).
@@ -143,9 +143,8 @@ pub(super) enum OutMsg {
 pub(super) struct EventLane {
     /// First device index this lane owns (ranges are contiguous).
     base: usize,
-    /// Per-device pending events, sorted by descending `(time,
-    /// schedule order)`: the next to fire is last.
-    pending: Vec<Vec<(SimTime, LaneEvent)>>,
+    /// Per-device pending events.
+    pending: Vec<DeviceQueue>,
     /// Per-device firing time of the next pending event, in seconds
     /// (`INFINITY` when none): the dense array the sweep reads.
     next: Vec<f64>,
@@ -166,15 +165,83 @@ pub(super) struct EventLane {
     fired: u64,
 }
 
+/// A pending lane event and its firing time.
+type Pending = (SimTime, LaneEvent);
+
+/// One device's pending events, sorted by descending `(time, schedule
+/// order)`: the next to fire is last.
+///
+/// A device almost never holds more than two pending events (a QPS
+/// segment and a retune or fault tail), so the first two live inline
+/// in the lane's dense table. A third moves them all to `spill`, where
+/// the device stays until `spill` drains; the spill keeps its capacity,
+/// so a device that spilled once never allocates again.
+#[derive(Clone)]
+struct DeviceQueue {
+    /// The events while not spilled: `inline[..len]`.
+    inline: [Pending; 2],
+    /// Events held inline (`0` while spilled).
+    len: usize,
+    /// Every event while spilled; empty otherwise.
+    spill: Vec<Pending>,
+}
+
+impl DeviceQueue {
+    const EMPTY: DeviceQueue = DeviceQueue {
+        inline: [(SimTime::ZERO, LaneEvent::QpsChange(0)); 2],
+        len: 0,
+        spill: Vec::new(),
+    };
+
+    /// The pending events, next to fire last.
+    fn events(&self) -> &[Pending] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Inserts `event` in front of (so firing after) every event due
+    /// at or before `at`: equal times fire in schedule order.
+    fn insert(&mut self, at: SimTime, event: LaneEvent) {
+        let i = self.events().partition_point(|&(t, _)| t > at);
+        let n = self.len;
+        if self.spill.is_empty() && n < self.inline.len() {
+            self.inline.copy_within(i..n, i + 1);
+            self.inline[i] = (at, event);
+            self.len = n + 1;
+            return;
+        }
+        if self.spill.is_empty() {
+            self.spill.extend_from_slice(&self.inline);
+            self.len = 0;
+        }
+        self.spill.insert(i, (at, event));
+    }
+
+    /// Removes and returns the next event to fire.
+    fn pop(&mut self) -> Option<Pending> {
+        if !self.spill.is_empty() {
+            return self.spill.pop();
+        }
+        self.len = self.len.checked_sub(1)?;
+        Some(self.inline[self.len])
+    }
+}
+
+// Two inline events, the length and the spill vec: the per-device cost
+// of a lane queue, paid once in the lane's dense table.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<DeviceQueue>() == 96);
+
 impl EventLane {
     /// A lane owning the contiguous device range `[base, base+len)`,
-    /// each device's queue pre-sized for the bounded steady-state
-    /// event population (QPS segment + retune + slowdown/restart
-    /// tails).
+    /// every device's queue empty and inline.
     pub fn new(base: usize, len: usize) -> Self {
         EventLane {
             base,
-            pending: (0..len).map(|_| Vec::with_capacity(4)).collect(),
+            pending: vec![DeviceQueue::EMPTY; len],
             next: vec![f64::INFINITY; len],
             msg_seqs: vec![0; len],
             clocks: vec![SimTime::ZERO; len],
@@ -200,11 +267,8 @@ impl EventLane {
         );
         let at = at.max(self.clocks[li]);
         let q = &mut self.pending[li];
-        // In front of (so firing after) every event due at or before
-        // `at`: equal times fire in schedule order.
-        let i = q.partition_point(|&(t, _)| t > at);
-        q.insert(i, (at, event));
-        self.next[li] = q[q.len() - 1].0.as_secs();
+        q.insert(at, event);
+        self.next[li] = q.events().last().expect("just inserted").0.as_secs();
     }
 
     /// The next envelope merge key for an effect device `d` emits at
@@ -232,7 +296,10 @@ impl EventLane {
         let q = &mut self.pending[li];
         let (at, event) = q.pop()?;
         debug_assert!(at >= self.clocks[li], "device stream went backwards");
-        self.next[li] = q.last().map_or(f64::INFINITY, |&(t, _)| t.as_secs());
+        self.next[li] = q
+            .events()
+            .last()
+            .map_or(f64::INFINITY, |&(t, _)| t.as_secs());
         self.clocks[li] = at;
         self.now = self.now.max(at);
         self.fired += 1;
@@ -345,6 +412,34 @@ mod tests {
     }
 
     #[test]
+    fn a_third_pending_event_spills_and_a_drained_device_returns_inline() {
+        let mut lane = EventLane::new(0, 1);
+        let ev = |token| LaneEvent::SlowdownEnd { device: 0, token };
+        for (t, token) in [(1.0, 0), (3.0, 1)] {
+            lane.schedule(SimTime::from_secs(t), ev(token));
+        }
+        assert_eq!(
+            (lane.pending[0].len, lane.pending[0].spill.capacity()),
+            (2, 0)
+        );
+        for (t, token) in [(1.0, 2), (2.0, 3), (3.0, 4)] {
+            lane.schedule(SimTime::from_secs(t), ev(token));
+        }
+        assert_eq!((lane.pending[0].len, lane.pending[0].spill.len()), (0, 5));
+        let order: Vec<(f64, String)> = drain(&mut lane, 1e9);
+        let want = [(1.0, 0), (1.0, 2), (2.0, 3), (3.0, 1), (3.0, 4)];
+        assert_eq!(order, want.map(|(t, k)| (t, format!("{:?}", ev(k)))));
+        // Drained, the device is back inline and keeps the spill's
+        // capacity for the next pile.
+        lane.schedule(SimTime::from_secs(5.0), ev(5));
+        lane.schedule(SimTime::from_secs(4.0), ev(6));
+        let q = &lane.pending[0];
+        assert_eq!((q.len, q.spill.len()), (2, 0));
+        assert!(q.spill.capacity() >= 5);
+        assert_eq!(lane.peek_time(), Some(SimTime::from_secs(4.0)));
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled device 1 while draining device 0")]
     fn scheduling_another_device_mid_drain_panics() {
@@ -415,8 +510,9 @@ mod tests {
         /// a time-ordered heap fires, in the same order and at the same
         /// times, and leaves the same device clocks, lane clock, fired
         /// count and next-event time — over random per-device schedules
-        /// with equal times, past-time clamps, handler follow-ups and
-        /// horizons that fall inside a window.
+        /// with equal times, past-time clamps, handler follow-ups,
+        /// horizons that fall inside a window, and piles of three to six
+        /// events on one device that spill its queue.
         #[test]
         fn device_major_drain_matches_a_time_ordered_heap(
             seed in proptest::prelude::any::<u64>(),
@@ -438,6 +534,19 @@ mod tests {
                     let token = rng.u64() >> 48;
                     lane.schedule(at, LaneEvent::SlowdownEnd { device: base + d, token });
                     heap.schedule(at, d, token);
+                }
+                // Some windows pile three to six events onto one
+                // device, past its two inline slots, at a few whole
+                // seconds around the window start: times tie, and the
+                // early ones clamp to the device clock.
+                if rng.uniform_usize(0, 3) == 0 {
+                    let d = rng.uniform_usize(0, n);
+                    for _ in 0..rng.uniform_usize(3, 7) {
+                        let at = SimTime::from_secs((horizon + rng.uniform_usize(0, 4) as f64 - 2.0).max(0.0).floor());
+                        let token = rng.u64() >> 48;
+                        lane.schedule(at, LaneEvent::SlowdownEnd { device: base + d, token });
+                        heap.schedule(at, d, token);
+                    }
                 }
                 horizon += [2.5, 5.0, 7.3, 10.0][rng.uniform_usize(0, 4)];
                 let h = SimTime::from_secs(horizon);
@@ -477,7 +586,7 @@ mod tests {
         let mut b = EventLane::new(2, 2);
         let mk = |lane: &mut EventLane, t: f64, d: usize| Envelope {
             key: lane.next_msg_key(SimTime::from_secs(t), d),
-            msg: OutMsg::Bo { iters: d },
+            msg: OutMsg::Bo { iters: d as u8 },
         };
         let mut all = [
             mk(&mut b, 2.0, 3),

@@ -35,15 +35,15 @@ use resilience::{
 };
 use simcore::{
     EventQueue, ShardMap, SimDuration, SimEvent, SimRng, SimTime, Topology, TraceBus, TraceConfig,
-    TreeFolder,
 };
 use workloads::perf::DEVICE_MEMORY_GB;
 use workloads::{FluctuatingQps, GroundTruth, ServiceId, Zoo};
 
 use crate::job::{JobId, TrainingJob};
-use crate::metrics::{FaultMetrics, ServiceMetrics, ServiceTable};
+use crate::metrics::{FaultMetrics, ServiceTable};
 use crate::systems::{build_system, Multiplexer};
 
+use super::accum::{DevAccum, ServiceFold};
 use super::config::ClusterConfig;
 use super::control::{standby_score, Control};
 use super::roster::Roster;
@@ -55,7 +55,7 @@ use super::shard::{Envelope, EventLane, OutMsg, AUTO_SHARD_MIN_DEVICES};
 /// touches only lane-local state, so it lives on the owning lane's
 /// queue and fires in the lane phase (see the routing table in
 /// [`super::shard`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(super) enum LaneEvent {
     QpsChange(usize),
     /// Forced retune, scheduled when a device pauses its training so
@@ -108,94 +108,6 @@ pub(super) enum GlobalEvent {
         host: usize,
         token: u64,
     },
-}
-
-/// Per-device mergeable accumulator partials.
-///
-/// Every float a lane accrues concurrently lands here instead of in a
-/// global table, keyed by the device that produced it. The partials
-/// are reduced by a fixed device-ascending tree fold
-/// ([`ServiceFold`] / [`SimState::folded_fmetrics`]) whose
-/// shape depends only on the replica count — never on the shard or
-/// worker partition — so the folded sums are bit-identical across the
-/// whole (shards, workers) grid.
-pub(super) struct DevAccum {
-    /// Per-service metric partials this device accrued. A device
-    /// touches at most a few services (its primary, a hosted standby,
-    /// a session redeploy), so a tiny linear-scan vec beats a map.
-    pub svc: Vec<(ServiceId, ServiceMetrics)>,
-    /// Partial of [`FaultMetrics::dropped_requests`].
-    pub dropped_requests: f64,
-    /// Partial of [`FaultMetrics::rerouted_requests`].
-    pub rerouted_requests: f64,
-    /// Partial of [`FaultMetrics::standby_reserved_gpu_secs`].
-    pub standby_reserved_gpu_secs: f64,
-    /// Partial of [`FaultMetrics::standby_served_requests`].
-    pub standby_served_requests: f64,
-}
-
-impl DevAccum {
-    fn new() -> Self {
-        DevAccum {
-            // Pre-sized so the steady state never allocates: primary +
-            // standby + two session redeploys before the first growth.
-            svc: Vec::with_capacity(4),
-            dropped_requests: 0.0,
-            rerouted_requests: 0.0,
-            standby_reserved_gpu_secs: 0.0,
-            standby_served_requests: 0.0,
-        }
-    }
-
-    /// The metric partial for `id` on this device (created on first
-    /// touch).
-    pub fn svc_entry(&mut self, id: ServiceId) -> &mut ServiceMetrics {
-        if let Some(i) = self.svc.iter().position(|(s, _)| *s == id) {
-            return &mut self.svc[i].1;
-        }
-        self.svc.push((id, ServiceMetrics::default()));
-        &mut self.svc.last_mut().expect("just pushed").1
-    }
-}
-
-/// The device-ascending tree fold of the per-device service partials:
-/// one [`TreeFolder`] per service, fed one device at a time, so a
-/// caller can fold each device right after accruing it. Every service
-/// sees its partials in device order and folds them in the fixed
-/// [`simcore::tree_fold`] shape, so the result does not depend on the
-/// shard or worker partition.
-pub(super) struct ServiceFold(Vec<TreeFolder<ServiceMetrics>>);
-
-impl ServiceFold {
-    /// A fold over services `0..n` (service ids are dense).
-    pub fn new(n: usize) -> Self {
-        ServiceFold((0..n).map(|_| TreeFolder::new()).collect())
-    }
-
-    /// Folds in the next device's partials (call in ascending device
-    /// order).
-    pub fn push(&mut self, acc: &DevAccum) {
-        for (id, m) in &acc.svc {
-            self.0[id.0].push(m.clone(), merge_metrics);
-        }
-    }
-
-    /// The folded table: an entry exists for every service some device
-    /// holds a partial of.
-    pub fn finish(self) -> ServiceTable {
-        let mut table = ServiceTable::new(self.0.len());
-        for (i, folder) in self.0.into_iter().enumerate() {
-            if let Some(m) = folder.finish(merge_metrics) {
-                *table.entry(ServiceId(i)) = m;
-            }
-        }
-        table
-    }
-}
-
-fn merge_metrics(mut a: ServiceMetrics, b: ServiceMetrics) -> ServiceMetrics {
-    a.merge(&b);
-    a
 }
 
 /// Paused time after which training on a system without unified memory
@@ -284,6 +196,12 @@ pub(super) struct DeviceState {
     /// Mergeable accumulator partials (see [`DevAccum`]).
     pub acc: DevAccum,
 }
+
+// The per-device engine state is one row of a dense table, with the
+// first service partial inline; keep a new field from quietly adding a
+// heap block or a cache line per device.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<DeviceState>() == 640);
 
 impl DeviceState {
     /// The training share cap actually applied: the system's decision,
@@ -460,7 +378,11 @@ pub(super) struct SimState {
     /// entries serve nested drains inside envelope application.
     pub msg_pool: Vec<Vec<Envelope>>,
     pub util_series: Vec<(f64, f64, f64)>,
-    pub bo_iterations: Vec<usize>,
+    /// GP-LCB iterations of every tuning pass, one byte each
+    /// ([`mudi::Tuner::new`] caps a pass at 255); widened into
+    /// [`OverheadMetrics::bo_iterations`](crate::metrics::OverheadMetrics::bo_iterations)
+    /// only when the result is built.
+    pub bo_iterations: Vec<u8>,
     pub placement_secs: Vec<f64>,
     pub iter_scale: f64,
     /// Pre-drawn fault sequence for this run (empty without a profile).

@@ -285,7 +285,14 @@ impl Stepper {
             transfer_sum / transfer_events as f64
         };
 
-        result.overhead.bo_iterations = std::mem::take(&mut st.bo_iterations);
+        // Widened while the engine state is still alive: freed first,
+        // the session's multi-MiB tables raise glibc's dynamic mmap
+        // threshold past this vector, which would then land on the
+        // heap and stay resident after the result is dropped.
+        result.overhead.bo_iterations = std::mem::take(&mut st.bo_iterations)
+            .into_iter()
+            .map(usize::from)
+            .collect();
         result.overhead.placement_secs = std::mem::take(&mut st.placement_secs);
         result.wall_clock_secs = wall;
         result

@@ -708,8 +708,8 @@ fn reference_report(
     }
     let mut pairs: Vec<(ServiceId, ServiceMetrics)> = Vec::new();
     for ds in &st.dstate {
-        for (id, m) in &ds.acc.svc {
-            pairs.push((*id, m.clone()));
+        for (id, m) in ds.acc.svc.iter() {
+            pairs.push((id, m.clone()));
         }
     }
     pairs.sort_by_key(|p| p.0 .0);
@@ -771,7 +771,7 @@ fn assert_roster_matches_scan(st: &SimState) {
 }
 
 /// Asserts two folded tables agree bit for bit on every field.
-fn assert_tables_bit_equal(
+pub(super) fn assert_tables_bit_equal(
     got: &crate::metrics::ServiceTable,
     want: &crate::metrics::ServiceTable,
     n: usize,

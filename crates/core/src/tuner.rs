@@ -90,7 +90,10 @@ pub struct TuningOutcome {
     pub batch: u32,
     /// Chosen inference GPU fraction.
     pub gpu_fraction: f64,
-    /// GP-LCB objective evaluations used (Fig. 18(a)).
+    /// GP-LCB objective evaluations used (Fig. 18(a)). At most 255
+    /// ([`Tuner::new`] enforces it): a feasible pass stops at
+    /// `bo_max_iters`, and an infeasible one counts the batch
+    /// candidates.
     pub bo_iterations: usize,
     /// `false` means no feasible configuration exists: pause the
     /// co-located training and give the service the whole device.
@@ -101,6 +104,10 @@ pub struct TuningOutcome {
 /// tries each batch candidate at most once and stops at its budget, so
 /// a pass evaluates at most `min(candidates, bo_max_iters)` of them.
 const MAX_PROBES: usize = 32;
+
+/// The most iterations one tuning pass reports: the cluster's
+/// tuning-pass log stores each pass's count in a byte.
+const MAX_PASS_ITERATIONS: usize = u8::MAX as usize;
 
 /// The per-device tuner.
 pub struct Tuner {
@@ -120,11 +127,24 @@ impl Tuner {
     /// # Panics
     ///
     /// Panics if a pass could evaluate more than 32 configurations,
-    /// i.e. both the candidate set and the iteration budget exceed 32.
+    /// i.e. both the candidate set and the iteration budget exceed 32,
+    /// or if `bo_max_iters` or the number of `batch_candidates` exceeds
+    /// 255: a pass's iteration count is logged as one byte (see
+    /// [`TuningOutcome::bo_iterations`]).
     pub fn new(config: MudiConfig) -> Self {
         assert!(
             config.batch_candidates.len().min(config.bo_max_iters) <= MAX_PROBES,
             "a tuning pass may evaluate at most {MAX_PROBES} configurations"
+        );
+        assert!(
+            config.bo_max_iters <= MAX_PASS_ITERATIONS,
+            "bo_max_iters is {}, above the {MAX_PASS_ITERATIONS} a pass may log",
+            config.bo_max_iters
+        );
+        assert!(
+            config.batch_candidates.len() <= MAX_PASS_ITERATIONS,
+            "batch_candidates holds {} sizes, above the {MAX_PASS_ITERATIONS} a pass may log",
+            config.batch_candidates.len()
         );
         let bo = GpLcbTuner::new(config.batch_candidates_f64(), config.bo_max_iters);
         // Pre-size the search buffers for the candidate count so even
@@ -531,6 +551,24 @@ mod tests {
             searched.contains(&(out.batch, out.gpu_fraction)),
             "{out:?} not among {searched:?}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "bo_max_iters is 256")]
+    fn an_iteration_budget_above_a_byte_is_rejected() {
+        Tuner::new(MudiConfig {
+            bo_max_iters: 256,
+            ..MudiConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_candidates holds 256 sizes")]
+    fn more_batch_candidates_than_a_byte_counts_are_rejected() {
+        Tuner::new(MudiConfig {
+            batch_candidates: (1..=256).collect(),
+            ..MudiConfig::default()
+        });
     }
 
     #[test]

@@ -140,7 +140,10 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus<'_> {
     }
 
     // One pass validates every header line and picks out the first
-    // value of each header the framing depends on.
+    // value of each header the framing depends on. A repeated
+    // `Content-Length` must repeat the same length: two that disagree
+    // would frame the body one way here and another way at a proxy
+    // that took the other value.
     let mut content_length = None;
     let mut connection = None;
     let mut chunked = false;
@@ -155,7 +158,11 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus<'_> {
             return invalid(400, "malformed header name");
         }
         if name.eq_ignore_ascii_case("content-length") {
-            content_length.get_or_insert(value.trim());
+            match (parse_length(value.trim()), content_length) {
+                (Some(n), None) => content_length = Some(n),
+                (Some(n), Some(first)) if n == first => {}
+                _ => return invalid(400, "bad Content-Length"),
+            }
         } else if name.eq_ignore_ascii_case("connection") {
             connection.get_or_insert(value.trim());
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -163,11 +170,7 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus<'_> {
         }
     }
 
-    let content_length = match content_length.map(str::parse::<usize>) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => return invalid(400, "bad Content-Length"),
-    };
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return invalid(413, "body too large");
     }
@@ -193,6 +196,15 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus<'_> {
         },
         consumed: body_start + content_length,
     }
+}
+
+/// A `Content-Length` value: `1*DIGIT` (RFC 9110 §8.6), so no sign,
+/// separator or list, and small enough for a `usize`.
+fn parse_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 /// Index of `\r\n\r\n` (start of the terminator), if present.
@@ -367,6 +379,52 @@ mod tests {
             parse_request(head.as_bytes()),
             ParseStatus::Invalid { status: 413, .. }
         ));
+    }
+
+    fn with_lengths(lengths: &[&str]) -> String {
+        let mut req = "POST / HTTP/1.1\r\n".to_string();
+        for l in lengths {
+            req.push_str(&format!("Content-Length:{l}\r\n"));
+        }
+        req + "\r\n{\"service\":0}"
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for bad in ["+13", "1_3", "13, 13", "-13", "", "0x0d"] {
+            assert_eq!(
+                parse_request(with_lengths(&[bad]).as_bytes()),
+                ParseStatus::Invalid {
+                    status: 400,
+                    reason: "bad Content-Length"
+                },
+                "accepted {bad:?}"
+            );
+        }
+        // Surrounding whitespace is the header's, not the value's.
+        let req = with_lengths(&[" 13 "]);
+        assert_eq!(
+            complete(req.as_bytes()).0.body_str(),
+            Some("{\"service\":0}")
+        );
+    }
+
+    #[test]
+    fn repeated_content_lengths_must_agree() {
+        let same = with_lengths(&["13", " 13"]);
+        let (req, used) = complete(same.as_bytes());
+        assert_eq!(req.body_str(), Some("{\"service\":0}"));
+        assert_eq!(used, same.len());
+        for lengths in [&["13", "14"][..], &["14", "13"], &["13", "+13"]] {
+            assert_eq!(
+                parse_request(with_lengths(lengths).as_bytes()),
+                ParseStatus::Invalid {
+                    status: 400,
+                    reason: "bad Content-Length"
+                },
+                "accepted {lengths:?}"
+            );
+        }
     }
 
     #[test]

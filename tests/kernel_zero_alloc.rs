@@ -307,6 +307,51 @@ fn warm_classifier_infer_allocates_nothing() {
     );
 }
 
+/// Booting keeps no heap block per device: each device's engine state
+/// is one row of a dense table, with its first service partial and its
+/// first two pending lane events stored inline. So doubling the fleet
+/// from 1,000 to 2,000 devices adds far fewer than one allocation per
+/// added device; only per-lane and per-service set-up may scale.
+#[test]
+fn booting_allocates_no_block_per_device() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    TRACE_ON.store(
+        std::env::var_os("MUDI_ALLOC_TRACE").is_some_and(|v| v == "1"),
+        Ordering::SeqCst,
+    );
+
+    let boot = |devices: usize| {
+        // The fleet benchmark's shape: racks, shards, baseline faults
+        // and a warm-standby pool, so every per-device path of
+        // construction runs.
+        let mut config = ClusterConfig::builder(ScalePreset::Simulated, SystemKind::Mudi, 7)
+            .devices(devices)
+            .jobs(64)
+            .topology(TopologyShape::new(16, 8))
+            .shards(8)
+            .workers(1)
+            .max_sim_secs(DAY)
+            .build();
+        let mut faults = FaultProfile::scaled(1.0);
+        faults.recovery.standby = StandbyPolicy::warm(1);
+        config.faults = Some(faults);
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let session = ClusterSession::new_scaled(config, 0.01);
+        let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        ARMED.store(false, Ordering::SeqCst);
+        drop(session);
+        delta
+    };
+    let (small, large) = (boot(1_000), boot(2_000));
+    assert!(
+        large < small + 1_000,
+        "booting 2,000 devices allocated {large} times, 1,000 devices {small}: \
+         a heap block per device crept back into construction \
+         (set MUDI_ALLOC_TRACE=1 for backtraces)"
+    );
+}
+
 /// Dense-id regression guard: the kernel's dense service table must
 /// round-trip to exactly the key set the old `HashMap`-keyed report
 /// carried — a contiguous `0..k` block of service ids, one entry per
